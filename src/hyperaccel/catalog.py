@@ -868,6 +868,8 @@ def entry(rid: str) -> CatalogEntry:
 
 def default_term_budget(z: Fraction, digits: int) -> int:
     """Term cap from the per-term digit gain, with fixed slack."""
+    if abs(z) >= 1:
+        raise ValueError("divergent series: |z| >= 1")
     if z == 0:
         return digits + 120
     return math.ceil(digits / -math.log10(abs(z))) + 120

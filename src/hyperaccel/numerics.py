@@ -12,12 +12,22 @@ iteration; each constant has an independent cross-check formula
 exercised by the tests, and none of them share code with series
 evaluation.
 
-chu_eval accumulates exact rational series terms and certifies its
-tail geometrically: once the term-quotient numerator, denominator, and
+chu_eval sums the series exactly in integers and certifies its tail
+geometrically: once the term-quotient numerator, denominator, and
 their derivative combination N'D - ND' each keep a single coefficient
 sign from some shift J1 on, the quotient magnitude is monotone toward
 |z| past J1, so max(|ratio(j)|, |z|) < 1 bounds every later quotient
-and a geometric bound encloses the tail.
+and a geometric bound encloses the tail.  The term is read as
+t_j = K C_j a(j)/b(j) with C_0 = 1 and C_{j+1}/C_j = p(j)/q(j), where
+p, q, a, b are integer polynomials taken from z, the parameters, and
+num and den with their denominators cleared.  The stop search carries
+C_j as an unreduced integer pair and decides the tail rule by integer
+cross-multiplication, after a bit-length screen for the necessary
+condition |t_j| <= tol.  The partial sum up to the stop index is then
+a binary-splitting product tree of integers P, Q, B, T (Haible and
+Papanikolaou, ANTS 1998), reduced once to a Fraction.  The partial
+sum, the tail bound, and the stop index are the exact rationals a
+running Fraction sum would give.
 
 direct_sum_eval is the low-precision brute-force oracle for the
 unaccelerated sums.  Terminating sums are exact and geometrically
@@ -31,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from hyperaccel.accelerator import ChuSeries
@@ -477,9 +488,87 @@ def _stability_point(num: UniPoly, den: UniPoly, cap: int) -> Optional[int]:
     return None
 
 
+def _cleared(*polys: UniPoly) -> tuple[int, list[list[int]]]:
+    """Common denominator m of the coefficients and the ascending integer
+    coefficients of m * p for each p, so ratios of the polys are kept."""
+    m = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return m, [[c.numerator * (m // c.denominator) for c in p.coeffs]
+               for p in polys]
+
+
+def _ieval(cs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _split(pv: list[int], qv: list[int], av: list[int], bv: list[int],
+           lo: int, hi: int) -> tuple[int, int, int, int]:
+    """Integers P, Q, B, T over [lo, hi): P/Q = prod p(i)/q(i) and
+    T/(B Q) = sum_n a(n)/b(n) prod_{lo <= i < n} p(i)/q(i)."""
+    if hi - lo == 1:
+        return pv[lo], qv[lo], bv[lo], av[lo] * qv[lo]
+    mid = (lo + hi) // 2
+    p1, q1, b1, t1 = _split(pv, qv, av, bv, lo, mid)
+    p2, q2, b2, t2 = _split(pv, qv, av, bv, mid, hi)
+    return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
+
+
+def _geometric_sum(p: list[int], q: list[int], a: list[int], b: list[int],
+                   k: Fraction, rn: list[int], rd: list[int], lim: Fraction,
+                   j1: int, cap: int,
+                   tol: Fraction) -> Optional[tuple[Fraction, Fraction, int]]:
+    """Certified sum of t_j = k C_j a(j)/b(j), C_0 = 1, C_{j+1} = C_j p(j)/q(j).
+
+    p, q, a, b, rn and rd are ascending integer coefficients; q and b
+    have no root at a summation index, and rn/rd is the term quotient
+    with |rn/rd| monotone from j1 >= 1 on.  The stop index J is the first
+    j <= cap with j >= j1, rbar = max(|rn(j)/rd(j)|, lim) < 1 and
+    |t_j| / (1 - rbar) <= tol, decided by integer cross-multiplication
+    on the unreduced pair C_j = cn / cd.  Returns the exact partial sum
+    over [0, J) from one product tree, that tail bound, and J; None when
+    no such J exists.
+    """
+    kn, kd = abs(k.numerator), k.denominator
+    tn, td = kn * tol.denominator, kd * tol.numerator
+    slack = td.bit_length() - tn.bit_length() + 2
+    ln, ld = lim.numerator, lim.denominator
+    pv: list[int] = []
+    qv: list[int] = []
+    av: list[int] = []
+    bv: list[int] = []
+    cn = cd = 1
+    j = 0
+    while j <= cap:
+        aj, bj = _ieval(a, j), _ieval(b, j)
+        # |t_j| <= tol is necessary for the stop; the bit lengths bound
+        # cn aj tn below and cd bj td above, so this skip never moves J
+        if j >= j1 and (not cn or not aj or cn.bit_length() + aj.bit_length()
+                        <= cd.bit_length() + bj.bit_length() + slack):
+            x, y = abs(cn * aj), abs(cd * bj)
+            nj, dj = abs(_ieval(rn, j)), abs(_ieval(rd, j))
+            if nj * ld < ln * dj:
+                nj, dj = ln, ld
+            if nj < dj and tn * x * dj <= td * y * (dj - nj):
+                bound = Fraction(kn * x * dj, kd * y * (dj - nj))
+                _, qt, bt, tt = _split(pv, qv, av, bv, 0, j)
+                return Fraction(k.numerator * tt, kd * bt * qt), bound, j
+        pj, qj = _ieval(p, j), _ieval(q, j)
+        pv.append(pj)
+        qv.append(qj)
+        av.append(aj)
+        bv.append(bj)
+        cn *= pj
+        cd *= qj
+        j += 1
+    return None
+
+
 def chu_eval_terms(s: ChuSeries, digits: int,
                    max_terms: Optional[int] = None) -> tuple[Enclosure, int]:
     """chu_eval plus the number of terms actually summed."""
+    _check_digits(digits)
     if abs(s.z) >= 1:
         raise ValueError("divergent series: |z| >= 1")
     for l in s.lower:
@@ -504,37 +593,33 @@ def chu_eval_terms(s: ChuSeries, digits: int,
     if j1 is None or num_j.degree > den_j.degree:
         raise ValueError("requested digits unreachable")
     lim = abs(num_j.lc / den_j.lc) if num_j.degree == den_j.degree else _F0
-    zpow, poch, partial = _F1, _F1, _F0
-    j = 0
-    while j <= cap:
-        t = zpow * poch * s.num.eval(j) / s.den.eval(j)
-        if j >= j1:
-            rbar = max(abs(num_j.eval(j) / den_j.eval(j)), lim)
-            if rbar < 1:
-                bound = abs(t) / (1 - rbar)
-                if bound <= tol:
-                    enc = Enclosure.from_interval(partial - bound,
-                                                  partial + bound, pbits)
-                    return enc, j
-        partial += t
-        for u in s.upper:
-            poch *= u + j
-        for l in s.lower:
-            poch /= l + j
-        zpow *= s.z
-        j += 1
-    raise ValueError("requested digits unreachable")
+    _, (p, q) = _cleared(UniPoly.from_roots([-u for u in s.upper], s.z),
+                         UniPoly.from_roots([-l for l in s.lower]))
+    ma, (a,) = _cleared(s.num)
+    mb, (b,) = _cleared(s.den)
+    _, (rn, rd) = _cleared(num_j, den_j)
+    found = _geometric_sum(p, q, a, b, Fraction(mb, ma), rn, rd, lim,
+                           j1, cap, tol)
+    if found is None:
+        raise ValueError("requested digits unreachable")
+    partial, bound, j = found
+    return Enclosure.from_interval(partial - bound, partial + bound, pbits), j
 
 
 def chu_eval(s: ChuSeries, digits: int,
              max_terms: Optional[int] = None) -> Enclosure:
     """Enclosure of the series value with radius at most 10^-digits.
 
-    Partial sums are exact rationals; the tail is certified by the
-    geometric bound |t_J| / (1 - max(|ratio(J)|, |z|)) once the quotient
-    magnitude is provably monotone (see the module docstring).  Raises
-    when |z| >= 1, when a lower parameter or den root puts a pole at a
-    summation index, or when the term cap (default 10 * digits) is hit.
+    The stop index J is the first j at or past the stability point J1
+    where the geometric bound |t_j| / (1 - max(|ratio(j)|, |z|)) is at
+    most half of 10^-digits; the quotient magnitude is provably monotone
+    from J1 on (see the module docstring).  J is found by an integer
+    stop search over the unreduced term numerators and denominators, and
+    the exact partial sum over [0, J) comes from one binary-splitting
+    product tree reduced to a single Fraction.  Raises when digits
+    exceeds the supported range, when |z| >= 1, when a lower parameter
+    or den root puts a pole at a summation index, or when the term cap
+    (default 10 * digits) is hit.
     """
     return chu_eval_terms(s, digits, max_terms)[0]
 
@@ -607,19 +692,12 @@ def _oracle_geometric(num: UniPoly, den: UniPoly, lim: Fraction,
     j1 = _stability_point(num, den, cap)
     if j1 is None:
         raise ValueError("oracle unavailable")
-    total, t = _F0, _F1
-    k = 0
-    while k <= cap:
-        if k >= j1:
-            rbar = max(abs(num.eval(k) / den.eval(k)), lim)
-            if rbar < 1:
-                bound = abs(t) / (1 - rbar)
-                if bound <= tol:
-                    return Enclosure.from_interval(total - bound, total + bound)
-        total += t
-        t *= num.eval(k) / den.eval(k)
-        k += 1
-    raise ValueError("oracle unavailable")
+    _, (p, q) = _cleared(num, den)
+    found = _geometric_sum(p, q, [1], [1], _F1, p, q, lim, j1, cap, tol)
+    if found is None:
+        raise ValueError("oracle unavailable")
+    total, bound, _ = found
+    return Enclosure.from_interval(total - bound, total + bound)
 
 
 def _oracle_positive(num: UniPoly, den: UniPoly, alpha: float,

@@ -162,6 +162,22 @@ def test_eval_env_cap_generous_succeeds(capsys, monkeypatch):
     assert out.startswith("35.34291735288517393270473806189440744721815574296993")
 
 
+def test_eval_digits_above_cap_fails_at_once(capsys):
+    code, out, err = run(capsys, "eval", "--id", "Q1", "--digits", "20000")
+    assert code == 1
+    assert out == ""
+    assert err == "hyperaccel: digits above supported range\n"
+
+
+def test_eval_unit_argument_is_divergent(capsys):
+    code, out, err = run(capsys, "eval", "--series",
+                         "z=1 upper=[1/2] lower=[3/2] num=[1] den=[1]",
+                         "--digits", "10")
+    assert code == 1
+    assert out == ""
+    assert err == "hyperaccel: divergent series: |z| >= 1\n"
+
+
 def test_bad_env_cap_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("HYPERACCEL_MAX_TERMS", "many")
     code, _, err = run(capsys, "eval", "--id", "Q1", "--digits", "10")

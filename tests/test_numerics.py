@@ -4,16 +4,21 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperaccel.accelerator import ChuSeries, accelerated_stream
-from hyperaccel.exact_arith import UniPoly
-from hyperaccel.hypergeom_terms import FamilyId, family_instantiate
+from hyperaccel.catalog import catalog_entries, default_term_budget, entry
+from hyperaccel.exact_arith import UniPoly, rational_roots
+from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate,
+                                        k_shift_ratio)
 from hyperaccel.numerics import (
     BigFloat,
     ClosedForm,
     Enclosure,
+    _bits_for,
+    _oracle_geometric,
+    _stability_point,
     chu_eval,
     chu_eval_terms,
     closedform_eval,
@@ -358,6 +363,150 @@ def test_chu_eval_digits_per_term_rate_law():
         assert abs(t50 - 50 * per_digit) <= 5 + 25, (rate, t50)
 
 
+# -- chu_eval against the running-Fraction reference -------------------------
+
+
+def _reference_eval_terms(s: ChuSeries, digits: int, max_terms=None):
+    """The summation loop chu_eval_terms replaced: a running Fraction sum
+    with the same stability point, tail rule and term cap."""
+    if abs(s.z) >= 1:
+        raise ValueError("divergent series: |z| >= 1")
+    for l in s.lower:
+        if l.denominator == 1 and l <= 0:
+            raise ValueError("pole of series term")
+    if s.den.is_zero:
+        raise ValueError("pole of series term")
+    if s.den.degree >= 1:
+        for rt in rational_roots(s.den):
+            if rt >= 0 and rt.denominator == 1:
+                raise ValueError("pole of series term")
+    cap = 10 * digits if max_terms is None else max_terms
+    tol = F(1, 2 * 10 ** digits)
+    pbits = _bits_for(digits)
+    if s.z == 0:
+        t0 = s.term(0)
+        return Enclosure.from_interval(t0, t0, pbits), 1
+    ratio = s.ratio()
+    num_j = ratio.num.as_unipoly("j")
+    den_j = ratio.den.as_unipoly("j")
+    j1 = _stability_point(num_j, den_j, cap)
+    if j1 is None or num_j.degree > den_j.degree:
+        raise ValueError("requested digits unreachable")
+    lim = abs(num_j.lc / den_j.lc) if num_j.degree == den_j.degree else F(0)
+    zpow, poch, partial = F(1), F(1), F(0)
+    j = 0
+    while j <= cap:
+        t = zpow * poch * s.num.eval(j) / s.den.eval(j)
+        if j >= j1:
+            rbar = max(abs(num_j.eval(j) / den_j.eval(j)), lim)
+            if rbar < 1:
+                bound = abs(t) / (1 - rbar)
+                if bound <= tol:
+                    enc = Enclosure.from_interval(partial - bound,
+                                                  partial + bound, pbits)
+                    return enc, j
+        partial += t
+        for u in s.upper:
+            poch *= u + j
+        for l in s.lower:
+            poch /= l + j
+        zpow *= s.z
+        j += 1
+    raise ValueError("requested digits unreachable")
+
+
+def _outcome(evaluate, s: ChuSeries, digits: int, max_terms=None):
+    """Exact enclosure endpoints and term count, or the error raised."""
+    try:
+        enc, terms = evaluate(s, digits, max_terms)
+    except ValueError as ex:
+        return str(ex)
+    return enc.lo(), enc.hi(), terms
+
+
+def _same_as_reference(s: ChuSeries, digits: int, max_terms=None):
+    got = _outcome(chu_eval_terms, s, digits, max_terms)
+    assert got == _outcome(_reference_eval_terms, s, digits, max_terms)
+    return got
+
+
+def test_chu_eval_matches_reference_on_every_display():
+    displays = [e for e in catalog_entries() if e.chu is not None]
+    assert len(displays) == 95
+    for e in displays:
+        got = _same_as_reference(e.chu, 60, default_term_budget(e.chu.z, 60))
+        assert not isinstance(got, str), e.id
+
+
+_PARAM = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _chu_series(draw):
+    z = draw(st.fractions(min_value=-1, max_value=1, max_denominator=12)
+             .filter(lambda x: abs(x) < 1))
+    upper = tuple(draw(st.lists(_PARAM, max_size=3)))
+    lower = tuple(draw(st.lists(
+        _PARAM.filter(lambda x: x.denominator > 1 or x > 0), max_size=3)))
+    num = UniPoly.from_coeffs(draw(st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+        min_size=1, max_size=3).filter(lambda cs: cs[-1] != 0)))
+    root = draw(st.none() | st.integers(min_value=0, max_value=6))
+    if root is not None:
+        num = num * UniPoly.from_roots([root])
+    den = UniPoly.from_coeffs(draw(st.lists(
+        st.fractions(min_value=F(1, 4), max_value=5, max_denominator=4),
+        min_size=1, max_size=3)))
+    return ChuSeries(z, upper, lower, num, den)
+
+
+# J == J1 == 1: the first term after j = 0 already meets the tail rule
+_FIRST_STOP = ChuSeries(F(1, 10 ** 6), (F(1),), (F(2),),
+                        UniPoly.one(), UniPoly.one())
+# terminating through the upper parameter -2, and num vanishing at j = 1
+_TERMINATING = ChuSeries(F(-3, 4), (F(-2), F(1, 3)), (F(5, 2), F(7, 4)),
+                         UniPoly.from_roots([1], 3),
+                         UniPoly.from_coeffs([1, 2]))
+
+
+@given(_chu_series(), st.integers(min_value=1, max_value=25))
+@settings(max_examples=80, deadline=None)
+@example(_FIRST_STOP, 3)
+@example(_TERMINATING, 12)
+@example(ChuSeries(F(0), (F(1, 2),), (F(4, 3),), UniPoly.from_coeffs([3, 1]),
+                   UniPoly.one()), 5)
+def test_chu_eval_matches_reference_on_random_series(s, digits):
+    _same_as_reference(s, digits)
+
+
+def test_chu_eval_stop_at_stability_point():
+    ratio = _FIRST_STOP.ratio()
+    j1 = _stability_point(ratio.num.as_unipoly("j"),
+                          ratio.den.as_unipoly("j"), 30)
+    assert _same_as_reference(_FIRST_STOP, 3)[2] == j1 == 1
+
+
+def test_chu_eval_terminating_series_is_exact_sum():
+    lo, hi, terms = _same_as_reference(_TERMINATING, 12)
+    assert lo <= sum(_TERMINATING.term(j) for j in range(3)) <= hi
+    assert terms >= 3 and _TERMINATING.term(terms) == 0
+
+
+def test_chu_eval_term_cap_boundary_matches_reference():
+    cases = ((_rt1(), 50), (_n27_3(), 40), (entry("FR-2").chu, 30),
+             (_TERMINATING, 12))
+    for s, digits in cases:
+        _, _, j = _same_as_reference(s, digits, 1000)
+        assert _same_as_reference(s, digits, j)[2] == j
+        short = _same_as_reference(s, digits, j - 1)
+        assert short == "requested digits unreachable"
+
+
+def test_chu_eval_digits_cap():
+    with pytest.raises(ValueError, match="digits above supported range"):
+        chu_eval(_rt1(), 10001)
+
+
 # -- direct_sum_eval ----------------------------------------------------------
 
 
@@ -413,3 +562,37 @@ def test_oracle_refinement_consistent():
     rough = direct_sum_eval(term, 1, 3)
     fine = direct_sum_eval(term, 1, 5)
     assert rough.contains_value(fine.center.to_fraction())
+
+
+def _reference_oracle_geometric(num, den, lim, tol):
+    """The running-Fraction loop _oracle_geometric replaced."""
+    j1 = _stability_point(num, den, 4000)
+    total, t = F(0), F(1)
+    k = 0
+    while k <= 4000:
+        if k >= j1:
+            rbar = max(abs(num.eval(k) / den.eval(k)), lim)
+            if rbar < 1:
+                bound = abs(t) / (1 - rbar)
+                if bound <= tol:
+                    return Enclosure.from_interval(total - bound,
+                                                   total + bound)
+        total += t
+        t *= num.eval(k) / den.eval(k)
+        k += 1
+    raise ValueError("oracle unavailable")
+
+
+@pytest.mark.parametrize("n0", [F(1, 2), F(3, 2), F(-1, 3)])
+def test_oracle_geometric_matches_reference(n0):
+    # FR-2's recipe; its unaccelerated term quotient tends to -4/27 or 4/27
+    term = family_instantiate(FamilyId.TWENTY7_32, [F(1), F(1, 2)])
+    rho = k_shift_ratio(term).subst({"n": n0})
+    num, den = rho.num.as_unipoly("k"), rho.den.as_unipoly("k")
+    lim = abs(num.lc / den.lc)
+    assert num.degree == den.degree and lim < 1
+    for digits in (1, 4, 6):
+        tol = F(1, 2 * 10 ** digits)
+        got = _oracle_geometric(num, den, lim, tol)
+        want = _reference_oracle_geometric(num, den, lim, tol)
+        assert (got.lo(), got.hi()) == (want.lo(), want.hi())
