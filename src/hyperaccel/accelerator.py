@@ -10,9 +10,10 @@ into
 and unrolling from a start point n0 yields the accelerated series.  The
 stream is normalized by F(n0, 0), so every term is an exact rational
 number built from the certificate, p1, p2, and the n-shift ratio of the
-summand evaluated along nu_j = n0 + r j.  AccelStream generates the
-terms lazily and carries the term quotient t_{j+1}/t_j as a rational
-function of j.
+summand evaluated along nu_j = n0 + r j.  The certificate and the ratio
+are reduced once to univariate polynomials in n at k = 0, so each term
+costs a few Horner evaluations.  AccelStream generates the terms lazily
+and carries the term quotient t_{j+1}/t_j as a rational function of j.
 
 Unrolling is valid only when the remainder after m steps dies off.
 vanishing_check estimates that remainder in double precision: the
@@ -30,7 +31,10 @@ where (x)_j is a rising factorial, num is a primitive integer
 polynomial with positive leading coefficient, and den is a product of
 primitive integer linear factors.  Rising-factorial quotients whose
 parameters differ by an integer are folded into num and den, so the
-remaining upper and lower parameter lists share no integer gaps.
+remaining upper and lower parameter lists share no integer gaps.  The
+parameters are read off the rational roots of the quotient's numerator
+and denominator (exact_arith.rational_roots).  ChuSeries.terms builds a
+window of terms with the rising factorials as one running product.
 """
 
 from __future__ import annotations
@@ -145,24 +149,31 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar,
 
 
 def iter_accelerated(term: HypTerm, rec: Recurrence, n0: Scalar) -> Iterator[Fraction]:
-    """Exact accelerated terms t_j, normalized by F(n0, 0)."""
+    """Exact accelerated terms t_j, normalized by F(n0, 0).
+
+    The certificate and the n-shift ratio enter only at k = 0, so their
+    numerators and denominators are reduced once to polynomials in n and
+    evaluated by Horner at each nu_j.  The parts are kept apart (not a
+    reduced RatFunc), so a zero of a denominator at nu_j is reported as
+    a pole at term j.
+    """
     rho_n = n_shift_ratio(term, rec.r)
     p1 = rec.p1.as_unipoly("n")
     p2 = rec.p2.as_unipoly("n")
+    cert_num, cert_den, rho_num, rho_den = (
+        part.subst({"k": 0}).as_unipoly("n")
+        for part in (rec.cert.num, rec.cert.den, rho_n.num, rho_n.den))
     nu = Fraction(n0)
     pre = _F1
     j = 0
     while True:
         p2v = p2.eval(nu)
-        if p2v == 0:
+        cdv = cert_den.eval(nu)
+        rdv = rho_den.eval(nu)
+        if p2v == 0 or cdv == 0 or rdv == 0:
             raise ValueError(f"pole in accelerated stream at term {j}")
-        try:
-            cv = rec.cert.eval({"n": nu, "k": 0})
-            rv = rho_n.eval({"n": nu, "k": 0})
-        except ZeroDivisionError:
-            raise ValueError(f"pole in accelerated stream at term {j}") from None
-        yield pre * (-cv) / p2v
-        pre *= (-p1.eval(nu) / p2v) * rv
+        yield pre * (-cert_num.eval(nu) / cdv) / p2v
+        pre *= (-p1.eval(nu) / p2v) * (rho_num.eval(nu) / rdv)
         nu += rec.r
         j += 1
 
@@ -270,7 +281,11 @@ def stream_proportional(s1: Sequence[Fraction], s2: Sequence[Fraction],
 
 @dataclass(frozen=True)
 class ChuSeries:
-    """Series sum_j z^j prod (u)_j / prod (l)_j * num(j)/den(j)."""
+    """Series sum_j z^j prod (u)_j / prod (l)_j * num(j)/den(j).
+
+    terms(count) gives the first count terms by a running product;
+    term(j) is the last of terms(j + 1).  ratio() is the term quotient.
+    """
 
     z: Fraction
     upper: tuple[Fraction, ...]
@@ -278,19 +293,31 @@ class ChuSeries:
     num: UniPoly
     den: UniPoly
 
+    def terms(self, count: int) -> list[Fraction]:
+        """Exact terms 0..count-1; raises ZeroDivisionError on a denominator zero.
+
+        The rising-factorial part P_j = z^j prod (u)_j / prod (l)_j is
+        kept as a running product, so count terms cost O(count) steps.
+        """
+        out: list[Fraction] = []
+        prod = _F1
+        for j in range(count):
+            d = self.den.eval(j)
+            if d == 0:
+                raise ZeroDivisionError("pole of series term")
+            out.append(prod * self.num.eval(j) / d)
+            if j + 1 < count:
+                step = self.z
+                for u in self.upper:
+                    step *= u + j
+                for l in self.lower:
+                    step /= l + j
+                prod *= step
+        return out
+
     def term(self, j: int) -> Fraction:
         """Exact j-th term; raises ZeroDivisionError on a denominator zero."""
-        val = self.z ** j * Fraction(self.num.eval(j), 1)
-        d = self.den.eval(j)
-        if d == 0:
-            raise ZeroDivisionError("pole of series term")
-        for u in self.upper:
-            for i in range(j):
-                val *= u + i
-        for l in self.lower:
-            for i in range(j):
-                val /= l + i
-        return val / d
+        return self.terms(j + 1)[j]
 
     def ratio(self) -> RatFunc:
         """Term quotient term(j+1)/term(j) as a rational function of j."""

@@ -967,7 +967,7 @@ def derive_entry(rid: str, max_deg: int = 8) -> DeriveReport:
     proportional = None
     if e.chu is not None:
         window = PROPORTIONALITY_WINDOW
-        display = [e.chu.term(j) for j in range(window + 1)]
+        display = e.chu.terms(window + 1)
         proportional = stream_proportional(stream.take(window + 1), display,
                                            j_max=window)
     return DeriveReport(recurrence_found=True, rate=rate,

@@ -230,20 +230,67 @@ def poly_shift(p: UniPoly, s: Scalar) -> UniPoly:
 
 
 def _int_divisors(m: int) -> list[int]:
+    """Positive divisors of m != 0, ascending, from its trial-division factors."""
     m = abs(m)
-    out = []
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            out.append(i)
-            if i != m // i:
-                out.append(m // i)
-        i += 1
-    return sorted(out)
+    divs = [1]
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            base = list(divs)
+            pk = 1
+            while m % p == 0:
+                m //= p
+                pk *= p
+                divs.extend(d * pk for d in base)
+        p += 1 if p == 2 else 2
+    if m > 1:
+        divs.extend([d * m for d in divs])
+    return sorted(divs)
+
+
+def _integer_root(a: list[int]) -> tuple[int, int] | None:
+    """Smallest-q, then smallest-|p| root p/q of a primitive integer
+    polynomial with a[0] != 0 and a[-1] > 0, as (p, q) in lowest terms."""
+    d = len(a) - 1
+    lc = a[-1]
+    bound = lc + max(abs(c) for c in a[:-1])  # Cauchy: |root| < bound / lc
+    f1 = sum(a)
+    fm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(a))
+    p_divs = _int_divisors(a[0])
+    for q in _int_divisors(lc):
+        qpow = [1] * (d + 1)
+        for i in range(1, d + 1):
+            qpow[i] = qpow[i - 1] * q
+        for p in p_divs:
+            if p * lc > bound * q:
+                break
+            if gcd(p, q) > 1:
+                continue
+            for s in (p, -p):
+                # q x - s divides a as integer polynomials, so q - s divides
+                # a(1) and q + s divides a(-1)
+                if f1 and (q == s or f1 % (q - s)):
+                    continue
+                if fm1 and (q == -s or fm1 % (q + s)):
+                    continue
+                acc = lc
+                for i in range(d - 1, -1, -1):
+                    acc = acc * s + a[i] * qpow[d - i]
+                if acc == 0:
+                    return s, q
+    return None
 
 
 def rational_roots(p: UniPoly) -> list[Fraction]:
     """All rational roots of p with multiplicity, sorted ascending.
+
+    The search runs on the primitive integer coefficient list a.  By the
+    rational root theorem a root p/q in lowest terms has p | a[0] and
+    q | lc.  Each candidate is screened by (q - p) | a(1) and (q + p) |
+    a(-1), |p/q| is cut off at the Cauchy bound, and a(p/q) = 0 is tested
+    as an integer Horner sum.  Each root found is divided out exactly,
+    and the search restarts on the primitive quotient, whose a[0] and lc
+    divide those of a.
 
     Raises ValueError on the zero polynomial, which has all roots.
     """
@@ -251,23 +298,24 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
         raise ValueError("zero polynomial has all roots")
     roots: list[Fraction] = []
     coeffs = list(p.coeffs)
-    while coeffs and coeffs[0] == 0:
+    while coeffs[0] == 0:
         roots.append(_F0)
         coeffs.pop(0)
-    q = UniPoly.from_coeffs(coeffs).primitive()
-    if q.degree < 1:
-        return sorted(roots)
-    a0 = int(q.coeffs[0])
-    al = int(q.lc)
-    candidates = set()
-    for num in _int_divisors(a0):
-        for den in _int_divisors(al):
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-    for r in sorted(candidates):
-        while q.degree >= 1 and q.eval(r) == 0:
-            roots.append(r)
-            q = q.exact_div(UniPoly.from_coeffs([-r, 1]))
+    a = [int(c) for c in UniPoly.from_coeffs(coeffs).primitive().coeffs]
+    while len(a) > 1:
+        root = _integer_root(a)
+        if root is None:
+            break
+        s, q = root
+        roots.append(Fraction(s, q))
+        # a = (q x - s) b: b[i-1] = (a[i] + s b[i]) / q, from the top down
+        b = [0] * (len(a) - 1)
+        acc = 0
+        for i in range(len(a) - 1, 0, -1):
+            acc = (a[i] + s * acc) // q
+            b[i - 1] = acc
+        g = gcd(*b)
+        a = [c // g for c in b]
     return sorted(roots)
 
 

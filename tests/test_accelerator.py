@@ -1,6 +1,8 @@
 """Tests for accelerated stream generation and bracket normal form."""
 
+import math
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -16,8 +18,9 @@ from hyperaccel.accelerator import (
     stream_ratio,
     vanishing_check,
 )
+from hyperaccel.catalog import catalog_entries
 from hyperaccel.exact_arith import MultiPoly, RatFunc, UniPoly
-from hyperaccel.hypergeom_terms import FamilyId, family_instantiate
+from hyperaccel.hypergeom_terms import FamilyId, family_instantiate, n_shift_ratio
 from hyperaccel.telescoper import Recurrence, zeilberger_two_term
 
 
@@ -194,6 +197,59 @@ def test_stream_ratio_matches_consecutive_terms():
         assert ratio.eval({"j": j}) == terms[j + 1][1] / terms[j][1]
 
 
+def _reference_iter_accelerated(term, rec, n0):
+    """Stream terms with cert and rho_n evaluated as MultiPolys at each step."""
+    rho_n = n_shift_ratio(term, rec.r)
+    p1 = rec.p1.as_unipoly("n")
+    p2 = rec.p2.as_unipoly("n")
+    nu = F(n0)
+    pre = F(1)
+    j = 0
+    while True:
+        p2v = p2.eval(nu)
+        if p2v == 0:
+            raise ValueError(f"pole in accelerated stream at term {j}")
+        try:
+            cv = rec.cert.eval({"n": nu, "k": 0})
+            rv = rho_n.eval({"n": nu, "k": 0})
+        except ZeroDivisionError:
+            raise ValueError(f"pole in accelerated stream at term {j}") from None
+        yield pre * (-cv) / p2v
+        pre *= (-p1.eval(nu) / p2v) * rv
+        nu += rec.r
+        j += 1
+
+
+def _first_terms(stream, count):
+    """Up to count terms, ending with the error text if a pole stops the stream."""
+    out = []
+    try:
+        out.extend(islice(stream, count))
+    except ValueError as exc:
+        out.append(str(exc))
+    return out
+
+
+def test_stream_terms_match_multipoly_evaluation(derivation_recipes):
+    for e, term, rec in derivation_recipes:
+        n0 = e.derivation.n0
+        assert (_first_terms(iter_accelerated(term, rec, n0), 30)
+                == _first_terms(_reference_iter_accelerated(term, rec, n0), 30)), e.id
+
+
+@pytest.mark.parametrize("cert_num", ["1", "k", "n + 2k"])
+def test_cert_denominator_pole_keeps_its_index(cert_num):
+    # cert = cert_num / (n - 4) has a pole at n = n0 + 3, also where its
+    # numerator vanishes identically at k = 0 (cert_num = k)
+    term, rec = _quarter_example()
+    n = MultiPoly.var("n")
+    cert = RatFunc.new(MultiPoly.from_string(cert_num), n - MultiPoly.const(4))
+    poled = Recurrence(r=1, p1=rec.p1, p2=rec.p2, cert=cert)
+    got = _first_terms(iter_accelerated(term, poled, F(1)), 10)
+    assert got == _first_terms(_reference_iter_accelerated(term, poled, F(1)), 10)
+    assert got[3:] == ["pole in accelerated stream at term 3"]
+
+
 # ---------------------------------------------------------------------------
 # Stream proportionality
 # ---------------------------------------------------------------------------
@@ -323,6 +379,49 @@ def test_chu_den_has_no_nonnegative_integer_roots():
                      num=UniPoly.one(), den=UniPoly.one())
     with pytest.raises(ValueError, match="non-Chu-normalizable"):
         chu_normalize(base.ratio(), F(1))
+
+
+def _per_j_product(s, j):
+    """Integers (top, bottom) with term j = top / bottom, from the direct
+    product z^j prod (u)_j / prod (l)_j * num(j) / den(j); bottom is 0 at
+    a pole."""
+    num, den = s.num.eval(j), s.den.eval(j)
+    top = s.z.numerator ** j * num.numerator * den.denominator
+    bottom = s.z.denominator ** j * num.denominator * den.numerator
+    for u in s.upper:
+        top *= math.prod(u.numerator + i * u.denominator for i in range(j))
+        bottom *= u.denominator ** j
+    for l in s.lower:
+        top *= l.denominator ** j
+        bottom *= math.prod(l.numerator + i * l.denominator for i in range(j))
+    return top, bottom
+
+
+def test_series_terms_match_per_j_product_on_all_displays():
+    displays = [e.chu for e in catalog_entries() if e.chu is not None]
+    assert len(displays) == 95
+    for s in displays:
+        terms = s.terms(101)
+        assert len(terms) == 101
+        for j, t in enumerate(terms):
+            top, bottom = _per_j_product(s, j)
+            assert t.numerator * bottom == t.denominator * top, (s, j)
+
+
+@pytest.mark.parametrize("lower, den", [
+    ((F(-2), F(1, 3)), UniPoly.one()),   # (l)_j vanishes from j = 3 on
+    ((F(5, 2),), _upoly([-3, 1])),        # den(3) = 0
+    ((F(0),), UniPoly.one()),             # (0)_j vanishes from j = 1 on
+])
+def test_series_terms_raise_at_the_first_pole(lower, den):
+    s = ChuSeries(z=F(-1, 3), upper=(F(1, 2), F(0)), lower=lower,
+                  num=_upoly([1, 1]), den=den)
+    pole = next(j for j in range(10) if _per_j_product(s, j)[1] == 0)
+    assert len(s.terms(pole)) == pole
+    with pytest.raises(ZeroDivisionError):
+        s.terms(pole + 1)
+    with pytest.raises(ZeroDivisionError):
+        s.term(pole)
 
 
 def test_chu_series_term_values():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperaccel.accelerator import ChuSeries, stream_proportional
+from hyperaccel.accelerator import ChuSeries, accelerated_stream, stream_proportional
 from hyperaccel.catalog import (CatalogEntry, catalog_entries, closed_text,
                                 default_term_budget, derive_entry, entry,
                                 export_lines, parse_closed_text,
@@ -201,6 +201,20 @@ def test_all_derivations():
         assert rep.rate == e.rate, e.id
         if e.chu is not None:
             assert rep.proportional is not None, e.id
+
+
+def test_stream_ratio_equals_display_ratio_for_all_j(derivation_recipes):
+    """All-j form of the termwise check: the derived stream and its display
+    have the same term quotient as rational functions of j."""
+    checked = 0
+    for e, term, rec in derivation_recipes:
+        if e.chu is None:
+            continue
+        stream = accelerated_stream(term, rec, e.derivation.n0,
+                                    check_vanishing=False)
+        assert stream.ratio.equals(e.chu.ratio()), e.id
+        checked += 1
+    assert checked == 67
 
 
 def test_term_budget_covers_slow_rates():
