@@ -33,9 +33,6 @@ from hyperaccel.exact_arith import (
     Rational,
     RatFunc,
     UniPoly,
-    poly_shift,
-    ratfunc_eval,
-    ratfunc_normalize,
     rational_roots,
 )
 from hyperaccel.hypergeom_terms import (
@@ -90,9 +87,6 @@ __all__ = [
     "k_shift_ratio",
     "n_shift_ratio",
     "parse_series_text",
-    "poly_shift",
-    "ratfunc_eval",
-    "ratfunc_normalize",
     "rational_roots",
     "recurrence_residual",
     "same_ratio",

@@ -117,30 +117,33 @@ def _frac_list(values) -> str:
     return "[" + ",".join(str(v) for v in values) + "]"
 
 
-def _poly_coeffs(p: UniPoly) -> list[Fraction]:
-    return [p.coeff(i) for i in range(p.degree + 1)]
-
-
 def series_text(s: ChuSeries) -> str:
     """Canonical one-line text for a bracket series."""
     return (
         f"z={s.z} upper={_frac_list(s.upper)} lower={_frac_list(s.lower)}"
-        f" num={_frac_list(_poly_coeffs(s.num))}"
-        f" den={_frac_list(_poly_coeffs(s.den))}"
+        f" num={_frac_list(s.num.coeffs)}"
+        f" den={_frac_list(s.den.coeffs)}"
     )
 
 
 def parse_series_text(text: str) -> ChuSeries:
+    """Inverse of series_text.  Raises ValueError on text that is not a
+    bracket series: bad syntax, a zero denominator in a rational, or a
+    zero num or den polynomial."""
     m = _SERIES_RE.match(text.strip())
-    if m is None:
+    try:
+        series = m and ChuSeries(
+            z=Fraction(m.group("z")),
+            upper=_fracs(m.group("upper")),
+            lower=_fracs(m.group("lower")),
+            num=UniPoly.from_coeffs(_fracs(m.group("num"))),
+            den=UniPoly.from_coeffs(_fracs(m.group("den"))),
+        )
+    except (ValueError, ZeroDivisionError):
+        series = None
+    if series is None or series.num.is_zero or series.den.is_zero:
         raise ValueError(f"malformed series text: {text!r}")
-    return ChuSeries(
-        z=Fraction(m.group("z")),
-        upper=_fracs(m.group("upper")),
-        lower=_fracs(m.group("lower")),
-        num=UniPoly.from_coeffs(_fracs(m.group("num"))),
-        den=UniPoly.from_coeffs(_fracs(m.group("den"))),
-    )
+    return series
 
 
 def closed_text(cf: ClosedForm) -> str:

@@ -1,15 +1,18 @@
 """Exact polynomial and rational-function arithmetic over the rationals.
 
 Representation: scalars are `fractions.Fraction` (exported as `Rational`).
-`UniPoly` is a dense univariate polynomial, a tuple of coefficients with no
-trailing zeros, so the zero polynomial has degree -1.  `MultiPoly` is a sparse
+`UniPoly` is a dense univariate polynomial over a coefficient field, either
+`Fraction` or `NRat`: a tuple of coefficients with no trailing zeros, so the
+zero polynomial has degree -1.  Its zeros are tested by truthiness and its
+`gcd` is the monic gcd over that field, found by Euclid's algorithm with
+monic remainders.  `MultiPoly` is a sparse
 multivariate polynomial over the fixed variable universe `VARS`; its terms are
 stored as a sorted tuple of (exponent-vector, coefficient) pairs with nonzero
 coefficients, which makes structural equality canonical.  `RatFunc` is a
 quotient of two MultiPolys reduced only by rational content (no multivariate
 gcd is attempted); equality is decided by cross-multiplication.  `NRat` is a
-fully reduced univariate rational function, the field of coefficients used by
-the recurrence solver.
+fully reduced univariate rational function in n; as the coefficients of a
+`UniPoly` in k it is the field the recurrence solver works over.
 
 All arithmetic here is exact; nothing in this module rounds.
 """
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 Rational = Fraction
 
@@ -38,6 +41,11 @@ def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _zero(c: "Fraction | NRat") -> "Fraction | NRat":
+    """The zero of c's field."""
+    return c * 0 if isinstance(c, NRat) else _F0
+
+
 # ---------------------------------------------------------------------------
 # Univariate polynomials
 # ---------------------------------------------------------------------------
@@ -45,19 +53,22 @@ def _frac(x: Scalar) -> Fraction:
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Dense univariate polynomial; coeffs[i] multiplies x**i."""
+    """Dense univariate polynomial; coeffs[i] multiplies x**i.
 
-    coeffs: tuple[Fraction, ...]
+    The coefficients are all Fractions or all NRats.
+    """
+
+    coeffs: tuple[Fraction | NRat, ...]
 
     @staticmethod
-    def from_coeffs(cs: Iterable[Scalar]) -> "UniPoly":
-        coeffs = [_frac(c) for c in cs]
-        while coeffs and coeffs[-1] == 0:
+    def from_coeffs(cs: Iterable[Scalar | NRat]) -> "UniPoly":
+        coeffs = [c if isinstance(c, (Fraction, NRat)) else Fraction(c) for c in cs]
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         return UniPoly(tuple(coeffs))
 
     @staticmethod
-    def constant(c: Scalar) -> "UniPoly":
+    def constant(c: Scalar | NRat) -> "UniPoly":
         return UniPoly.from_coeffs([c])
 
     @staticmethod
@@ -88,13 +99,15 @@ class UniPoly:
         return not self.coeffs
 
     @property
-    def lc(self) -> Fraction:
+    def lc(self) -> Fraction | NRat:
         if not self.coeffs:
             return _F0
         return self.coeffs[-1]
 
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _F0
+    def coeff(self, i: int) -> Fraction | NRat:
+        """coeffs[i], or the zero of the coefficient field past the degree
+        (a Fraction zero for the zero polynomial)."""
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _zero(self.lc)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         a, b = self.coeffs, other.coeffs
@@ -111,12 +124,15 @@ class UniPoly:
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
-    def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: "UniPoly | Scalar | NRat") -> "UniPoly":
+        """Schoolbook product; a scalar other scales.  The sums start from
+        the zero of self's field, so with mixed fields the NRat factor
+        stands on the left."""
+        if not isinstance(other, UniPoly):
             return self.scale(other)
         if self.is_zero or other.is_zero:
             return UniPoly.zero()
-        out = [_F0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [_zero(self.lc)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             if ci:
                 for j, cj in enumerate(other.coeffs):
@@ -131,11 +147,13 @@ class UniPoly:
             out = out * base
         return out
 
-    def scale(self, c: Scalar) -> "UniPoly":
-        c = _frac(c)
-        if c == 0:
+    def scale(self, c: Scalar | NRat) -> "UniPoly":
+        if not c:
             return UniPoly.zero()
         return UniPoly(tuple(c * x for x in self.coeffs))
+
+    def monic(self) -> "UniPoly":
+        return self.scale(1 / self.lc) if self.coeffs else self
 
     def eval(self, x: Scalar) -> Fraction:
         x = _frac(x)
@@ -145,7 +163,7 @@ class UniPoly:
         return acc
 
     def shift(self, s: Scalar) -> "UniPoly":
-        """Compose with x + s, returning p(x + s)."""
+        """Compose with x + s, returning p(x + s), by Horner recomposition."""
         s = _frac(s)
         out = UniPoly.zero()
         xs = UniPoly.from_coeffs([s, 1])
@@ -165,7 +183,7 @@ class UniPoly:
         if self.degree < d:
             return UniPoly.zero(), self
         rem = list(self.coeffs)
-        q = [_F0] * (self.degree - d + 1)
+        q = [_zero(lead)] * (self.degree - d + 1)
         for k in range(len(q) - 1, -1, -1):
             c = rem[k + d]
             if c:
@@ -196,37 +214,12 @@ class UniPoly:
         return p if p.lc > 0 else -p
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Primitive gcd with positive leading coefficient; gcd(0, 0) = 0."""
+        """Monic gcd over the coefficient field; gcd(0, 0) = 0."""
         a, b = self, other
         while not b.is_zero:
             _, r = a.divmod(b)
-            if not r.is_zero:
-                r = r.scale(_F1 / r.lc)  # monic remainders keep coefficients small
-            a, b = b, r
-        return a.primitive() if not a.is_zero else a
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            if i > 0 and abs(c) == 1:
-                cs = "-" if c < 0 else ""
-            else:
-                cs = str(c)
-            sep = "*" if cs not in ("", "-") and mono else ""
-            parts.append(f"{cs}{sep}{mono}")
-        out = " + ".join(parts).replace("+ -", "- ")
-        return out
-
-
-def poly_shift(p: UniPoly, s: Scalar) -> UniPoly:
-    """Return p(x + s) as a new polynomial."""
-    return p.shift(s)
+            a, b = b, r.monic()  # monic remainders keep coefficients small
+        return a.monic()
 
 
 def _int_divisors(m: int) -> list[int]:
@@ -710,16 +703,6 @@ class RatFunc:
         return f"({self.num}) / ({self.den})"
 
 
-def ratfunc_normalize(num: MultiPoly, den: MultiPoly) -> RatFunc:
-    """Build the content-reduced quotient num/den."""
-    return RatFunc.new(num, den)
-
-
-def ratfunc_eval(rf: RatFunc, point: Mapping[str, Scalar]) -> Fraction:
-    """Evaluate at a rational point; raises on poles and unbound variables."""
-    return rf.eval(point)
-
-
 # ---------------------------------------------------------------------------
 # Fully reduced univariate rational functions (solver coefficient field)
 # ---------------------------------------------------------------------------
@@ -758,7 +741,14 @@ class NRat:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    def __bool__(self) -> bool:
+        return not self.num.is_zero
+
     def __add__(self, other: "NRat") -> "NRat":
+        if other.num.is_zero:
+            return self
+        if self.num.is_zero:
+            return other
         return NRat.new(self.num * other.den + other.num * self.den,
                         self.den * other.den)
 
@@ -769,10 +759,13 @@ class NRat:
         return self + (-other)
 
     def __mul__(self, other: "NRat | Scalar") -> "NRat":
-        if isinstance(other, (int, Fraction)):
-            other = NRat.const(other)
-        if self.is_zero or other.is_zero:
-            return NRat.const(0)
+        if not isinstance(other, NRat):
+            # a nonzero scalar changes no gcd; den stays primitive, lc > 0
+            if not other or self.num.is_zero:
+                return NRat(UniPoly.zero(), UniPoly.one())
+            return NRat(self.num.scale(other), self.den)
+        if self.num.is_zero or other.num.is_zero:
+            return NRat(UniPoly.zero(), UniPoly.one())
         return NRat.new(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -782,13 +775,14 @@ class NRat:
             raise ZeroDivisionError("division by zero rational function")
         return NRat.new(self.num * other.den, self.den * other.num)
 
+    def __rtruediv__(self, c: Scalar) -> "NRat":
+        """c / self for a scalar c, as in 1 / lc."""
+        if self.is_zero:
+            raise ZeroDivisionError("division by zero rational function")
+        return NRat.new(self.den.scale(c), self.num)
+
     def eval(self, x: Scalar) -> Fraction:
         d = self.den.eval(x)
         if d == 0:
             raise ZeroDivisionError("pole of rational function")
         return self.num.eval(x) / d
-
-    def __str__(self) -> str:
-        if self.den == UniPoly.one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"

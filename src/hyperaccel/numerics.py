@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from hyperaccel.accelerator import ChuSeries
+from hyperaccel.accelerator import ChuSeries, _horner
 from hyperaccel.exact_arith import Scalar, UniPoly, rational_roots
 from hyperaccel.hypergeom_terms import HypTerm, k_shift_ratio
 
@@ -85,7 +85,11 @@ def _round_half_even(x: Fraction) -> int:
 
 @dataclass(frozen=True)
 class BigFloat:
-    """Dyadic float mantissa * 2^exponent at a stated precision in bits."""
+    """Dyadic float mantissa * 2^exponent at a stated precision in bits.
+
+    It only rounds and stores; interval arithmetic works on the exact
+    to_fraction() values.
+    """
 
     mantissa: int
     exponent: int
@@ -126,40 +130,6 @@ class BigFloat:
 
     def to_fraction(self) -> Fraction:
         return Fraction(self.mantissa) * Fraction(2) ** self.exponent
-
-    def __float__(self) -> float:
-        return float(self.to_fraction())
-
-    def _bin(self, other: "BigFloat", op) -> "BigFloat":
-        prec = max(self.precision, other.precision)
-        return BigFloat.from_fraction(op(self.to_fraction(), other.to_fraction()), prec)
-
-    def __add__(self, other):
-        return self._bin(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._bin(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._bin(other, lambda a, b: a * b)
-
-    def __truediv__(self, other):
-        return self._bin(other, lambda a, b: a / b)
-
-    def __neg__(self):
-        return BigFloat(-self.mantissa, self.exponent, self.precision)
-
-    def __abs__(self):
-        return BigFloat(abs(self.mantissa), self.exponent, self.precision)
-
-    def __lt__(self, other):
-        return self.to_fraction() < other.to_fraction()
-
-    def __le__(self, other):
-        return self.to_fraction() <= other.to_fraction()
-
-    def __str__(self) -> str:
-        return f"{float(self):.18g}"
 
 
 @dataclass(frozen=True)
@@ -431,9 +401,6 @@ class ClosedForm:
         return ClosedForm(coeff, Fraction(exp_pi), Fraction(exp_log2),
                           e2 - n2, e3 - n3)
 
-    def is_rational(self) -> bool:
-        return not (self.exp_pi or self.exp_log2 or self.exp_2 or self.exp_3)
-
 
 def closedform_eval(cf: ClosedForm, digits: int) -> Enclosure:
     """Interval product of the constant enclosures at digits + 10 working
@@ -629,13 +596,6 @@ def chu_eval(s: ChuSeries, digits: int,
 # ---------------------------------------------------------------------------
 
 
-def _fhorner(coeffs: list[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def direct_sum_eval(term: HypTerm, n0: Scalar, target_digits: int) -> Enclosure:
     """Enclosure of the unaccelerated sum at n = n0, normalized by the
     k = 0 summand, at no more than six digits.
@@ -715,7 +675,7 @@ def _oracle_positive(num: UniPoly, den: UniPoly, alpha: float,
                 r = Fraction(radius)
                 return Enclosure.from_interval(c - r, c + r)
         total += t
-        t *= _fhorner(nf, float(k)) / _fhorner(df, float(k))
+        t *= _horner(nf, float(k)) / _horner(df, float(k))
         k += 1
     raise ValueError("oracle unavailable")
 
@@ -731,6 +691,6 @@ def _oracle_alternating(num: UniPoly, den: UniPoly, tol: float) -> Enclosure:
             r = Fraction(abs(t) * 0.6 + 1e-9 * (1.0 + abs(total)))
             return Enclosure.from_interval(c - r, c + r)
         total += t
-        t *= _fhorner(nf, float(k)) / _fhorner(df, float(k))
+        t *= _horner(nf, float(k)) / _horner(df, float(k))
         k += 1
     raise ValueError("oracle unavailable")

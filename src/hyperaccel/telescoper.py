@@ -17,9 +17,10 @@ modified ratio Dn(k) Nk / (Dn(k+1) Dk) is put into normal form
 
 is solved for a polynomial x and scalars (p1, p2) by exact linear
 algebra over the field of rational functions in n.  The certificate is
-R(k-1) x(k) / (P(k) Dn(k)).  Solver polynomials in k carry coefficients
-in that field (class KP); the linear systems are cleared to polynomial
-matrices and eliminated fraction-free.
+R(k-1) x(k) / (P(k) Dn(k)).  Solver polynomials in k are `UniPoly`
+values whose coefficients are `NRat` elements of that field; the linear
+system is cleared to a polynomial matrix and eliminated fraction-free by
+Bareiss pivoting in `_nullspace`.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Mapping, Optional, Sequence
 
 from hyperaccel.builtin_data import neg27_dataset, negq_dataset, quarter_dataset
-from hyperaccel.exact_arith import MultiPoly, NRat, RatFunc, Scalar, UniPoly, rational_roots
+from hyperaccel.exact_arith import MultiPoly, NRat, RatFunc, Scalar, UniPoly
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     HypTerm,
@@ -44,6 +44,8 @@ from hyperaccel.hypergeom_terms import (
 
 _NR0 = NRat.const(0)
 _NR1 = NRat.const(1)
+_K1 = UniPoly((_NR1,))  # 1 and k as polynomials in k over NRat
+_KX = UniPoly((_NR0, _NR1))
 
 
 # ---------------------------------------------------------------------------
@@ -126,143 +128,24 @@ def same_ratio(a: Recurrence, b: Recurrence) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KP:
-    """Dense polynomial in k whose coefficients are NRat values."""
-
-    coeffs: tuple[NRat, ...]
-
-    @staticmethod
-    def from_list(cs: Sequence[NRat]) -> "KP":
-        out = list(cs)
-        while out and out[-1].is_zero:
-            out.pop()
-        return KP(tuple(out))
-
-    @staticmethod
-    def zero() -> "KP":
-        return KP(())
-
-    @staticmethod
-    def one() -> "KP":
-        return KP((_NR1,))
-
-    @staticmethod
-    def k() -> "KP":
-        return KP((_NR0, _NR1))
-
-    @staticmethod
-    def from_scalar(c: Scalar) -> "KP":
-        return KP.from_list([NRat.const(c)])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> NRat:
-        return self.coeffs[-1] if self.coeffs else _NR0
-
-    def coeff(self, i: int) -> NRat:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _NR0
-
-    def __add__(self, other: "KP") -> "KP":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return KP.from_list(out)
-
-    def __neg__(self) -> "KP":
-        return KP(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "KP") -> "KP":
-        return self + (-other)
-
-    def __mul__(self, other: "KP") -> "KP":
-        if self.is_zero or other.is_zero:
-            return KP.zero()
-        out = [_NR0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return KP.from_list(out)
-
-    def scale(self, c: NRat) -> "KP":
-        if c.is_zero:
-            return KP.zero()
-        return KP.from_list([a * c for a in self.coeffs])
-
-    def shift(self, s: Scalar) -> "KP":
-        """p(k + s) by Horner recomposition."""
-        ks = KP((NRat.const(s), _NR1))
-        out = KP.zero()
-        for c in reversed(self.coeffs):
-            out = out * ks + KP.from_list([c])
-        return out
-
-    def divmod(self, other: "KP") -> tuple["KP", "KP"]:
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
-        d = other.degree
-        lead = other.lc
-        q = [_NR0] * max(len(self.coeffs) - d, 0)
-        rem = list(self.coeffs)
-        for i in range(len(q) - 1, -1, -1):
-            c = rem[i + d]
-            if c.is_zero:
-                continue
-            f = c / lead
-            q[i] = f
-            for j, oc in enumerate(other.coeffs):
-                rem[i + j] = rem[i + j] - f * oc
-        return KP.from_list(q), KP.from_list(rem[:d])
-
-    def exact_div(self, other: "KP") -> "KP":
-        q, rem = self.divmod(other)
-        if not rem.is_zero:
-            raise ValueError("non-exact polynomial division")
-        return q
-
-    def monic(self) -> "KP":
-        if self.is_zero:
-            return self
-        return self.scale(_NR1 / self.lc)
-
-    def gcd(self, other: "KP") -> "KP":
-        """Monic gcd over the coefficient field."""
-        a, b = self, other
-        while not b.is_zero:
-            _, rem = a.divmod(b)
-            a, b = b, rem.monic() if not rem.is_zero else rem
-        return a.monic()
-
-
-def kp_from_multipoly(p: MultiPoly) -> KP:
-    """Convert a polynomial in n and k into a KP."""
+def kp_from_multipoly(p: MultiPoly) -> UniPoly:
+    """A polynomial in n and k as a polynomial in k with NRat coefficients."""
     extra = p.variables() - {"n", "k"}
     if extra:
         raise ValueError(f"unbound variable: {sorted(extra)[0]}")
-    return KP.from_list([NRat.from_poly(c.as_unipoly("n")) for c in p.coeffs_in("k")])
+    return UniPoly.from_coeffs(
+        [NRat.from_poly(c.as_unipoly("n")) for c in p.coeffs_in("k")])
 
 
-def kp_pair_to_ratfunc(num: KP, den: KP) -> RatFunc:
-    """Quotient of two KPs as a rational function in n and k."""
+def kp_pair_to_ratfunc(num: UniPoly, den: UniPoly) -> RatFunc:
+    """Quotient of two polynomials in k over NRat as a rational function
+    in n and k."""
     lcden = UniPoly.one()
     for c in (*num.coeffs, *den.coeffs):
         g = lcden.gcd(c.den)
         lcden = lcden * c.den.exact_div(g)
 
-    def side(kp: KP) -> MultiPoly:
+    def side(kp: UniPoly) -> MultiPoly:
         mp = MultiPoly.zero()
         for i, c in enumerate(kp.coeffs):
             if c.is_zero:
@@ -274,8 +157,8 @@ def kp_pair_to_ratfunc(num: KP, den: KP) -> RatFunc:
     return RatFunc.new(side(num), side(den))
 
 
-def _kp_prod(factors: Sequence[KP]) -> KP:
-    out = KP.one()
+def _kp_prod(factors: Sequence[UniPoly]) -> UniPoly:
+    out = _K1
     for f in factors:
         out = out * f
     return out
@@ -295,7 +178,8 @@ def _nrat_const(v: NRat) -> Optional[Fraction]:
     return v.num.coeff(0) / v.den.coeff(0)
 
 
-def _shift_candidates(num_factors: Sequence[KP], den_factors: Sequence[KP]) -> list[int]:
+def _shift_candidates(num_factors: Sequence[UniPoly],
+                      den_factors: Sequence[UniPoly]) -> list[int]:
     """Nonnegative integer shifts j at which a num factor meets a den factor.
 
     For linear factors m1 k + u1 and m2 k + u2 the unique shift aligning
@@ -316,9 +200,10 @@ def _shift_candidates(num_factors: Sequence[KP], den_factors: Sequence[KP]) -> l
     return sorted(cands)
 
 
-def _normal_form(q: KP, r: KP, candidates: Sequence[int]) -> tuple[KP, KP, KP]:
+def _normal_form(q: UniPoly, r: UniPoly,
+                 candidates: Sequence[int]) -> tuple[UniPoly, UniPoly, UniPoly]:
     """(P, Q, R) with q/r = (P(k+1)/P(k)) (Q(k)/R(k)), gcd(Q(k), R(k+j)) = 1."""
-    p = KP.one()
+    p = _K1
     for j in candidates:
         while True:
             g = q.gcd(r.shift(j))
@@ -331,7 +216,7 @@ def _normal_form(q: KP, r: KP, candidates: Sequence[int]) -> tuple[KP, KP, KP]:
     return p, q, r
 
 
-def _degree_bound(q: KP, rstar: KP, f_deg: int) -> int:
+def _degree_bound(q: UniPoly, rstar: UniPoly, f_deg: int) -> int:
     """Upper bound for deg x in q(k) x(k+1) - rstar(k) x(k) = f(k)."""
     dq, dr = q.degree, rstar.degree
     if dq != dr or q.lc != rstar.lc:
@@ -416,12 +301,12 @@ def _require_instantiated(term: HypTerm) -> None:
             f"summand must be instantiated; free parameter {sorted(extra)[0]}")
 
 
-def _telescoper_columns(q: KP, rstar: KP, deg: int) -> list[KP]:
+def _telescoper_columns(q: UniPoly, rstar: UniPoly, deg: int) -> list[UniPoly]:
     cols = []
-    kpow = KP.one()
+    kpow = _K1
     for _ in range(deg + 1):
         cols.append(q * kpow.shift(1) - rstar * kpow)
-        kpow = kpow * KP.k()
+        kpow = kpow * _KX
     return cols
 
 
@@ -442,7 +327,7 @@ def zeilberger_two_term(term: HypTerm, r: int, max_deg: int = 8,
     num_factors = nk_kp + dn_kp
     den_factors = dk_kp + [f.shift(1) for f in dn_kp]
     cands = _shift_candidates(num_factors, den_factors)
-    p, q, rr = _normal_form(_kp_prod(num_factors).scale(NRat.const(sk)),
+    p, q, rr = _normal_form(_kp_prod(num_factors).scale(sk),
                             _kp_prod(den_factors), cands)
     n_n = _kp_prod(nn_kp)
     d_n = _kp_prod(dn_kp)
@@ -455,13 +340,15 @@ def zeilberger_two_term(term: HypTerm, r: int, max_deg: int = 8,
     deg = min(bound, max_deg)
     cols = _telescoper_columns(q, rstar, deg) + [-rhs1, -rhs2]
     nrows = max(c.degree for c in cols) + 1
-    rows = [[c.coeff(m) for c in cols] for m in range(nrows)]
+    # past a column's degree its entries are the NRat zero
+    rows = [[c.coeffs[m] if m <= c.degree else _NR0 for c in cols]
+            for m in range(nrows)]
     vecs = [v for v in _nullspace(rows)
             if not (v[-1].is_zero and v[-2].is_zero)]
     if not vecs:
         return None
     vec = next((v for v in vecs if not v[-1].is_zero), vecs[0])
-    x = KP.from_list(vec[:deg + 1])
+    x = UniPoly.from_coeffs(vec[:deg + 1])
     p1n, p2n = vec[-2], vec[-1]
     rec = _assemble(x, p1n, p2n, rstar, p, d_n, r, family)
     if not verify_recurrence(term, rec):
@@ -469,8 +356,8 @@ def zeilberger_two_term(term: HypTerm, r: int, max_deg: int = 8,
     return rec
 
 
-def _assemble(x: KP, p1n: NRat, p2n: NRat, rstar: KP, p: KP, d_n: KP,
-              r: int, family: Optional[FamilyId]) -> Recurrence:
+def _assemble(x: UniPoly, p1n: NRat, p2n: NRat, rstar: UniPoly, p: UniPoly,
+              d_n: UniPoly, r: int, family: Optional[FamilyId]) -> Recurrence:
     """Rescale a raw solution to the canonical polynomial pair and build it.
 
     The pair (p1, p2) is scaled to integer polynomials whose contents are
@@ -506,93 +393,3 @@ def derive_recurrence(term: HypTerm, max_deg: int = 8,
         if rec is not None:
             return rec
     return None
-
-
-# ---------------------------------------------------------------------------
-# Plain Gosper summation over the rationals
-# ---------------------------------------------------------------------------
-
-
-def _upoly_det(mat: list[list[UniPoly]]) -> UniPoly:
-    """Fraction-free determinant of a square polynomial matrix."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    prev = UniPoly.one()
-    sign = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not m[i][c].is_zero), None)
-        if piv is None:
-            return UniPoly.zero()
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (m[c][c] * m[i][j] - m[i][c] * m[c][j]).exact_div(prev)
-            m[i][c] = UniPoly.zero()
-        prev = m[c][c]
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
-
-
-def _integer_root_shifts(a: UniPoly, b: UniPoly) -> list[int]:
-    """Nonnegative integers j with gcd(a(k), b(k+j)) nonconstant.
-
-    Computed as the integer roots of the resultant of a(k) and b(k+j)
-    taken in k, a polynomial in j.
-    """
-    if a.degree < 1 or b.degree < 1:
-        return []
-    da, db = a.degree, b.degree
-    bj = []
-    for t in range(db + 1):
-        bj.append(UniPoly.from_coeffs(
-            [b.coeff(s) * comb(s, t) for s in range(t, db + 1)]))
-    size = da + db
-    mat = [[UniPoly.zero()] * size for _ in range(size)]
-    for i in range(db):
-        for t in range(da + 1):
-            mat[i][i + t] = UniPoly.constant(a.coeff(da - t))
-    for i in range(da):
-        for t in range(db + 1):
-            mat[db + i][i + t] = bj[db - t]
-    det = _upoly_det(mat)
-    if det.is_zero:
-        raise ArithmeticError("degenerate shift resultant")
-    return sorted({int(r) for r in rational_roots(det)
-                   if r.denominator == 1 and r >= 0})
-
-
-def gosper(ratio: RatFunc, max_deg: int = 8) -> Optional[RatFunc]:
-    """Certificate R with R(k+1) ratio(k) - R(k) = 1, or None.
-
-    ratio is the term quotient t(k+1)/t(k) of a hypergeometric sequence;
-    a returned R makes g = R * t an exact antidifference of t.
-    """
-    free = ratio.num.variables() | ratio.den.variables()
-    if not free <= {"k"}:
-        raise ValueError("ratio must be univariate in k")
-    nu = ratio.num.as_unipoly("k")
-    de = ratio.den.as_unipoly("k")
-    cands = _integer_root_shifts(nu, de)
-    p, q, rr = _normal_form(kp_from_multipoly(ratio.num),
-                            kp_from_multipoly(ratio.den), cands)
-    rstar = rr.shift(-1)
-    bound = _degree_bound(q, rstar, p.degree) + 1
-    if bound < 0:
-        return None
-    deg = min(bound, max_deg)
-    cols = _telescoper_columns(q, rstar, deg) + [-p]
-    nrows = max(c.degree for c in cols) + 1
-    rows = [[c.coeff(m) for c in cols] for m in range(nrows)]
-    vecs = [v for v in _nullspace(rows) if not v[-1].is_zero]
-    if not vecs:
-        return None
-    vec = vecs[0]
-    inv = _NR1 / vec[-1]
-    x = KP.from_list([c * inv for c in vec[:deg + 1]])
-    cert = kp_pair_to_ratfunc(rstar * x, p)
-    check = cert.shift_var("k", 1) * ratio - cert - RatFunc.const(1)
-    if not check.is_zero:
-        raise RuntimeError("derived certificate failed exact re-verification")
-    return cert

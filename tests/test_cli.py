@@ -178,6 +178,21 @@ def test_eval_unit_argument_is_divergent(capsys):
     assert err == "hyperaccel: divergent series: |z| >= 1\n"
 
 
+@pytest.mark.parametrize("series", [
+    "z=1/0 upper=[1/2] lower=[3/2] num=[1] den=[1]",
+    "z=1/4 upper=[1/0] lower=[3/2] num=[1] den=[1]",
+    "z=1/4 upper=[1/2] lower=[3/2] num=[] den=[1]",
+])
+def test_eval_series_outside_bracket_form_is_usage_error(capsys, series):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--series", series, "--digits", "10"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hyperaccel eval")
+    assert f"malformed series text: {series!r}" in err
+    assert "Traceback" not in err
+
+
 def test_bad_env_cap_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("HYPERACCEL_MAX_TERMS", "many")
     code, _, err = run(capsys, "eval", "--id", "Q1", "--digits", "10")

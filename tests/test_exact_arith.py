@@ -12,9 +12,6 @@ from hyperaccel.exact_arith import (
     NRat,
     RatFunc,
     UniPoly,
-    poly_shift,
-    ratfunc_eval,
-    ratfunc_normalize,
     rational_roots,
 )
 
@@ -25,17 +22,17 @@ def P(*coeffs):
     return UniPoly.from_coeffs(coeffs)
 
 
-# -- poly_shift -------------------------------------------------------------
+# -- UniPoly.shift ---------------------------------------------------------
 
 
 def test_poly_shift_quadratic():
     # [TRIVIAL] hand expansion of 27(x+1)^2 + 42(x+1) + 17
-    assert poly_shift(P(17, 42, 27), 1) == P(86, 96, 27)
+    assert P(17, 42, 27).shift(1) == P(86, 96, 27)
 
 
 def test_poly_shift_rational_offset():
     p = P(0, 0, 1)
-    assert poly_shift(p, F(1, 2)) == P(F(1, 4), 1, 1)
+    assert p.shift(F(1, 2)) == P(F(1, 4), 1, 1)
 
 
 @settings(max_examples=60)
@@ -45,7 +42,7 @@ def test_poly_shift_rational_offset():
 )
 def test_poly_shift_roundtrip(coeffs, s):
     p = UniPoly.from_coeffs(coeffs)
-    assert poly_shift(poly_shift(p, s), -s) == p
+    assert p.shift(s).shift(-s) == p
 
 
 @settings(max_examples=60)
@@ -56,7 +53,7 @@ def test_poly_shift_roundtrip(coeffs, s):
 )
 def test_poly_shift_matches_eval(coeffs, s, x):
     p = UniPoly.from_coeffs(coeffs)
-    assert poly_shift(p, s).eval(x) == p.eval(x + s)
+    assert p.shift(s).eval(x) == p.eval(x + s)
 
 
 # -- rational_roots ----------------------------------------------------------
@@ -224,7 +221,7 @@ def test_theorem_style_evaluation_oracle():
     assert p2.subst(zeros).eval({"n": 1}) == 2
     # [PAPER] the certificate at the same point is -1: the core collapses
     # to 3n^2 - 2n = 1 and the -n^2 prefactor gives -1.
-    assert ratfunc_eval(cert, {**zeros, "n": 1, "k": 0}) == -1
+    assert cert.eval({**zeros, "n": 1, "k": 0}) == -1
 
 
 @settings(max_examples=40)
@@ -249,8 +246,8 @@ def test_multipoly_mul_matches_eval(t1, t2):
 
 def test_ratfunc_content_reduction():
     n = MultiPoly.var("n")
-    rf = ratfunc_normalize(2 * (n * n), 4 * n)
-    half_n = ratfunc_normalize(n, MultiPoly.const(2))
+    rf = RatFunc.new(2 * (n * n), 4 * n)
+    half_n = RatFunc.new(n, MultiPoly.const(2))
     assert rf.equals(half_n)
     # content-only: the shared factor n is not cancelled
     assert rf.num == n * n
@@ -259,20 +256,20 @@ def test_ratfunc_content_reduction():
 
 def test_ratfunc_eval_pole():
     n = MultiPoly.var("n")
-    rf = ratfunc_normalize(MultiPoly.one(), n)
+    rf = RatFunc.new(MultiPoly.one(), n)
     with pytest.raises(ZeroDivisionError, match="pole"):
-        ratfunc_eval(rf, {"n": 0})
+        rf.eval({"n": 0})
 
 
 def test_ratfunc_eval_unbound():
-    rf = ratfunc_normalize(MultiPoly.var("a"), MultiPoly.one())
+    rf = RatFunc.new(MultiPoly.var("a"), MultiPoly.one())
     with pytest.raises(ValueError, match="unbound variable"):
-        ratfunc_eval(rf, {"n": 1})
+        rf.eval({"n": 1})
 
 
 def test_ratfunc_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
-        ratfunc_normalize(MultiPoly.one(), MultiPoly.zero())
+        RatFunc.new(MultiPoly.one(), MultiPoly.zero())
 
 
 @settings(max_examples=40)
@@ -284,8 +281,8 @@ def test_ratfunc_zero_denominator_rejected():
 )
 def test_ratfunc_field_ops_match_eval(c1, c2, c3, c4):
     n, k = MultiPoly.var("n"), MultiPoly.var("k")
-    r1 = ratfunc_normalize(n * c1 + MultiPoly.const(c2), n * n + MultiPoly.one())
-    r2 = ratfunc_normalize(k * c3 + MultiPoly.const(1), k * k + MultiPoly.const(c4 * c4) + MultiPoly.one())
+    r1 = RatFunc.new(n * c1 + MultiPoly.const(c2), n * n + MultiPoly.one())
+    r2 = RatFunc.new(k * c3 + MultiPoly.const(1), k * k + MultiPoly.const(c4 * c4) + MultiPoly.one())
     point = {"n": F(3, 7), "k": F(-2, 5)}
     s = (r1 + r2).eval(point)
     p = (r1 * r2).eval(point)
@@ -295,10 +292,10 @@ def test_ratfunc_field_ops_match_eval(c1, c2, c3, c4):
 
 def test_ratfunc_equality_cross_multiplication():
     n = MultiPoly.var("n")
-    a = ratfunc_normalize(n * n - MultiPoly.one(), n - MultiPoly.one())
-    b = ratfunc_normalize(n + MultiPoly.one(), MultiPoly.one())
+    a = RatFunc.new(n * n - MultiPoly.one(), n - MultiPoly.one())
+    b = RatFunc.new(n + MultiPoly.one(), MultiPoly.one())
     assert a.equals(b)
-    assert not a.equals(ratfunc_normalize(n, MultiPoly.one()))
+    assert not a.equals(RatFunc.new(n, MultiPoly.one()))
 
 
 # -- NRat ---------------------------------------------------------------------
@@ -326,3 +323,54 @@ def test_nrat_ops_match_eval(cs1, cs2):
     x = next(x for x in (F(5, 3), F(7, 4), F(11, 5), F(13, 6)) if p2.eval(x) != 0)
     assert (r1 + r2).eval(x) == r1.eval(x) + r2.eval(x)
     assert (r1 * r2).eval(x) == r1.eval(x) * r2.eval(x)
+
+
+# -- UniPoly over NRat (the solver's polynomials in k) --------------------------
+
+small_ints = st.lists(st.integers(-4, 4), max_size=3)
+nrats = st.builds(
+    lambda num, den: NRat.new(UniPoly.from_coeffs(num), UniPoly.from_coeffs(den + [1])),
+    small_ints, small_ints)
+nrat_polys = st.lists(nrats, max_size=4).map(UniPoly.from_coeffs)
+nrat_factors = st.lists(nrats, max_size=3).map(UniPoly.from_coeffs)
+NR1 = NRat.const(1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(nrat_polys, nrat_polys)
+def test_nrat_poly_divmod_identity(a, b):
+    if b.is_zero:
+        return
+    q, r = a.divmod(b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+
+
+@settings(max_examples=50, deadline=None)
+@given(nrat_factors, nrat_factors, nrat_factors)
+def test_nrat_poly_gcd_is_monic_common_divisor(a, b, c):
+    # a c and b c share the factor c, which the gcd must contain
+    ac, bc = a * c, b * c
+    g = ac.gcd(bc)
+    if ac.is_zero and bc.is_zero:
+        assert g.is_zero
+        return
+    assert g.lc == NR1
+    assert ac.divmod(g)[1].is_zero
+    assert bc.divmod(g)[1].is_zero
+    if not c.is_zero:
+        assert g.divmod(c)[1].is_zero
+
+
+@settings(max_examples=50, deadline=None)
+@given(nrat_polys, st.fractions(min_value=-5, max_value=5, max_denominator=4))
+def test_nrat_poly_shift_roundtrip(p, s):
+    assert p.shift(s).shift(-s) == p
+
+
+def test_nrat_scalar_product_keeps_normal_form():
+    r = NRat.new(P(1, 2), P(3, 6, 9))
+    for c in (F(-3, 4), 5, F(1, 7)):
+        assert r * c == NRat.new(r.num.scale(c), r.den)
+        assert (r * c).den == r.den
+    assert (r * 0).is_zero and not r * 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperaccel.exact_arith import MultiPoly, RatFunc, ratfunc_normalize
+from hyperaccel.exact_arith import MultiPoly, RatFunc
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     GammaFactor,
@@ -22,7 +22,7 @@ A = MultiPoly.from_string
 
 
 def rf(num: str, den: str = "1") -> RatFunc:
-    return ratfunc_normalize(A(num), A(den))
+    return RatFunc.new(A(num), A(den))
 
 
 # -- arity invariants ---------------------------------------------------------

@@ -96,12 +96,6 @@ def test_bigfloat_rounding_modes_bracket():
     assert hi - lo == F(1, 2 ** 65)  # one ulp at this scale
 
 
-def test_bigfloat_ops_round_to_precision():
-    one = BigFloat.from_fraction(1, 64)
-    tiny = BigFloat(1, -200, 64)
-    assert (one + tiny).to_fraction() == 1
-
-
 @given(st.fractions(min_value=-9, max_value=9, max_denominator=997))
 @settings(max_examples=60)
 def test_bigfloat_nearest_within_half_ulp(x):

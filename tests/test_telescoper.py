@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperaccel.exact_arith import MultiPoly, RatFunc
+from hyperaccel.exact_arith import MultiPoly, NRat, UniPoly
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     alt_control_double_offset,
@@ -15,10 +15,10 @@ from hyperaccel.hypergeom_terms import (
     family_term,
 )
 from hyperaccel.telescoper import (
+    _nullspace,
     builtin_recurrence,
     builtin_residual,
     derive_recurrence,
-    gosper,
     recurrence_residual,
     same_ratio,
     specialize,
@@ -70,65 +70,6 @@ def test_builtin_dataset_spot_values():
 def test_builtin_recurrence_only_for_stored_families():
     assert builtin_recurrence(FamilyId.FOUR_27) is None
     assert builtin_recurrence(FamilyId.TWENTY7_32) is None
-
-
-# ---------------------------------------------------------------------------
-# Plain Gosper summation
-# ---------------------------------------------------------------------------
-
-
-def test_gosper_constant_sequence():
-    cert = gosper(RatFunc.const(1))
-    assert cert is not None
-    assert cert.equals(RatFunc.from_poly(MultiPoly.var("k")))
-
-
-def test_gosper_k_times_factorial():
-    k = MultiPoly.var("k")
-    one = MultiPoly.one()
-    cert = gosper(RatFunc.new((k + one) * (k + one), k))
-    assert cert is not None
-    assert cert.equals(RatFunc.new(one, k))
-
-
-def test_gosper_inverse_factorial_has_no_certificate():
-    k = MultiPoly.var("k")
-    assert gosper(RatFunc.new(MultiPoly.one(), k + MultiPoly.one())) is None
-
-
-def test_gosper_k_times_geometric():
-    # sum of k 2^k has the closed form (K - 2) 2^K + 2, so R = (k - 2)/k
-    k = MultiPoly.var("k")
-    one = MultiPoly.one()
-    cert = gosper(RatFunc.new(2 * (k + one), k))
-    assert cert is not None
-    assert cert.equals(RatFunc.new(k - 2 * one, k))
-
-
-def test_gosper_rejects_extra_variables():
-    with pytest.raises(ValueError):
-        gosper(RatFunc.from_poly(MultiPoly.var("n")))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    m=st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(
-        lambda v: v not in (0, 1)),
-    c=st.fractions(min_value=F(1, 7), max_value=4, max_denominator=7),
-)
-def test_gosper_linear_geometric_property(m, c):
-    # t(k) = (k + c) m^k always has a hypergeometric antidifference for m != 1
-    k = MultiPoly.var("k")
-    ratio = RatFunc.new(m * (k + MultiPoly.const(c + 1)), k + MultiPoly.const(c))
-    cert = gosper(ratio)
-    assert cert is not None
-    # antidifference identity at a point, with g = cert * t and t(k) = (k+c) m^k
-    def t(j):
-        return (F(j) + c) * m ** j
-    for j in (0, 1, 5):
-        g_next = cert.eval({"k": j + 1}) * t(j + 1)
-        g_here = cert.eval({"k": j}) * t(j)
-        assert g_next - g_here == t(j)
 
 
 # ---------------------------------------------------------------------------
@@ -221,3 +162,60 @@ def test_derived_normalization_conventions():
     assert c1.denominator == 1 and c2.denominator == 1
     from math import gcd
     assert gcd(c1.numerator, c2.numerator) == 1
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free nullspace over the rational-function field
+# ---------------------------------------------------------------------------
+
+
+def _field_rank(rows):
+    """Rank by plain Gaussian elimination over NRat (test reference)."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+_ints = st.lists(st.integers(-3, 3), max_size=3)
+_entries = st.builds(
+    lambda num, den: NRat.new(UniPoly.from_coeffs(num),
+                              UniPoly.from_coeffs(den + [1])),
+    _ints, _ints)
+
+
+@st.composite
+def _matrices(draw):
+    ncols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=3))
+    if len(rows) >= 2 and draw(st.booleans()):
+        # a dependent row: rows[0] * c + rows[1]
+        c = draw(_entries)
+        rows.append([x * c + y for x, y in zip(rows[0], rows[1])])
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices())
+def test_nullspace_basis_annihilates_rows(rows):
+    basis = _nullspace(rows)
+    ncols = len(rows[0])
+    assert len(basis) == ncols - _field_rank(rows)
+    for v in basis:
+        assert len(v) == ncols
+        for row in rows:
+            total = NRat.const(0)
+            for x, y in zip(row, v):
+                total = total + x * y
+            assert total.is_zero
+    if basis:
+        assert _field_rank(basis) == len(basis)
