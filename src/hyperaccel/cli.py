@@ -26,7 +26,7 @@ from typing import Optional
 from .accelerator import accelerated_stream, chu_normalize, convergence_rate
 from .catalog import (catalog_entries, default_term_budget, entry,
                       export_text, series_text, verify_entry)
-from .exact_arith import MultiPoly
+from .exact_arith import MultiPoly, decimal_text
 from .hypergeom_terms import FamilyId, family_instantiate
 from .numerics import chu_eval_terms
 from .telescoper import (builtin_residual, derive_recurrence,
@@ -34,6 +34,9 @@ from .telescoper import (builtin_residual, derive_recurrence,
 
 _USAGE_ERROR = 2
 _FAILURE = 1
+# accelerate prints at most this many exact terms; a catalog stream
+# (sixty4-b, neg-27) takes 5-7 s and 50-60 MB of output at the maximum
+_MAX_STREAM_TERMS = 5000
 
 
 class UsageError(Exception):
@@ -158,6 +161,9 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_accelerate(args) -> int:
+    if args.terms > _MAX_STREAM_TERMS:
+        raise UsageError(f"term count above supported range:"
+                         f" at most {_MAX_STREAM_TERMS}")
     family = FamilyId(args.family)
     r = None if args.r == "auto" else int(args.r)
     term, rec = _build_recurrence(family, args.params, r, args.max_deg)
@@ -172,7 +178,7 @@ def _cmd_accelerate(args) -> int:
         print(f"scale = {scale}")
     else:
         for j, t in enumerate(stream.take(args.terms)):
-            _emit(args.format, [f"t[{j}]", "=", str(t)])
+            _emit(args.format, [f"t[{j}]", "=", decimal_text(t)])
     return 0
 
 

@@ -5,12 +5,22 @@ Representation: scalars are `fractions.Fraction` (exported as `Rational`).
 `Fraction` or `NRat`: a tuple of coefficients with no trailing zeros, so the
 zero polynomial has degree -1.  Its zeros are tested by truthiness and its
 `gcd` is the monic gcd over that field, found by Euclid's algorithm with
-monic remainders.  `MultiPoly` is a sparse
-multivariate polynomial over the fixed variable universe `VARS`; its terms are
-stored as a sorted tuple of (exponent-vector, coefficient) pairs with nonzero
-coefficients, which makes structural equality canonical.  `RatFunc` is a
-quotient of two MultiPolys reduced only by rational content (no multivariate
-gcd is attempted); equality is decided by cross-multiplication.  `NRat` is a
+monic remainders.
+
+`MultiPoly` is a sparse multivariate polynomial over the fixed variable
+universe `VARS`.  It stores nonzero integer numerators over one positive
+common denominator, jointly in lowest terms, so equality and hashing are
+canonical.  Each exponent vector is packed into one integer key of 16-bit
+fields with VARS[0] in the most significant field: ascending keys are
+ascending exponent tuples, and a monomial product is one integer addition
+of keys and one integer multiply of numerators.  An exponent must stay
+below 2^15.  The top bit of each field is a guard: a product that would
+reach 2^15 in some variable sets it and raises OverflowError instead of
+carrying into the next variable.  The `terms` view gives (exponent tuple,
+Fraction) pairs in ascending order.  `RatFunc` is a quotient of two
+MultiPolys with integer, jointly primitive parts and a positive leading
+denominator coefficient, reduced by integer gcd only (no multivariate gcd
+is attempted); equality is decided by cross-multiplication.  `NRat` is a
 fully reduced univariate rational function in n; as the coefficients of a
 `UniPoly` in k it is the field the recurrence solver works over.
 
@@ -19,10 +29,13 @@ All arithmetic here is exact; nothing in this module rounds.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from operator import or_
+from typing import Iterable, Mapping, Optional, Union
 
 Rational = Fraction
 
@@ -31,7 +44,13 @@ Scalar = Union[int, Fraction]
 VARS = ("a", "b", "c", "d", "e", "f", "n", "k", "j")
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 _NVARS = len(VARS)
-_ZERO_EXP = (0,) * _NVARS
+
+# MultiPoly key layout (see the module docstring): one field per variable
+_EXP_BITS = 16
+_EXP_LIMIT = 1 << (_EXP_BITS - 1)
+_FIELD_MASK = (1 << _EXP_BITS) - 1
+_SHIFTS = tuple(_EXP_BITS * (_NVARS - 1 - i) for i in range(_NVARS))
+_GUARD = sum(_EXP_LIMIT << s for s in _SHIFTS)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -44,6 +63,30 @@ def _frac(x: Scalar) -> Fraction:
 def _zero(c: "Fraction | NRat") -> "Fraction | NRat":
     """The zero of c's field."""
     return c * 0 if isinstance(c, NRat) else _F0
+
+
+# str() of an int with more than sys.get_int_max_str_digits() digits
+# raises; pieces of at most this many bits (602 digits) stay below the
+# smallest limit Python accepts (640), whatever the setting
+_STR_PIECE_BITS = 2000
+
+
+def _digits_text(n: int) -> str:
+    if n.bit_length() <= _STR_PIECE_BITS:
+        return str(n)
+    k = int(n.bit_length() * 0.30103) // 2
+    hi, lo = divmod(n, 10 ** k)
+    return _digits_text(hi) + _digits_text(lo).rjust(k, "0")
+
+
+def decimal_text(x: Scalar) -> str:
+    """str(x) for an int or Fraction of any size, built from pieces split
+    at powers of ten, so the interpreter's int-to-str limit never applies
+    and is never changed."""
+    if isinstance(x, Fraction) and x.denominator != 1:
+        return f"{decimal_text(x.numerator)}/{_digits_text(x.denominator)}"
+    n = int(x)
+    return f"-{_digits_text(-n)}" if n < 0 else _digits_text(n)
 
 
 # ---------------------------------------------------------------------------
@@ -317,25 +360,107 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultiPoly:
-    """Sparse polynomial over VARS; terms pair exponent vectors with coefficients."""
+def _check_exponent(x: int) -> None:
+    if x < 0:
+        raise ValueError("negative exponent in polynomial")
+    if x >= _EXP_LIMIT:
+        raise OverflowError(f"exponent {x} exceeds the polynomial limit")
 
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+
+def _pack(e: Sequence[int]) -> int:
+    """Exponent vector over VARS as one key, VARS[0] most significant."""
+    if len(e) != _NVARS:
+        raise ValueError(f"exponent vector needs {_NVARS} entries")
+    key = 0
+    for x in e:
+        _check_exponent(x)
+        key = (key << _EXP_BITS) | x
+    return key
+
+
+def _unpack(key: int) -> tuple[int, ...]:
+    return tuple((key >> s) & _FIELD_MASK for s in _SHIFTS)
+
+
+def _normalized(coeffs: dict[int, int], den: int) -> "MultiPoly":
+    """MultiPoly of coeffs / den for den > 0, with zero numerators dropped
+    and the common gcd of den and the numerators divided out."""
+    if 0 in coeffs.values():
+        coeffs = {k: c for k, c in coeffs.items() if c}
+    if den != 1:
+        g = gcd(den, *coeffs.values())
+        if g != 1:
+            coeffs = {k: c // g for k, c in coeffs.items()}
+            den //= g
+    return MultiPoly(coeffs, den)
+
+
+class _Terms(Sequence):
+    """A MultiPoly's (exponent tuple, Fraction) pairs in ascending exponent
+    order.  The length is the term count; the pairs are built on first
+    access to an element and then kept."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "MultiPoly"):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._coeffs)
+
+    def __getitem__(self, i):
+        return self._poly._term_pairs()[i]
+
+    def __iter__(self):
+        return iter(self._poly._term_pairs())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
+class MultiPoly:
+    """Sparse polynomial over VARS: integer numerators over one positive
+    denominator, jointly in lowest terms, keyed by packed exponent vectors.
+
+    Build one with the static constructors; `MultiPoly(coeffs, den)`
+    takes an already normalized {key: numerator} dict and owns it.
+    """
+
+    __slots__ = ("_coeffs", "_den", "_pairs")
+
+    def __init__(self, coeffs: dict[int, int], den: int = 1):
+        self._coeffs = coeffs
+        self._den = den if coeffs else 1
+        self._pairs: Optional[tuple[tuple[tuple[int, ...], Fraction], ...]] = None
+
+    @property
+    def terms(self) -> _Terms:
+        return _Terms(self)
+
+    def _term_pairs(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+        if self._pairs is None:
+            c, d = self._coeffs, self._den
+            self._pairs = tuple((_unpack(k), Fraction(c[k], d))
+                                for k in sorted(c))
+        return self._pairs
 
     @staticmethod
     def from_dict(d: Mapping[tuple[int, ...], Scalar]) -> "MultiPoly":
-        items = [(e, _frac(c)) for e, c in d.items() if c]
-        return MultiPoly(tuple(sorted(items)))
+        items = [(_pack(e), _frac(c)) for e, c in d.items() if c]
+        den = lcm(*(c.denominator for _, c in items))
+        return MultiPoly({k: c.numerator * (den // c.denominator)
+                          for k, c in items}, den)
 
     @staticmethod
     def zero() -> "MultiPoly":
-        return MultiPoly(())
+        return MultiPoly({})
 
     @staticmethod
     def const(c: Scalar) -> "MultiPoly":
         c = _frac(c)
-        return MultiPoly(((_ZERO_EXP, c),)) if c else MultiPoly(())
+        return MultiPoly({0: c.numerator}, c.denominator) if c else MultiPoly({})
 
     @staticmethod
     def one() -> "MultiPoly":
@@ -343,9 +468,8 @@ class MultiPoly:
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "MultiPoly":
-        e = [0] * _NVARS
-        e[_VAR_INDEX[name]] = exp
-        return MultiPoly(((tuple(e), _F1),))
+        _check_exponent(exp)
+        return MultiPoly({exp << _SHIFTS[_VAR_INDEX[name]]: 1})
 
     @staticmethod
     def affine(const: Scalar, **coeffs: Scalar) -> "MultiPoly":
@@ -357,43 +481,58 @@ class MultiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._coeffs
 
     def as_dict(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self.terms)
+        return dict(self._term_pairs())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self._den == other._den and self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash((self._den, frozenset(self._coeffs.items())))
+
+    def __repr__(self) -> str:
+        return f"MultiPoly.from_string({str(self)!r})"
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        d = self.as_dict()
-        for e, c in other.terms:
-            v = d.get(e, _F0) + c
-            if v:
-                d[e] = v
-            elif e in d:
-                del d[e]
-        return MultiPoly(tuple(sorted(d.items())))
+        den = lcm(self._den, other._den)
+        ma, mb = den // self._den, den // other._den
+        out = (dict(self._coeffs) if ma == 1
+               else {k: c * ma for k, c in self._coeffs.items()})
+        get = out.get
+        for k, c in other._coeffs.items():
+            out[k] = get(k, 0) + c * mb
+        return _normalized(out, den)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(tuple((e, -c) for e, c in self.terms))
+        return MultiPoly({k: -c for k, c in self._coeffs.items()}, self._den)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
+        """Product; a monomial product adds the packed keys."""
         if isinstance(other, (int, Fraction)):
-            other = _frac(other)
-            if not other:
+            p = other.numerator
+            if not p:
                 return MultiPoly.zero()
-            return MultiPoly(tuple((e, c * other) for e, c in self.terms))
-        d: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = d.get(e, _F0) + c1 * c2
-                if v:
-                    d[e] = v
-                elif e in d:
-                    del d[e]
-        return MultiPoly(tuple(sorted(d.items())))
+            return _normalized({k: c * p for k, c in self._coeffs.items()},
+                               self._den * other.denominator)
+        out: dict[int, int] = {}
+        get = out.get
+        items = other._coeffs.items()
+        for k1, c1 in self._coeffs.items():
+            for k2, c2 in items:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        # fields below the limit add without a carry; a set guard bit
+        # marks a sum at or past it
+        if reduce(or_, out, 0) & _GUARD:
+            raise OverflowError("exponent exceeds the polynomial limit")
+        return _normalized(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -405,72 +544,75 @@ class MultiPoly:
 
     def degree(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._coeffs:
             return -1
-        i = _VAR_INDEX[name]
-        return max(e[i] for e, _ in self.terms)
+        s = _SHIFTS[_VAR_INDEX[name]]
+        return max((k >> s) & _FIELD_MASK for k in self._coeffs)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._coeffs:
             return -1
-        return max(sum(e) for e, _ in self.terms)
+        return max(sum(_unpack(k)) for k in self._coeffs)
 
     def variables(self) -> set[str]:
-        out = set()
-        for e, _ in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    out.add(VARS[i])
-        return out
+        used = reduce(or_, self._coeffs, 0)
+        return {v for v, s in zip(VARS, _SHIFTS) if (used >> s) & _FIELD_MASK}
 
     def eval(self, point: Mapping[str, Scalar]) -> Fraction:
-        missing = self.variables() - set(point)
+        used = self.variables()
+        missing = used - set(point)
         if missing:
             raise ValueError(f"unbound variable: {sorted(missing)[0]}")
-        vals = {name: _frac(v) for name, v in point.items()}
+        vals = [(_SHIFTS[_VAR_INDEX[v]], _frac(point[v])) for v in used]
         acc = _F0
-        for e, c in self.terms:
+        for k, c in self._coeffs.items():
             t = c
-            for i, x in enumerate(e):
+            for s, v in vals:
+                x = (k >> s) & _FIELD_MASK
                 if x:
-                    t *= vals[VARS[i]] ** x
+                    t *= v ** x
             acc += t
-        return acc
+        return acc / self._den
 
     def subst(self, point: Mapping[str, Scalar]) -> "MultiPoly":
-        """Substitute rational values for a subset of the variables."""
-        vals = {_VAR_INDEX[name]: _frac(v) for name, v in point.items()}
-        d: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms:
-            t = c
-            ne = list(e)
-            for i, v in vals.items():
-                if ne[i]:
-                    t *= v ** ne[i]
-                    ne[i] = 0
-            if not t:
-                continue
-            key = tuple(ne)
-            acc = d.get(key, _F0) + t
-            if acc:
-                d[key] = acc
-            elif key in d:
-                del d[key]
-        return MultiPoly(tuple(sorted(d.items())))
+        """Substitute rational values for a subset of the variables.
+
+        A value p/q for a variable of degree m turns x^e into
+        p^e q^(m-e) over q^m, so the numerators stay integers.
+        """
+        den = self._den
+        powers = []
+        for name, v in point.items():
+            s = _SHIFTS[_VAR_INDEX[name]]
+            v = _frac(v)
+            m = self.degree(name)
+            if m > 0:
+                p, q = v.numerator, v.denominator
+                powers.append((s, [p ** e * q ** (m - e) for e in range(m + 1)]))
+                den *= q ** m
+        if not powers:
+            return self
+        out: dict[int, int] = {}
+        get = out.get
+        for k, c in self._coeffs.items():
+            for s, pw in powers:
+                e = (k >> s) & _FIELD_MASK
+                c *= pw[e]
+                k -= e << s
+            out[k] = get(k, 0) + c
+        return _normalized(out, den)
 
     def coeffs_in(self, name: str) -> list["MultiPoly"]:
         """Dense coefficient list in one variable; entries are MultiPolys."""
-        i = _VAR_INDEX[name]
         deg = self.degree(name)
         if deg < 0:
             return []
-        buckets: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(deg + 1)]
-        for e, c in self.terms:
-            ne = list(e)
-            x = ne[i]
-            ne[i] = 0
-            buckets[x][tuple(ne)] = buckets[x].get(tuple(ne), _F0) + c
-        return [MultiPoly.from_dict(b) for b in buckets]
+        s = _SHIFTS[_VAR_INDEX[name]]
+        buckets: list[dict[int, int]] = [{} for _ in range(deg + 1)]
+        for k, c in self._coeffs.items():
+            e = (k >> s) & _FIELD_MASK
+            buckets[e][k - (e << s)] = c
+        return [_normalized(b, self._den) for b in buckets]
 
     def subst_poly(self, name: str, repl: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial for one variable (Horner in that variable)."""
@@ -491,23 +633,23 @@ class MultiPoly:
         extra = self.variables() - {name}
         if extra:
             raise ValueError(f"unbound variable: {sorted(extra)[0]}")
-        i = _VAR_INDEX[name]
+        s = _SHIFTS[_VAR_INDEX[name]]
         out = [_F0] * (self.degree(name) + 1)
-        for e, c in self.terms:
-            out[e[i]] += c
+        for k, c in self._coeffs.items():
+            out[k >> s] = Fraction(c, self._den)
         return UniPoly.from_coeffs(out)
 
     def content(self) -> Fraction:
-        if not self.terms:
+        """Positive rational c with self/c integer and coprime; 0 for zero."""
+        if not self._coeffs:
             return _F0
-        return Fraction(gcd(*(c.numerator for _, c in self.terms)),
-                        lcm(*(c.denominator for _, c in self.terms)))
+        return Fraction(gcd(*self._coeffs.values()), self._den)
 
     def lead_coeff(self) -> Fraction:
         """Coefficient of the lexicographically largest exponent vector."""
-        if not self.terms:
+        if not self._coeffs:
             return _F0
-        return self.terms[-1][1]
+        return Fraction(self._coeffs[max(self._coeffs)], self._den)
 
     @staticmethod
     def from_string(s: str) -> "MultiPoly":
@@ -515,20 +657,17 @@ class MultiPoly:
 
     @staticmethod
     def from_unipoly(u: UniPoly, name: str) -> "MultiPoly":
-        i = _VAR_INDEX[name]
-        d: dict[tuple[int, ...], Fraction] = {}
-        for e, c in enumerate(u.coeffs):
-            if c:
-                key = list(_ZERO_EXP)
-                key[i] = e
-                d[tuple(key)] = c
-        return MultiPoly(tuple(sorted(d.items())))
+        _check_exponent(max(u.degree, 0))
+        s = _SHIFTS[_VAR_INDEX[name]]
+        den = lcm(*(c.denominator for c in u.coeffs))
+        return MultiPoly({e << s: c.numerator * (den // c.denominator)
+                          for e, c in enumerate(u.coeffs) if c}, den)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._coeffs:
             return "0"
         parts = []
-        for e, c in sorted(self.terms, key=lambda t: (-sum(t[0]), t[0])):
+        for e, c in sorted(self._term_pairs(), key=lambda t: (-sum(t[0]), t[0])):
             mono = "".join(
                 VARS[i] if x == 1 else f"{VARS[i]}^{x}"
                 for i, x in enumerate(e) if x
@@ -623,7 +762,9 @@ def _parse_multipoly(s: str) -> MultiPoly:
 
 @dataclass(frozen=True)
 class RatFunc:
-    """Quotient num/den of MultiPolys, reduced by rational content only."""
+    """Quotient num/den of MultiPolys: integer parts with no common integer
+    factor and a positive leading coefficient in den; no polynomial gcd
+    is divided out."""
 
     num: MultiPoly
     den: MultiPoly
@@ -634,13 +775,15 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
             return RatFunc(MultiPoly.zero(), MultiPoly.one())
-        # scale so both parts are integer and jointly primitive
-        ratio = num.content() / den.content()
-        num2 = num * (_F1 / num.content()) * ratio.numerator
-        den2 = den * (_F1 / den.content()) * ratio.denominator
-        if den2.lead_coeff() < 0:
-            num2, den2 = -num2, -den2
-        return RatFunc(num2, den2)
+        # clear both denominators, then divide by the joint integer
+        # content, signed so that den's leading coefficient is positive
+        m = num._den * den._den
+        num, den = num * m, den * m
+        g = gcd(gcd(*num._coeffs.values()), gcd(*den._coeffs.values()))
+        if den._coeffs[max(den._coeffs)] < 0:
+            g = -g
+        s = Fraction(1, g)
+        return RatFunc(num * s, den * s)
 
     @staticmethod
     def from_poly(p: MultiPoly) -> "RatFunc":

@@ -45,7 +45,7 @@ from math import lcm
 from typing import Optional
 
 from hyperaccel.accelerator import ChuSeries, _horner
-from hyperaccel.exact_arith import Scalar, UniPoly, rational_roots
+from hyperaccel.exact_arith import Scalar, UniPoly, decimal_text, rational_roots
 from hyperaccel.hypergeom_terms import HypTerm, k_shift_ratio
 
 _F0 = Fraction(0)
@@ -53,6 +53,11 @@ _F1 = Fraction(1)
 
 _MIN_PRECISION = 64
 _DIGITS_CAP = 10000
+_GUARD_DIGITS = 10
+# bound on cap * (cap + digits) for a series sum: the stop search's
+# unreduced term pair grows with every term, so its cost grows with
+# the square of the term cap, and the product tree's with cap * digits
+_SUM_WORK_CAP = 2 * 10 ** 9
 _ORACLE_DIGITS_CAP = 6
 _ORACLE_TERM_CAP = 300000
 
@@ -63,7 +68,10 @@ def _bits_for(digits: int) -> int:
 
 def _pow10_ceil_exp(x: Fraction) -> int:
     """Smallest e with x <= 10^e, for x > 0."""
-    e = len(str(x.numerator)) - len(str(x.denominator)) + 1
+    # the bit lengths put x within a factor 2 of 2^bits, so this start is
+    # within two of e; the loops make it exact
+    bits = x.numerator.bit_length() - x.denominator.bit_length()
+    e = int(bits * 0.30103) + 1
     while Fraction(10) ** (e - 1) >= x:
         e -= 1
     while Fraction(10) ** e < x:
@@ -222,7 +230,7 @@ class Enclosure:
         c = self.center.to_fraction()
         scale = 10 ** digits
         i = _round_half_even(c * scale)
-        body = str(abs(i)).rjust(digits + 1, "0")
+        body = decimal_text(abs(i)).rjust(digits + 1, "0")
         sign = "-" if i < 0 else ""
         if digits:
             text = f"{sign}{body[:-digits]}.{body[-digits:]}"
@@ -291,6 +299,10 @@ def _check_digits(digits: int) -> None:
 def const_pi(digits: int) -> Enclosure:
     """pi with radius at most 10^-digits, by 16 atan(1/5) - 4 atan(1/239)."""
     _check_digits(digits)
+    return _pi(digits)
+
+
+def _pi(digits: int) -> Enclosure:
     pbits = _bits_for(digits)
     a5, e5 = _atan_inv_scaled(5, pbits)
     a239, e239 = _atan_inv_scaled(239, pbits)
@@ -309,6 +321,10 @@ def const_pi_alt(digits: int) -> Enclosure:
 def const_log2(digits: int) -> Enclosure:
     """log 2 with radius at most 10^-digits, by 2 atanh(1/3)."""
     _check_digits(digits)
+    return _log2(digits)
+
+
+def _log2(digits: int) -> Enclosure:
     pbits = _bits_for(digits)
     a3, e3 = _atanh_inv_scaled(3, pbits)
     return _scaled_enclosure(2 * a3, 2 * e3, pbits, digits)
@@ -345,6 +361,10 @@ def _iroot(n: int, q: int) -> int:
 def const_root(base: int, e: Scalar, digits: int) -> Enclosure:
     """base^e for a natural base and rational e, radius at most 10^-digits."""
     _check_digits(digits)
+    return _root(base, e, digits)
+
+
+def _root(base: int, e: Scalar, digits: int) -> Enclosure:
     if base < 0:
         raise ValueError("negative base")
     e = Fraction(e)
@@ -404,20 +424,21 @@ class ClosedForm:
 
 def closedform_eval(cf: ClosedForm, digits: int) -> Enclosure:
     """Interval product of the constant enclosures at digits + 10 working
-    precision.  Only integer pi and log 2 exponents occur in practice;
-    others raise."""
+    precision; the constants take those guard digits past the digits cap
+    too.  Only integer pi and log 2 exponents occur in practice; others
+    raise."""
     _check_digits(digits)
-    wd = digits + 10
+    wd = digits + _GUARD_DIGITS
     pbits = _bits_for(wd)
     acc = Enclosure.exact(cf.coeff, pbits)
-    for exp, factory in ((cf.exp_pi, const_pi), (cf.exp_log2, const_log2)):
+    for exp, factory in ((cf.exp_pi, _pi), (cf.exp_log2, _log2)):
         if exp:
             if exp.denominator != 1:
                 raise ValueError("unsupported closed-form exponent")
             acc = acc * (factory(wd) ** exp.numerator)
     for base, exp in ((2, cf.exp_2), (3, cf.exp_3)):
         if exp:
-            acc = acc * const_root(base, exp, wd)
+            acc = acc * _root(base, exp, wd)
     enc = Enclosure.from_interval(acc.lo(), acc.hi(), _bits_for(digits))
     if enc.radius.to_fraction() > Fraction(1, 10 ** digits):
         raise RuntimeError("enclosure wider than requested")
@@ -548,6 +569,9 @@ def chu_eval_terms(s: ChuSeries, digits: int,
             if rt >= 0 and rt.denominator == 1:
                 raise ValueError("pole of series term")
     cap = 10 * digits if max_terms is None else max_terms
+    if cap * (cap + digits) > _SUM_WORK_CAP:
+        raise ValueError(f"summation work above supported range:"
+                         f" {cap} terms at {digits} digits")
     tol = Fraction(1, 2 * 10 ** digits)
     pbits = _bits_for(digits)
     if s.z == 0:
@@ -585,8 +609,9 @@ def chu_eval(s: ChuSeries, digits: int,
     the exact partial sum over [0, J) comes from one binary-splitting
     product tree reduced to a single Fraction.  Raises when digits
     exceeds the supported range, when |z| >= 1, when a lower parameter
-    or den root puts a pole at a summation index, or when the term cap
-    (default 10 * digits) is hit.
+    or den root puts a pole at a summation index, when the term cap
+    (default 10 * digits) times cap + digits exceeds the summation
+    work budget, or when the term cap is hit.
     """
     return chu_eval_terms(s, digits, max_terms)[0]
 

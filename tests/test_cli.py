@@ -8,11 +8,20 @@ invocations, tab-separated output, and the HYPERACCEL_MAX_TERMS
 override.
 """
 
+import os
 import re
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hyperaccel.cli import main
+from hyperaccel.accelerator import accelerated_stream
+from hyperaccel.cli import _MAX_STREAM_TERMS, main
+from hyperaccel.hypergeom_terms import FamilyId, family_instantiate
+from hyperaccel.telescoper import derive_recurrence
 
 Q1_PARAMS = "1/3,1/3,1,1/3,1/3,2/3"
 Q1_CHU = "z=1/4 upper=[2/3] lower=[11/6] num=[17,42,27] den=[1,4,3]"
@@ -122,6 +131,53 @@ def test_accelerate_prints_exact_stream_terms(capsys):
     ]
 
 
+def test_accelerate_term_count_at_maximum(capsys):
+    code, out, err = run(capsys, "accelerate", "--family", "quarter",
+                         "--params", Q1_PARAMS, "--n", "1",
+                         "--terms", str(_MAX_STREAM_TERMS))
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == _MAX_STREAM_TERMS
+    assert lines[-1].startswith(f"t[{_MAX_STREAM_TERMS - 1}] = ")
+
+
+@pytest.mark.parametrize("count", [_MAX_STREAM_TERMS + 1, 100000000])
+def test_accelerate_term_count_above_maximum_is_usage_error(capsys, count):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "accelerate", "--family", "quarter",
+                         "--params", Q1_PARAMS, "--n", "1",
+                         "--terms", str(count))
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err == ("hyperaccel: term count above supported range:"
+                   f" at most {_MAX_STREAM_TERMS}\n")
+
+
+def test_accelerate_prints_terms_beyond_int_str_limit(capsys):
+    # large parameter denominators: term 299 has over 9000 digits on each
+    # side, past Python's default 4300-digit int-to-str limit
+    params = "1/1009,1/1013,1,1/1019,1/1021,2/1031"
+    code, out, err = run(capsys, "accelerate", "--family", "quarter",
+                         "--params", params, "--n", "1", "--terms", "300")
+    assert code == 0
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 300
+    term = family_instantiate(FamilyId.QUARTER,
+                              [Fraction(p) for p in params.split(",")])
+    last = accelerated_stream(term, derive_recurrence(term), 1).term(299)
+    assert last.denominator > 10 ** 4300
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"t[299] = {last}"
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert lines[-1] == want
+
+
 def test_accelerate_chu_output_parses_back(capsys):
     code, out, _ = run(capsys, "accelerate", "--family", "quarter",
                        "--params", Q1_PARAMS, "--n", "1", "--chu")
@@ -167,6 +223,40 @@ def test_eval_digits_above_cap_fails_at_once(capsys):
     assert code == 1
     assert out == ""
     assert err == "hyperaccel: digits above supported range\n"
+
+
+@pytest.mark.parametrize("source, digits, head", [
+    (("--series", "z=1/2 upper=[] lower=[] num=[1] den=[1]"), 3000, "1.999"),
+    (("--id", "Q1"), 5000, "18.13799364234217850594078257642155732284066248"),
+])
+def test_eval_prints_beyond_int_str_limit(capsys, source, digits, head):
+    code, out, err = run(capsys, "eval", *source, "--digits", str(digits))
+    assert code == 0
+    assert err == ""
+    assert out.startswith(head)
+    match = re.fullmatch(r"\d+\.(\d+) ± 1e-(\d+)\n", out)
+    assert match
+    assert len(match.group(1)) == digits + 2
+    assert int(match.group(2)) >= digits
+
+
+def test_eval_near_unit_argument_exceeds_work_budget(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--series",
+                         "z=99999/100000 upper=[] lower=[] num=[1] den=[1]",
+                         "--digits", "100")
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert out == ""
+    assert err.startswith("hyperaccel: summation work above supported range")
+
+
+def test_eval_env_cap_above_work_budget_fails(capsys, monkeypatch):
+    monkeypatch.setenv("HYPERACCEL_MAX_TERMS", "100000000")
+    code, out, err = run(capsys, "eval", "--id", "Q1", "--digits", "10")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("hyperaccel: summation work above supported range")
 
 
 def test_eval_unit_argument_is_divergent(capsys):
@@ -216,6 +306,18 @@ def test_check_single_entry_pass(capsys):
     assert match is not None
     assert match.group(1) == "RT1"
     assert match.group(2) == "PASS"
+
+
+def test_check_at_digits_cap_passes(capsys):
+    # the closed form is computed with 10 guard digits past the cap
+    code, out, err = run(capsys, "check", "--id", "Q1", "--digits", "10000")
+    assert code == 0
+    assert err == ""
+    assert out.startswith("Q1 PASS lhs=18.137993642342178505940782576")
+    code, out, err = run(capsys, "check", "--id", "Q1", "--digits", "10001")
+    assert code == 1
+    assert out == ""
+    assert err == "hyperaccel: digits above supported range\n"
 
 
 def test_check_tsv_fields(capsys):
@@ -315,3 +417,19 @@ def test_malformed_rational_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rate", "--family", "quarter", "--params", "1/3,zebra"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# python -m hyperaccel
+# ---------------------------------------------------------------------------
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "hyperaccel",
+                           "verify-symbolic"], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert len(done.stdout.splitlines()) == 3

@@ -1,5 +1,7 @@
 """Exact-arithmetic core: fixed oracles plus algebraic property tests."""
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from hyperaccel.exact_arith import (
     NRat,
     RatFunc,
     UniPoly,
+    decimal_text,
     rational_roots,
 )
 
@@ -374,3 +377,40 @@ def test_nrat_scalar_product_keeps_normal_form():
         assert r * c == NRat.new(r.num.scale(c), r.den)
         assert (r * c).den == r.den
     assert (r * 0).is_zero and not r * 0
+
+
+# -- decimal_text ----------------------------------------------------------------
+
+
+@contextmanager
+def _int_str_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40000).flatmap(lambda b: st.integers(-(2 ** b), 2 ** b)),
+       st.integers(1, 20000).flatmap(lambda b: st.integers(1, 2 ** b)))
+@example(2 ** 2000, 1)
+@example(2 ** 2000 - 1, 10 ** 602)
+@example(-(10 ** 4300), 10 ** 4301 + 1)
+@example(0, 3)
+def test_decimal_text_matches_str_of_any_size(n, d):
+    with _int_str_limit(0):
+        want_int, want_frac = str(n), str(F(n, d))
+    assert decimal_text(n) == want_int
+    assert decimal_text(F(n, d)) == want_frac
+
+
+def test_decimal_text_ignores_and_keeps_the_int_str_limit():
+    n = 7 ** 20000
+    with _int_str_limit(0):
+        want = str(n)
+    with _int_str_limit(640):
+        assert decimal_text(n) == want
+        assert decimal_text(F(-1, n)) == "-1/" + want
+        assert sys.get_int_max_str_digits() == 640

@@ -13,11 +13,13 @@ from hyperaccel.exact_arith import UniPoly, rational_roots
 from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate,
                                         k_shift_ratio)
 from hyperaccel.numerics import (
+    _SUM_WORK_CAP,
     BigFloat,
     ClosedForm,
     Enclosure,
     _bits_for,
     _oracle_geometric,
+    _pow10_ceil_exp,
     _stability_point,
     chu_eval,
     chu_eval_terms,
@@ -590,3 +592,38 @@ def test_oracle_geometric_matches_reference(n0):
         got = _oracle_geometric(num, den, lim, tol)
         want = _reference_oracle_geometric(num, den, lim, tol)
         assert (got.lo(), got.hi()) == (want.lo(), want.hi())
+
+
+# -- decimal error exponents and the summation work budget ---------------------
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 6000).flatmap(lambda b: st.integers(1, 2 ** b)),
+       st.integers(1, 6000).flatmap(lambda b: st.integers(1, 2 ** b)))
+@example(10 ** 5000, 1)
+@example(1, 10 ** 5000)
+@example(10 ** 4300 + 1, 1)
+@example(1, 3)
+def test_pow10_ceil_exp_is_the_smallest_cover(num, den):
+    x = F(num, den)
+    e = _pow10_ceil_exp(x)
+    assert x <= F(10) ** e
+    assert x > F(10) ** (e - 1)
+
+
+def test_summation_work_budget_boundary():
+    digits = 50
+    cap = math.isqrt(_SUM_WORK_CAP)
+    while cap * (cap + digits) > _SUM_WORK_CAP:
+        cap -= 1
+    _, terms = chu_eval_terms(_rt1(), digits, cap)
+    assert terms < cap
+    with pytest.raises(ValueError, match="summation work above supported range"):
+        chu_eval_terms(_rt1(), digits, cap + 1)
+
+
+def test_summation_work_budget_admits_the_catalog_at_2000_digits():
+    for e in catalog_entries():
+        if e.chu is not None:
+            cap = default_term_budget(e.chu.z, 2000)
+            assert cap * (cap + 2000) <= _SUM_WORK_CAP, e.id
