@@ -29,7 +29,6 @@ from hyperaccel.catalog import (
 )
 from hyperaccel.exact_arith import (
     MultiPoly,
-    NRat,
     Rational,
     RatFunc,
     UniPoly,
@@ -64,7 +63,6 @@ __all__ = [
     "FamilyId",
     "HypTerm",
     "MultiPoly",
-    "NRat",
     "RatFunc",
     "Rational",
     "Recurrence",

@@ -1,11 +1,14 @@
 """Exact polynomial and rational-function arithmetic over the rationals.
 
 Representation: scalars are `fractions.Fraction` (exported as `Rational`).
-`UniPoly` is a dense univariate polynomial over a coefficient field, either
-`Fraction` or `NRat`: a tuple of coefficients with no trailing zeros, so the
-zero polynomial has degree -1.  Its zeros are tested by truthiness and its
-`gcd` is the monic gcd over that field, found by Euclid's algorithm with
-monic remainders.
+`UniPoly` is a dense univariate polynomial over Q: a tuple of Fraction
+coefficients with no trailing zeros, so the zero polynomial has degree -1.
+Its `gcd` is the monic gcd over Q.  Polynomials in Z[x] are also kept as
+plain integer coefficient lists, ascending with no trailing zero, for the
+recurrence solver's fraction-free linear algebra: `_zmul`, `_zsub`, the
+exact quotient `_zdiv` and `_zgcd`, Euclid's algorithm on primitive
+pseudo-remainders, which `UniPoly.gcd` also runs on, so no gcd builds a
+Fraction before its monic result.
 
 `MultiPoly` is a sparse multivariate polynomial over the fixed variable
 universe `VARS`.  It stores nonzero integer numerators over one positive
@@ -20,9 +23,7 @@ carrying into the next variable.  The `terms` view gives (exponent tuple,
 Fraction) pairs in ascending order.  `RatFunc` is a quotient of two
 MultiPolys with integer, jointly primitive parts and a positive leading
 denominator coefficient, reduced by integer gcd only (no multivariate gcd
-is attempted); equality is decided by cross-multiplication.  `NRat` is a
-fully reduced univariate rational function in n; as the coefficients of a
-`UniPoly` in k it is the field the recurrence solver works over.
+is attempted); equality is decided by cross-multiplication.
 
 All arithmetic here is exact; nothing in this module rounds.
 """
@@ -60,11 +61,6 @@ def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _zero(c: "Fraction | NRat") -> "Fraction | NRat":
-    """The zero of c's field."""
-    return c * 0 if isinstance(c, NRat) else _F0
-
-
 # str() of an int with more than sys.get_int_max_str_digits() digits
 # raises; pieces of at most this many bits (602 digits) stay below the
 # smallest limit Python accepts (640), whatever the setting
@@ -96,22 +92,19 @@ def decimal_text(x: Scalar) -> str:
 
 @dataclass(frozen=True)
 class UniPoly:
-    """Dense univariate polynomial; coeffs[i] multiplies x**i.
+    """Dense univariate polynomial over Q; coeffs[i] multiplies x**i."""
 
-    The coefficients are all Fractions or all NRats.
-    """
-
-    coeffs: tuple[Fraction | NRat, ...]
+    coeffs: tuple[Fraction, ...]
 
     @staticmethod
-    def from_coeffs(cs: Iterable[Scalar | NRat]) -> "UniPoly":
-        coeffs = [c if isinstance(c, (Fraction, NRat)) else Fraction(c) for c in cs]
+    def from_coeffs(cs: Iterable[Scalar]) -> "UniPoly":
+        coeffs = [_frac(c) for c in cs]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         return UniPoly(tuple(coeffs))
 
     @staticmethod
-    def constant(c: Scalar | NRat) -> "UniPoly":
+    def constant(c: Scalar) -> "UniPoly":
         return UniPoly.from_coeffs([c])
 
     @staticmethod
@@ -121,10 +114,6 @@ class UniPoly:
     @staticmethod
     def one() -> "UniPoly":
         return UniPoly((_F1,))
-
-    @staticmethod
-    def x() -> "UniPoly":
-        return UniPoly((_F0, _F1))
 
     @staticmethod
     def from_roots(roots: Iterable[Scalar], lead: Scalar = 1) -> "UniPoly":
@@ -142,15 +131,14 @@ class UniPoly:
         return not self.coeffs
 
     @property
-    def lc(self) -> Fraction | NRat:
+    def lc(self) -> Fraction:
         if not self.coeffs:
             return _F0
         return self.coeffs[-1]
 
-    def coeff(self, i: int) -> Fraction | NRat:
-        """coeffs[i], or the zero of the coefficient field past the degree
-        (a Fraction zero for the zero polynomial)."""
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _zero(self.lc)
+    def coeff(self, i: int) -> Fraction:
+        """coeffs[i], or zero past the degree."""
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _F0
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         a, b = self.coeffs, other.coeffs
@@ -167,15 +155,13 @@ class UniPoly:
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
-    def __mul__(self, other: "UniPoly | Scalar | NRat") -> "UniPoly":
-        """Schoolbook product; a scalar other scales.  The sums start from
-        the zero of self's field, so with mixed fields the NRat factor
-        stands on the left."""
+    def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
+        """Schoolbook product; a scalar other scales."""
         if not isinstance(other, UniPoly):
             return self.scale(other)
         if self.is_zero or other.is_zero:
             return UniPoly.zero()
-        out = [_zero(self.lc)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [_F0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             if ci:
                 for j, cj in enumerate(other.coeffs):
@@ -190,13 +176,10 @@ class UniPoly:
             out = out * base
         return out
 
-    def scale(self, c: Scalar | NRat) -> "UniPoly":
+    def scale(self, c: Scalar) -> "UniPoly":
         if not c:
             return UniPoly.zero()
         return UniPoly(tuple(c * x for x in self.coeffs))
-
-    def monic(self) -> "UniPoly":
-        return self.scale(1 / self.lc) if self.coeffs else self
 
     def eval(self, x: Scalar) -> Fraction:
         x = _frac(x)
@@ -226,7 +209,7 @@ class UniPoly:
         if self.degree < d:
             return UniPoly.zero(), self
         rem = list(self.coeffs)
-        q = [_zero(lead)] * (self.degree - d + 1)
+        q = [_F0] * (self.degree - d + 1)
         for k in range(len(q) - 1, -1, -1):
             c = rem[k + d]
             if c:
@@ -257,12 +240,85 @@ class UniPoly:
         return p if p.lc > 0 else -p
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd over the coefficient field; gcd(0, 0) = 0."""
-        a, b = self, other
-        while not b.is_zero:
-            _, r = a.divmod(b)
-            a, b = b, r.monic()  # monic remainders keep coefficients small
-        return a.monic()
+        """Monic gcd over Q, from `_zgcd` on the primitive integer
+        coefficients; gcd(0, 0) = 0."""
+        a = _zgcd(_primitive_ints(self.coeffs), _primitive_ints(other.coeffs))
+        return UniPoly(tuple(Fraction(c, a[-1]) for c in a))
+
+
+# ---------------------------------------------------------------------------
+# Integer coefficient lists: Z[x] as ascending lists with no trailing zero
+# ([] is zero), for the recurrence solver's fraction-free linear algebra
+# ---------------------------------------------------------------------------
+
+
+def _primitive_ints(cs: Sequence[Scalar]) -> list[int]:
+    """Integer coefficients with gcd 1 proportional to cs; [] for none."""
+    if not cs:
+        return []
+    m = lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (m // c.denominator) for c in cs]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _zsub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zdiv(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a division known to be exact in Z[x]."""
+    if not a:
+        return []
+    rem = list(a)
+    db, lb = len(b) - 1, b[-1]
+    out = [0] * (len(a) - db)
+    for i in range(len(out) - 1, -1, -1):
+        c = rem[i + db]
+        if c:
+            c //= lb
+            out[i] = c
+            for t, y in enumerate(b):
+                rem[i + t] -= c * y
+    return out
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd in Z[x], of either sign; [] when both are zero.
+
+    Euclid on pseudo-remainders, each divided by its integer content
+    (the primitive remainder sequence), so coefficients stay small.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        lb, db = b[-1], len(b) - 1
+        a = list(a)
+        while len(a) > db:
+            la, s = a[-1], len(a) - 1 - db
+            a = [x * lb for x in a]
+            for i, y in enumerate(b):
+                a[s + i] -= la * y
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, _primitive_ints(a)
+    return _primitive_ints(a)
 
 
 def _int_divisors(m: int) -> list[int]:
@@ -844,88 +900,3 @@ class RatFunc:
         if self.den == MultiPoly.one():
             return str(self.num)
         return f"({self.num}) / ({self.den})"
-
-
-# ---------------------------------------------------------------------------
-# Fully reduced univariate rational functions (solver coefficient field)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NRat:
-    """Reduced univariate rational function; den is primitive with positive lc."""
-
-    num: UniPoly
-    den: UniPoly
-
-    @staticmethod
-    def new(num: UniPoly, den: UniPoly) -> "NRat":
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            return NRat(UniPoly.zero(), UniPoly.one())
-        g = num.gcd(den)
-        if g.degree > 0:
-            num, den = num.exact_div(g), den.exact_div(g)
-        c = den.content()
-        if den.lc < 0:
-            c = -c
-        return NRat(num.scale(_F1 / c), den.scale(_F1 / c))
-
-    @staticmethod
-    def from_poly(p: UniPoly) -> "NRat":
-        return NRat.new(p, UniPoly.one())
-
-    @staticmethod
-    def const(c: Scalar) -> "NRat":
-        return NRat.from_poly(UniPoly.constant(c))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __bool__(self) -> bool:
-        return not self.num.is_zero
-
-    def __add__(self, other: "NRat") -> "NRat":
-        if other.num.is_zero:
-            return self
-        if self.num.is_zero:
-            return other
-        return NRat.new(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
-
-    def __neg__(self) -> "NRat":
-        return NRat(-self.num, self.den)
-
-    def __sub__(self, other: "NRat") -> "NRat":
-        return self + (-other)
-
-    def __mul__(self, other: "NRat | Scalar") -> "NRat":
-        if not isinstance(other, NRat):
-            # a nonzero scalar changes no gcd; den stays primitive, lc > 0
-            if not other or self.num.is_zero:
-                return NRat(UniPoly.zero(), UniPoly.one())
-            return NRat(self.num.scale(other), self.den)
-        if self.num.is_zero or other.num.is_zero:
-            return NRat(UniPoly.zero(), UniPoly.one())
-        return NRat.new(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "NRat") -> "NRat":
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return NRat.new(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, c: Scalar) -> "NRat":
-        """c / self for a scalar c, as in 1 / lc."""
-        if self.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return NRat.new(self.den.scale(c), self.num)
-
-    def eval(self, x: Scalar) -> Fraction:
-        d = self.den.eval(x)
-        if d == 0:
-            raise ZeroDivisionError("pole of rational function")
-        return self.num.eval(x) / d

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Optional
 
 from hyperaccel.accelerator import ChuSeries, _horner
@@ -553,6 +553,11 @@ def _geometric_sum(p: list[int], q: list[int], a: list[int], b: list[int],
     return None
 
 
+def _budget_cap(digits: int) -> int:
+    """The largest term cap with cap * (cap + digits) <= _SUM_WORK_CAP."""
+    return (isqrt(digits * digits + 4 * _SUM_WORK_CAP) - digits) // 2
+
+
 def chu_eval_terms(s: ChuSeries, digits: int,
                    max_terms: Optional[int] = None) -> tuple[Enclosure, int]:
     """chu_eval plus the number of terms actually summed."""
@@ -568,7 +573,7 @@ def chu_eval_terms(s: ChuSeries, digits: int,
         for rt in rational_roots(s.den):
             if rt >= 0 and rt.denominator == 1:
                 raise ValueError("pole of series term")
-    cap = 10 * digits if max_terms is None else max_terms
+    cap = min(10 * digits, _budget_cap(digits)) if max_terms is None else max_terms
     if cap * (cap + digits) > _SUM_WORK_CAP:
         raise ValueError(f"summation work above supported range:"
                          f" {cap} terms at {digits} digits")
@@ -580,8 +585,16 @@ def chu_eval_terms(s: ChuSeries, digits: int,
     ratio = s.ratio()
     num_j = ratio.num.as_unipoly("j")
     den_j = ratio.den.as_unipoly("j")
+    if num_j.degree > den_j.degree:
+        # the tail rule never holds, but an upper parameter -m makes the
+        # series finite: every term past j = m is zero
+        ms = [-int(u) for u in s.upper if u.denominator == 1 and u <= 0]
+        if not ms or min(ms) + 1 > cap:
+            raise ValueError("requested digits unreachable")
+        total = sum(s.terms(min(ms) + 1))
+        return Enclosure.from_interval(total, total, pbits), min(ms) + 1
     j1 = _stability_point(num_j, den_j, cap)
-    if j1 is None or num_j.degree > den_j.degree:
+    if j1 is None:
         raise ValueError("requested digits unreachable")
     lim = abs(num_j.lc / den_j.lc) if num_j.degree == den_j.degree else _F0
     _, (p, q) = _cleared(UniPoly.from_roots([-u for u in s.upper], s.z),
@@ -607,11 +620,16 @@ def chu_eval(s: ChuSeries, digits: int,
     from J1 on (see the module docstring).  J is found by an integer
     stop search over the unreduced term numerators and denominators, and
     the exact partial sum over [0, J) comes from one binary-splitting
-    product tree reduced to a single Fraction.  Raises when digits
-    exceeds the supported range, when |z| >= 1, when a lower parameter
-    or den root puts a pole at a summation index, when the term cap
-    (default 10 * digits) times cap + digits exceeds the summation
-    work budget, or when the term cap is hit.
+    product tree reduced to a single Fraction.  A series whose term
+    quotient has the higher degree in its numerator never meets the tail
+    rule; it is still summed when an upper parameter -m makes it finite,
+    exactly over j <= m, with radius 0 and m + 1 terms.
+
+    The term cap defaults to the smaller of 10 * digits and the largest
+    cap within the summation work budget.  Raises when digits exceeds
+    the supported range, when |z| >= 1, when a lower parameter or den
+    root puts a pole at a summation index, when an explicit cap times
+    cap + digits exceeds the work budget, or when the term cap is hit.
     """
     return chu_eval_terms(s, digits, max_terms)[0]
 

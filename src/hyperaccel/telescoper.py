@@ -17,10 +17,17 @@ modified ratio Dn(k) Nk / (Dn(k+1) Dk) is put into normal form
 
 is solved for a polynomial x and scalars (p1, p2) by exact linear
 algebra over the field of rational functions in n.  The certificate is
-R(k-1) x(k) / (P(k) Dn(k)).  Solver polynomials in k are `UniPoly`
-values whose coefficients are `NRat` elements of that field; the linear
-system is cleared to a polynomial matrix and eliminated fraction-free by
-Bareiss pivoting in `_nullspace`.
+R(k-1) x(k) / (P(k) Dn(k)).
+
+The solver works on factors and integers, and takes no gcd until the
+end.  Every factor of the shift ratios is affine, m k + u(n), so the
+normal form is found on the factor lists themselves (`_normal_form`).
+P, Q, R, Nn and Dn are then expanded once as MultiPolys in n and k, and
+the coefficient rows in k of the equation are cleared to primitive rows
+over Z[n], integer coefficient lists in n.  `_nullspace` eliminates
+them by Bareiss pivoting and back-substitutes in Cramer form, so the
+solution stays in Z[n].  `_assemble` takes one gcd in Z[n] for the
+pair (p1, p2) and one for the certificate's denominator.
 """
 
 from __future__ import annotations
@@ -28,10 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Mapping, Optional, Sequence
 
 from hyperaccel.builtin_data import neg27_dataset, negq_dataset, quarter_dataset
-from hyperaccel.exact_arith import MultiPoly, NRat, RatFunc, Scalar, UniPoly
+from hyperaccel.exact_arith import (MultiPoly, RatFunc, Scalar, UniPoly,
+                                    _primitive_ints, _zdiv, _zgcd, _zmul,
+                                    _zsub)
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     HypTerm,
@@ -42,10 +52,9 @@ from hyperaccel.hypergeom_terms import (
     n_shift_ratio,
 )
 
-_NR0 = NRat.const(0)
-_NR1 = NRat.const(1)
-_K1 = UniPoly((_NR1,))  # 1 and k as polynomials in k over NRat
-_KX = UniPoly((_NR0, _NR1))
+_ONE = MultiPoly.one()
+_K = MultiPoly.var("k")
+_K_PLUS_1 = _K + _ONE
 
 
 # ---------------------------------------------------------------------------
@@ -124,164 +133,136 @@ def same_ratio(a: Recurrence, b: Recurrence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in k over the rational-function field in n
+# Factor-level Gosper-Petkovsek normal form
 # ---------------------------------------------------------------------------
 
 
-def kp_from_multipoly(p: MultiPoly) -> UniPoly:
-    """A polynomial in n and k as a polynomial in k with NRat coefficients."""
-    extra = p.variables() - {"n", "k"}
-    if extra:
-        raise ValueError(f"unbound variable: {sorted(extra)[0]}")
-    return UniPoly.from_coeffs(
-        [NRat.from_poly(c.as_unipoly("n")) for c in p.coeffs_in("k")])
-
-
-def kp_pair_to_ratfunc(num: UniPoly, den: UniPoly) -> RatFunc:
-    """Quotient of two polynomials in k over NRat as a rational function
-    in n and k."""
-    lcden = UniPoly.one()
-    for c in (*num.coeffs, *den.coeffs):
-        g = lcden.gcd(c.den)
-        lcden = lcden * c.den.exact_div(g)
-
-    def side(kp: UniPoly) -> MultiPoly:
-        mp = MultiPoly.zero()
-        for i, c in enumerate(kp.coeffs):
-            if c.is_zero:
-                continue
-            u = c.num * lcden.exact_div(c.den)
-            mp = mp + MultiPoly.from_unipoly(u, "n") * MultiPoly.var("k", i)
-        return mp
-
-    return RatFunc.new(side(num), side(den))
-
-
-def _kp_prod(factors: Sequence[UniPoly]) -> UniPoly:
-    out = _K1
+def _prod(factors: Sequence[MultiPoly]) -> MultiPoly:
+    out = _ONE
     for f in factors:
         out = out * f
     return out
 
 
-# ---------------------------------------------------------------------------
-# Gosper normal form
-# ---------------------------------------------------------------------------
-
-
-def _nrat_const(v: NRat) -> Optional[Fraction]:
-    """The constant value of an n-free NRat, else None."""
-    if v.den.degree != 0 or v.num.degree > 0:
+def _root_form(f: MultiPoly) -> Optional[tuple[Fraction, MultiPoly]]:
+    """(m, u/m) for an affine factor f = m k + u(n) with m != 0; None
+    when f is free of k."""
+    cs = f.coeffs_in("k")
+    if len(cs) != 2:
         return None
-    if v.num.is_zero:
-        return Fraction(0)
-    return v.num.coeff(0) / v.den.coeff(0)
+    m = cs[1].eval({})
+    return m, cs[0] * (1 / m)
 
 
-def _shift_candidates(num_factors: Sequence[UniPoly],
-                      den_factors: Sequence[UniPoly]) -> list[int]:
-    """Nonnegative integer shifts j at which a num factor meets a den factor.
+def _normal_form(sk: Fraction, num: Sequence[MultiPoly], den: Sequence[MultiPoly]
+                 ) -> tuple[list[MultiPoly], Fraction, list[MultiPoly], list[MultiPoly]]:
+    """Normal form of q/r = sk prod(num)/prod(den) on its affine factors.
 
-    For linear factors m1 k + u1 and m2 k + u2 the unique shift aligning
-    their roots is j = u1/m1 - u2/m2; only n-free nonnegative integers
-    can break the gcd condition of the normal form.
+    Returns (P factors, c, Q factors, R factors) with q/r = (P(k+1)/P(k))
+    (Q(k)/R(k)) for P = prod P factors, Q = c prod Q factors and R = prod
+    R factors, and gcd(Q(k), R(k+j)) = 1 for every j >= 0.  A num factor
+    a and a den factor b meet at shift j when a(k) = (m_a/m_b) b(k+j);
+    for j ascending every meeting pair is removed, P gains a(k-1) ...
+    a(k-j) and c gains m_a/m_b.  Within one j the meeting relation joins
+    whole classes of equal roots, so the greedy matching removes what a
+    gcd of the expanded products would, and no gcd is taken.
     """
-    cands: set[int] = set()
-    for a in num_factors:
-        if a.degree != 1:
-            continue
-        ra = a.coeffs[0] / a.coeffs[1]
-        for b in den_factors:
-            if b.degree != 1:
+    nroots = [_root_form(f) for f in num]
+    droots = [_root_form(f) for f in den]
+    pairs = []
+    for i, a in enumerate(nroots):
+        for l, b in enumerate(droots):
+            if a is None or b is None:
                 continue
-            jv = _nrat_const(ra - b.coeffs[0] / b.coeffs[1])
-            if jv is not None and jv.denominator == 1 and jv >= 0:
-                cands.add(int(jv))
-    return sorted(cands)
+            # a meets b at the shift u_a/m_a - u_b/m_b, if n-free
+            d = a[1] - b[1]
+            if not d.variables():
+                j = d.eval({})
+                if j.denominator == 1 and j >= 0:
+                    pairs.append((int(j), i, l))
+    pairs.sort()
+    used_num: set[int] = set()
+    used_den: set[int] = set()
+    p_factors: list[MultiPoly] = []
+    c = sk
+    for j, i, l in pairs:
+        if i in used_num or l in used_den:
+            continue
+        used_num.add(i)
+        used_den.add(l)
+        c *= nroots[i][0] / droots[l][0]
+        p_factors.extend(num[i].shift_var("k", -t) for t in range(1, j + 1))
+    return (p_factors, c,
+            [f for i, f in enumerate(num) if i not in used_num],
+            [f for l, f in enumerate(den) if l not in used_den])
 
 
-def _normal_form(q: UniPoly, r: UniPoly,
-                 candidates: Sequence[int]) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """(P, Q, R) with q/r = (P(k+1)/P(k)) (Q(k)/R(k)), gcd(Q(k), R(k+j)) = 1."""
-    p = _K1
-    for j in candidates:
-        while True:
-            g = q.gcd(r.shift(j))
-            if g.degree < 1:
-                break
-            q = q.exact_div(g)
-            r = r.exact_div(g.shift(-j))
-            for i in range(1, j + 1):
-                p = p * g.shift(-i)
-    return p, q, r
-
-
-def _degree_bound(q: UniPoly, rstar: UniPoly, f_deg: int) -> int:
-    """Upper bound for deg x in q(k) x(k+1) - rstar(k) x(k) = f(k)."""
-    dq, dr = q.degree, rstar.degree
-    if dq != dr or q.lc != rstar.lc:
+def _degree_bound(q: list[MultiPoly], rstar: list[MultiPoly], f_deg: int) -> int:
+    """Upper bound for deg x in q(k) x(k+1) - rstar(k) x(k) = f(k), from
+    the coefficient lists in k of q and rstar."""
+    dq, dr = len(q) - 1, len(rstar) - 1
+    if dq != dr or q[-1] != rstar[-1]:
         return f_deg - max(dq, dr)
-    lead = q.lc
-    a = q.coeff(dq - 1)
-    b = rstar.coeff(dr - 1)
-    sigma = _nrat_const((b - a) / lead)
+    lead = q[-1]
+    diff = (rstar[-2] - q[-2]) if dq >= 1 else MultiPoly.zero()
     best = f_deg - dq + 1
-    if sigma is not None and sigma.denominator == 1 and sigma >= 0:
+    # sigma = diff/lead counts only when it is an n-free integer >= 0
+    sigma = diff.lead_coeff() / lead.lead_coeff()
+    if (diff == lead * sigma and sigma.denominator == 1 and sigma >= 0):
         best = max(best, int(sigma))
     return best
 
 
 # ---------------------------------------------------------------------------
-# Exact nullspace over the rational-function field
+# Fraction-free nullspace over Z[n]
 # ---------------------------------------------------------------------------
 
 
-def _nullspace(rows: list[list[NRat]]) -> list[list[NRat]]:
-    """Basis of the right nullspace, computed fraction-free.
+def _nullspace(rows: list[list[list[int]]]) -> list[list[list[int]]]:
+    """Basis of the right nullspace of a matrix over Z[n].
 
-    Rows are cleared to polynomial entries, eliminated by Bareiss pivoting,
-    and back-substituted over the field.
+    Bareiss elimination divides every update exactly by the previous
+    pivot, so all entries stay in Z[n].  Back-substitution is in Cramer
+    form: a free column's entry is the last pivot, the other free entries
+    are zero, and each pivot entry is the row's sum divided exactly by
+    the row's pivot, so each basis vector lies in Z[n]^cols.
     """
     if not rows:
         return []
     ncols = len(rows[0])
-    mat: list[list[UniPoly]] = []
-    for row in rows:
-        lcden = UniPoly.one()
-        for e in row:
-            g = lcden.gcd(e.den)
-            lcden = lcden * e.den.exact_div(g)
-        mat.append([e.num * lcden.exact_div(e.den) for e in row])
+    mat = [list(row) for row in rows]
     piv_cols: list[int] = []
-    prev = UniPoly.one()
+    prev = [1]
     rpos = 0
     for col in range(ncols):
-        sel = next((i for i in range(rpos, len(mat)) if not mat[i][col].is_zero), None)
+        sel = next((i for i in range(rpos, len(mat)) if mat[i][col]), None)
         if sel is None:
             continue
         mat[rpos], mat[sel] = mat[sel], mat[rpos]
-        pv = mat[rpos][col]
+        top = mat[rpos]
+        pv = top[col]
         for i in range(rpos + 1, len(mat)):
-            ci = mat[i][col]
+            row = mat[i]
+            ci = row[col]
             for j in range(col, ncols):
-                mat[i][j] = (pv * mat[i][j] - ci * mat[rpos][j]).exact_div(prev)
+                row[j] = _zdiv(_zsub(_zmul(pv, row[j]), _zmul(ci, top[j])), prev)
         piv_cols.append(col)
         prev = pv
         rpos += 1
         if rpos == len(mat):
             break
-    basis: list[list[NRat]] = []
+    basis = []
     for fc in (c for c in range(ncols) if c not in piv_cols):
-        vec = [_NR0] * ncols
-        vec[fc] = _NR1
+        vec: list[list[int]] = [[] for _ in range(ncols)]
+        vec[fc] = prev
         for i in reversed(range(len(piv_cols))):
             pc = piv_cols[i]
             row = mat[i]
-            s = _NR0
+            s: list[int] = []
             for j in range(pc + 1, ncols):
-                if not vec[j].is_zero and not row[j].is_zero:
-                    s = s + NRat.from_poly(row[j]) * vec[j]
-            vec[pc] = -s / NRat.from_poly(row[pc])
+                if vec[j] and row[j]:
+                    s = _zsub(s, _zmul(row[j], vec[j]))
+            vec[pc] = _zdiv(s, row[pc])
         basis.append(vec)
     return basis
 
@@ -301,13 +282,30 @@ def _require_instantiated(term: HypTerm) -> None:
             f"summand must be instantiated; free parameter {sorted(extra)[0]}")
 
 
-def _telescoper_columns(q: UniPoly, rstar: UniPoly, deg: int) -> list[UniPoly]:
-    cols = []
-    kpow = _K1
-    for _ in range(deg + 1):
-        cols.append(q * kpow.shift(1) - rstar * kpow)
-        kpow = kpow * _KX
-    return cols
+def _n_poly(cs: list[int]) -> MultiPoly:
+    return MultiPoly.from_unipoly(UniPoly.from_coeffs(cs), "n")
+
+
+def _kn_poly(cs: list[list[int]]) -> MultiPoly:
+    """sum_i cs[i](n) k^i for integer coefficient lists cs[i] in n."""
+    out = MultiPoly.zero()
+    for i, c in enumerate(cs):
+        if c:
+            out = out + _n_poly(c) * _K ** i
+    return out
+
+
+def _int_rows(cols: list[MultiPoly]) -> list[list[list[int]]]:
+    """The coefficient rows in k of the columns, each cleared to a
+    primitive integer row of polynomials in n."""
+    coeffs = [[c.as_unipoly("n").coeffs for c in col.coeffs_in("k")]
+              for col in cols]
+    rows = []
+    for m in range(max(len(cs) for cs in coeffs)):
+        row = [cs[m] if m < len(cs) else () for cs in coeffs]
+        flat = iter(_primitive_ints([c for e in row for c in e]))
+        rows.append([[next(flat) for _ in e] for e in row])
+    return rows
 
 
 def zeilberger_two_term(term: HypTerm, r: int, max_deg: int = 8,
@@ -320,68 +318,70 @@ def zeilberger_two_term(term: HypTerm, r: int, max_deg: int = 8,
     _require_instantiated(term)
     sk, nk, dk = k_ratio_parts(term)
     _, nn, dn = n_ratio_parts(term, r)
-    nk_kp = [kp_from_multipoly(f) for f in nk]
-    dk_kp = [kp_from_multipoly(f) for f in dk]
-    nn_kp = [kp_from_multipoly(f) for f in nn]
-    dn_kp = [kp_from_multipoly(f) for f in dn]
-    num_factors = nk_kp + dn_kp
-    den_factors = dk_kp + [f.shift(1) for f in dn_kp]
-    cands = _shift_candidates(num_factors, den_factors)
-    p, q, rr = _normal_form(_kp_prod(num_factors).scale(sk),
-                            _kp_prod(den_factors), cands)
-    n_n = _kp_prod(nn_kp)
-    d_n = _kp_prod(dn_kp)
-    rhs1 = p * n_n
+    p_f, c, q_f, r_f = _normal_form(sk, nk + dn,
+                                    dk + [f.shift_var("k", 1) for f in dn])
+    p = _prod(p_f)
+    q = _prod(q_f) * c
+    rstar = _prod(r_f).shift_var("k", -1)
+    d_n = _prod(dn)
+    rhs1 = p * _prod(nn)
     rhs2 = p * d_n
-    rstar = rr.shift(-1)
-    bound = _degree_bound(q, rstar, max(rhs1.degree, rhs2.degree)) + 1
+    bound = _degree_bound(q.coeffs_in("k"), rstar.coeffs_in("k"),
+                          max(rhs1.degree("k"), rhs2.degree("k"))) + 1
     if bound < 0:
         return None
     deg = min(bound, max_deg)
-    cols = _telescoper_columns(q, rstar, deg) + [-rhs1, -rhs2]
-    nrows = max(c.degree for c in cols) + 1
-    # past a column's degree its entries are the NRat zero
-    rows = [[c.coeffs[m] if m <= c.degree else _NR0 for c in cols]
-            for m in range(nrows)]
-    vecs = [v for v in _nullspace(rows)
-            if not (v[-1].is_zero and v[-2].is_zero)]
+    cols = []
+    q_kp1, kpow = q, _ONE  # q(k) (k+1)^i and k^i
+    for _ in range(deg + 1):
+        cols.append(q_kp1 - rstar * kpow)
+        q_kp1 = q_kp1 * _K_PLUS_1
+        kpow = kpow * _K
+    vecs = [v for v in _nullspace(_int_rows(cols + [-rhs1, -rhs2]))
+            if v[-1] or v[-2]]
     if not vecs:
         return None
-    vec = next((v for v in vecs if not v[-1].is_zero), vecs[0])
-    x = UniPoly.from_coeffs(vec[:deg + 1])
-    p1n, p2n = vec[-2], vec[-1]
-    rec = _assemble(x, p1n, p2n, rstar, p, d_n, r, family)
+    vec = next((v for v in vecs if v[-1]), vecs[0])
+    rec = _assemble(vec, deg, rstar, p * d_n, r, family)
     if not verify_recurrence(term, rec):
         raise RuntimeError("derived recurrence failed exact re-verification")
     return rec
 
 
-def _assemble(x: UniPoly, p1n: NRat, p2n: NRat, rstar: UniPoly, p: UniPoly,
-              d_n: UniPoly, r: int, family: Optional[FamilyId]) -> Recurrence:
-    """Rescale a raw solution to the canonical polynomial pair and build it.
+def _assemble(vec: list[list[int]], deg: int, rstar: MultiPoly,
+              pd: MultiPoly, r: int, family: Optional[FamilyId]) -> Recurrence:
+    """Rescale a nullspace vector (x_0..x_deg, p1, p2) over Z[n] to the
+    canonical polynomial pair and build the recurrence.
 
-    The pair (p1, p2) is scaled to integer polynomials whose contents are
-    coprime, with positive leading coefficient on p2 (on p1 when p2 = 0);
-    the certificate R(k-1) x(k) / (P(k) Dn(k)) carries the same factor.
+    The pair (p1, p2) is divided by g = gcd(p1, p2), primitive in Z[n]
+    (g = 1 when p2 = 0), and by its joint integer content ct, signed so
+    that the leading coefficient of p2 (of p1 when p2 = 0) is positive.
+    The certificate R(k-1) x(k) / (P(k) Dn(k)) takes the same scale
+    1/(ct g).  It is printed over the lcm of the reduced denominators of
+    its coefficients in k, which is g/h for h the gcd of g and those
+    coefficients of R(k-1) x(k).
     """
-    if p2n.is_zero:
-        p1_uni = p1n.num.primitive()
-        p2_uni = UniPoly.zero()
-        scale = NRat.from_poly(p1_uni) / p1n
-    else:
-        t = p1n / p2n
-        v = t.num.content().denominator if not t.num.is_zero else 1
-        p1_uni = t.num.scale(v)
-        p2_uni = t.den.scale(v)
-        scale = NRat.from_poly(p2_uni) / p2n
-    cert = kp_pair_to_ratfunc((rstar * x).scale(scale), p * d_n)
-    return Recurrence(
-        r=r,
-        p1=MultiPoly.from_unipoly(p1_uni, "n"),
-        p2=MultiPoly.from_unipoly(p2_uni, "n"),
-        cert=cert,
-        family=family,
-    )
+    p1n, p2n = vec[-2], vec[-1]
+    g = _zgcd(p1n, p2n) if p2n else [1]
+    a, b = _zdiv(p1n, g), _zdiv(p2n, g)
+    ct = gcd(*a, *b)
+    if (b or a)[-1] < 0:
+        ct = -ct
+    rx = rstar * _kn_poly(vec[:deg + 1])
+    # rx = s sum_m c_m(n) k^m with the c_m in Z[n], jointly primitive
+    s = rx.content() or Fraction(1)
+    cs = [[int(v) for v in c.as_unipoly("n").coeffs]
+          for c in (rx * (1 / s)).coeffs_in("k")]
+    h = g
+    for c in cs:
+        if len(h) == 1:
+            break
+        h = _zgcd(h, c)
+    return Recurrence(r=r, p1=_n_poly([c // ct for c in a]),
+                      p2=_n_poly([c // ct for c in b]),
+                      cert=RatFunc.new(_kn_poly([_zdiv(c, h) for c in cs]) * (s / ct),
+                                       pd * _n_poly(_zdiv(g, h))),
+                      family=family)
 
 
 def derive_recurrence(term: HypTerm, max_deg: int = 8,

@@ -240,6 +240,17 @@ def test_eval_prints_beyond_int_str_limit(capsys, source, digits, head):
     assert int(match.group(2)) >= digits
 
 
+@pytest.mark.parametrize("series, out", [
+    # 1 - 3/2 + 3/2 - 3/4: the terms past j = 3 vanish through (-3)_j
+    ("z=1/2 upper=[-3] lower=[] num=[1] den=[1]", "0.2500000 ± 0\n"),
+    # 1 - 1/3 + 1/12: more upper than lower parameters, finite through -2
+    ("z=1/2 upper=[-2,1] lower=[3] num=[1] den=[1]", "0.7500000 ± 0\n"),
+])
+def test_eval_finite_series_with_more_upper_parameters(capsys, series, out):
+    code, got, err = run(capsys, "eval", "--series", series, "--digits", "5")
+    assert (code, got, err) == (0, out, "")
+
+
 def test_eval_near_unit_argument_exceeds_work_budget(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "eval", "--series",

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from hyperaccel.builtin_data import quarter_dataset
 from hyperaccel.exact_arith import (
     MultiPoly,
-    NRat,
     RatFunc,
     UniPoly,
+    _zdiv,
+    _zmul,
+    _zsub,
     decimal_text,
     rational_roots,
 )
@@ -301,82 +303,59 @@ def test_ratfunc_equality_cross_multiplication():
     assert not a.equals(RatFunc.new(n, MultiPoly.one()))
 
 
-# -- NRat ---------------------------------------------------------------------
+# -- UniPoly.gcd and the integer coefficient lists it runs on -------------------
+
+gcd_factors = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                       max_size=4).map(UniPoly.from_coeffs)
 
 
-def test_nrat_full_reduction():
-    x = UniPoly.x()
-    r = NRat.new(x * x - UniPoly.one(), x - UniPoly.one())
-    assert r.num == x + UniPoly.one()
-    assert r.den == UniPoly.one()
+def _monic(p):
+    return p.scale(1 / p.lc) if p.coeffs else p
 
 
-@settings(max_examples=40)
-@given(
-    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4), min_size=1, max_size=3),
-    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4), min_size=1, max_size=3),
-)
-def test_nrat_ops_match_eval(cs1, cs2):
-    p1 = UniPoly.from_coeffs(cs1)
-    p2 = UniPoly.from_coeffs(cs2 + [1])
-    r1 = NRat.new(p1, p2)
-    r2 = NRat.new(p2, UniPoly.from_coeffs([1, 1]))
-    # the poles are the roots of p2 (at most three) and of x + 1 (at -1),
-    # so one of the four points is off them
-    x = next(x for x in (F(5, 3), F(7, 4), F(11, 5), F(13, 6)) if p2.eval(x) != 0)
-    assert (r1 + r2).eval(x) == r1.eval(x) + r2.eval(x)
-    assert (r1 * r2).eval(x) == r1.eval(x) * r2.eval(x)
+def _reference_gcd(a, b):
+    """Euclid over Q with monic remainders (the algorithm before the
+    integer remainder sequence)."""
+    while not b.is_zero:
+        _, r = a.divmod(b)
+        a, b = b, _monic(r)
+    return _monic(a)
 
 
-# -- UniPoly over NRat (the solver's polynomials in k) --------------------------
-
-small_ints = st.lists(st.integers(-4, 4), max_size=3)
-nrats = st.builds(
-    lambda num, den: NRat.new(UniPoly.from_coeffs(num), UniPoly.from_coeffs(den + [1])),
-    small_ints, small_ints)
-nrat_polys = st.lists(nrats, max_size=4).map(UniPoly.from_coeffs)
-nrat_factors = st.lists(nrats, max_size=3).map(UniPoly.from_coeffs)
-NR1 = NRat.const(1)
-
-
-@settings(max_examples=50, deadline=None)
-@given(nrat_polys, nrat_polys)
-def test_nrat_poly_divmod_identity(a, b):
-    if b.is_zero:
-        return
-    q, r = a.divmod(b)
-    assert q * b + r == a
-    assert r.degree < b.degree
-
-
-@settings(max_examples=50, deadline=None)
-@given(nrat_factors, nrat_factors, nrat_factors)
-def test_nrat_poly_gcd_is_monic_common_divisor(a, b, c):
+@settings(max_examples=80, deadline=None)
+@given(gcd_factors, gcd_factors, gcd_factors)
+@example(P(1, 1), P(2, 1), P(F(1, 2), 3))
+@example(P(), P(), P(1, 1))
+@example(P(3), P(), P())
+def test_unipoly_gcd_is_monic_common_divisor(a, b, c):
     # a c and b c share the factor c, which the gcd must contain
     ac, bc = a * c, b * c
     g = ac.gcd(bc)
+    assert g == _reference_gcd(ac, bc) == bc.gcd(ac)
     if ac.is_zero and bc.is_zero:
         assert g.is_zero
         return
-    assert g.lc == NR1
+    assert g.lc == 1
     assert ac.divmod(g)[1].is_zero
     assert bc.divmod(g)[1].is_zero
     if not c.is_zero:
         assert g.divmod(c)[1].is_zero
 
 
-@settings(max_examples=50, deadline=None)
-@given(nrat_polys, st.fractions(min_value=-5, max_value=5, max_denominator=4))
-def test_nrat_poly_shift_roundtrip(p, s):
-    assert p.shift(s).shift(-s) == p
+_int_lists = st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=5).map(
+    lambda cs: _zsub(cs, []))
 
 
-def test_nrat_scalar_product_keeps_normal_form():
-    r = NRat.new(P(1, 2), P(3, 6, 9))
-    for c in (F(-3, 4), 5, F(1, 7)):
-        assert r * c == NRat.new(r.num.scale(c), r.den)
-        assert (r * c).den == r.den
-    assert (r * 0).is_zero and not r * 0
+@settings(max_examples=80, deadline=None)
+@given(_int_lists, _int_lists, _int_lists)
+def test_integer_lists_match_unipoly(a, b, c):
+    up = UniPoly.from_coeffs
+    assert up(_zmul(a, b)) == up(a) * up(b)
+    assert up(_zsub(a, b)) == up(a) - up(b)
+    assert _zsub(a, a) == []
+    if b:
+        # an exact quotient in Z[x] comes back whole
+        assert _zdiv(_zmul(_zsub(a, c), b), b) == _zsub(a, c)
 
 
 # -- decimal_text ----------------------------------------------------------------

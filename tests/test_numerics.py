@@ -18,6 +18,7 @@ from hyperaccel.numerics import (
     ClosedForm,
     Enclosure,
     _bits_for,
+    _budget_cap,
     _oracle_geometric,
     _pow10_ceil_exp,
     _stability_point,
@@ -364,7 +365,8 @@ def test_chu_eval_digits_per_term_rate_law():
 
 def _reference_eval_terms(s: ChuSeries, digits: int, max_terms=None):
     """The summation loop chu_eval_terms replaced: a running Fraction sum
-    with the same stability point, tail rule and term cap."""
+    with the same stability point, tail rule, term cap and finite-sum
+    rule for series the tail rule cannot bound."""
     if abs(s.z) >= 1:
         raise ValueError("divergent series: |z| >= 1")
     for l in s.lower:
@@ -385,8 +387,22 @@ def _reference_eval_terms(s: ChuSeries, digits: int, max_terms=None):
     ratio = s.ratio()
     num_j = ratio.num.as_unipoly("j")
     den_j = ratio.den.as_unipoly("j")
+    if num_j.degree > den_j.degree:
+        # finite through an upper parameter -m: the exact sum over j <= m
+        ms = [int(-u) for u in s.upper if u.denominator == 1 and u <= 0]
+        if not ms or min(ms) + 1 > cap:
+            raise ValueError("requested digits unreachable")
+        zpow, poch, total = F(1), F(1), F(0)
+        for j in range(min(ms) + 1):
+            total += zpow * poch * s.num.eval(j) / s.den.eval(j)
+            for u in s.upper:
+                poch *= u + j
+            for l in s.lower:
+                poch /= l + j
+            zpow *= s.z
+        return Enclosure.from_interval(total, total, pbits), min(ms) + 1
     j1 = _stability_point(num_j, den_j, cap)
-    if j1 is None or num_j.degree > den_j.degree:
+    if j1 is None:
         raise ValueError("requested digits unreachable")
     lim = abs(num_j.lc / den_j.lc) if num_j.degree == den_j.degree else F(0)
     zpow, poch, partial = F(1), F(1), F(0)
@@ -469,6 +485,8 @@ _TERMINATING = ChuSeries(F(-3, 4), (F(-2), F(1, 3)), (F(5, 2), F(7, 4)),
 @settings(max_examples=80, deadline=None)
 @example(_FIRST_STOP, 3)
 @example(_TERMINATING, 12)
+# more upper than lower parameters: finite through -3, summed exactly
+@example(ChuSeries(F(1, 2), (F(-3),), (), UniPoly.one(), UniPoly.one()), 5)
 @example(ChuSeries(F(0), (F(1, 2),), (F(4, 3),), UniPoly.from_coeffs([3, 1]),
                    UniPoly.one()), 5)
 def test_chu_eval_matches_reference_on_random_series(s, digits):
@@ -620,6 +638,24 @@ def test_summation_work_budget_boundary():
     assert terms < cap
     with pytest.raises(ValueError, match="summation work above supported range"):
         chu_eval_terms(_rt1(), digits, cap + 1)
+
+
+@pytest.mark.parametrize("digits", [4265, 5000])
+def test_default_cap_keeps_within_the_work_budget(digits):
+    # from 4265 digits on, 10 * digits terms exceed the work budget; the
+    # default cap is then the budget's largest, which Q1 (8300 terms at
+    # 5000 digits) stays well below
+    assert 10 * digits * (11 * digits) > _SUM_WORK_CAP
+    cap = _budget_cap(digits)
+    assert cap * (cap + digits) <= _SUM_WORK_CAP < (cap + 1) * (cap + 1 + digits)
+    q1 = entry("Q1").chu
+    enc, terms = chu_eval_terms(q1, digits)
+    assert terms < cap
+    assert enc.radius.to_fraction() <= F(1, 10 ** digits)
+    explicit, same = chu_eval_terms(q1, digits, terms)
+    assert (same, explicit.lo(), explicit.hi()) == (terms, enc.lo(), enc.hi())
+    with pytest.raises(ValueError, match="summation work above supported range"):
+        chu_eval_terms(q1, digits, 10 * digits)
 
 
 def test_summation_work_budget_admits_the_catalog_at_2000_digits():
