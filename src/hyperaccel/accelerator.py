@@ -53,6 +53,7 @@ _F1 = Fraction(1)
 
 _REMAINDER_TOL = 1e-30
 _ORACLE_TERMS = 300
+_UNROLL_STEPS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +89,7 @@ def _horner(coeffs: list[float], x: float) -> float:
     return acc
 
 
-def direct_sum_estimate(term: HypTerm, nu: Scalar,
-                        k_terms: int = _ORACLE_TERMS) -> float:
+def direct_sum_estimate(term: HypTerm, nu: Scalar) -> float:
     """Double-precision direct sum of the original series at n = nu.
 
     Terms are normalized by the k = 0 term.  Raises when the terms fail
@@ -101,7 +101,7 @@ def direct_sum_estimate(term: HypTerm, nu: Scalar,
     den = [float(c) for c in rho.den.as_unipoly("k").coeffs]
     t = 1.0
     total = 0.0
-    for k in range(k_terms):
+    for k in range(_ORACLE_TERMS):
         total += t
         d = _horner(den, float(k))
         if d == 0.0 or not math.isfinite(d):
@@ -112,16 +112,15 @@ def direct_sum_estimate(term: HypTerm, nu: Scalar,
     return total
 
 
-def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar,
-                    m_max: int = 200) -> bool:
+def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
     """Numeric estimate that the unrolling remainder dies off.
 
     After m unrolling steps the remainder is gauged by the running
     product of g2(nu_o) over o <= m times the original series at
     nu_{m+1}, each evaluated relative to its own k = 0 summand.  The
     product runs in double precision with the series value from the
-    direct-summation oracle; the estimate must fall below 1e-30 by
-    m_max and decrease monotonically over the final ten steps.  A
+    direct-summation oracle; the estimate must fall below 1e-30 within
+    200 steps and decrease monotonically over the final ten steps.  A
     geometric |g2| below one passes; fabricated coefficients with
     |g2| >= 1 fail.
     """
@@ -130,7 +129,7 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar,
     nu = Fraction(n0)
     pre = 1.0
     vals = []
-    for m in range(m_max + 1):
+    for m in range(_UNROLL_STEPS + 1):
         p2v = p2.eval(nu)
         if p2v == 0:
             raise ValueError(f"pole in accelerated stream at term {m}")
@@ -148,6 +147,15 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar,
 # ---------------------------------------------------------------------------
 
 
+def _stream_parts(term: HypTerm, rec: Recurrence) -> tuple[UniPoly, ...]:
+    """p1, p2, and the numerators and denominators of the certificate and
+    of the n-shift ratio at k = 0, as polynomials in n."""
+    rho_n = n_shift_ratio(term, rec.r)
+    return tuple(part.subst({"k": 0}).as_unipoly("n")
+                 for part in (rec.p1, rec.p2, rec.cert.num, rec.cert.den,
+                              rho_n.num, rho_n.den))
+
+
 def iter_accelerated(term: HypTerm, rec: Recurrence, n0: Scalar) -> Iterator[Fraction]:
     """Exact accelerated terms t_j, normalized by F(n0, 0).
 
@@ -157,12 +165,7 @@ def iter_accelerated(term: HypTerm, rec: Recurrence, n0: Scalar) -> Iterator[Fra
     reduced RatFunc), so a zero of a denominator at nu_j is reported as
     a pole at term j.
     """
-    rho_n = n_shift_ratio(term, rec.r)
-    p1 = rec.p1.as_unipoly("n")
-    p2 = rec.p2.as_unipoly("n")
-    cert_num, cert_den, rho_num, rho_den = (
-        part.subst({"k": 0}).as_unipoly("n")
-        for part in (rec.cert.num, rec.cert.den, rho_n.num, rho_n.den))
+    p1, p2, cert_num, cert_den, rho_num, rho_den = _stream_parts(term, rec)
     nu = Fraction(n0)
     pre = _F1
     j = 0
@@ -179,25 +182,20 @@ def iter_accelerated(term: HypTerm, rec: Recurrence, n0: Scalar) -> Iterator[Fra
 
 
 def stream_ratio(term: HypTerm, rec: Recurrence, n0: Scalar) -> RatFunc:
-    """Term quotient t_{j+1}/t_j of the accelerated stream, rational in j."""
+    """Term quotient t_{j+1}/t_j of the accelerated stream, rational in j.
+
+    With nu = n0 + r j it is -p1(nu) cert(nu + r, 0) rho(nu, 0) /
+    (cert(nu, 0) p2(nu + r)), composed from the parts in n as UniPolys.
+    """
+    p1, p2, cn, cd, rn, rd = _stream_parts(term, rec)
     r = rec.r
-    nu = MultiPoly.affine(Fraction(n0), j=r)
-    nu_next = nu + MultiPoly.const(r)
-
-    def at_zero(rf: RatFunc) -> RatFunc:
-        return rf.subst({"k": 0})
-
-    def sub(rf: RatFunc, repl: MultiPoly) -> RatFunc:
-        return RatFunc.new(rf.num.subst_poly("n", repl),
-                           rf.den.subst_poly("n", repl))
-
-    cert0 = at_zero(rec.cert)
-    rho0 = at_zero(n_shift_ratio(term, r))
-    p1rf = RatFunc.from_poly(rec.p1)
-    p2rf = RatFunc.from_poly(rec.p2)
-    num = sub(p1rf, nu) * sub(cert0, nu_next) * sub(rho0, nu)
-    den = sub(cert0, nu) * sub(p2rf, nu_next)
-    return -(num / den)
+    nu, nu_next = Fraction(n0), Fraction(n0) + r
+    num = (p1.compose(nu, r) * cn.compose(nu_next, r) * rn.compose(nu, r)
+           * cd.compose(nu, r))
+    den = (cd.compose(nu_next, r) * rd.compose(nu, r) * cn.compose(nu, r)
+           * p2.compose(nu_next, r))
+    return RatFunc.new(-MultiPoly.from_unipoly(num, "j"),
+                       MultiPoly.from_unipoly(den, "j"))
 
 
 class AccelStream:
@@ -226,8 +224,7 @@ class AccelStream:
 
 
 def accelerated_stream(term: HypTerm, rec: Recurrence, n0: Scalar,
-                       check_vanishing: bool = True,
-                       m_max: int = 200) -> AccelStream:
+                       check_vanishing: bool = True) -> AccelStream:
     """Accelerated stream at start point n0, guarded against poles.
 
     The rational roots of p2 are tested exactly against the progression
@@ -243,7 +240,7 @@ def accelerated_stream(term: HypTerm, rec: Recurrence, n0: Scalar,
             q = (root - Fraction(n0)) / rec.r
             if q.denominator == 1 and q >= 0:
                 raise ValueError(f"pole in accelerated stream at term {int(q)}")
-    if check_vanishing and not vanishing_check(term, rec, n0, m_max=m_max):
+    if check_vanishing and not vanishing_check(term, rec, n0):
         raise ValueError("remainder does not vanish")
     return AccelStream(term, rec, n0)
 
@@ -319,18 +316,20 @@ class ChuSeries:
         """Exact j-th term; raises ZeroDivisionError on a denominator zero."""
         return self.terms(j + 1)[j]
 
+    def ratio_parts(self) -> tuple[UniPoly, UniPoly]:
+        """Numerator and denominator in j of the term quotient
+        term(j+1)/term(j), with no common factor divided out."""
+        num = (self.num.shift(1) * self.den
+               * UniPoly.from_roots([-u for u in self.upper], self.z))
+        den = (self.num * self.den.shift(1)
+               * UniPoly.from_roots([-l for l in self.lower]))
+        return num, den
+
     def ratio(self) -> RatFunc:
         """Term quotient term(j+1)/term(j) as a rational function of j."""
-        jv = MultiPoly.var("j")
-        num = MultiPoly.const(self.z) * MultiPoly.from_unipoly(self.num.shift(1), "j")
-        num = num * MultiPoly.from_unipoly(self.den, "j")
-        den = MultiPoly.from_unipoly(self.num, "j")
-        den = den * MultiPoly.from_unipoly(self.den.shift(1), "j")
-        for u in self.upper:
-            num = num * (jv + MultiPoly.const(u))
-        for l in self.lower:
-            den = den * (jv + MultiPoly.const(l))
-        return RatFunc.new(num, den)
+        num, den = self.ratio_parts()
+        return RatFunc.new(MultiPoly.from_unipoly(num, "j"),
+                           MultiPoly.from_unipoly(den, "j"))
 
 
 def _rooted_split(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
@@ -350,8 +349,8 @@ def chu_normalize(ratio: RatFunc, t0: Fraction) -> tuple[ChuSeries, Fraction]:
     free = ratio.num.variables() | ratio.den.variables()
     if not free <= {"j"}:
         raise ValueError("non-Chu-normalizable")
-    n_u = ratio.num.as_unipoly("j")
-    d_u = ratio.den.as_unipoly("j")
+    n_in = n_u = ratio.num.as_unipoly("j")
+    d_in = d_u = ratio.den.as_unipoly("j")
     if n_u.is_zero or d_u.is_zero or n_u.degree != d_u.degree or t0 == 0:
         raise ValueError("non-Chu-normalizable")
     g = n_u.gcd(d_u)
@@ -393,7 +392,8 @@ def chu_normalize(ratio: RatFunc, t0: Fraction) -> tuple[ChuSeries, Fraction]:
         raise ValueError("non-Chu-normalizable")
     series = ChuSeries(z=z, upper=tuple(uppers), lower=tuple(lowers),
                        num=num, den=den)
-    if not series.ratio().equals(ratio):
+    s_num, s_den = series.ratio_parts()
+    if s_num * d_in != n_in * s_den:
         raise ValueError("non-Chu-normalizable")
     scale = t0 * den.eval(0) / num.eval(0)
     return series, scale

@@ -939,7 +939,7 @@ def derivation_term(e: CatalogEntry) -> HypTerm:
     return family_instantiate(d.family, d.params)
 
 
-def derivation_recurrence(e: CatalogEntry, max_deg: int = 8):
+def derivation_recurrence(e: CatalogEntry):
     """Recurrence for an entry: stored general form where one exists."""
     d = e.derivation
     if d is None:
@@ -948,10 +948,10 @@ def derivation_recurrence(e: CatalogEntry, max_deg: int = 8):
     if base is not None:
         point = dict(zip(d.family.param_names, d.params))
         return specialize(base, point)
-    return zeilberger_two_term(derivation_term(e), d.r, max_deg=max_deg)
+    return zeilberger_two_term(derivation_term(e), d.r)
 
 
-def derive_entry(rid: str, max_deg: int = 8) -> DeriveReport:
+def derive_entry(rid: str) -> DeriveReport:
     """Re-derive an entry's recurrence and compare against its display.
 
     proportional is the constant c with stream term = c * display term
@@ -959,7 +959,7 @@ def derive_entry(rid: str, max_deg: int = 8) -> DeriveReport:
     single constant works.
     """
     e = entry(rid)
-    rec = derivation_recurrence(e, max_deg=max_deg)
+    rec = derivation_recurrence(e)
     if rec is None:
         return DeriveReport(recurrence_found=False, rate=None,
                             proportional=None)

@@ -1,14 +1,16 @@
 """Exact polynomial and rational-function arithmetic over the rationals.
 
 Representation: scalars are `fractions.Fraction` (exported as `Rational`).
-`UniPoly` is a dense univariate polynomial over Q: a tuple of Fraction
-coefficients with no trailing zeros, so the zero polynomial has degree -1.
-Its `gcd` is the monic gcd over Q.  Polynomials in Z[x] are also kept as
-plain integer coefficient lists, ascending with no trailing zero, for the
-recurrence solver's fraction-free linear algebra: `_zmul`, `_zsub`, the
-exact quotient `_zdiv` and `_zgcd`, Euclid's algorithm on primitive
-pseudo-remainders, which `UniPoly.gcd` also runs on, so no gcd builds a
-Fraction before its monic result.
+Polynomials in Z[x] are plain integer coefficient lists, ascending with
+no trailing zero: `_zsub`, `_zmul`, the exact quotient `_zdiv`,
+the integer Horner sum `_zeval` and `_zgcd`, Euclid's algorithm on
+primitive pseudo-remainders.  They are the one dense kernel.  `UniPoly`,
+the dense univariate polynomial over Q, is a tuple of integer numerators
+over one positive denominator, jointly in lowest terms, and implements
+every operation on those lists; its `coeffs`, `lc` and `eval` give
+Fractions.  Its `gcd` is the monic gcd over Q, and `exact_div` divides
+primitive parts, whose quotient lies in Z[x] by Gauss's lemma.  The
+recurrence solver's fraction-free linear algebra runs on the same lists.
 
 `MultiPoly` is a sparse multivariate polynomial over the fixed variable
 universe `VARS`.  It stores nonzero integer numerators over one positive
@@ -54,7 +56,6 @@ _SHIFTS = tuple(_EXP_BITS * (_NVARS - 1 - i) for i in range(_NVARS))
 _GUARD = sum(_EXP_LIMIT << s for s in _SHIFTS)
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -86,183 +87,28 @@ def decimal_text(x: Scalar) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class UniPoly:
-    """Dense univariate polynomial over Q; coeffs[i] multiplies x**i."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @staticmethod
-    def from_coeffs(cs: Iterable[Scalar]) -> "UniPoly":
-        coeffs = [_frac(c) for c in cs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        return UniPoly(tuple(coeffs))
-
-    @staticmethod
-    def constant(c: Scalar) -> "UniPoly":
-        return UniPoly.from_coeffs([c])
-
-    @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly(())
-
-    @staticmethod
-    def one() -> "UniPoly":
-        return UniPoly((_F1,))
-
-    @staticmethod
-    def from_roots(roots: Iterable[Scalar], lead: Scalar = 1) -> "UniPoly":
-        p = UniPoly.constant(lead)
-        for r in roots:
-            p = p * UniPoly.from_coeffs([-_frac(r), 1])
-        return p
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> Fraction:
-        if not self.coeffs:
-            return _F0
-        return self.coeffs[-1]
-
-    def coeff(self, i: int) -> Fraction:
-        """coeffs[i], or zero past the degree."""
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _F0
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly.from_coeffs(out)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
-        """Schoolbook product; a scalar other scales."""
-        if not isinstance(other, UniPoly):
-            return self.scale(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero()
-        out = [_F0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci:
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] += ci * cj
-        return UniPoly.from_coeffs(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "UniPoly":
-        out, base = UniPoly.one(), self
-        for _ in range(e):
-            out = out * base
-        return out
-
-    def scale(self, c: Scalar) -> "UniPoly":
-        if not c:
-            return UniPoly.zero()
-        return UniPoly(tuple(c * x for x in self.coeffs))
-
-    def eval(self, x: Scalar) -> Fraction:
-        x = _frac(x)
-        acc = _F0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def shift(self, s: Scalar) -> "UniPoly":
-        """Compose with x + s, returning p(x + s), by Horner recomposition."""
-        s = _frac(s)
-        out = UniPoly.zero()
-        xs = UniPoly.from_coeffs([s, 1])
-        for c in reversed(self.coeffs):
-            out = out * xs + UniPoly.constant(c)
-        return out
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly.from_coeffs(
-            [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
-
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        d, lead = other.degree, other.lc
-        if self.degree < d:
-            return UniPoly.zero(), self
-        rem = list(self.coeffs)
-        q = [_F0] * (self.degree - d + 1)
-        for k in range(len(q) - 1, -1, -1):
-            c = rem[k + d]
-            if c:
-                f = c / lead
-                q[k] = f
-                for i, oc in enumerate(other.coeffs):
-                    rem[k + i] -= f * oc
-        return UniPoly.from_coeffs(q), UniPoly.from_coeffs(rem[:d])
-
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ValueError("non-exact polynomial division")
-        return q
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer and coprime; 0 for zero."""
-        if self.is_zero:
-            return _F0
-        return Fraction(gcd(*(c.numerator for c in self.coeffs)),
-                        lcm(*(c.denominator for c in self.coeffs)))
-
-    def primitive(self) -> "UniPoly":
-        """Integer coprime coefficients, positive leading coefficient."""
-        if self.is_zero:
-            return self
-        p = self.scale(1 / self.content())
-        return p if p.lc > 0 else -p
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd over Q, from `_zgcd` on the primitive integer
-        coefficients; gcd(0, 0) = 0."""
-        a = _zgcd(_primitive_ints(self.coeffs), _primitive_ints(other.coeffs))
-        return UniPoly(tuple(Fraction(c, a[-1]) for c in a))
-
-
-# ---------------------------------------------------------------------------
 # Integer coefficient lists: Z[x] as ascending lists with no trailing zero
-# ([] is zero), for the recurrence solver's fraction-free linear algebra
+# ([] is zero), the dense kernel UniPoly and the recurrence solver run on
 # ---------------------------------------------------------------------------
 
 
-def _primitive_ints(cs: Sequence[Scalar]) -> list[int]:
-    """Integer coefficients with gcd 1 proportional to cs; [] for none."""
-    if not cs:
-        return []
-    m = lcm(*(c.denominator for c in cs))
-    ints = [c.numerator * (m // c.denominator) for c in cs]
-    g = gcd(*ints)
-    return [c // g for c in ints]
+def _zprimitive(a: list[int]) -> list[int]:
+    """a divided by the gcd of its entries; [] for zero."""
+    g = gcd(*a)
+    return [c // g for c in a] if g > 1 else a
 
 
-def _zmul(a: list[int], b: list[int]) -> list[int]:
+def _zsub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = list(a)
+    out.extend([0] * (len(b) - len(a)))
+    for i, y in enumerate(b):
+        out[i] -= y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -273,33 +119,38 @@ def _zmul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _zsub(a: list[int], b: list[int]) -> list[int]:
-    out = a + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zdiv(a: list[int], b: list[int]) -> list[int]:
-    """a / b for a division known to be exact in Z[x]."""
-    if not a:
-        return []
+def _zdiv(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b in Z[x] for b != 0; ValueError unless the division is exact."""
     rem = list(a)
     db, lb = len(b) - 1, b[-1]
-    out = [0] * (len(a) - db)
+    out = [0] * max(len(a) - db, 0)
     for i in range(len(out) - 1, -1, -1):
-        c = rem[i + db]
+        c = rem[i + db] // lb
         if c:
-            c //= lb
             out[i] = c
             for t, y in enumerate(b):
                 rem[i + t] -= c * y
+    # a floored step leaves its remainder behind in rem
+    if any(rem):
+        raise ValueError("non-exact polynomial division")
     return out
 
 
-def _zgcd(a: list[int], b: list[int]) -> list[int]:
+def _zeval(a: Sequence[int], p: int, q: int = 1) -> int:
+    """q^deg(a) a(p/q): the integer Horner sum, homogeneous in (p, q)."""
+    acc = 0
+    if q == 1:
+        for c in reversed(a):
+            acc = acc * p + c
+        return acc
+    qk = 1
+    for c in reversed(a):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
+def _zgcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Primitive gcd in Z[x], of either sign; [] when both are zero.
 
     Euclid on pseudo-remainders, each divided by its integer content
@@ -317,8 +168,190 @@ def _zgcd(a: list[int], b: list[int]) -> list[int]:
                 a[s + i] -= la * y
             while a and not a[-1]:
                 a.pop()
-        a, b = b, _primitive_ints(a)
-    return _primitive_ints(a)
+        a, b = b, _zprimitive(a)
+    return _zprimitive(list(a))
+
+
+def _common_ints(polys: Sequence["UniPoly"]) -> list[list[int]]:
+    """Integer coefficient lists proportional to polys by one common
+    positive factor, with no integer factor common to all of them."""
+    den = lcm(*(p.denominator for p in polys))
+    rows = [[c * (den // p.denominator) for c in p.numerators] for p in polys]
+    g = gcd(*(c for row in rows for c in row))
+    return [[c // g for c in row] for row in rows] if g > 1 else rows
+
+
+# ---------------------------------------------------------------------------
+# Univariate polynomials
+# ---------------------------------------------------------------------------
+
+
+def _unipoly(num: list[int], den: int = 1) -> "UniPoly":
+    """UniPoly of num / den for den > 0, with trailing zeros dropped and
+    the common gcd of den and the numerators divided out."""
+    while num and not num[-1]:
+        num.pop()
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return UniPoly(tuple(num), den)
+
+
+@dataclass(frozen=True)
+class UniPoly:
+    """Dense univariate polynomial over Q: integer numerators, the one of
+    x**i at index i and no trailing zero, over one positive denominator,
+    jointly in lowest terms.
+
+    Build one with the static constructors; `UniPoly(numerators,
+    denominator)` takes an already normalized pair.
+    """
+
+    numerators: tuple[int, ...] = ()
+    denominator: int = 1
+
+    @staticmethod
+    def from_coeffs(cs: Iterable[Scalar]) -> "UniPoly":
+        cs = list(cs)
+        den = lcm(*(c.denominator for c in cs))
+        return _unipoly([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @staticmethod
+    def zero() -> "UniPoly":
+        return UniPoly()
+
+    @staticmethod
+    def one() -> "UniPoly":
+        return UniPoly((1,))
+
+    @staticmethod
+    def from_roots(roots: Iterable[Scalar], lead: Scalar = 1) -> "UniPoly":
+        """lead * prod (x - r), as the integer product of the (d x - n), r = n/d."""
+        lead = _frac(lead)
+        num, den = [lead.numerator], lead.denominator
+        for r in roots:
+            r = _frac(r)
+            num = _zmul(num, [-r.numerator, r.denominator])
+            den *= r.denominator
+        return _unipoly(num, den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
+
+    @property
+    def degree(self) -> int:
+        return len(self.numerators) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.numerators
+
+    @property
+    def lc(self) -> Fraction:
+        return self.coeff(self.degree)
+
+    def coeff(self, i: int) -> Fraction:
+        """Coefficient of x**i, zero past the degree."""
+        if 0 <= i < len(self.numerators):
+            return Fraction(self.numerators[i], self.denominator)
+        return _F0
+
+    def __add__(self, other: "UniPoly") -> "UniPoly":
+        a, b = self.numerators, other.numerators
+        da, db = self.denominator, other.denominator
+        den = lcm(da, db)
+        return _unipoly(_zsub([c * (den // da) for c in a],
+                              [-c * (den // db) for c in b]), den)
+
+    def __neg__(self) -> "UniPoly":
+        return UniPoly(tuple(-c for c in self.numerators), self.denominator)
+
+    def __sub__(self, other: "UniPoly") -> "UniPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
+        """Product of the numerator lists; a scalar other scales."""
+        if not isinstance(other, UniPoly):
+            return self.scale(other)
+        return _unipoly(_zmul(self.numerators, other.numerators),
+                        self.denominator * other.denominator)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int) -> "UniPoly":
+        out = UniPoly.one()
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def scale(self, c: Scalar) -> "UniPoly":
+        c = _frac(c)
+        return _unipoly([x * c.numerator for x in self.numerators],
+                        self.denominator * c.denominator)
+
+    def eval(self, x: Scalar) -> Fraction:
+        """p(x) from one integer Horner sum at x = p/q."""
+        if isinstance(x, int):
+            return Fraction(_zeval(self.numerators, x), self.denominator)
+        x = _frac(x)
+        q = x.denominator
+        return Fraction(_zeval(self.numerators, x.numerator, q),
+                        self.denominator * q ** max(self.degree, 0))
+
+    def compose(self, a: Scalar, b: Scalar) -> "UniPoly":
+        """p(a + b x): Horner over Z[x] in the line m (a + b x), m the
+        product of the denominators, gives m^deg p(a + b x)."""
+        a, b = _frac(a), _frac(b)
+        m = a.denominator * b.denominator
+        line = [a.numerator * b.denominator, b.numerator * a.denominator]
+        out: list[int] = []
+        mk = 1
+        for c in reversed(self.numerators):
+            out = _zsub(_zmul(out, line), [-c * mk])
+            mk *= m
+        return _unipoly(out, self.denominator * m ** max(self.degree, 0))
+
+    def shift(self, s: Scalar) -> "UniPoly":
+        """p(x + s)."""
+        return self.compose(s, 1)
+
+    def derivative(self) -> "UniPoly":
+        return _unipoly([i * c for i, c in enumerate(self.numerators)][1:],
+                        self.denominator)
+
+    def exact_div(self, other: "UniPoly") -> "UniPoly":
+        """self / other, or ValueError when other does not divide self.
+        By Gauss's lemma the primitive parts divide in Z[x] (`_zdiv`)."""
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.is_zero:
+            return self
+        a, b = self.numerators, other.numerators
+        ga, gb = gcd(*a), gcd(*b)
+        q = _zdiv([c // ga for c in a], [c // gb for c in b])
+        return _unipoly([c * ga * other.denominator for c in q],
+                        self.denominator * gb)
+
+    def content(self) -> Fraction:
+        """Positive rational c with self/c integer and coprime; 0 for zero."""
+        return Fraction(gcd(*self.numerators), self.denominator)
+
+    def primitive(self) -> "UniPoly":
+        """Integer coprime coefficients, positive leading coefficient."""
+        if self.is_zero:
+            return self
+        g = gcd(*self.numerators) * (1 if self.numerators[-1] > 0 else -1)
+        return UniPoly(tuple(c // g for c in self.numerators))
+
+    def gcd(self, other: "UniPoly") -> "UniPoly":
+        """Monic gcd over Q, from `_zgcd` on the numerators; gcd(0, 0) = 0."""
+        a = _zgcd(self.numerators, other.numerators)
+        if a and a[-1] < 0:
+            a = [-c for c in a]
+        return UniPoly(tuple(a), a[-1] if a else 1)
 
 
 def _int_divisors(m: int) -> list[int]:
@@ -343,16 +376,12 @@ def _int_divisors(m: int) -> list[int]:
 def _integer_root(a: list[int]) -> tuple[int, int] | None:
     """Smallest-q, then smallest-|p| root p/q of a primitive integer
     polynomial with a[0] != 0 and a[-1] > 0, as (p, q) in lowest terms."""
-    d = len(a) - 1
     lc = a[-1]
     bound = lc + max(abs(c) for c in a[:-1])  # Cauchy: |root| < bound / lc
     f1 = sum(a)
     fm1 = sum(c if i % 2 == 0 else -c for i, c in enumerate(a))
     p_divs = _int_divisors(a[0])
     for q in _int_divisors(lc):
-        qpow = [1] * (d + 1)
-        for i in range(1, d + 1):
-            qpow[i] = qpow[i - 1] * q
         for p in p_divs:
             if p * lc > bound * q:
                 break
@@ -365,10 +394,7 @@ def _integer_root(a: list[int]) -> tuple[int, int] | None:
                     continue
                 if fm1 and (q == -s or fm1 % (q + s)):
                     continue
-                acc = lc
-                for i in range(d - 1, -1, -1):
-                    acc = acc * s + a[i] * qpow[d - i]
-                if acc == 0:
+                if _zeval(a, s, q) == 0:
                     return s, q
     return None
 
@@ -376,38 +402,30 @@ def _integer_root(a: list[int]) -> tuple[int, int] | None:
 def rational_roots(p: UniPoly) -> list[Fraction]:
     """All rational roots of p with multiplicity, sorted ascending.
 
-    The search runs on the primitive integer coefficient list a.  By the
-    rational root theorem a root p/q in lowest terms has p | a[0] and
-    q | lc.  Each candidate is screened by (q - p) | a(1) and (q + p) |
-    a(-1), |p/q| is cut off at the Cauchy bound, and a(p/q) = 0 is tested
-    as an integer Horner sum.  Each root found is divided out exactly,
-    and the search restarts on the primitive quotient, whose a[0] and lc
-    divide those of a.
+    The search runs on the primitive numerator list a.  By the rational
+    root theorem a root p/q in lowest terms has p | a[0] and q | lc.
+    Each candidate is screened by (q - p) | a(1) and (q + p) | a(-1),
+    |p/q| is cut off at the Cauchy bound, and a(p/q) = 0 is tested as an
+    integer Horner sum.  Each root found is divided out exactly, and the
+    search restarts on the primitive quotient, whose a[0] and lc divide
+    those of a.
 
     Raises ValueError on the zero polynomial, which has all roots.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has all roots")
     roots: list[Fraction] = []
-    coeffs = list(p.coeffs)
-    while coeffs[0] == 0:
+    a = list(p.primitive().numerators)
+    while a[0] == 0:
         roots.append(_F0)
-        coeffs.pop(0)
-    a = [int(c) for c in UniPoly.from_coeffs(coeffs).primitive().coeffs]
+        a.pop(0)
     while len(a) > 1:
         root = _integer_root(a)
         if root is None:
             break
         s, q = root
         roots.append(Fraction(s, q))
-        # a = (q x - s) b: b[i-1] = (a[i] + s b[i]) / q, from the top down
-        b = [0] * (len(a) - 1)
-        acc = 0
-        for i in range(len(a) - 1, 0, -1):
-            acc = (a[i] + s * acc) // q
-            b[i - 1] = acc
-        g = gcd(*b)
-        a = [c // g for c in b]
+        a = _zprimitive(_zdiv(a, [-s, q]))
     return sorted(roots)
 
 
@@ -690,10 +708,10 @@ class MultiPoly:
         if extra:
             raise ValueError(f"unbound variable: {sorted(extra)[0]}")
         s = _SHIFTS[_VAR_INDEX[name]]
-        out = [_F0] * (self.degree(name) + 1)
+        out = [0] * (self.degree(name) + 1)
         for k, c in self._coeffs.items():
-            out[k >> s] = Fraction(c, self._den)
-        return UniPoly.from_coeffs(out)
+            out[k >> s] = c
+        return UniPoly(tuple(out), self._den)
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer and coprime; 0 for zero."""
@@ -715,9 +733,8 @@ class MultiPoly:
     def from_unipoly(u: UniPoly, name: str) -> "MultiPoly":
         _check_exponent(max(u.degree, 0))
         s = _SHIFTS[_VAR_INDEX[name]]
-        den = lcm(*(c.denominator for c in u.coeffs))
-        return MultiPoly({e << s: c.numerator * (den // c.denominator)
-                          for e, c in enumerate(u.coeffs) if c}, den)
+        return MultiPoly({e << s: c for e, c in enumerate(u.numerators) if c},
+                         u.denominator)
 
     def __str__(self) -> str:
         if not self._coeffs:

@@ -19,15 +19,17 @@ sign from some shift J1 on, the quotient magnitude is monotone toward
 |z| past J1, so max(|ratio(j)|, |z|) < 1 bounds every later quotient
 and a geometric bound encloses the tail.  The term is read as
 t_j = K C_j a(j)/b(j) with C_0 = 1 and C_{j+1}/C_j = p(j)/q(j), where
-p, q, a, b are integer polynomials taken from z, the parameters, and
-num and den with their denominators cleared.  The stop search carries
-C_j as an unreduced integer pair and decides the tail rule by integer
-cross-multiplication, after a bit-length screen for the necessary
-condition |t_j| <= tol.  The partial sum up to the stop index is then
-a binary-splitting product tree of integers P, Q, B, T (Haible and
-Papanikolaou, ANTS 1998), reduced once to a Fraction.  The partial
-sum, the tail bound, and the stop index are the exact rationals a
-running Fraction sum would give.
+p, q, a, b are integer polynomials: p/q is z prod (j + u) / prod (j + l)
+with no integer factor common to p and q, a and b are the integer
+numerators of num and den, and K is the quotient of their denominators.
+All four are evaluated by the integer Horner sum of exact_arith.  The
+stop search carries C_j as an unreduced integer pair and decides the
+tail rule by integer cross-multiplication, after a bit-length screen
+for the necessary condition |t_j| <= tol.  The partial sum up to the
+stop index is then a binary-splitting product tree of integers P, Q,
+B, T (Haible and Papanikolaou, ANTS 1998), reduced once to a Fraction.
+The partial sum, the tail bound, and the stop index are the exact
+rationals a running Fraction sum would give.
 
 direct_sum_eval is the low-precision brute-force oracle for the
 unaccelerated sums.  Terminating sums are exact and geometrically
@@ -41,11 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from typing import Optional
 
 from hyperaccel.accelerator import ChuSeries, _horner
-from hyperaccel.exact_arith import Scalar, UniPoly, decimal_text, rational_roots
+from hyperaccel.exact_arith import (Scalar, UniPoly, _common_ints, _zeval,
+                                    decimal_text, rational_roots)
 from hyperaccel.hypergeom_terms import HypTerm, k_shift_ratio
 
 _F0 = Fraction(0)
@@ -456,12 +459,11 @@ def _sign_stable(p: UniPoly, shift: int) -> bool:
     as stable."""
     if p.is_zero:
         return True
-    q = p.shift(shift)
-    c0 = q.coeff(0)
-    if c0 == 0:
+    cs = p.shift(shift).numerators
+    if cs[0] == 0:
         return False
-    pos = c0 > 0
-    return all((c > 0) == pos for c in q.coeffs if c)
+    pos = cs[0] > 0
+    return all((c > 0) == pos for c in cs if c)
 
 
 def _stability_point(num: UniPoly, den: UniPoly, cap: int) -> Optional[int]:
@@ -474,21 +476,6 @@ def _stability_point(num: UniPoly, den: UniPoly, cap: int) -> Optional[int]:
             return j1
         j1 *= 2
     return None
-
-
-def _cleared(*polys: UniPoly) -> tuple[int, list[list[int]]]:
-    """Common denominator m of the coefficients and the ascending integer
-    coefficients of m * p for each p, so ratios of the polys are kept."""
-    m = lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return m, [[c.numerator * (m // c.denominator) for c in p.coeffs]
-               for p in polys]
-
-
-def _ieval(cs: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
 
 
 def _split(pv: list[int], qv: list[int], av: list[int], bv: list[int],
@@ -529,20 +516,20 @@ def _geometric_sum(p: list[int], q: list[int], a: list[int], b: list[int],
     cn = cd = 1
     j = 0
     while j <= cap:
-        aj, bj = _ieval(a, j), _ieval(b, j)
+        aj, bj = _zeval(a, j), _zeval(b, j)
         # |t_j| <= tol is necessary for the stop; the bit lengths bound
         # cn aj tn below and cd bj td above, so this skip never moves J
         if j >= j1 and (not cn or not aj or cn.bit_length() + aj.bit_length()
                         <= cd.bit_length() + bj.bit_length() + slack):
             x, y = abs(cn * aj), abs(cd * bj)
-            nj, dj = abs(_ieval(rn, j)), abs(_ieval(rd, j))
+            nj, dj = abs(_zeval(rn, j)), abs(_zeval(rd, j))
             if nj * ld < ln * dj:
                 nj, dj = ln, ld
             if nj < dj and tn * x * dj <= td * y * (dj - nj):
                 bound = Fraction(kn * x * dj, kd * y * (dj - nj))
                 _, qt, bt, tt = _split(pv, qv, av, bv, 0, j)
                 return Fraction(k.numerator * tt, kd * bt * qt), bound, j
-        pj, qj = _ieval(p, j), _ieval(q, j)
+        pj, qj = _zeval(p, j), _zeval(q, j)
         pv.append(pj)
         qv.append(qj)
         av.append(aj)
@@ -582,30 +569,26 @@ def chu_eval_terms(s: ChuSeries, digits: int,
     if s.z == 0:
         t0 = s.term(0)
         return Enclosure.from_interval(t0, t0, pbits), 1
-    ratio = s.ratio()
-    num_j = ratio.num.as_unipoly("j")
-    den_j = ratio.den.as_unipoly("j")
-    if num_j.degree > den_j.degree:
-        # the tail rule never holds, but an upper parameter -m makes the
-        # series finite: every term past j = m is zero
+    num_j, den_j = s.ratio_parts()
+    found = None
+    if num_j.degree <= den_j.degree:
+        j1 = _stability_point(num_j, den_j, cap)
+        if j1 is not None:
+            lim = abs(num_j.lc / den_j.lc) if num_j.degree == den_j.degree else _F0
+            p, q = _common_ints([UniPoly.from_roots([-u for u in s.upper], s.z),
+                                 UniPoly.from_roots([-l for l in s.lower])])
+            rn, rd = _common_ints([num_j, den_j])
+            found = _geometric_sum(p, q, s.num.numerators, s.den.numerators,
+                                   Fraction(s.den.denominator, s.num.denominator),
+                                   rn, rd, lim, j1, cap, tol)
+    if found is None:
+        # no tail bound within the cap, but an upper parameter -m may make
+        # the series finite: every term past j = m is zero
         ms = [-int(u) for u in s.upper if u.denominator == 1 and u <= 0]
         if not ms or min(ms) + 1 > cap:
             raise ValueError("requested digits unreachable")
         total = sum(s.terms(min(ms) + 1))
         return Enclosure.from_interval(total, total, pbits), min(ms) + 1
-    j1 = _stability_point(num_j, den_j, cap)
-    if j1 is None:
-        raise ValueError("requested digits unreachable")
-    lim = abs(num_j.lc / den_j.lc) if num_j.degree == den_j.degree else _F0
-    _, (p, q) = _cleared(UniPoly.from_roots([-u for u in s.upper], s.z),
-                         UniPoly.from_roots([-l for l in s.lower]))
-    ma, (a,) = _cleared(s.num)
-    mb, (b,) = _cleared(s.den)
-    _, (rn, rd) = _cleared(num_j, den_j)
-    found = _geometric_sum(p, q, a, b, Fraction(mb, ma), rn, rd, lim,
-                           j1, cap, tol)
-    if found is None:
-        raise ValueError("requested digits unreachable")
     partial, bound, j = found
     return Enclosure.from_interval(partial - bound, partial + bound, pbits), j
 
@@ -620,10 +603,11 @@ def chu_eval(s: ChuSeries, digits: int,
     from J1 on (see the module docstring).  J is found by an integer
     stop search over the unreduced term numerators and denominators, and
     the exact partial sum over [0, J) comes from one binary-splitting
-    product tree reduced to a single Fraction.  A series whose term
-    quotient has the higher degree in its numerator never meets the tail
-    rule; it is still summed when an upper parameter -m makes it finite,
-    exactly over j <= m, with radius 0 and m + 1 terms.
+    product tree reduced to a single Fraction.  A series that meets no
+    tail rule within the cap (its term quotient has the higher degree in
+    its numerator, or no stability point or stop index lies within the
+    cap) is still summed when an upper parameter -m makes it finite and
+    m + 1 terms fit the cap: exactly over j <= m, with m + 1 terms.
 
     The term cap defaults to the smaller of 10 * digits and the largest
     cap within the summation work budget.  Raises when digits exceeds
@@ -695,7 +679,7 @@ def _oracle_geometric(num: UniPoly, den: UniPoly, lim: Fraction,
     j1 = _stability_point(num, den, cap)
     if j1 is None:
         raise ValueError("oracle unavailable")
-    _, (p, q) = _cleared(num, den)
+    p, q = _common_ints([num, den])
     found = _geometric_sum(p, q, [1], [1], _F1, p, q, lim, j1, cap, tol)
     if found is None:
         raise ValueError("oracle unavailable")

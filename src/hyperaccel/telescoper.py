@@ -40,8 +40,7 @@ from typing import Mapping, Optional, Sequence
 
 from hyperaccel.builtin_data import neg27_dataset, negq_dataset, quarter_dataset
 from hyperaccel.exact_arith import (MultiPoly, RatFunc, Scalar, UniPoly,
-                                    _primitive_ints, _zdiv, _zgcd, _zmul,
-                                    _zsub)
+                                    _common_ints, _zdiv, _zgcd, _zmul, _zsub)
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     HypTerm,
@@ -298,14 +297,10 @@ def _kn_poly(cs: list[list[int]]) -> MultiPoly:
 def _int_rows(cols: list[MultiPoly]) -> list[list[list[int]]]:
     """The coefficient rows in k of the columns, each cleared to a
     primitive integer row of polynomials in n."""
-    coeffs = [[c.as_unipoly("n").coeffs for c in col.coeffs_in("k")]
-              for col in cols]
-    rows = []
-    for m in range(max(len(cs) for cs in coeffs)):
-        row = [cs[m] if m < len(cs) else () for cs in coeffs]
-        flat = iter(_primitive_ints([c for e in row for c in e]))
-        rows.append([[next(flat) for _ in e] for e in row])
-    return rows
+    coeffs = [[c.as_unipoly("n") for c in col.coeffs_in("k")] for col in cols]
+    zero = UniPoly.zero()
+    return [_common_ints([cs[m] if m < len(cs) else zero for cs in coeffs])
+            for m in range(max(len(cs) for cs in coeffs))]
 
 
 def zeilberger_two_term(term: HypTerm, r: int, max_deg: int = 8,
@@ -370,8 +365,7 @@ def _assemble(vec: list[list[int]], deg: int, rstar: MultiPoly,
     rx = rstar * _kn_poly(vec[:deg + 1])
     # rx = s sum_m c_m(n) k^m with the c_m in Z[n], jointly primitive
     s = rx.content() or Fraction(1)
-    cs = [[int(v) for v in c.as_unipoly("n").coeffs]
-          for c in (rx * (1 / s)).coeffs_in("k")]
+    cs = _common_ints([c.as_unipoly("n") for c in rx.coeffs_in("k")])
     h = g
     for c in cs:
         if len(h) == 1:

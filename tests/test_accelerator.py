@@ -119,17 +119,17 @@ def test_direct_sum_divergence_is_an_error():
 
 def test_vanishing_check_passes_quarter_example():
     term, rec = _quarter_example()
-    assert vanishing_check(term, rec, F(1), m_max=200)
+    assert vanishing_check(term, rec, F(1))
 
 
 def test_vanishing_check_passes_neg_27_example():
     term, rec = _neg_27_example()
-    assert vanishing_check(term, rec, F(1), m_max=200)
+    assert vanishing_check(term, rec, F(1))
 
 
 def test_vanishing_check_rejects_fabricated_growth():
     term, _ = _quarter_example()
-    assert not vanishing_check(term, _fake_rec(F(2)), F(1), m_max=200)
+    assert not vanishing_check(term, _fake_rec(F(2)), F(1))
 
 
 # ---------------------------------------------------------------------------

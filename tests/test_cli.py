@@ -251,6 +251,16 @@ def test_eval_finite_series_with_more_upper_parameters(capsys, series, out):
     assert (code, got, err) == (0, out, "")
 
 
+def test_eval_terminating_series_below_its_stop_index(capsys, monkeypatch):
+    # the tail rule first holds at j = 4, but the series ends after 3 terms
+    # (upper parameter -2), so a cap of 3 sums it exactly: -40329/13475
+    monkeypatch.setenv("HYPERACCEL_MAX_TERMS", "3")
+    code, out, err = run(capsys, "eval", "--series",
+                         "z=-3/4 upper=[-2,1/3] lower=[5/2,7/4] num=[-3,3]"
+                         " den=[1,2]", "--digits", "12")
+    assert (code, out, err) == (0, "-2.99287569573284 ± 1e-14\n", "")
+
+
 def test_eval_near_unit_argument_exceeds_work_budget(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "eval", "--series",

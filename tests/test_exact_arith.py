@@ -1,8 +1,17 @@
-"""Exact-arithmetic core: fixed oracles plus algebraic property tests."""
+"""Exact-arithmetic core: fixed oracles plus algebraic property tests.
+
+UniPoly keeps integer numerators over one common denominator and runs on
+the Z[x] list primitives.  `_RefUni` below is the earlier representation,
+a tuple of Fraction coefficients with the schoolbook algorithms over Q,
+kept here only as a reference; every UniPoly operation is compared with
+it coefficient by coefficient on Hypothesis polynomials.
+"""
 
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,10 +19,12 @@ from hypothesis import strategies as st
 
 from hyperaccel.builtin_data import quarter_dataset
 from hyperaccel.exact_arith import (
+    VARS,
     MultiPoly,
     RatFunc,
     UniPoly,
     _zdiv,
+    _zeval,
     _zmul,
     _zsub,
     decimal_text,
@@ -25,6 +36,106 @@ F = Fraction
 
 def P(*coeffs):
     return UniPoly.from_coeffs(coeffs)
+
+
+@dataclass(frozen=True)
+class _RefUni:
+    """Reference: Fraction coefficients with no trailing zero."""
+
+    coeffs: tuple
+
+    @staticmethod
+    def of(cs):
+        """From a coefficient list or the coefficients of a UniPoly."""
+        cs = [F(c) for c in (cs.coeffs if isinstance(cs, UniPoly) else cs)]
+        while cs and not cs[-1]:
+            cs.pop()
+        return _RefUni(tuple(cs))
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    @property
+    def lc(self):
+        return self.coeffs[-1] if self.coeffs else F(0)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _RefUni.of(out)
+
+    def __neg__(self):
+        return _RefUni(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, _RefUni):
+            return _RefUni.of([c * other for c in self.coeffs])
+        out = [F(0)] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                out[i + j] += x * y
+        return _RefUni.of(out)
+
+    def __pow__(self, e):
+        out = _RefUni.of([1])
+        for _ in range(e):
+            out = out * self
+        return out
+
+    def eval(self, x):
+        acc = F(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def compose(self, a, b):
+        out, line = _RefUni(()), _RefUni.of([a, b])
+        for c in reversed(self.coeffs):
+            out = out * line + _RefUni.of([c])
+        return out
+
+    def derivative(self):
+        return _RefUni.of([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def divmod(self, other):
+        d = other.degree
+        rem = list(self.coeffs)
+        quo = [F(0)] * max(self.degree - d + 1, 0)
+        for k in reversed(range(len(quo))):
+            quo[k] = rem[k + d] / other.lc
+            for i, c in enumerate(other.coeffs):
+                rem[k + i] -= quo[k] * c
+        return _RefUni.of(quo), _RefUni.of(rem[:d])
+
+    def content(self):
+        if not self.coeffs:
+            return F(0)
+        return F(gcd(*(c.numerator for c in self.coeffs)),
+                 lcm(*(c.denominator for c in self.coeffs)))
+
+    def primitive(self):
+        if not self.coeffs:
+            return self
+        p = self * (1 / self.content())
+        return p if p.lc > 0 else -p
+
+    def monic(self):
+        return self * (1 / self.lc) if self.coeffs else self
+
+    def gcd(self, other):
+        """Euclid over Q with monic remainders."""
+        a, b = self, other
+        while b.coeffs:
+            a, b = b, a.divmod(b)[1].monic()
+        return a.monic()
 
 
 # -- UniPoly.shift ---------------------------------------------------------
@@ -179,12 +290,22 @@ def test_unipoly_ring_axioms(p, q, r):
 
 @settings(max_examples=60)
 @given(small_polys, small_polys)
+@example(P(1, 2, 1), P(1, 1))
 def test_unipoly_divmod_identity(p, q):
+    # the reference's division with remainder, and exact_div where the
+    # remainder is zero; a nonzero remainder makes exact_div refuse
     if q.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            p.exact_div(q)
         return
-    quo, rem = p.divmod(q)
-    assert quo * q + rem == p
+    quo, rem = _RefUni.of(p).divmod(_RefUni.of(q))
+    assert quo * _RefUni.of(q) + rem == _RefUni.of(p)
     assert rem.degree < q.degree
+    if rem.coeffs:
+        with pytest.raises(ValueError, match="non-exact polynomial division"):
+            p.exact_div(q)
+    else:
+        assert p.exact_div(q).coeffs == quo.coeffs
 
 
 # -- MultiPoly ----------------------------------------------------------------
@@ -309,19 +430,6 @@ gcd_factors = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4
                        max_size=4).map(UniPoly.from_coeffs)
 
 
-def _monic(p):
-    return p.scale(1 / p.lc) if p.coeffs else p
-
-
-def _reference_gcd(a, b):
-    """Euclid over Q with monic remainders (the algorithm before the
-    integer remainder sequence)."""
-    while not b.is_zero:
-        _, r = a.divmod(b)
-        a, b = b, _monic(r)
-    return _monic(a)
-
-
 @settings(max_examples=80, deadline=None)
 @given(gcd_factors, gcd_factors, gcd_factors)
 @example(P(1, 1), P(2, 1), P(F(1, 2), 3))
@@ -331,15 +439,17 @@ def test_unipoly_gcd_is_monic_common_divisor(a, b, c):
     # a c and b c share the factor c, which the gcd must contain
     ac, bc = a * c, b * c
     g = ac.gcd(bc)
-    assert g == _reference_gcd(ac, bc) == bc.gcd(ac)
+    assert g.coeffs == _RefUni.of(ac).gcd(_RefUni.of(bc)).coeffs
+    assert g == bc.gcd(ac)
     if ac.is_zero and bc.is_zero:
         assert g.is_zero
         return
     assert g.lc == 1
-    assert ac.divmod(g)[1].is_zero
-    assert bc.divmod(g)[1].is_zero
+    # exact_div raises unless g divides
+    assert ac.exact_div(g) * g == ac
+    assert bc.exact_div(g) * g == bc
     if not c.is_zero:
-        assert g.divmod(c)[1].is_zero
+        assert g.exact_div(c) * c == g
 
 
 _int_lists = st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=5).map(
@@ -349,13 +459,133 @@ _int_lists = st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=5).map(
 @settings(max_examples=80, deadline=None)
 @given(_int_lists, _int_lists, _int_lists)
 def test_integer_lists_match_unipoly(a, b, c):
-    up = UniPoly.from_coeffs
-    assert up(_zmul(a, b)) == up(a) * up(b)
-    assert up(_zsub(a, b)) == up(a) - up(b)
+    ref = _RefUni.of
+    assert ref(_zmul(a, b)) == ref(a) * ref(b)
+    assert ref(_zsub(a, b)) == ref(a) - ref(b)
     assert _zsub(a, a) == []
+    for x in (F(0), F(-3), F(2, 5), F(-7, 4)):
+        scale = x.denominator ** max(len(a) - 1, 0)
+        assert _zeval(a, x.numerator, x.denominator) == scale * ref(a).eval(x)
     if b:
         # an exact quotient in Z[x] comes back whole
         assert _zdiv(_zmul(_zsub(a, c), b), b) == _zsub(a, c)
+        quo, rem = ref(a).divmod(ref(b))
+        if rem.coeffs or any(q.denominator != 1 for q in quo.coeffs):
+            with pytest.raises(ValueError, match="non-exact"):
+                _zdiv(a, b)
+
+
+# -- UniPoly against the reference ---------------------------------------------
+
+_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=8)
+
+
+def _is_normal(p):
+    """Integer numerators, no trailing zero, positive denominator, jointly
+    in lowest terms."""
+    num, den = p.numerators, p.denominator
+    return (all(isinstance(c, int) for c in num) and den > 0
+            and (not num or (num[-1] != 0 and gcd(den, *num) == 1))
+            and (num or den == 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys, small_polys, _fracs, st.integers(0, 3))
+@example(P(), P(F(1, 2)), F(0), 0)
+def test_unipoly_ring_ops_match_reference(p, q, c, e):
+    rp, rq = _RefUni.of(p), _RefUni.of(q)
+    for got, want in ((p + q, rp + rq), (p - q, rp - rq), (-p, -rp),
+                      (p * q, rp * rq), (p.scale(c), rp * c), (p * c, rp * c),
+                      (p ** e, rp ** e)):
+        assert got.coeffs == want.coeffs
+        assert _is_normal(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys, _fracs | st.integers(-20, 20))
+@example(P(F(-1, 3), 0, F(5, 2)), 0)
+@example(P(F(-1, 3), 0, F(5, 2)), F(-7, 2))
+@example(P(), F(1, 2))
+def test_unipoly_eval_matches_reference(p, x):
+    got = p.eval(x)
+    assert type(got) is Fraction and got == _RefUni.of(p).eval(F(x))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys, _fracs, _fracs.filter(bool))
+@example(P(1, 2, 3), F(-1, 2), F(1))
+def test_unipoly_shift_compose_derivative_match_reference(p, a, b):
+    rp = _RefUni.of(p)
+    assert p.shift(a).coeffs == rp.compose(a, 1).coeffs
+    assert p.compose(a, b).coeffs == rp.compose(a, b).coeffs
+    assert p.derivative().coeffs == rp.derivative().coeffs
+    assert all(_is_normal(u) for u in (p.shift(a), p.compose(a, b), p.derivative()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys, small_polys.filter(lambda q: not q.is_zero), small_polys)
+@example(P(F(2, 3), 1), P(F(-1, 2), F(3, 4)), P(1))
+def test_unipoly_exact_div_of_planted_products(p, q, noise):
+    quo = (p * q).exact_div(q)
+    assert quo == p and _is_normal(quo)
+    rem = _RefUni.of(p * q + noise).divmod(_RefUni.of(q))[1]
+    if rem.coeffs:
+        with pytest.raises(ValueError, match="non-exact polynomial division"):
+            (p * q + noise).exact_div(q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys, small_polys)
+@example(P(F(-6, 5), F(9, 10)), P())
+def test_unipoly_content_primitive_gcd_match_reference(p, q):
+    rp, rq = _RefUni.of(p), _RefUni.of(q)
+    assert p.content() == rp.content()
+    assert p.primitive().coeffs == rp.primitive().coeffs
+    assert p.gcd(q).coeffs == rp.gcd(rq).coeffs
+    assert p.lc == rp.lc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_fracs | st.integers(-50, 50), max_size=6))
+@example([F(1, 2), F(0), 0])
+@example([0, 0])
+def test_unipoly_coeffs_round_trip(cs):
+    p = UniPoly.from_coeffs(cs)
+    assert p.coeffs == _RefUni.of(cs).coeffs
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert UniPoly.from_coeffs(p.coeffs) == p and _is_normal(p)
+    assert [p.coeff(i) for i in range(-1, len(cs) + 1)] == (
+        [F(0)] + [F(c) for c in cs] + [F(0)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_fracs, max_size=4), _fracs.filter(bool))
+@example([F(1, 2), F(1, 2), F(-3)], F(-4, 9))
+def test_unipoly_equal_by_two_routes_hash_equal(roots, lead):
+    # from_roots against the product of linear factors, and a round trip
+    # through a scale
+    by_roots = UniPoly.from_roots(roots, lead)
+    by_product = UniPoly.from_coeffs([lead])
+    for r in roots:
+        by_product = by_product * UniPoly.from_coeffs([-r, 1])
+    by_scale = by_roots.scale(F(3, 7)).scale(F(7, 3))
+    assert by_roots == by_product == by_scale
+    assert hash(by_roots) == hash(by_product) == hash(by_scale)
+    assert len({by_roots, by_product, by_scale}) == 1
+    want = _RefUni.of([lead])
+    for r in roots:
+        want = want * _RefUni.of([-r, 1])
+    assert by_roots.coeffs == want.coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys, st.sampled_from(["n", "k", "j"]))
+def test_unipoly_multipoly_round_trip(p, name):
+    m = MultiPoly.from_unipoly(p, name)
+    assert m.as_unipoly(name) == p
+    i = VARS.index(name)
+    assert m.as_dict() == {tuple(e if v == i else 0 for v in range(len(VARS))): c
+                           for e, c in enumerate(_RefUni.of(p).coeffs) if c}
 
 
 # -- decimal_text ----------------------------------------------------------------

@@ -365,8 +365,9 @@ def test_chu_eval_digits_per_term_rate_law():
 
 def _reference_eval_terms(s: ChuSeries, digits: int, max_terms=None):
     """The summation loop chu_eval_terms replaced: a running Fraction sum
-    with the same stability point, tail rule, term cap and finite-sum
-    rule for series the tail rule cannot bound."""
+    with the same stability point, tail rule and term cap, and the same
+    finite-sum fallback for series the tail rule cannot bound within the
+    cap."""
     if abs(s.z) >= 1:
         raise ValueError("divergent series: |z| >= 1")
     for l in s.lower:
@@ -387,44 +388,42 @@ def _reference_eval_terms(s: ChuSeries, digits: int, max_terms=None):
     ratio = s.ratio()
     num_j = ratio.num.as_unipoly("j")
     den_j = ratio.den.as_unipoly("j")
-    if num_j.degree > den_j.degree:
-        # finite through an upper parameter -m: the exact sum over j <= m
-        ms = [int(-u) for u in s.upper if u.denominator == 1 and u <= 0]
-        if not ms or min(ms) + 1 > cap:
-            raise ValueError("requested digits unreachable")
-        zpow, poch, total = F(1), F(1), F(0)
-        for j in range(min(ms) + 1):
-            total += zpow * poch * s.num.eval(j) / s.den.eval(j)
+    j1 = (_stability_point(num_j, den_j, cap)
+          if num_j.degree <= den_j.degree else None)
+    if j1 is not None:
+        lim = abs(num_j.lc / den_j.lc) if num_j.degree == den_j.degree else F(0)
+        zpow, poch, partial = F(1), F(1), F(0)
+        j = 0
+        while j <= cap:
+            t = zpow * poch * s.num.eval(j) / s.den.eval(j)
+            if j >= j1:
+                rbar = max(abs(num_j.eval(j) / den_j.eval(j)), lim)
+                if rbar < 1:
+                    bound = abs(t) / (1 - rbar)
+                    if bound <= tol:
+                        enc = Enclosure.from_interval(partial - bound,
+                                                      partial + bound, pbits)
+                        return enc, j
+            partial += t
             for u in s.upper:
                 poch *= u + j
             for l in s.lower:
                 poch /= l + j
             zpow *= s.z
-        return Enclosure.from_interval(total, total, pbits), min(ms) + 1
-    j1 = _stability_point(num_j, den_j, cap)
-    if j1 is None:
+            j += 1
+    # finite through an upper parameter -m: the exact sum over j <= m
+    ms = [int(-u) for u in s.upper if u.denominator == 1 and u <= 0]
+    if not ms or min(ms) + 1 > cap:
         raise ValueError("requested digits unreachable")
-    lim = abs(num_j.lc / den_j.lc) if num_j.degree == den_j.degree else F(0)
-    zpow, poch, partial = F(1), F(1), F(0)
-    j = 0
-    while j <= cap:
-        t = zpow * poch * s.num.eval(j) / s.den.eval(j)
-        if j >= j1:
-            rbar = max(abs(num_j.eval(j) / den_j.eval(j)), lim)
-            if rbar < 1:
-                bound = abs(t) / (1 - rbar)
-                if bound <= tol:
-                    enc = Enclosure.from_interval(partial - bound,
-                                                  partial + bound, pbits)
-                    return enc, j
-        partial += t
+    zpow, poch, total = F(1), F(1), F(0)
+    for j in range(min(ms) + 1):
+        total += zpow * poch * s.num.eval(j) / s.den.eval(j)
         for u in s.upper:
             poch *= u + j
         for l in s.lower:
             poch /= l + j
         zpow *= s.z
-        j += 1
-    raise ValueError("requested digits unreachable")
+    return Enclosure.from_interval(total, total, pbits), min(ms) + 1
 
 
 def _outcome(evaluate, s: ChuSeries, digits: int, max_terms=None):
@@ -507,13 +506,19 @@ def test_chu_eval_terminating_series_is_exact_sum():
 
 
 def test_chu_eval_term_cap_boundary_matches_reference():
-    cases = ((_rt1(), 50), (_n27_3(), 40), (entry("FR-2").chu, 30),
-             (_TERMINATING, 12))
+    cases = ((_rt1(), 50), (_n27_3(), 40), (entry("FR-2").chu, 30))
     for s, digits in cases:
         _, _, j = _same_as_reference(s, digits, 1000)
         assert _same_as_reference(s, digits, j)[2] == j
         short = _same_as_reference(s, digits, j - 1)
         assert short == "requested digits unreachable"
+    # below its stop index J = 4 the terminating series falls back to its
+    # exact 3-term sum, which a cap of 2 cannot hold
+    _, _, j = _same_as_reference(_TERMINATING, 12, 1000)
+    assert j == 4
+    lo, hi, terms = _same_as_reference(_TERMINATING, 12, 3)
+    assert terms == 3 and lo <= sum(_TERMINATING.terms(3)) == F(-40329, 13475) <= hi
+    assert _same_as_reference(_TERMINATING, 12, 2) == "requested digits unreachable"
 
 
 def test_chu_eval_digits_cap():
