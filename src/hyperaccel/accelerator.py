@@ -281,7 +281,8 @@ class ChuSeries:
     """Series sum_j z^j prod (u)_j / prod (l)_j * num(j)/den(j).
 
     terms(count) gives the first count terms by a running product;
-    term(j) is the last of terms(j + 1).  ratio() is the term quotient.
+    term(j) is the last of terms(j + 1).  ratio_parts() is the term
+    quotient as a numerator and denominator in j.
     """
 
     z: Fraction
@@ -324,12 +325,6 @@ class ChuSeries:
         den = (self.num * self.den.shift(1)
                * UniPoly.from_roots([-l for l in self.lower]))
         return num, den
-
-    def ratio(self) -> RatFunc:
-        """Term quotient term(j+1)/term(j) as a rational function of j."""
-        num, den = self.ratio_parts()
-        return RatFunc.new(MultiPoly.from_unipoly(num, "j"),
-                           MultiPoly.from_unipoly(den, "j"))
 
 
 def _rooted_split(p: UniPoly) -> tuple[list[Fraction], UniPoly]:

@@ -25,7 +25,7 @@ carrying into the next variable.  The `terms` view gives (exponent tuple,
 Fraction) pairs in ascending order.  `RatFunc` is a quotient of two
 MultiPolys with integer, jointly primitive parts and a positive leading
 denominator coefficient, reduced by integer gcd only (no multivariate gcd
-is attempted); equality is decided by cross-multiplication.
+is attempted), so two equal functions can have different parts.
 
 All arithmetic here is exact; nothing in this module rounds.
 """
@@ -139,10 +139,6 @@ def _zdiv(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def _zeval(a: Sequence[int], p: int, q: int = 1) -> int:
     """q^deg(a) a(p/q): the integer Horner sum, homogeneous in (p, q)."""
     acc = 0
-    if q == 1:
-        for c in reversed(a):
-            acc = acc * p + c
-        return acc
     qk = 1
     for c in reversed(a):
         acc = acc * p + c * qk
@@ -294,8 +290,6 @@ class UniPoly:
 
     def eval(self, x: Scalar) -> Fraction:
         """p(x) from one integer Horner sum at x = p/q."""
-        if isinstance(x, int):
-            return Fraction(_zeval(self.numerators, x), self.denominator)
         x = _frac(x)
         q = x.denominator
         return Fraction(_zeval(self.numerators, x.numerator, q),
@@ -556,9 +550,6 @@ class MultiPoly:
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def as_dict(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self._term_pairs())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -896,10 +887,6 @@ class RatFunc:
         if self.is_zero:
             raise ZeroDivisionError("reciprocal of zero rational function")
         return RatFunc.new(self.den, self.num)
-
-    def equals(self, other: "RatFunc") -> bool:
-        """Equality by cross-multiplication, independent of representation."""
-        return (self.num * other.den) == (other.num * self.den)
 
     def subst(self, point: Mapping[str, Scalar]) -> "RatFunc":
         return RatFunc.new(self.num.subst(point), self.den.subst(point))

@@ -23,6 +23,8 @@ from hyperaccel.exact_arith import MultiPoly, RatFunc, UniPoly
 from hyperaccel.hypergeom_terms import FamilyId, family_instantiate, n_shift_ratio
 from hyperaccel.telescoper import Recurrence, zeilberger_two_term
 
+from quotient_helpers import chu_ratio, same_function
+
 
 def _instance(family: FamilyId, params, r: int):
     term = family_instantiate(family, [F(p) for p in params])
@@ -332,7 +334,7 @@ def test_chu_round_trip_ratio_identity():
     term, rec = _neg_quarter_example()
     s = accelerated_stream(term, rec, F(2, 3), check_vanishing=False)
     series, _ = chu_normalize(s.ratio, s.term(0))
-    assert series.ratio().equals(s.ratio)
+    assert same_function(chu_ratio(series), s.ratio)
 
 
 def test_chu_rejects_unequal_degrees():
@@ -366,11 +368,11 @@ def test_chu_folds_integer_gap_parameters():
     # z^j (1/3)_j / (7/3)_j: gap 2 folds into den (j+1/3)(j+4/3) scaled primitive
     base = ChuSeries(z=F(1, 2), upper=(F(1, 3),), lower=(F(7, 3),),
                      num=UniPoly.one(), den=UniPoly.one())
-    series, _ = chu_normalize(base.ratio(), base.term(0))
+    series, _ = chu_normalize(chu_ratio(base), base.term(0))
     assert series.upper == ()
     assert series.lower == ()
     assert series.den == _upoly([1, 3]) * _upoly([4, 3])  # (3j+1)(3j+4)
-    assert series.ratio().equals(base.ratio())
+    assert same_function(chu_ratio(series), chu_ratio(base))
 
 
 def test_chu_den_has_no_nonnegative_integer_roots():
@@ -378,7 +380,23 @@ def test_chu_den_has_no_nonnegative_integer_roots():
     base = ChuSeries(z=F(1, 2), upper=(F(0),), lower=(F(2),),
                      num=UniPoly.one(), den=UniPoly.one())
     with pytest.raises(ValueError, match="non-Chu-normalizable"):
-        chu_normalize(base.ratio(), F(1))
+        chu_normalize(chu_ratio(base), F(1))
+
+
+def test_chu_closing_identity_check_rejects_wrong_series(monkeypatch):
+    # a series built from the quotient's own roots and rootless parts
+    # always satisfies the closing identity, so a wrong series quotient
+    # is planted to reach the check
+    base = ChuSeries(z=F(1, 2), upper=(F(1, 3),), lower=(F(5, 4),),
+                     num=_upoly([2, 1]), den=UniPoly.one())
+    ratio = chu_ratio(base)
+    series, _ = chu_normalize(ratio, F(1))
+    assert series.ratio_parts() == base.ratio_parts()
+    parts = ChuSeries.ratio_parts
+    monkeypatch.setattr(ChuSeries, "ratio_parts",
+                        lambda self: (parts(self)[0].scale(2), parts(self)[1]))
+    with pytest.raises(ValueError, match="non-Chu-normalizable"):
+        chu_normalize(ratio, F(1))
 
 
 def _per_j_product(s, j):

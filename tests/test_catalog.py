@@ -16,6 +16,8 @@ from hyperaccel.catalog import (CatalogEntry, catalog_entries, closed_text,
 from hyperaccel.exact_arith import UniPoly
 from hyperaccel.numerics import ClosedForm
 
+from quotient_helpers import chu_ratio, same_function
+
 ENTRIES = catalog_entries()
 BY_ID = {e.id: e for e in ENTRIES}
 
@@ -212,7 +214,7 @@ def test_stream_ratio_equals_display_ratio_for_all_j(derivation_recipes):
             continue
         stream = accelerated_stream(term, rec, e.derivation.n0,
                                     check_vanishing=False)
-        assert stream.ratio.equals(e.chu.ratio()), e.id
+        assert same_function(stream.ratio, chu_ratio(e.chu)), e.id
         checked += 1
     assert checked == 67
 

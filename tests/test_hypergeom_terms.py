@@ -17,6 +17,8 @@ from hyperaccel.hypergeom_terms import (
     n_shift_ratio,
 )
 
+from quotient_helpers import same_function
+
 F = Fraction
 A = MultiPoly.from_string
 
@@ -48,11 +50,11 @@ def test_instantiate_length_check():
 
 def test_quarter_ratios():
     t = family_term(FamilyId.QUARTER)
-    assert k_shift_ratio(t).equals(
+    assert same_function(k_shift_ratio(t),
         RatFunc.new(A("a + f + k") * A("b + e + k"),
                     A("n + d + k") * A("n + c + k"))
     )
-    assert n_shift_ratio(t, 1).equals(
+    assert same_function(n_shift_ratio(t, 1),
         RatFunc.new(A("n^2"), A("n + k + d") * A("n + k + c"))
     )
 
@@ -62,21 +64,21 @@ def test_neg_quarter_ratios():
     expect_k = RatFunc.new(
         -(A("a + c + k") * A("b + c + k")), A("a + n + k") * A("b + n + k")
     )
-    assert k_shift_ratio(t).equals(expect_k)
+    assert same_function(k_shift_ratio(t), expect_k)
     expect_n2 = RatFunc.new(
         A("a + n") * A("a + n + 1") * A("b + n") * A("b + n + 1"),
         A("a + n + k") * A("a + n + k + 1") * A("b + n + k") * A("b + n + k + 1"),
     )
-    assert n_shift_ratio(t, 2).equals(expect_n2)
+    assert same_function(n_shift_ratio(t, 2), expect_n2)
 
 
 def test_neg27_ratios():
     t = family_term(FamilyId.NEG_27)
-    assert k_shift_ratio(t).equals(
+    assert same_function(k_shift_ratio(t),
         RatFunc.new(A("a + k") * A("n + d + k"),
                     A("2n + c + k") * A("2n + b + k"))
     )
-    assert n_shift_ratio(t, 1).equals(
+    assert same_function(n_shift_ratio(t, 1),
         RatFunc.new(
             A("n + k + d") * A("2n") * A("2n") * A("2n + 1") * A("2n + 1"),
             A("n") * A("2n + k + c") * A("2n + k + c + 1")
@@ -87,10 +89,10 @@ def test_neg27_ratios():
 
 def test_binomial_family_ratios():
     t = family_term(FamilyId.SIXTEEN_27_A)
-    assert k_shift_ratio(t).equals(
+    assert same_function(k_shift_ratio(t),
         RatFunc.new(A("n") - A("k"), A("3n + a + b + k"))
     )
-    assert n_shift_ratio(t, 1).equals(
+    assert same_function(n_shift_ratio(t, 1),
         RatFunc.new(
             A("n + 1") * A("3n + b") * A("3n + b + 1") * A("3n + b + 2"),
             (A("n + 1") - A("k")) * A("3n + a + b + k")
@@ -104,13 +106,13 @@ def test_staircase_pochhammer_ratio():
     # contributes a cubic from the argument advancing by 3 against a
     # quadratic from the base advancing by 2
     t = family_term(FamilyId.TWENTY7_32)
-    assert k_shift_ratio(t).equals(
+    assert same_function(k_shift_ratio(t),
         RatFunc.new(
             (A("n") - A("k")) * A("2k + b") * A("2k + b + 1"),
             A("3k + a + b") * A("3k + a + b + 1") * A("3k + a + b + 2"),
         )
     )
-    assert n_shift_ratio(t, 1).equals(
+    assert same_function(n_shift_ratio(t, 1),
         RatFunc.new(A("n + 1"), A("n + 1") - A("k"))
     )
 
@@ -134,7 +136,7 @@ def test_non_hypergeometric_n_shift():
     with pytest.raises(ValueError, match="not hypergeometric in n"):
         n_shift_ratio(bad, 1)
     # an even shift clears the half-integer coefficient
-    assert n_shift_ratio(bad, 2).equals(RatFunc.new(A("1/2 n + k"), MultiPoly.one()))
+    assert same_function(n_shift_ratio(bad, 2), RatFunc.new(A("1/2 n + k"), MultiPoly.one()))
 
 
 def test_alternating_sign_in_k_ratio_only():

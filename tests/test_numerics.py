@@ -385,9 +385,7 @@ def _reference_eval_terms(s: ChuSeries, digits: int, max_terms=None):
     if s.z == 0:
         t0 = s.term(0)
         return Enclosure.from_interval(t0, t0, pbits), 1
-    ratio = s.ratio()
-    num_j = ratio.num.as_unipoly("j")
-    den_j = ratio.den.as_unipoly("j")
+    num_j, den_j = s.ratio_parts()
     j1 = (_stability_point(num_j, den_j, cap)
           if num_j.degree <= den_j.degree else None)
     if j1 is not None:
@@ -493,9 +491,7 @@ def test_chu_eval_matches_reference_on_random_series(s, digits):
 
 
 def test_chu_eval_stop_at_stability_point():
-    ratio = _FIRST_STOP.ratio()
-    j1 = _stability_point(ratio.num.as_unipoly("j"),
-                          ratio.den.as_unipoly("j"), 30)
+    j1 = _stability_point(*_FIRST_STOP.ratio_parts(), 30)
     assert _same_as_reference(_FIRST_STOP, 3)[2] == j1 == 1
 
 

@@ -36,7 +36,7 @@ _N_IDX = 6  # position of n in the exponent vectors
 def _coeff(p: MultiPoly, **powers: int) -> F:
     names = "abcdefnkj"
     key = tuple(powers.get(v, 0) for v in names)
-    return p.as_dict().get(key, F(0))
+    return dict(p.terms).get(key, F(0))
 
 
 # ---------------------------------------------------------------------------
