@@ -13,7 +13,8 @@ number built from the certificate, p1, p2, and the n-shift ratio of the
 summand evaluated along nu_j = n0 + r j.  The certificate and the ratio
 are reduced once to univariate polynomials in n at k = 0, so each term
 costs a few Horner evaluations.  AccelStream generates the terms lazily
-and carries the term quotient t_{j+1}/t_j as a rational function of j.
+and carries the term quotient t_{j+1}/t_j as a (numerator, denominator)
+pair of UniPolys in j.
 
 Unrolling is valid only when the remainder after m steps dies off.
 vanishing_check estimates that remainder in double precision: the
@@ -33,8 +34,10 @@ primitive integer linear factors.  Rising-factorial quotients whose
 parameters differ by an integer are folded into num and den, so the
 remaining upper and lower parameter lists share no integer gaps.  The
 parameters are read off the rational roots of the quotient's numerator
-and denominator (exact_arith.rational_roots).  ChuSeries.terms builds a
-window of terms with the rising factorials as one running product.
+and denominator (exact_arith.rational_roots).  The form depends only on
+the reduced quotient, so streams with equal forms are termwise
+proportional.  ChuSeries.terms builds a window of terms with the rising
+factorials as one running product.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from hyperaccel.exact_arith import MultiPoly, RatFunc, Scalar, UniPoly, rational_roots
+from hyperaccel.exact_arith import Scalar, UniPoly, index_roots, rational_roots
 from hyperaccel.hypergeom_terms import HypTerm, k_shift_ratio, n_shift_ratio
 from hyperaccel.telescoper import Recurrence
 
@@ -162,7 +165,7 @@ def iter_accelerated(term: HypTerm, rec: Recurrence, n0: Scalar) -> Iterator[Fra
     The certificate and the n-shift ratio enter only at k = 0, so their
     numerators and denominators are reduced once to polynomials in n and
     evaluated by Horner at each nu_j.  The parts are kept apart (not a
-    reduced RatFunc), so a zero of a denominator at nu_j is reported as
+    reduced quotient), so a zero of a denominator at nu_j is reported as
     a pole at term j.
     """
     p1, p2, cert_num, cert_den, rho_num, rho_den = _stream_parts(term, rec)
@@ -181,8 +184,10 @@ def iter_accelerated(term: HypTerm, rec: Recurrence, n0: Scalar) -> Iterator[Fra
         j += 1
 
 
-def stream_ratio(term: HypTerm, rec: Recurrence, n0: Scalar) -> RatFunc:
-    """Term quotient t_{j+1}/t_j of the accelerated stream, rational in j.
+def stream_ratio(term: HypTerm, rec: Recurrence,
+                 n0: Scalar) -> tuple[UniPoly, UniPoly]:
+    """Term quotient t_{j+1}/t_j of the accelerated stream as a numerator
+    and denominator in j, with no common factor divided out.
 
     With nu = n0 + r j it is -p1(nu) cert(nu + r, 0) rho(nu, 0) /
     (cert(nu, 0) p2(nu + r)), composed from the parts in n as UniPolys.
@@ -194,8 +199,7 @@ def stream_ratio(term: HypTerm, rec: Recurrence, n0: Scalar) -> RatFunc:
            * cd.compose(nu, r))
     den = (cd.compose(nu_next, r) * rd.compose(nu, r) * cn.compose(nu, r)
            * p2.compose(nu_next, r))
-    return RatFunc.new(-MultiPoly.from_unipoly(num, "j"),
-                       MultiPoly.from_unipoly(den, "j"))
+    return -num, den
 
 
 class AccelStream:
@@ -203,7 +207,7 @@ class AccelStream:
 
     source, rec, and n0 identify the stream; term(j) and take(count)
     yield exact rational terms from a growing cache; ratio is
-    t_{j+1}/t_j as a rational function of the index j.
+    t_{j+1}/t_j as stream_ratio's (numerator, denominator) pair in j.
     """
 
     def __init__(self, source: HypTerm, rec: Recurrence, n0: Scalar):
@@ -233,13 +237,9 @@ def accelerated_stream(term: HypTerm, rec: Recurrence, n0: Scalar,
     vanishing_check, else ValueError("remainder does not vanish").
     """
     p2 = rec.p2.as_unipoly("n")
-    if p2.is_zero:
-        raise ValueError("pole in accelerated stream at term 0")
-    if p2.degree > 0:
-        for root in rational_roots(p2):
-            q = (root - Fraction(n0)) / rec.r
-            if q.denominator == 1 and q >= 0:
-                raise ValueError(f"pole in accelerated stream at term {int(q)}")
+    poles = [0] if p2.is_zero else index_roots(p2, n0, rec.r)
+    if poles:
+        raise ValueError(f"pole in accelerated stream at term {poles[0]}")
     if check_vanishing and not vanishing_check(term, rec, n0):
         raise ValueError("remainder does not vanish")
     return AccelStream(term, rec, n0)
@@ -334,18 +334,17 @@ def _rooted_split(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
     return roots, rest
 
 
-def chu_normalize(ratio: RatFunc, t0: Fraction) -> tuple[ChuSeries, Fraction]:
-    """Bracket normal form of a stream from its term quotient and first term.
+def chu_normalize(ratio: tuple[UniPoly, UniPoly],
+                  t0: Fraction) -> tuple[ChuSeries, Fraction]:
+    """Bracket normal form of a stream from its term quotient, a
+    (numerator, denominator) pair in j, and its first term.
 
     Returns (series, scale) with scale * series.term(j) equal to the j-th
-    stream term for every j.  Raises ValueError("non-Chu-normalizable")
+    stream term for every j.  The series depends only on the quotient
+    reduced to lowest terms.  Raises ValueError("non-Chu-normalizable")
     when the quotient does not have the required shape.
     """
-    free = ratio.num.variables() | ratio.den.variables()
-    if not free <= {"j"}:
-        raise ValueError("non-Chu-normalizable")
-    n_in = n_u = ratio.num.as_unipoly("j")
-    d_in = d_u = ratio.den.as_unipoly("j")
+    n_u, d_u = n_in, d_in = ratio
     if n_u.is_zero or d_u.is_zero or n_u.degree != d_u.degree or t0 == 0:
         raise ValueError("non-Chu-normalizable")
     g = n_u.gcd(d_u)
@@ -360,28 +359,21 @@ def chu_normalize(ratio: RatFunc, t0: Fraction) -> tuple[ChuSeries, Fraction]:
     lowers = sorted(-rt for rt in d_roots)
     num = d_rest
     den = UniPoly.one()
-    # fold integer-gap parameter pairs into the polynomial parts
-    folded = True
-    while folded:
-        folded = False
-        for u in list(uppers):
-            mates = sorted(l for l in lowers if (u - l).denominator == 1)
-            if not mates:
-                continue
-            l = mates[0]
-            uppers.remove(u)
-            lowers.remove(l)
-            gap = int(u - l)
-            if gap > 0:
-                for i in range(gap):
-                    num = num * UniPoly.from_roots([-(l + i)])
-            else:
-                for i in range(-gap):
-                    if u + i <= 0 and (u + i).denominator == 1:
-                        raise ValueError("non-Chu-normalizable")
-                    den = den * UniPoly.from_roots([-(u + i)]).primitive()
-            folded = True
-            break
+    # fold integer-gap parameter pairs into the polynomial parts; a fold
+    # only removes lowers, so an upper without a mate never gains one
+    for u in list(uppers):
+        l = min((l for l in lowers if (u - l).denominator == 1), default=None)
+        if l is None:
+            continue
+        uppers.remove(u)
+        lowers.remove(l)
+        if u > l:
+            num = num * UniPoly.from_roots([-(l + i) for i in range(int(u - l))])
+        else:
+            shifts = [u + i for i in range(int(l - u))]
+            if any(x <= 0 and x.denominator == 1 for x in shifts):
+                raise ValueError("non-Chu-normalizable")
+            den = den * UniPoly.from_roots([-x for x in shifts]).primitive()
     num = num.primitive()
     if num.eval(0) == 0 or den.eval(0) == 0:
         raise ValueError("non-Chu-normalizable")

@@ -16,8 +16,8 @@ verify_series sums a display with certified enclosures and checks
 overlap against its constant's enclosure; derive_entry rebuilds the
 recurrence from the recipe (the stored general-parameter recurrence
 where one exists, creative telescoping otherwise), unrolls the
-accelerated stream, normalizes it to bracket form, and reports the
-exact termwise proportionality constant against the display.  rate
+accelerated stream, and reports the exact termwise proportionality
+constant against the display from their bracket normal forms.  rate
 stores the signed term ratio limit; it equals chu.z whenever a display
 is present.
 """
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .accelerator import (ChuSeries, accelerated_stream, chu_normalize,
-                          convergence_rate, stream_proportional)
+                          convergence_rate)
 from .exact_arith import MultiPoly, UniPoly
 from .hypergeom_terms import FamilyId, GammaFactor, HypTerm, family_instantiate
 from .numerics import (ClosedForm, Enclosure, chu_eval_terms, closedform_eval)
@@ -39,9 +39,6 @@ from .telescoper import builtin_recurrence, specialize, zeilberger_two_term
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-# Comparison window for termwise stream-against-display proportionality.
-PROPORTIONALITY_WINDOW = 100
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +87,7 @@ class VerifyReport:
 class DeriveReport:
     recurrence_found: bool
     rate: Optional[Fraction]
+    # c with stream term = c * display term for every j, else None
     proportional: Optional[Fraction]
 
 
@@ -955,8 +953,9 @@ def derive_entry(rid: str) -> DeriveReport:
     """Re-derive an entry's recurrence and compare against its display.
 
     proportional is the constant c with stream term = c * display term
-    over the comparison window, None when no display is stored or no
-    single constant works.
+    for every j, the quotient of the scales of their bracket normal forms
+    when the forms are equal; None when no display is stored or its
+    normal form differs or does not exist.
     """
     e = entry(rid)
     rec = derivation_recurrence(e)
@@ -966,13 +965,15 @@ def derive_entry(rid: str) -> DeriveReport:
     rate = convergence_rate(rec)
     stream = accelerated_stream(derivation_term(e), rec, e.derivation.n0,
                                 check_vanishing=False)
-    chu_normalize(stream.ratio, stream.term(0))
+    series, scale = chu_normalize(stream.ratio, stream.term(0))
     proportional = None
     if e.chu is not None:
-        window = PROPORTIONALITY_WINDOW
-        display = e.chu.terms(window + 1)
-        proportional = stream_proportional(stream.take(window + 1), display,
-                                           j_max=window)
+        try:
+            display, d_scale = chu_normalize(e.chu.ratio_parts(), e.chu.term(0))
+        except ValueError:
+            display = None
+        if display == series:
+            proportional = scale / d_scale
     return DeriveReport(recurrence_found=True, rate=rate,
                         proportional=proportional)
 

@@ -34,9 +34,11 @@ from .telescoper import (builtin_residual, derive_recurrence,
 
 _USAGE_ERROR = 2
 _FAILURE = 1
-# accelerate prints at most this many exact terms; a catalog stream
-# (sixty4-b, neg-27) takes 5-7 s and 50-60 MB of output at the maximum
+# accelerate prints at most this many exact terms with this many digits in
+# all; at 5000 terms the catalog recipe streams have 7.3e6 to 1.19e8 digits
+# (F427-7, printed in 31 s) except S64-R6 (1.75e8)
 _MAX_STREAM_TERMS = 5000
+_MAX_STREAM_DIGITS = 12 * 10 ** 7
 
 
 class UsageError(Exception):
@@ -177,6 +179,13 @@ def _cmd_accelerate(args) -> int:
         print(series_text(series))
         print(f"scale = {scale}")
     else:
+        bits = 0
+        for j in range(args.terms):
+            t = stream.term(j)
+            bits += t.numerator.bit_length() + t.denominator.bit_length()
+            if bits * 0.30103 > _MAX_STREAM_DIGITS:
+                raise UsageError(f"stream output above supported range:"
+                                 f" at most {_MAX_STREAM_DIGITS} digits")
         for j, t in enumerate(stream.take(args.terms)):
             _emit(args.format, [f"t[{j}]", "=", decimal_text(t)])
     return 0

@@ -423,6 +423,13 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
     return sorted(roots)
 
 
+def index_roots(p: UniPoly, start: Scalar = 0, step: Scalar = 1) -> list[int]:
+    """The j >= 0 with p(start + step j) = 0, ascending, each once; raises
+    ValueError on the zero polynomial, like rational_roots."""
+    found = {(rt - start) / step for rt in rational_roots(p)}
+    return sorted(int(j) for j in found if j >= 0 and j.denominator == 1)
+
+
 # ---------------------------------------------------------------------------
 # Sparse multivariate polynomials over VARS
 # ---------------------------------------------------------------------------

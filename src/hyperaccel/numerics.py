@@ -48,7 +48,7 @@ from typing import Optional
 
 from hyperaccel.accelerator import ChuSeries, _horner
 from hyperaccel.exact_arith import (Scalar, UniPoly, _common_ints, _zeval,
-                                    decimal_text, rational_roots)
+                                    decimal_text, index_roots)
 from hyperaccel.hypergeom_terms import HypTerm, k_shift_ratio
 
 _F0 = Fraction(0)
@@ -551,15 +551,9 @@ def chu_eval_terms(s: ChuSeries, digits: int,
     _check_digits(digits)
     if abs(s.z) >= 1:
         raise ValueError("divergent series: |z| >= 1")
-    for l in s.lower:
-        if l.denominator == 1 and l <= 0:
-            raise ValueError("pole of series term")
-    if s.den.is_zero:
+    if (any(l.denominator == 1 and l <= 0 for l in s.lower)
+            or s.den.is_zero or index_roots(s.den)):
         raise ValueError("pole of series term")
-    if s.den.degree >= 1:
-        for rt in rational_roots(s.den):
-            if rt >= 0 and rt.denominator == 1:
-                raise ValueError("pole of series term")
     cap = min(10 * digits, _budget_cap(digits)) if max_terms is None else max_terms
     if cap * (cap + digits) > _SUM_WORK_CAP:
         raise ValueError(f"summation work above supported range:"
@@ -638,19 +632,15 @@ def direct_sum_eval(term: HypTerm, n0: Scalar, target_digits: int) -> Enclosure:
     rho = k_shift_ratio(term).subst({"n": Fraction(n0)})
     num = rho.num.as_unipoly("k")
     den = rho.den.as_unipoly("k")
-    if den.degree >= 1:
-        for rt in rational_roots(den):
-            if rt >= 0 and rt.denominator == 1:
-                raise ValueError("oracle unavailable")
+    if index_roots(den):
+        raise ValueError("oracle unavailable")
     if num.is_zero:
         return Enclosure.exact(1)
-    roots = rational_roots(num) if num.degree >= 1 else []
-    stops = [rt for rt in roots if rt >= 0 and rt.denominator == 1]
+    stops = index_roots(num)
     tol = Fraction(1, 2 * 10 ** target_digits)
     if stops:
-        kstar = int(min(stops))
         total, t = _F0, _F1
-        for k in range(kstar + 1):
+        for k in range(stops[0] + 1):
             total += t
             t *= num.eval(k) / den.eval(k)
         return Enclosure.exact(total)

@@ -1,8 +1,7 @@
-"""Test-only views of term quotients: equality of rational functions by
-cross-multiplication, and a bracket series' quotient as a RatFunc in j."""
+"""Test-only equality of term quotients by cross-multiplication, for
+RatFuncs and for (numerator, denominator) pairs of UniPolys."""
 
-from hyperaccel.accelerator import ChuSeries
-from hyperaccel.exact_arith import MultiPoly, RatFunc
+from hyperaccel.exact_arith import RatFunc
 
 
 def same_function(a: RatFunc, b: RatFunc) -> bool:
@@ -11,8 +10,7 @@ def same_function(a: RatFunc, b: RatFunc) -> bool:
     return a.num * b.den == b.num * a.den
 
 
-def chu_ratio(series: ChuSeries) -> RatFunc:
-    """term(j+1)/term(j) of a bracket series as a rational function of j."""
-    num, den = series.ratio_parts()
-    return RatFunc.new(MultiPoly.from_unipoly(num, "j"),
-                       MultiPoly.from_unipoly(den, "j"))
+def same_quotient(a, b) -> bool:
+    """a == b for (numerator, denominator) pairs, which keep their common
+    factors."""
+    return a[0] * b[1] == b[0] * a[1]

@@ -19,10 +19,10 @@ import re
 import time
 from fractions import Fraction
 
-from hyperaccel.accelerator import accelerated_stream
-from hyperaccel.catalog import (PROPORTIONALITY_WINDOW, catalog_entries,
-                                derive_entry, entry, series_text,
-                                verify_entry, verify_series)
+from hyperaccel.accelerator import accelerated_stream, stream_proportional
+from hyperaccel.catalog import (catalog_entries, derivation_recurrence,
+                                derivation_term, derive_entry, entry,
+                                series_text, verify_entry, verify_series)
 from hyperaccel.exact_arith import MultiPoly, UniPoly
 from hyperaccel.hypergeom_terms import (FamilyId, alt_control_double_offset,
                                         alt_control_single_offset,
@@ -107,8 +107,9 @@ REPRESENTATIVES = (
 
 def test_04_streams_termwise_proportional_to_displays():
     """Each representative derived stream matches its display termwise
-    with one fixed rational constant over j = 0..100."""
-    assert PROPORTIONALITY_WINDOW == 100
+    with one fixed rational constant over j = 0..100, the constant
+    derive_entry reports."""
+    window = 100
     assert len(REPRESENTATIVES) >= 15
     section = re.compile(r"^(S2764|S1627|S64|F427|N27|NQ|Q|FR)")
     prefixes = {section.match(rid).group(1) for rid in REPRESENTATIVES}
@@ -120,6 +121,12 @@ def test_04_streams_termwise_proportional_to_displays():
         assert report.recurrence_found, rid
         assert report.rate == entry(rid).rate, rid
         assert report.proportional is not None, rid
+        e = entry(rid)
+        stream = accelerated_stream(derivation_term(e), derivation_recurrence(e),
+                                    e.derivation.n0, check_vanishing=False)
+        assert stream_proportional(stream.take(window + 1),
+                                   e.chu.terms(window + 1),
+                                   j_max=window) == report.proportional, rid
 
 
 def test_05_alternating_controls_admit_no_recurrence():

@@ -1,5 +1,6 @@
 """Catalog integrity: transcription invariants, verification, derivation."""
 
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperaccel.accelerator import ChuSeries, accelerated_stream, stream_proportional
+from hyperaccel import catalog
 from hyperaccel.catalog import (CatalogEntry, catalog_entries, closed_text,
                                 default_term_budget, derive_entry, entry,
                                 export_lines, parse_closed_text,
@@ -16,7 +18,7 @@ from hyperaccel.catalog import (CatalogEntry, catalog_entries, closed_text,
 from hyperaccel.exact_arith import UniPoly
 from hyperaccel.numerics import ClosedForm
 
-from quotient_helpers import chu_ratio, same_function
+from quotient_helpers import same_quotient
 
 ENTRIES = catalog_entries()
 BY_ID = {e.id: e for e in ENTRIES}
@@ -192,17 +194,48 @@ def test_eq19_eq20_not_termwise_proportional():
     assert stream_proportional(lhs, rhs, j_max=100) is None
 
 
-def test_all_derivations():
+# the termwise reference window, j = 0..WINDOW, for derive_entry's
+# normal-form decision
+WINDOW = 100
+
+
+def _window_constant(e, term, rec, display):
+    stream = accelerated_stream(term, rec, e.derivation.n0,
+                                check_vanishing=False)
+    return stream_proportional(stream.take(WINDOW + 1),
+                               display.terms(WINDOW + 1), j_max=WINDOW)
+
+
+def test_all_derivations(derivation_recipes):
     """Every recipe rebuilds: recurrence found, rate matches, and any
-    stored display is termwise proportional to the derived stream."""
-    for e in ENTRIES:
-        if e.derivation is None:
-            continue
+    stored display is termwise proportional to the derived stream, with
+    the constant the reference window gives."""
+    for e, term, rec in derivation_recipes:
         rep = derive_entry(e.id)
         assert rep.recurrence_found, e.id
         assert rep.rate == e.rate, e.id
         if e.chu is not None:
             assert rep.proportional is not None, e.id
+            assert rep.proportional == _window_constant(e, term, rec, e.chu), e.id
+
+
+@pytest.mark.parametrize("index, delta", [
+    (1, 1),    # num 17 + 43 j + 27 j^2: normalizes, to another form
+    (0, -17),  # num(0) = 0: the first term vanishes, no bracket form
+])
+def test_derive_reports_none_for_inequivalent_display(
+        monkeypatch, derivation_recipes, index, delta):
+    e, term, rec = next(r for r in derivation_recipes if r[0].id == "Q1")
+    coeffs = list(e.chu.num.coeffs)
+    coeffs[index] += delta
+    bad = dataclasses.replace(e, chu=dataclasses.replace(
+        e.chu, num=UniPoly.from_coeffs(coeffs)))
+    monkeypatch.setattr(catalog, "entry",
+                        lambda key: bad if key == "Q1" else entry(key))
+    rep = derive_entry("Q1")
+    assert rep.recurrence_found and rep.rate == e.rate
+    assert rep.proportional is None
+    assert _window_constant(e, term, rec, bad.chu) is None
 
 
 def test_stream_ratio_equals_display_ratio_for_all_j(derivation_recipes):
@@ -214,7 +247,7 @@ def test_stream_ratio_equals_display_ratio_for_all_j(derivation_recipes):
             continue
         stream = accelerated_stream(term, rec, e.derivation.n0,
                                     check_vanishing=False)
-        assert same_function(stream.ratio, chu_ratio(e.chu)), e.id
+        assert same_quotient(stream.ratio, e.chu.ratio_parts()), e.id
         checked += 1
     assert checked == 67
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from hyperaccel.accelerator import accelerated_stream
-from hyperaccel.cli import _MAX_STREAM_TERMS, main
+from hyperaccel.cli import _MAX_STREAM_DIGITS, _MAX_STREAM_TERMS, main
 from hyperaccel.hypergeom_terms import FamilyId, family_instantiate
 from hyperaccel.telescoper import derive_recurrence
 
@@ -176,6 +176,21 @@ def test_accelerate_prints_terms_beyond_int_str_limit(capsys):
     finally:
         sys.set_int_max_str_digits(old)
     assert lines[-1] == want
+
+
+def test_accelerate_output_above_digit_bound_is_usage_error(capsys):
+    # 2000 terms of this stream are 1.22e8 digits, which took over a
+    # minute to print; the bound trips near term 1980 before any term is
+    # printed, after about 2 s (Python 3.11, 2 vCPUs)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "accelerate", "--family", "quarter",
+                         "--params", "1/1009,1/1013,1,1/1019,1/1021,2/1031",
+                         "--n", "1", "--terms", "2000")
+    assert time.perf_counter() - start < 30
+    assert code == 2
+    assert out == ""
+    assert err == ("hyperaccel: stream output above supported range:"
+                   f" at most {_MAX_STREAM_DIGITS} digits\n")
 
 
 def test_accelerate_chu_output_parses_back(capsys):

@@ -28,6 +28,7 @@ from hyperaccel.exact_arith import (
     _zmul,
     _zsub,
     decimal_text,
+    index_roots,
     rational_roots,
 )
 
@@ -270,6 +271,18 @@ def test_rational_roots_fr1_degree_nine_denominator():
     expected = [F(-9, 4), F(-20, 9), F(-17, 9), F(-7, 4), F(-14, 9), F(-7, 6)]
     assert rational_roots(p) == sorted(expected)
     assert rational_roots(p.scale(F(-3, 5))) == sorted(expected)
+
+
+def test_index_roots_on_a_progression():
+    # roots -2, 1/2, 1, 3 (twice), 9 along 1 + 2j: the indices are 0, 1
+    # and 4, each once; -2 lies behind the start and 1/2 between steps
+    p = UniPoly.from_roots([-2, F(1, 2), 3, 3, 9, 1], lead=F(-5, 3))
+    assert index_roots(p, 1, 2) == [0, 1, 4]
+    assert index_roots(p) == [1, 3, 9]
+    assert index_roots(p, F(1, 2), F(1, 2)) == [0, 1, 5, 17]
+    assert index_roots(P(7)) == []
+    with pytest.raises(ValueError, match="zero polynomial has all roots"):
+        index_roots(UniPoly.zero())
 
 
 # -- UniPoly ring structure ---------------------------------------------------
