@@ -30,7 +30,6 @@ from hyperaccel.catalog import (
 from hyperaccel.exact_arith import (
     MultiPoly,
     Rational,
-    RatFunc,
     UniPoly,
     rational_roots,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "FamilyId",
     "HypTerm",
     "MultiPoly",
-    "RatFunc",
     "Rational",
     "Recurrence",
     "UniPoly",

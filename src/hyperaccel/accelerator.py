@@ -47,8 +47,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from hyperaccel.exact_arith import Scalar, UniPoly, index_roots, rational_roots
-from hyperaccel.hypergeom_terms import HypTerm, k_shift_ratio, n_shift_ratio
+from hyperaccel.exact_arith import (MultiPoly, Scalar, UniPoly, index_roots,
+                                    rational_roots)
+from hyperaccel.hypergeom_terms import (HypTerm, k_ratio_at, k_shift_ratio,
+                                        n_shift_ratio)
 from hyperaccel.telescoper import Recurrence
 
 _F0 = Fraction(0)
@@ -92,16 +94,15 @@ def _horner(coeffs: list[float], x: float) -> float:
     return acc
 
 
-def direct_sum_estimate(term: HypTerm, nu: Scalar) -> float:
-    """Double-precision direct sum of the original series at n = nu.
+def direct_sum_estimate(rho_k: tuple[MultiPoly, MultiPoly], nu: Scalar) -> float:
+    """Double-precision direct sum at n = nu of the series whose k-shift
+    ratio is rho_k (`k_shift_ratio` of the summand).
 
     Terms are normalized by the k = 0 term.  Raises when the terms fail
     to decay, which signals a series that is not summable at the
     shifted point.
     """
-    rho = k_shift_ratio(term).subst({"n": Fraction(nu)})
-    num = [float(c) for c in rho.num.as_unipoly("k").coeffs]
-    den = [float(c) for c in rho.den.as_unipoly("k").coeffs]
+    num, den = ([float(c) for c in part.coeffs] for part in k_ratio_at(rho_k, nu))
     t = 1.0
     total = 0.0
     for k in range(_ORACLE_TERMS):
@@ -129,6 +130,7 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
     """
     p1 = rec.p1.as_unipoly("n")
     p2 = rec.p2.as_unipoly("n")
+    rho_k = k_shift_ratio(term)
     nu = Fraction(n0)
     pre = 1.0
     vals = []
@@ -138,7 +140,7 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
             raise ValueError(f"pole in accelerated stream at term {m}")
         pre *= abs(float(-p1.eval(nu) / p2v))
         nu += rec.r
-        vals.append(pre * abs(direct_sum_estimate(term, nu)))
+        vals.append(pre * abs(direct_sum_estimate(rho_k, nu)))
     if not vals[-1] < _REMAINDER_TOL:
         return False
     last = vals[-10:]
@@ -153,14 +155,15 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
 def _stream_parts(term: HypTerm, rec: Recurrence) -> tuple[UniPoly, ...]:
     """p1, p2, and the numerators and denominators of the certificate and
     of the n-shift ratio at k = 0, as polynomials in n."""
-    rho_n = n_shift_ratio(term, rec.r)
     return tuple(part.subst({"k": 0}).as_unipoly("n")
-                 for part in (rec.p1, rec.p2, rec.cert.num, rec.cert.den,
-                              rho_n.num, rho_n.den))
+                 for part in (rec.p1, rec.p2, *rec.cert,
+                              *n_shift_ratio(term, rec.r)))
 
 
-def iter_accelerated(term: HypTerm, rec: Recurrence, n0: Scalar) -> Iterator[Fraction]:
-    """Exact accelerated terms t_j, normalized by F(n0, 0).
+def iter_accelerated(parts: Sequence[UniPoly], r: int,
+                     n0: Scalar) -> Iterator[Fraction]:
+    """Exact accelerated terms t_j, normalized by F(n0, 0), from the
+    `_stream_parts` of a summand and its recurrence with n-offset r.
 
     The certificate and the n-shift ratio enter only at k = 0, so their
     numerators and denominators are reduced once to polynomials in n and
@@ -168,7 +171,7 @@ def iter_accelerated(term: HypTerm, rec: Recurrence, n0: Scalar) -> Iterator[Fra
     reduced quotient), so a zero of a denominator at nu_j is reported as
     a pole at term j.
     """
-    p1, p2, cert_num, cert_den, rho_num, rho_den = _stream_parts(term, rec)
+    p1, p2, cert_num, cert_den, rho_num, rho_den = parts
     nu = Fraction(n0)
     pre = _F1
     j = 0
@@ -180,20 +183,20 @@ def iter_accelerated(term: HypTerm, rec: Recurrence, n0: Scalar) -> Iterator[Fra
             raise ValueError(f"pole in accelerated stream at term {j}")
         yield pre * (-cert_num.eval(nu) / cdv) / p2v
         pre *= (-p1.eval(nu) / p2v) * (rho_num.eval(nu) / rdv)
-        nu += rec.r
+        nu += r
         j += 1
 
 
-def stream_ratio(term: HypTerm, rec: Recurrence,
+def stream_ratio(parts: Sequence[UniPoly], r: int,
                  n0: Scalar) -> tuple[UniPoly, UniPoly]:
-    """Term quotient t_{j+1}/t_j of the accelerated stream as a numerator
-    and denominator in j, with no common factor divided out.
+    """Term quotient t_{j+1}/t_j of the accelerated stream from the
+    `_stream_parts` of a summand and its recurrence with n-offset r, as a
+    numerator and denominator in j, with no common factor divided out.
 
     With nu = n0 + r j it is -p1(nu) cert(nu + r, 0) rho(nu, 0) /
     (cert(nu, 0) p2(nu + r)), composed from the parts in n as UniPolys.
     """
-    p1, p2, cn, cd, rn, rd = _stream_parts(term, rec)
-    r = rec.r
+    p1, p2, cn, cd, rn, rd = parts
     nu, nu_next = Fraction(n0), Fraction(n0) + r
     num = (p1.compose(nu, r) * cn.compose(nu_next, r) * rn.compose(nu, r)
            * cd.compose(nu, r))
@@ -214,8 +217,9 @@ class AccelStream:
         self.source = source
         self.rec = rec
         self.n0 = Fraction(n0)
-        self.ratio = stream_ratio(source, rec, n0)
-        self._it = iter_accelerated(source, rec, n0)
+        parts = _stream_parts(source, rec)
+        self.ratio = stream_ratio(parts, rec.r, n0)
+        self._it = iter_accelerated(parts, rec.r, n0)
         self._cache: list[Fraction] = []
 
     def term(self, j: int) -> Fraction:

@@ -4,15 +4,15 @@ Representation: each dataset is a triple of verbatim coefficient strings
 (p1, p2, and the polynomial core of the telescoping certificate) in the
 mini monomial-sum syntax parsed by `MultiPoly.from_string`: signed integer
 monomials over the variables a-f, n, k with `^` powers and juxtaposition
-products.  Builder functions assemble the certificate rational functions
-from the cores.  Keeping the data as flat text means a transcription error
-breaks the exact zero-residual verification rather than hiding inside
-hand-converted coefficient tables.
+products.  Builder functions assemble each certificate, a (numerator,
+denominator) pair of MultiPolys, from its core.  Keeping the data as flat
+text means a transcription error breaks the exact zero-residual
+verification rather than hiding inside hand-converted coefficient tables.
 """
 
 from __future__ import annotations
 
-from hyperaccel.exact_arith import MultiPoly, RatFunc
+from hyperaccel.exact_arith import MultiPoly
 
 # Family with two rising numerator factors against a squared-base
 # denominator pair; recurrence steps n by 1.
@@ -238,26 +238,26 @@ def _mp(text: str) -> MultiPoly:
     return MultiPoly.from_string(text)
 
 
-def quarter_dataset() -> tuple[MultiPoly, MultiPoly, RatFunc]:
+def quarter_dataset() -> tuple[MultiPoly, MultiPoly, tuple[MultiPoly, MultiPoly]]:
     """(p1, p2, cert) for the squared-base family, n-step 1."""
     n = MultiPoly.var("n")
-    cert = RatFunc.new(-(n * n) * _mp(QUARTER_CERT_CORE), MultiPoly.one())
+    cert = (-(n * n) * _mp(QUARTER_CERT_CORE), MultiPoly.one())
     return _mp(QUARTER_P1), _mp(QUARTER_P2), cert
 
 
-def negq_dataset() -> tuple[MultiPoly, MultiPoly, RatFunc]:
+def negq_dataset() -> tuple[MultiPoly, MultiPoly, tuple[MultiPoly, MultiPoly]]:
     """(p1, p2, cert) for the alternating family, n-step 2."""
     A = MultiPoly.from_string
     pre = A("a + n") * A("1 + a + n") * A("b + n") * A("1 + b + n")
     den = A("a + k + n") * A("b + k + n")
-    cert = RatFunc.new(pre * _mp(NEGQ_CERT_CORE), den)
+    cert = (pre * _mp(NEGQ_CERT_CORE), den)
     return _mp(NEGQ_P1), _mp(NEGQ_P2), cert
 
 
-def neg27_dataset() -> tuple[MultiPoly, MultiPoly, RatFunc]:
+def neg27_dataset() -> tuple[MultiPoly, MultiPoly, tuple[MultiPoly, MultiPoly]]:
     """(p1, p2, cert) for the doubled-base family, n-step 1."""
     A = MultiPoly.from_string
     pre = A("4n") * A("1 + 2n") * A("1 + 2n")
     den = A("b + k + 2n") * A("c + k + 2n")
-    cert = RatFunc.new(pre * _mp(NEG27_CERT_CORE), den)
+    cert = (pre * _mp(NEG27_CERT_CORE), den)
     return _mp(NEG27_P1), _mp(NEG27_P2), cert

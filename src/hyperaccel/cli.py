@@ -141,7 +141,8 @@ def _cmd_derive(args) -> int:
     _emit(args.format, ["r", str(rec.r)])
     _emit(args.format, ["p1", _ascending_coeffs(rec.p1, "n")])
     _emit(args.format, ["p2", _ascending_coeffs(rec.p2, "n")])
-    _emit(args.format, ["cert", f"({rec.cert.num})/({rec.cert.den})"])
+    cert_num, cert_den = rec.cert
+    _emit(args.format, ["cert", f"({cert_num})/({cert_den})"])
     _emit(args.format, ["rate", str(convergence_rate(rec))])
     if args.n is not None:
         stream = accelerated_stream(term, rec, args.n)

@@ -1,4 +1,4 @@
-"""Exact polynomial and rational-function arithmetic over the rationals.
+"""Exact polynomial arithmetic over the rationals.
 
 Representation: scalars are `fractions.Fraction` (exported as `Rational`).
 Polynomials in Z[x] are plain integer coefficient lists, ascending with
@@ -22,10 +22,12 @@ of keys and one integer multiply of numerators.  An exponent must stay
 below 2^15.  The top bit of each field is a guard: a product that would
 reach 2^15 in some variable sets it and raises OverflowError instead of
 carrying into the next variable.  The `terms` view gives (exponent tuple,
-Fraction) pairs in ascending order.  `RatFunc` is a quotient of two
-MultiPolys with integer, jointly primitive parts and a positive leading
-denominator coefficient, reduced by integer gcd only (no multivariate gcd
-is attempted), so two equal functions can have different parts.
+Fraction) pairs in ascending order.  A rational function is a plain
+(numerator, denominator) pair of MultiPolys.  `_primitive_pair` gives
+it integer, jointly primitive parts and a positive leading denominator
+coefficient, by integer gcd only (no multivariate gcd is attempted), so
+two equal quotients can have different parts; it is applied only where
+the parts reach printed output or a float.
 
 All arithmetic here is exact; nothing in this module rounds.
 """
@@ -751,6 +753,25 @@ class MultiPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _primitive_pair(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """The quotient num/den as integer parts with no common integer factor
+    and a positive leading coefficient in den; (0, 1) for num = 0.  No
+    polynomial gcd is divided out, so equal quotients can have different
+    parts.  Raises ZeroDivisionError when den is zero."""
+    if den.is_zero:
+        raise ZeroDivisionError("quotient with zero denominator")
+    if num.is_zero:
+        return MultiPoly.zero(), MultiPoly.one()
+    # times num._den * den._den both parts are integer
+    a = {k: c * den._den for k, c in num._coeffs.items()}
+    b = {k: c * num._den for k, c in den._coeffs.items()}
+    g = gcd(*a.values(), *b.values())
+    if b[max(b)] < 0:
+        g = -g
+    return (MultiPoly({k: c // g for k, c in a.items()}),
+            MultiPoly({k: c // g for k, c in b.items()}))
+
+
 def _parse_multipoly(s: str) -> MultiPoly:
     """Parse a flat signed sum of monomials like '-3a^2bn + 1/2k - 7'."""
     text = s.replace("*", " ")
@@ -824,90 +845,3 @@ def _parse_multipoly(s: str) -> MultiPoly:
     if not seen_any:
         raise ValueError("empty polynomial text")
     return total
-
-
-# ---------------------------------------------------------------------------
-# Rational functions (content-reduced quotients of MultiPolys)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RatFunc:
-    """Quotient num/den of MultiPolys: integer parts with no common integer
-    factor and a positive leading coefficient in den; no polynomial gcd
-    is divided out."""
-
-    num: MultiPoly
-    den: MultiPoly
-
-    @staticmethod
-    def new(num: MultiPoly, den: MultiPoly) -> "RatFunc":
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            return RatFunc(MultiPoly.zero(), MultiPoly.one())
-        # clear both denominators, then divide by the joint integer
-        # content, signed so that den's leading coefficient is positive
-        m = num._den * den._den
-        num, den = num * m, den * m
-        g = gcd(gcd(*num._coeffs.values()), gcd(*den._coeffs.values()))
-        if den._coeffs[max(den._coeffs)] < 0:
-            g = -g
-        s = Fraction(1, g)
-        return RatFunc(num * s, den * s)
-
-    @staticmethod
-    def from_poly(p: MultiPoly) -> "RatFunc":
-        return RatFunc.new(p, MultiPoly.one())
-
-    @staticmethod
-    def const(c: Scalar) -> "RatFunc":
-        return RatFunc.from_poly(MultiPoly.const(c))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.new(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
-
-    def __mul__(self, other: "RatFunc | Scalar") -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        return RatFunc.new(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc.new(self.num * other.den, self.den * other.num)
-
-    def reciprocal(self) -> "RatFunc":
-        if self.is_zero:
-            raise ZeroDivisionError("reciprocal of zero rational function")
-        return RatFunc.new(self.den, self.num)
-
-    def subst(self, point: Mapping[str, Scalar]) -> "RatFunc":
-        return RatFunc.new(self.num.subst(point), self.den.subst(point))
-
-    def shift_var(self, name: str, s: Scalar) -> "RatFunc":
-        return RatFunc.new(self.num.shift_var(name, s), self.den.shift_var(name, s))
-
-    def eval(self, point: Mapping[str, Scalar]) -> Fraction:
-        d = self.den.eval(point)
-        if d == 0:
-            raise ZeroDivisionError("pole of rational function")
-        return self.num.eval(point) / d
-
-    def __str__(self) -> str:
-        if self.den == MultiPoly.one():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"

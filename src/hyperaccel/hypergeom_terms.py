@@ -9,7 +9,8 @@ turns into a finite product of affine polynomials and every term ratio is an
 exact rational function.
 
 `k_shift_ratio` gives F(n, k+1)/F(n, k) and `n_shift_ratio` gives
-F(n+r, k)/F(n, k); both are returned as `RatFunc` and are also available in
+F(n+r, k)/F(n, k); both are returned as a (numerator, denominator) pair of
+MultiPolys with integer, jointly primitive parts, and are also available in
 factored form for the recurrence solver.
 """
 
@@ -18,9 +19,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Mapping, Sequence
 
-from hyperaccel.exact_arith import MultiPoly, RatFunc, Rational, Scalar
+from hyperaccel.exact_arith import (MultiPoly, Rational, Scalar, UniPoly,
+                                    _primitive_pair)
 
 _ONE = MultiPoly.one()
 
@@ -122,26 +125,30 @@ def n_ratio_parts(term: HypTerm, r: int) -> tuple[Fraction, list[MultiPoly], lis
     return _ratio_parts(term, "n", r)
 
 
-def _parts_to_ratfunc(parts: tuple[Fraction, list[MultiPoly], list[MultiPoly]]) -> RatFunc:
+def _parts_to_pair(parts: tuple[Fraction, list[MultiPoly], list[MultiPoly]]
+                   ) -> tuple[MultiPoly, MultiPoly]:
     sign, num, den = parts
-    np, dp = MultiPoly.const(sign), _ONE
-    for p in num:
-        np = np * p
-    for p in den:
-        dp = dp * p
-    return RatFunc.new(np, dp)
+    return _primitive_pair(prod(num, start=MultiPoly.const(sign)),
+                           prod(den, start=_ONE))
 
 
-def k_shift_ratio(term: HypTerm) -> RatFunc:
-    """F(n, k+1)/F(n, k) as an exact rational function."""
-    return _parts_to_ratfunc(k_ratio_parts(term))
+def k_shift_ratio(term: HypTerm) -> tuple[MultiPoly, MultiPoly]:
+    """F(n, k+1)/F(n, k) as an exact (numerator, denominator) pair."""
+    return _parts_to_pair(k_ratio_parts(term))
 
 
-def n_shift_ratio(term: HypTerm, r: int) -> RatFunc:
-    """F(n+r, k)/F(n, k) as an exact rational function."""
+def n_shift_ratio(term: HypTerm, r: int) -> tuple[MultiPoly, MultiPoly]:
+    """F(n+r, k)/F(n, k) as an exact (numerator, denominator) pair."""
     if r < 1:
         raise ValueError("n-shift must be a positive integer")
-    return _parts_to_ratfunc(n_ratio_parts(term, r))
+    return _parts_to_pair(n_ratio_parts(term, r))
+
+
+def k_ratio_at(rho_k: tuple[MultiPoly, MultiPoly], n0: Scalar) -> tuple[UniPoly, UniPoly]:
+    """A k-shift ratio pair at n = n0, as UniPolys in k with integer,
+    jointly primitive parts, the coefficients the float summation sees."""
+    num, den = _primitive_pair(*(part.subst({"n": n0}) for part in rho_k))
+    return num.as_unipoly("k"), den.as_unipoly("k")
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from typing import Optional
 from hyperaccel.accelerator import ChuSeries, _horner
 from hyperaccel.exact_arith import (Scalar, UniPoly, _common_ints, _zeval,
                                     decimal_text, index_roots)
-from hyperaccel.hypergeom_terms import HypTerm, k_shift_ratio
+from hyperaccel.hypergeom_terms import HypTerm, k_ratio_at, k_shift_ratio
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -629,9 +629,7 @@ def direct_sum_eval(term: HypTerm, n0: Scalar, target_digits: int) -> Enclosure:
     """
     if target_digits > _ORACLE_DIGITS_CAP:
         raise ValueError("oracle unavailable")
-    rho = k_shift_ratio(term).subst({"n": Fraction(n0)})
-    num = rho.num.as_unipoly("k")
-    den = rho.den.as_unipoly("k")
+    num, den = k_ratio_at(k_shift_ratio(term), n0)
     if index_roots(den):
         raise ValueError("oracle unavailable")
     if num.is_zero:

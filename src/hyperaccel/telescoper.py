@@ -4,9 +4,10 @@ A recurrence couples a summand F(n, k) at two n-offsets,
 
     p1(n) F(n + r, k) + p2(n) F(n, k) = G(n, k + 1) - G(n, k),
 
-with G = cert * F for a rational certificate cert(n, k).  Verification
-substitutes the exact shift ratios of F and reduces the residual to a
-rational function, which must be identically zero.
+with G = cert * F for a rational certificate cert(n, k), a (numerator,
+denominator) pair of MultiPolys.  Verification substitutes the exact
+shift ratios of F, clears all denominators, and checks that the one
+cross-multiplied numerator polynomial is identically zero.
 
 Derivation runs the parameterized Gosper algorithm: with rho_k = Nk/Dk
 and rho_n = Nn/Dn the shift ratios of an instantiated summand, the
@@ -35,12 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Mapping, Optional, Sequence
 
 from hyperaccel.builtin_data import neg27_dataset, negq_dataset, quarter_dataset
-from hyperaccel.exact_arith import (MultiPoly, RatFunc, Scalar, UniPoly,
-                                    _common_ints, _zdiv, _zgcd, _zmul, _zsub)
+from hyperaccel.exact_arith import (MultiPoly, Scalar, UniPoly, _common_ints,
+                                    _primitive_pair, _zdiv, _zgcd, _zmul, _zsub)
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     HypTerm,
@@ -68,17 +69,24 @@ class Recurrence:
     r: int
     p1: MultiPoly
     p2: MultiPoly
-    cert: RatFunc
+    cert: tuple[MultiPoly, MultiPoly]
     family: Optional[FamilyId] = None
 
 
-def recurrence_residual(term: HypTerm, rec: Recurrence) -> RatFunc:
-    """Exact residual of the telescoped recurrence; zero iff it holds."""
-    rho_n = n_shift_ratio(term, rec.r)
-    rho_k = k_shift_ratio(term)
-    lhs = RatFunc.from_poly(rec.p1) * rho_n + RatFunc.from_poly(rec.p2)
-    rhs = rec.cert.shift_var("k", 1) * rho_k - rec.cert
-    return lhs - rhs
+def recurrence_residual(term: HypTerm, rec: Recurrence) -> MultiPoly:
+    """Numerator of the residual p1 rho_n + p2 - (cert(k+1) rho_k - cert)
+    over Dn Cd(k+1) Dk Cd, for rho_n = Nn/Dn, rho_k = Nk/Dk and cert =
+    Cn/Cd; zero iff the recurrence holds.  The denominator is never
+    built.  Raises ZeroDivisionError when a denominator is zero."""
+    nn, dn = n_shift_ratio(term, rec.r)
+    nk, dk = k_shift_ratio(term)
+    cn, cd = rec.cert
+    if cd.is_zero:
+        raise ZeroDivisionError("certificate with zero denominator")
+    cn1, cd1 = cn.shift_var("k", 1), cd.shift_var("k", 1)
+    cd1_dk = cd1 * dk
+    return ((rec.p1 * nn + rec.p2 * dn) * (cd1_dk * cd)
+            - (cn1 * nk * cd - cn * cd1_dk) * dn)
 
 
 def verify_recurrence(term: HypTerm, rec: Recurrence) -> bool:
@@ -112,8 +120,9 @@ def builtin_recurrence(family: FamilyId) -> Optional[Recurrence]:
                       family=family)
 
 
-def builtin_residual(family: FamilyId) -> RatFunc:
-    """Residual of the stored recurrence against the fully symbolic summand."""
+def builtin_residual(family: FamilyId) -> MultiPoly:
+    """Residual numerator of the stored recurrence against the fully
+    symbolic summand."""
     rec = builtin_recurrence(family)
     if rec is None:
         raise ValueError(f"no stored recurrence for family {family.value}")
@@ -121,9 +130,14 @@ def builtin_residual(family: FamilyId) -> RatFunc:
 
 
 def specialize(rec: Recurrence, params: Mapping[str, Scalar]) -> Recurrence:
-    """Substitute rational parameter values into a recurrence."""
+    """Substitute rational parameter values into a recurrence; raises
+    ZeroDivisionError when the certificate's denominator vanishes
+    identically there."""
+    cn, cd = (part.subst(params) for part in rec.cert)
+    if cd.is_zero:
+        raise ZeroDivisionError("certificate with zero denominator")
     return Recurrence(r=rec.r, p1=rec.p1.subst(params), p2=rec.p2.subst(params),
-                      cert=rec.cert.subst(params), family=rec.family)
+                      cert=(cn, cd), family=rec.family)
 
 
 def same_ratio(a: Recurrence, b: Recurrence) -> bool:
@@ -134,13 +148,6 @@ def same_ratio(a: Recurrence, b: Recurrence) -> bool:
 # ---------------------------------------------------------------------------
 # Factor-level Gosper-Petkovsek normal form
 # ---------------------------------------------------------------------------
-
-
-def _prod(factors: Sequence[MultiPoly]) -> MultiPoly:
-    out = _ONE
-    for f in factors:
-        out = out * f
-    return out
 
 
 def _root_form(f: MultiPoly) -> Optional[tuple[Fraction, MultiPoly]]:
@@ -315,11 +322,11 @@ def zeilberger_two_term(term: HypTerm, r: int, max_deg: int = 8,
     _, nn, dn = n_ratio_parts(term, r)
     p_f, c, q_f, r_f = _normal_form(sk, nk + dn,
                                     dk + [f.shift_var("k", 1) for f in dn])
-    p = _prod(p_f)
-    q = _prod(q_f) * c
-    rstar = _prod(r_f).shift_var("k", -1)
-    d_n = _prod(dn)
-    rhs1 = p * _prod(nn)
+    p = prod(p_f, start=_ONE)
+    q = prod(q_f, start=_ONE) * c
+    rstar = prod(r_f, start=_ONE).shift_var("k", -1)
+    d_n = prod(dn, start=_ONE)
+    rhs1 = p * prod(nn, start=_ONE)
     rhs2 = p * d_n
     bound = _degree_bound(q.coeffs_in("k"), rstar.coeffs_in("k"),
                           max(rhs1.degree("k"), rhs2.degree("k"))) + 1
@@ -373,8 +380,8 @@ def _assemble(vec: list[list[int]], deg: int, rstar: MultiPoly,
         h = _zgcd(h, c)
     return Recurrence(r=r, p1=_n_poly([c // ct for c in a]),
                       p2=_n_poly([c // ct for c in b]),
-                      cert=RatFunc.new(_kn_poly([_zdiv(c, h) for c in cs]) * (s / ct),
-                                       pd * _n_poly(_zdiv(g, h))),
+                      cert=_primitive_pair(_kn_poly([_zdiv(c, h) for c in cs]) * (s / ct),
+                                           pd * _n_poly(_zdiv(g, h))),
                       family=family)
 
 

@@ -2,10 +2,11 @@
 
 import math
 from fractions import Fraction as F
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
+from hyperaccel import accelerator
 from hyperaccel.accelerator import (
     AccelStream,
     ChuSeries,
@@ -13,17 +14,16 @@ from hyperaccel.accelerator import (
     chu_normalize,
     convergence_rate,
     direct_sum_estimate,
-    iter_accelerated,
     stream_proportional,
-    stream_ratio,
     vanishing_check,
 )
 from hyperaccel.catalog import catalog_entries
-from hyperaccel.exact_arith import MultiPoly, RatFunc, UniPoly
-from hyperaccel.hypergeom_terms import FamilyId, family_instantiate, n_shift_ratio
+from hyperaccel.exact_arith import MultiPoly, UniPoly
+from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate, k_shift_ratio,
+                                        n_shift_ratio)
 from hyperaccel.telescoper import Recurrence, zeilberger_two_term
 
-from quotient_helpers import same_quotient
+from quotient_helpers import quotient_eval, same_quotient
 
 
 def _instance(family: FamilyId, params, r: int):
@@ -45,9 +45,12 @@ def _neg_27_example():
     return _instance(FamilyId.NEG_27, ["1/2", "0", "-1/2", "0"], 1)
 
 
+_UNIT_CERT = (MultiPoly.one(), MultiPoly.one())
+
+
 def _fake_rec(g2: F, r: int = 1) -> Recurrence:
     return Recurrence(r=r, p1=MultiPoly.const(-g2), p2=MultiPoly.const(F(1)),
-                      cert=RatFunc.const(F(1)))
+                      cert=_UNIT_CERT)
 
 
 def _upoly(coeffs) -> UniPoly:
@@ -77,13 +80,13 @@ def test_rate_neg_27_family():
 def test_rate_zero_when_p1_degree_smaller():
     rec = Recurrence(r=1, p1=MultiPoly.const(F(3)),
                      p2=MultiPoly.affine(F(1), n=F(2)),
-                     cert=RatFunc.const(F(1)))
+                     cert=_UNIT_CERT)
     assert convergence_rate(rec) == 0
 
 
 def test_rate_divergent_when_p1_degree_larger():
     rec = Recurrence(r=1, p1=MultiPoly.affine(F(0), n=F(1)),
-                     p2=MultiPoly.const(F(1)), cert=RatFunc.const(F(1)))
+                     p2=MultiPoly.const(F(1)), cert=_UNIT_CERT)
     with pytest.raises(ValueError, match="divergent acceleration"):
         convergence_rate(rec)
 
@@ -95,14 +98,12 @@ def test_rate_divergent_when_p1_degree_larger():
 
 def test_direct_sum_matches_exact_partial_sum():
     term, _ = _quarter_example()
-    from hyperaccel.hypergeom_terms import k_shift_ratio
-
     rho = k_shift_ratio(term)
     total, t = F(0), F(1)
     for k in range(300):
         total += t
-        t *= rho.eval({"n": F(5), "k": k})
-    assert abs(direct_sum_estimate(term, F(5)) - float(total)) < 1e-9
+        t *= quotient_eval(rho, {"n": F(5), "k": k})
+    assert abs(direct_sum_estimate(rho, F(5)) - float(total)) < 1e-9
 
 
 def test_direct_sum_divergence_is_an_error():
@@ -116,7 +117,7 @@ def test_direct_sum_divergence_is_an_error():
         GammaFactor(MultiPoly.affine(F(1)), 1),
     ), sign_base=1)
     with pytest.raises(ValueError, match="diverges"):
-        direct_sum_estimate(grow, F(3))
+        direct_sum_estimate(k_shift_ratio(grow), F(3))
 
 
 def test_vanishing_check_passes_quarter_example():
@@ -134,6 +135,22 @@ def test_vanishing_check_rejects_fabricated_growth():
     assert not vanishing_check(term, _fake_rec(F(2)), F(1))
 
 
+def _count_calls(monkeypatch, name):
+    """Count the calls of an accelerator module function from here on."""
+    calls = []
+    fn = getattr(accelerator, name)
+    monkeypatch.setattr(accelerator, name,
+                        lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+def test_vanishing_check_builds_the_k_ratio_once(monkeypatch):
+    term, rec = _quarter_example()
+    calls = _count_calls(monkeypatch, "k_shift_ratio")
+    assert vanishing_check(term, rec, F(1))
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Exact stream generation
 # ---------------------------------------------------------------------------
@@ -141,8 +158,8 @@ def test_vanishing_check_rejects_fabricated_growth():
 
 def test_stream_first_term_is_g1_over_term0():
     term, rec = _quarter_example()
-    t0 = next(iter_accelerated(term, rec, F(1)))
-    cert0 = rec.cert.eval({"n": F(1), "k": 0})
+    t0 = AccelStream(term, rec, F(1)).term(0)
+    cert0 = quotient_eval(rec.cert, {"n": F(1), "k": 0})
     p2v = rec.p2.as_unipoly("n").eval(F(1))
     assert t0 == -cert0 / p2v
 
@@ -167,6 +184,16 @@ def test_dual_path_exactness_neg_quarter():
     for j in range(100):
         acc *= num.eval(j) / den.eval(j)
         assert acc == terms[j + 1]
+
+
+def test_stream_builds_its_parts_once(monkeypatch):
+    term, rec = _quarter_example()
+    calls = _count_calls(monkeypatch, "_stream_parts")
+    s = AccelStream(term, rec, F(1))
+    num, den = s.ratio
+    terms = s.take(3)
+    assert terms[1] == terms[0] * num.eval(0) / den.eval(0)
+    assert len(calls) == 1
 
 
 def test_stream_cache_is_stable():
@@ -195,10 +222,11 @@ def test_remainder_failure_blocks_stream():
 
 def test_stream_ratio_matches_consecutive_terms():
     term, rec = _neg_27_example()
-    num, den = stream_ratio(term, rec, F(1))
-    terms = list(zip(range(12), iter_accelerated(term, rec, F(1))))
-    for j, _ in terms[:-1]:
-        assert num.eval(j) / den.eval(j) == terms[j + 1][1] / terms[j][1]
+    s = AccelStream(term, rec, F(1))
+    num, den = s.ratio
+    terms = s.take(12)
+    for j in range(11):
+        assert num.eval(j) / den.eval(j) == terms[j + 1] / terms[j]
 
 
 def _reference_iter_accelerated(term, rec, n0):
@@ -214,14 +242,19 @@ def _reference_iter_accelerated(term, rec, n0):
         if p2v == 0:
             raise ValueError(f"pole in accelerated stream at term {j}")
         try:
-            cv = rec.cert.eval({"n": nu, "k": 0})
-            rv = rho_n.eval({"n": nu, "k": 0})
+            cv = quotient_eval(rec.cert, {"n": nu, "k": 0})
+            rv = quotient_eval(rho_n, {"n": nu, "k": 0})
         except ZeroDivisionError:
             raise ValueError(f"pole in accelerated stream at term {j}") from None
         yield pre * (-cv) / p2v
         pre *= (-p1.eval(nu) / p2v) * rv
         nu += rec.r
         j += 1
+
+
+def _stream_terms(term, rec, n0):
+    """AccelStream's terms as an unbounded iterator."""
+    return map(AccelStream(term, rec, n0).term, count())
 
 
 def _first_terms(stream, count):
@@ -237,7 +270,7 @@ def _first_terms(stream, count):
 def test_stream_terms_match_multipoly_evaluation(derivation_recipes):
     for e, term, rec in derivation_recipes:
         n0 = e.derivation.n0
-        assert (_first_terms(iter_accelerated(term, rec, n0), 30)
+        assert (_first_terms(_stream_terms(term, rec, n0), 30)
                 == _first_terms(_reference_iter_accelerated(term, rec, n0), 30)), e.id
 
 
@@ -247,9 +280,9 @@ def test_cert_denominator_pole_keeps_its_index(cert_num):
     # numerator vanishes identically at k = 0 (cert_num = k)
     term, rec = _quarter_example()
     n = MultiPoly.var("n")
-    cert = RatFunc.new(MultiPoly.from_string(cert_num), n - MultiPoly.const(4))
+    cert = (MultiPoly.from_string(cert_num), n - MultiPoly.const(4))
     poled = Recurrence(r=1, p1=rec.p1, p2=rec.p2, cert=cert)
-    got = _first_terms(iter_accelerated(term, poled, F(1)), 10)
+    got = _first_terms(_stream_terms(term, poled, F(1)), 10)
     assert got == _first_terms(_reference_iter_accelerated(term, poled, F(1)), 10)
     assert got[3:] == ["pole in accelerated stream at term 3"]
 

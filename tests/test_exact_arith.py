@@ -21,8 +21,8 @@ from hyperaccel.builtin_data import quarter_dataset
 from hyperaccel.exact_arith import (
     VARS,
     MultiPoly,
-    RatFunc,
     UniPoly,
+    _primitive_pair,
     _zdiv,
     _zeval,
     _zmul,
@@ -32,7 +32,7 @@ from hyperaccel.exact_arith import (
     rational_roots,
 )
 
-from quotient_helpers import same_function
+from quotient_helpers import quotient_eval, same_quotient
 
 F = Fraction
 
@@ -362,7 +362,7 @@ def test_theorem_style_evaluation_oracle():
     assert p2.subst(zeros).eval({"n": 1}) == 2
     # [PAPER] the certificate at the same point is -1: the core collapses
     # to 3n^2 - 2n = 1 and the -n^2 prefactor gives -1.
-    assert cert.eval({**zeros, "n": 1, "k": 0}) == -1
+    assert quotient_eval(cert, {**zeros, "n": 1, "k": 0}) == -1
 
 
 @settings(max_examples=40)
@@ -382,64 +382,17 @@ def test_multipoly_mul_matches_eval(t1, t2):
     assert (p * q).eval(point) == p.eval(point) * q.eval(point)
 
 
-# -- RatFunc ------------------------------------------------------------------
+# -- _primitive_pair -----------------------------------------------------------
 
 
-def test_ratfunc_content_reduction():
+def test_primitive_pair_content_reduction():
     n = MultiPoly.var("n")
-    rf = RatFunc.new(2 * (n * n), 4 * n)
-    half_n = RatFunc.new(n, MultiPoly.const(2))
-    assert same_function(rf, half_n)
-    # content-only: the shared factor n is not cancelled
-    assert rf.num == n * n
-    assert rf.den == 2 * n
-
-
-def test_ratfunc_eval_pole():
-    n = MultiPoly.var("n")
-    rf = RatFunc.new(MultiPoly.one(), n)
-    with pytest.raises(ZeroDivisionError, match="pole"):
-        rf.eval({"n": 0})
-
-
-def test_ratfunc_eval_unbound():
-    rf = RatFunc.new(MultiPoly.var("a"), MultiPoly.one())
-    with pytest.raises(ValueError, match="unbound variable"):
-        rf.eval({"n": 1})
-
-
-def test_ratfunc_zero_denominator_rejected():
-    with pytest.raises(ZeroDivisionError):
-        RatFunc.new(MultiPoly.one(), MultiPoly.zero())
-
-
-@settings(max_examples=40)
-@given(
-    st.fractions(min_value=-9, max_value=9, max_denominator=5),
-    st.fractions(min_value=-9, max_value=9, max_denominator=5),
-    st.fractions(min_value=-9, max_value=9, max_denominator=5),
-    st.fractions(min_value=-9, max_value=9, max_denominator=5),
-)
-def test_ratfunc_field_ops_match_eval(c1, c2, c3, c4):
-    n, k = MultiPoly.var("n"), MultiPoly.var("k")
-    r1 = RatFunc.new(n * c1 + MultiPoly.const(c2), n * n + MultiPoly.one())
-    r2 = RatFunc.new(k * c3 + MultiPoly.const(1), k * k + MultiPoly.const(c4 * c4) + MultiPoly.one())
-    point = {"n": F(3, 7), "k": F(-2, 5)}
-    s = (r1 + r2).eval(point)
-    p = (r1 * r2).eval(point)
-    assert s == r1.eval(point) + r2.eval(point)
-    assert p == r1.eval(point) * r2.eval(point)
-
-
-def test_ratfunc_equality_cross_multiplication():
-    # one function with different parts: RatFunc.new divides out no
-    # polynomial gcd, so tests compare quotients by cross-multiplication
-    n = MultiPoly.var("n")
-    a = RatFunc.new(n * n - MultiPoly.one(), n - MultiPoly.one())
-    b = RatFunc.new(n + MultiPoly.one(), MultiPoly.one())
-    assert a != b
-    assert same_function(a, b)
-    assert not same_function(a, RatFunc.new(n, MultiPoly.one()))
+    num, den = _primitive_pair(2 * (n * n), -4 * n)
+    assert same_quotient((num, den), (-n, MultiPoly.const(2)))
+    # content only: the shared factor n is not cancelled, and den's
+    # leading coefficient turns positive
+    assert num == -(n * n)
+    assert den == 2 * n
 
 
 # -- UniPoly.gcd and the integer coefficient lists it runs on -------------------

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperaccel.exact_arith import VARS, MultiPoly, RatFunc, UniPoly
+from hyperaccel.exact_arith import VARS, MultiPoly, UniPoly, _primitive_pair
 
 F = Fraction
 _NVARS = len(VARS)
@@ -274,14 +274,14 @@ def test_distributive_routes_are_equal_with_equal_hashes(d1, d2, d3):
 
 @settings(max_examples=150)
 @given(_dicts, _nonzero_dicts)
-def test_ratfunc_new_gives_integer_jointly_primitive_parts(dn, dd):
+def test_primitive_pair_gives_integer_jointly_primitive_parts(dn, dd):
     num, den = MultiPoly.from_dict(dn), MultiPoly.from_dict(dd)
-    rf = RatFunc.new(num, den)
-    coeffs = [c for part in (rf.num, rf.den) for _, c in part.terms]
+    pn, pd = _primitive_pair(num, den)
+    coeffs = [c for part in (pn, pd) for _, c in part.terms]
     assert all(c.denominator == 1 for c in coeffs)
     assert gcd(*(c.numerator for c in coeffs)) == 1
-    assert rf.den.lead_coeff() > 0
-    assert rf.num * den == num * rf.den
+    assert pd.lead_coeff() > 0
+    assert pn * den == num * pd
 
 
 # -- exponent packing -------------------------------------------------------------

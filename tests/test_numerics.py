@@ -11,7 +11,7 @@ from hyperaccel.accelerator import ChuSeries, accelerated_stream
 from hyperaccel.catalog import catalog_entries, default_term_budget, entry
 from hyperaccel.exact_arith import UniPoly, rational_roots
 from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate,
-                                        k_shift_ratio)
+                                        k_ratio_at, k_shift_ratio)
 from hyperaccel.numerics import (
     _SUM_WORK_CAP,
     BigFloat,
@@ -33,6 +33,8 @@ from hyperaccel.numerics import (
     direct_sum_eval,
 )
 from hyperaccel.telescoper import derive_recurrence
+
+from quotient_helpers import quotient_eval
 
 F = Fraction
 
@@ -549,12 +551,11 @@ def test_oracle_terminating_binomial_sum():
     # [TRIVIAL] independent exact replay of the finite sum
     term = family_instantiate(FamilyId.SIXTEEN_27_A, [F(-1), F(1, 2)])
     enc = direct_sum_eval(term, 4, 6)
-    from hyperaccel.hypergeom_terms import k_shift_ratio
-    rho = k_shift_ratio(term).subst({"n": F(4)})
+    rho = k_shift_ratio(term)
     total, t = F(0), F(1)
     for k in range(8):
         total += t
-        t *= rho.eval({"k": F(k)})
+        t *= quotient_eval(rho, {"n": F(4), "k": F(k)})
     assert enc.contains_value(total)
     assert enc.radius.to_fraction() <= F(1, 10 ** 18)
 
@@ -602,8 +603,7 @@ def _reference_oracle_geometric(num, den, lim, tol):
 def test_oracle_geometric_matches_reference(n0):
     # FR-2's recipe; its unaccelerated term quotient tends to -4/27 or 4/27
     term = family_instantiate(FamilyId.TWENTY7_32, [F(1), F(1, 2)])
-    rho = k_shift_ratio(term).subst({"n": n0})
-    num, den = rho.num.as_unipoly("k"), rho.den.as_unipoly("k")
+    num, den = k_ratio_at(k_shift_ratio(term), n0)
     lim = abs(num.lc / den.lc)
     assert num.degree == den.degree and lim < 1
     for digits in (1, 4, 6):

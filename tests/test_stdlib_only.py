@@ -1,8 +1,11 @@
-"""The package imports nothing outside the Python standard library."""
+"""The package imports nothing outside the Python standard library, and
+its export list names only what it defines."""
 
 import ast
 import pathlib
 import sys
+
+import hyperaccel
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hyperaccel"
 
@@ -26,3 +29,10 @@ def test_every_import_is_hyperaccel_or_stdlib():
             top = name.split(".")[0]
             assert top == "hyperaccel" or top in sys.stdlib_module_names, (
                 f"{path.name} imports {name}")
+
+
+def test_every_exported_name_resolves():
+    # an export left behind by an API removal fails here, not at import *
+    missing = [name for name in hyperaccel.__all__
+               if not hasattr(hyperaccel, name)]
+    assert not missing

@@ -2,6 +2,8 @@
 
 import json
 import os
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +18,8 @@ from hyperaccel.hypergeom_terms import (
     alt_control_single_offset,
     family_instantiate,
     family_term,
+    k_shift_ratio,
+    n_shift_ratio,
 )
 from hyperaccel.telescoper import (
     _normal_form,
@@ -29,6 +33,8 @@ from hyperaccel.telescoper import (
     verify_recurrence,
     zeilberger_two_term,
 )
+
+from quotient_helpers import quotient_eval
 
 _N_IDX = 6  # position of n in the exponent vectors
 
@@ -169,6 +175,67 @@ def test_derived_normalization_conventions():
 
 
 # ---------------------------------------------------------------------------
+# The residual numerator against exact evaluation
+# ---------------------------------------------------------------------------
+
+
+def _residual_at(term, rec, point):
+    """p1 rho_n + p2 - (cert(k+1) rho_k - cert) at a rational point, in
+    Fractions; None at a pole of any quotient."""
+    k1 = {**point, "k": point["k"] + 1}
+    try:
+        rho_n = quotient_eval(n_shift_ratio(term, rec.r), point)
+        rho_k = quotient_eval(k_shift_ratio(term), point)
+        cert, cert_k1 = quotient_eval(rec.cert, point), quotient_eval(rec.cert, k1)
+    except ZeroDivisionError:
+        return None
+    return rec.p1.eval(point) * rho_n + rec.p2.eval(point) - (cert_k1 * rho_k - cert)
+
+
+def test_residual_verdict_matches_exact_evaluation(derivation_recipes):
+    """On the 39 solver recurrences and one seeded single-coefficient
+    corruption of p1 or p2 for each, the residual numerator is zero
+    exactly when the identity evaluates to zero at random rational (n, k)."""
+    rng = random.Random(2024)
+    solved = [(term, rec) for e, term, rec in derivation_recipes
+              if builtin_recurrence(e.derivation.family) is None]
+    assert len(solved) == 39
+    cases = []
+    for term, rec in solved:
+        cases.append((term, rec, True))
+        part = rng.choice(("p1", "p2"))
+        mono, _ = rng.choice(getattr(rec, part).terms)
+        delta = MultiPoly.from_dict({mono: F(rng.choice([1, -1, 2]))})
+        bad = replace(rec, **{part: getattr(rec, part) + delta})
+        cases.append((term, bad, False))
+    for term, rec, holds in cases:
+        values = []
+        while len(values) < 3:
+            point = {v: F(rng.randint(-60, 60), rng.randint(1, 40)) for v in "nk"}
+            value = _residual_at(term, rec, point)
+            if value is not None:
+                values.append(value)
+        assert recurrence_residual(term, rec).is_zero is holds
+        assert all(v == 0 for v in values) is holds
+
+
+def test_zero_certificate_denominator_raises():
+    params = (F(1, 3), F(1, 3), F(1), F(1, 3), F(1, 3), F(2, 3))
+    term = family_instantiate(FamilyId.QUARTER, params)
+    rec = zeilberger_two_term(term, 1)
+    with pytest.raises(ZeroDivisionError):
+        recurrence_residual(term, replace(rec, cert=(rec.cert[0], MultiPoly.zero())))
+
+
+def test_specialize_rejects_vanishing_certificate_denominator():
+    base = builtin_recurrence(FamilyId.QUARTER)
+    rec = replace(base, cert=(base.cert[0], MultiPoly.from_string("a - 1")))
+    assert specialize(rec, {"a": 2}).cert[1] == MultiPoly.one()
+    with pytest.raises(ZeroDivisionError):
+        specialize(rec, {"a": 1})
+
+
+# ---------------------------------------------------------------------------
 # Solver outputs pinned text for text
 # ---------------------------------------------------------------------------
 
@@ -205,8 +272,9 @@ def test_solver_outputs_match_pinned_text():
             assert rec is None, pin
             continue
         assert rec is not None and rec.r == pin["r"], pin
+        cert_num, cert_den = rec.cert
         got = {"p1": str(rec.p1), "p2": str(rec.p2),
-               "cert_num": str(rec.cert.num), "cert_den": str(rec.cert.den)}
+               "cert_num": str(cert_num), "cert_den": str(cert_den)}
         assert got == want, pin.get("recipe", pin.get("control"))
 
 
