@@ -22,14 +22,12 @@ t_j = K C_j a(j)/b(j) with C_0 = 1 and C_{j+1}/C_j = p(j)/q(j), where
 p, q, a, b are integer polynomials: p/q is z prod (j + u) / prod (j + l)
 with no integer factor common to p and q, a and b are the integer
 numerators of num and den, and K is the quotient of their denominators.
-All four are evaluated by the integer Horner sum of exact_arith.  The
-stop search carries C_j as an unreduced integer pair and decides the
-tail rule by integer cross-multiplication, after a bit-length screen
-for the necessary condition |t_j| <= tol.  The partial sum up to the
-stop index is then a binary-splitting product tree of integers P, Q,
-B, T (Haible and Papanikolaou, ANTS 1998), reduced once to a Fraction.
-The partial sum, the tail bound, and the stop index are the exact
-rationals a running Fraction sum would give.
+The tail rule is monotone in j (see _GeometricSum), so the stop index
+is predicted in floats and decided exactly on a binary-splitting
+product tree of integers P, Q, B, T (Haible and Papanikolaou, ANTS
+1998), whose partial sum T/(B Q) and tail bound are rounded to the
+dyadic endpoints from integers, with no gcd taken.  They and the stop
+index are the exact rationals a running Fraction sum would give.
 
 direct_sum_eval is the low-precision brute-force oracle for the
 unaccelerated sums.  Terminating sums are exact and geometrically
@@ -41,9 +39,12 @@ at six digits.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import accumulate, islice, repeat
+from math import isqrt, log
+from operator import lt, sub
 from typing import Optional
 
 from hyperaccel.accelerator import ChuSeries, _horner
@@ -57,9 +58,9 @@ _F1 = Fraction(1)
 _MIN_PRECISION = 64
 _DIGITS_CAP = 10000
 _GUARD_DIGITS = 10
-# bound on cap * (cap + digits) for a series sum: the stop search's
-# unreduced term pair grows with every term, so its cost grows with
-# the square of the term cap, and the product tree's with cap * digits
+# bound on cap * (cap + digits) for a series sum; the stop search and the
+# product tree cost about cap * digits, so the cap * cap part is only a
+# margin, kept until the budget is restated from measurements
 _SUM_WORK_CAP = 2 * 10 ** 9
 _ORACLE_DIGITS_CAP = 6
 _ORACLE_TERM_CAP = 300000
@@ -114,30 +115,28 @@ class BigFloat:
     def from_fraction(x: Scalar, precision: int = _MIN_PRECISION,
                       mode: str = "nearest") -> "BigFloat":
         """Round x to precision bits; mode is nearest, floor, or ceil."""
-        x = Fraction(x)
+        return BigFloat.from_ratio(*Fraction(x).as_integer_ratio(), precision, mode)
+
+    @staticmethod
+    def from_ratio(n: int, d: int, precision: int = _MIN_PRECISION,
+                   mode: str = "nearest") -> "BigFloat":
+        """Round n/d to precision bits for d > 0, as from_fraction rounds
+        the same value; n and d need have no common factor divided out."""
         precision = max(_MIN_PRECISION, precision)
-        if x == 0:
+        if n == 0:
             return BigFloat(0, 0, precision)
-        ax = abs(x)
-        e = ax.numerator.bit_length() - ax.denominator.bit_length()
-        two_e = Fraction(2) ** e
-        while two_e > ax:
+        # the bit lengths give e or e + 1 for 2^e <= |n/d| < 2^(e+1)
+        e = abs(n).bit_length() - d.bit_length()
+        if abs(n) << max(-e, 0) < d << max(e, 0):
             e -= 1
-            two_e /= 2
-        while 2 * two_e <= ax:
-            e += 1
-            two_e *= 2
         shift = precision - 1 - e
-        scaled = x * Fraction(2) ** shift
-        q, rem = divmod(scaled.numerator, scaled.denominator)
-        if mode == "floor":
-            m = q
-        elif mode == "ceil":
-            m = q + (1 if rem else 0)
-        else:
-            m = q + (1 if 2 * rem > scaled.denominator
-                     or (2 * rem == scaled.denominator and q % 2) else 0)
-        return BigFloat(m, -shift, precision)
+        d <<= max(-shift, 0)
+        q, rem = divmod(n << max(shift, 0), d)
+        if mode == "ceil":
+            q += 1 if rem else 0
+        elif mode != "floor" and (2 * rem > d or (2 * rem == d and q % 2)):
+            q += 1
+        return BigFloat(q, -shift, precision)
 
     def to_fraction(self) -> Fraction:
         return Fraction(self.mantissa) * Fraction(2) ** self.exponent
@@ -157,20 +156,27 @@ class Enclosure:
     @staticmethod
     def from_interval(lo: Scalar, hi: Scalar,
                       precision: int = _MIN_PRECISION) -> "Enclosure":
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi < lo:
+        (a, b), (c, d) = Fraction(lo).as_integer_ratio(), Fraction(hi).as_integer_ratio()
+        return Enclosure.from_ratio(a * d + c * b, c * b - a * d, 2 * b * d, precision)
+
+    @staticmethod
+    def from_ratio(mid: int, half: int, d: int,
+                   precision: int = _MIN_PRECISION) -> "Enclosure":
+        """[(mid - half)/d, (mid + half)/d] for d > 0, with no common factor
+        divided out: the center rounds mid/d to nearest, and the radius
+        |center - mid/d| + half/d up to 64 bits."""
+        if half < 0:
             raise ValueError("empty interval")
-        mid = (lo + hi) / 2
-        center = BigFloat.from_fraction(mid, precision, "nearest")
-        err = abs(center.to_fraction() - mid) + (hi - lo) / 2
-        return Enclosure(center, BigFloat.from_fraction(err, _MIN_PRECISION, "ceil"))
+        center = BigFloat.from_ratio(mid, d, precision)
+        e = center.exponent
+        err = (abs((center.mantissa * d << max(e, 0)) - (mid << max(-e, 0)))
+               + (half << max(-e, 0)))
+        return Enclosure(center, BigFloat.from_ratio(err, d << max(-e, 0),
+                                                     _MIN_PRECISION, "ceil"))
 
     @staticmethod
     def exact(x: Scalar, precision: int = _MIN_PRECISION) -> "Enclosure":
         """Radius-zero enclosure when x is dyadic, else a one-ulp interval."""
-        center = BigFloat.from_fraction(x, precision, "nearest")
-        if center.to_fraction() == Fraction(x):
-            return Enclosure(center, BigFloat(0, 0, _MIN_PRECISION))
         return Enclosure.from_interval(x, x, precision)
 
     def lo(self) -> Fraction:
@@ -188,28 +194,11 @@ class Enclosure:
     def overlaps(self, other: "Enclosure") -> bool:
         return self.lo() <= other.hi() and other.lo() <= self.hi()
 
-    def _precision(self, other: "Enclosure") -> int:
-        return max(self.center.precision, other.center.precision)
-
-    def __add__(self, other):
-        return Enclosure.from_interval(self.lo() + other.lo(),
-                                       self.hi() + other.hi(),
-                                       self._precision(other))
-
-    def __sub__(self, other):
-        return Enclosure.from_interval(self.lo() - other.hi(),
-                                       self.hi() - other.lo(),
-                                       self._precision(other))
-
     def __mul__(self, other):
         prods = [self.lo() * other.lo(), self.lo() * other.hi(),
                  self.hi() * other.lo(), self.hi() * other.hi()]
         return Enclosure.from_interval(min(prods), max(prods),
-                                       self._precision(other))
-
-    def scale(self, c: Scalar) -> "Enclosure":
-        ends = sorted((Fraction(c) * self.lo(), Fraction(c) * self.hi()))
-        return Enclosure.from_interval(ends[0], ends[1], self.center.precision)
+                                       max(self.center.precision, other.center.precision))
 
     def reciprocal(self) -> "Enclosure":
         lo, hi = self.lo(), self.hi()
@@ -286,9 +275,7 @@ def _atanh_inv_scaled(q: int, pbits: int) -> tuple[int, int]:
 
 def _scaled_enclosure(scaled: int, err_ulps: int, pbits: int,
                       digits: int) -> Enclosure:
-    unit = Fraction(1, 1 << pbits)
-    enc = Enclosure.from_interval((scaled - err_ulps) * unit,
-                                  (scaled + err_ulps) * unit, pbits)
+    enc = Enclosure.from_ratio(scaled, err_ulps, 1 << pbits, pbits)
     if enc.radius.to_fraction() > Fraction(1, 10 ** digits):
         raise RuntimeError("enclosure wider than requested")
     return enc
@@ -478,6 +465,19 @@ def _stability_point(num: UniPoly, den: UniPoly, cap: int) -> Optional[int]:
     return None
 
 
+def _values(c: list[int], lo: int, hi: int) -> list[int]:
+    """c(j) for lo <= j < hi, as chained running sums of differences at lo."""
+    d = max(len(c) - 1, 0)
+    diffs = [_zeval(c, j) for j in range(lo, lo + d + 1)]
+    for i in range(d):
+        for t in range(d, i, -1):
+            diffs[t] -= diffs[t - 1]
+    vals = repeat(diffs[-1])
+    for x in reversed(diffs[:-1]):
+        vals = accumulate(vals, initial=x)
+    return list(islice(vals, hi - lo))
+
+
 def _split(pv: list[int], qv: list[int], av: list[int], bv: list[int],
            lo: int, hi: int) -> tuple[int, int, int, int]:
     """Integers P, Q, B, T over [lo, hi): P/Q = prod p(i)/q(i) and
@@ -490,54 +490,93 @@ def _split(pv: list[int], qv: list[int], av: list[int], bv: list[int],
     return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
 
 
-def _geometric_sum(p: list[int], q: list[int], a: list[int], b: list[int],
-                   k: Fraction, rn: list[int], rd: list[int], lim: Fraction,
-                   j1: int, cap: int,
-                   tol: Fraction) -> Optional[tuple[Fraction, Fraction, int]]:
+class _GeometricSum:
     """Certified sum of t_j = k C_j a(j)/b(j), C_0 = 1, C_{j+1} = C_j p(j)/q(j).
 
-    p, q, a, b, rn and rd are ascending integer coefficients; q and b
-    have no root at a summation index, and rn/rd is the term quotient
-    with |rn/rd| monotone from j1 >= 1 on.  The stop index J is the first
-    j <= cap with j >= j1, rbar = max(|rn(j)/rd(j)|, lim) < 1 and
-    |t_j| / (1 - rbar) <= tol, decided by integer cross-multiplication
-    on the unreduced pair C_j = cn / cd.  Returns the exact partial sum
-    over [0, J) from one product tree, that tail bound, and J; None when
-    no such J exists.
+    Coefficients are ascending integers; q and b have no root at a
+    summation index, and rn/rd is t_{j+1}/t_j with |rn/rd| monotone toward
+    lim < 1 from j1 >= 1 on.  J is the first j in [j1, cap] with
+    rbar_j = max(|rn(j)/rd(j)|, lim) < 1 and |t_j| / (1 - rbar_j) <= tol.
+    That rule fails below j0, the first j >= j1 with rbar_j < 1, and is
+    monotone from j0 on: past j1 rbar_j does not increase, as |rn/rd| moves
+    monotonically toward lim, and |t_{j+1}| = |rn(j)/rd(j)| |t_j| <= |t_j|,
+    so |t_j| / (1 - rbar_j) does not increase either.
     """
-    kn, kd = abs(k.numerator), k.denominator
-    tn, td = kn * tol.denominator, kd * tol.numerator
-    slack = td.bit_length() - tn.bit_length() + 2
-    ln, ld = lim.numerator, lim.denominator
-    pv: list[int] = []
-    qv: list[int] = []
-    av: list[int] = []
-    bv: list[int] = []
-    cn = cd = 1
-    j = 0
-    while j <= cap:
-        aj, bj = _zeval(a, j), _zeval(b, j)
-        # |t_j| <= tol is necessary for the stop; the bit lengths bound
-        # cn aj tn below and cd bj td above, so this skip never moves J
-        if j >= j1 and (not cn or not aj or cn.bit_length() + aj.bit_length()
-                        <= cd.bit_length() + bj.bit_length() + slack):
-            x, y = abs(cn * aj), abs(cd * bj)
-            nj, dj = abs(_zeval(rn, j)), abs(_zeval(rd, j))
-            if nj * ld < ln * dj:
-                nj, dj = ln, ld
-            if nj < dj and tn * x * dj <= td * y * (dj - nj):
-                bound = Fraction(kn * x * dj, kd * y * (dj - nj))
-                _, qt, bt, tt = _split(pv, qv, av, bv, 0, j)
-                return Fraction(k.numerator * tt, kd * bt * qt), bound, j
-        pj, qj = _zeval(p, j), _zeval(q, j)
-        pv.append(pj)
-        qv.append(qj)
-        av.append(aj)
-        bv.append(bj)
-        cn *= pj
-        cd *= qj
-        j += 1
-    return None
+
+    def __init__(self, p: list[int], q: list[int], a: list[int], b: list[int],
+                 k: Fraction, rn: list[int], rd: list[int], lim: Fraction,
+                 j1: int, cap: int, tol: Fraction):
+        self.polys, self.leaves = (p, q, a, b), ([], [], [], [])
+        self.k, self.rn, self.rd, self.cap = k, rn, rd, cap
+        self.ln, self.ld = lim.numerator, lim.denominator
+        self.tn, self.td = abs(k.numerator) * tol.denominator, k.denominator * tol.numerator
+        self.j0 = j1 + bisect_left(range(j1, cap + 1), True, key=lambda j: lt(*self._rbar(j)))
+
+    def _rbar(self, j: int) -> tuple[int, int]:
+        nj, dj = abs(_zeval(self.rn, j)), abs(_zeval(self.rd, j))
+        return (self.ln, self.ld) if nj * self.ld < self.ln * dj else (nj, dj)
+
+    def _grow(self, n: int) -> None:
+        """Leaf values p(j), q(j), a(j), b(j) for at least j < n."""
+        have = len(self.leaves[0])
+        if n > have:
+            for vals, c in zip(self.leaves, self.polys):
+                vals += _values(c, have, max(n, 2 * have))
+
+    def _stops(self, j: int, cn: int, cd: int) -> bool:
+        """The rule at j, for C_j = cn/cd."""
+        self._grow(j + 1)
+        nj, dj = self._rbar(j)
+        return nj < dj and (self.tn * abs(cn * self.leaves[2][j]) * dj
+                            <= self.td * abs(cd * self.leaves[3][j]) * (dj - nj))
+
+    def predict(self) -> int:
+        """J, or cap + 1, by bisection on a float running sum of log |p/q|
+        over a window sized from the rate lim and doubled while too short;
+        past a zero p(j) every |t_j| is 0."""
+        c = log(self.tn) - log(self.td)
+        n = self.j0 + 32 + (int(1.1 * max(c, 0) / (log(self.ld) - log(self.ln)))
+                            if self.ln else 0)
+        while True:
+            n = min(n, self.cap + 1)
+            self._grow(n)
+            pv, qv, av, bv = self.leaves
+            z = pv.index(0) if 0 in pv[:n] else n
+            logs = list(accumulate(map(sub, map(log, map(abs, pv[:z])),
+                                       map(log, map(abs, qv[:z]))), initial=c))
+
+            def small(j: int) -> bool:
+                nj, dj = self._rbar(j)
+                return (j > z or not av[j] or logs[j] + log(abs(av[j]) * dj)
+                        - log(abs(bv[j]) * (dj - nj)) <= 0)
+
+            j = self.j0 + bisect_left(range(self.j0, n), True, key=small)
+            if j < n or n > self.cap:
+                return j
+            n *= 2
+
+    def confirm(self, j: int, pbits: int) -> Optional[tuple[Enclosure, int]]:
+        """The enclosure and J from a prediction j: the rule must fail at
+        j - 1 (else restart at j0); the tree then grows a leaf at a time."""
+        j = min(max(j - 1, self.j0), self.cap)
+        self._grow(j + 1)
+        P, Q, B, T = _split(*self.leaves, 0, j)
+        if j > self.j0 and self._stops(j, P, Q):
+            j = self.j0
+            P, Q, B, T = _split(*self.leaves, 0, j)
+        while not self._stops(j, P, Q):
+            if j == self.cap:
+                return None
+            p, q, a, b = (v[j] for v in self.leaves)
+            P, Q, B, T = P * p, Q * q, B * b, b * q * T + B * P * a * q
+            j += 1
+        # the sum k T/(B Q) and the bound k |P a(j)| d/(|Q b(j)| (d - n)),
+        # both over the positive denominator kd |B Q b(j)| (d - n)
+        nj, dj = self._rbar(j)
+        w = abs(self.leaves[3][j]) * (dj - nj) * (1 if B * Q > 0 else -1)
+        kn, kd = self.k.numerator, self.k.denominator
+        return Enclosure.from_ratio(kn * T * w, abs(kn * P * self.leaves[2][j] * B) * dj,
+                                    kd * B * Q * w, pbits), j
 
 
 def _budget_cap(digits: int) -> int:
@@ -572,9 +611,10 @@ def chu_eval_terms(s: ChuSeries, digits: int,
             p, q = _common_ints([UniPoly.from_roots([-u for u in s.upper], s.z),
                                  UniPoly.from_roots([-l for l in s.lower])])
             rn, rd = _common_ints([num_j, den_j])
-            found = _geometric_sum(p, q, s.num.numerators, s.den.numerators,
-                                   Fraction(s.den.denominator, s.num.denominator),
-                                   rn, rd, lim, j1, cap, tol)
+            g = _GeometricSum(p, q, s.num.numerators, s.den.numerators,
+                              Fraction(s.den.denominator, s.num.denominator),
+                              rn, rd, lim, j1, cap, tol)
+            found = g.confirm(g.predict(), pbits)
     if found is None:
         # no tail bound within the cap, but an upper parameter -m may make
         # the series finite: every term past j = m is zero
@@ -583,8 +623,7 @@ def chu_eval_terms(s: ChuSeries, digits: int,
             raise ValueError("requested digits unreachable")
         total = sum(s.terms(min(ms) + 1))
         return Enclosure.from_interval(total, total, pbits), min(ms) + 1
-    partial, bound, j = found
-    return Enclosure.from_interval(partial - bound, partial + bound, pbits), j
+    return found
 
 
 def chu_eval(s: ChuSeries, digits: int,
@@ -594,14 +633,15 @@ def chu_eval(s: ChuSeries, digits: int,
     The stop index J is the first j at or past the stability point J1
     where the geometric bound |t_j| / (1 - max(|ratio(j)|, |z|)) is at
     most half of 10^-digits; the quotient magnitude is provably monotone
-    from J1 on (see the module docstring).  J is found by an integer
-    stop search over the unreduced term numerators and denominators, and
-    the exact partial sum over [0, J) comes from one binary-splitting
-    product tree reduced to a single Fraction.  A series that meets no
-    tail rule within the cap (its term quotient has the higher degree in
-    its numerator, or no stability point or stop index lies within the
-    cap) is still summed when an upper parameter -m makes it finite and
-    m + 1 terms fit the cap: exactly over j <= m, with m + 1 terms.
+    from J1 on, so the bound is monotone in j (see _GeometricSum).  J is
+    predicted in floats and confirmed exactly on the binary-splitting
+    product tree of the partial sum over [0, J), whose integers are
+    rounded to the enclosure endpoints with no Fraction.  A series that
+    meets no tail rule within the cap (its term quotient has the higher
+    degree in its numerator, or no stability point or stop index lies
+    within the cap) is still summed when an upper parameter -m makes it
+    finite and m + 1 terms fit the cap: exactly over j <= m, with m + 1
+    terms.
 
     The term cap defaults to the smaller of 10 * digits and the largest
     cap within the summation work budget.  Raises when digits exceeds
@@ -668,11 +708,11 @@ def _oracle_geometric(num: UniPoly, den: UniPoly, lim: Fraction,
     if j1 is None:
         raise ValueError("oracle unavailable")
     p, q = _common_ints([num, den])
-    found = _geometric_sum(p, q, [1], [1], _F1, p, q, lim, j1, cap, tol)
+    g = _GeometricSum(p, q, [1], [1], _F1, p, q, lim, j1, cap, tol)
+    found = g.confirm(g.predict(), _MIN_PRECISION)
     if found is None:
         raise ValueError("oracle unavailable")
-    total, bound, _ = found
-    return Enclosure.from_interval(total - bound, total + bound)
+    return found[0]
 
 
 def _oracle_positive(num: UniPoly, den: UniPoly, alpha: float,

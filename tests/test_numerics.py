@@ -1,7 +1,9 @@
 """Enclosure arithmetic, reference constants, and certified series sums."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from hyperaccel.accelerator import ChuSeries, accelerated_stream
 from hyperaccel.catalog import catalog_entries, default_term_budget, entry
-from hyperaccel.exact_arith import UniPoly, rational_roots
+from hyperaccel.exact_arith import UniPoly, _common_ints, _zeval, rational_roots
 from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate,
                                         k_ratio_at, k_shift_ratio)
 from hyperaccel.numerics import (
@@ -19,9 +21,11 @@ from hyperaccel.numerics import (
     Enclosure,
     _bits_for,
     _budget_cap,
+    _GeometricSum,
     _oracle_geometric,
     _pow10_ceil_exp,
     _stability_point,
+    _values,
     chu_eval,
     chu_eval_terms,
     closedform_eval,
@@ -109,6 +113,103 @@ def test_bigfloat_nearest_within_half_ulp(x):
         assert bf.to_fraction() == 0
     else:
         assert abs(bf.to_fraction() - x) <= abs(x) * F(1, 2 ** 64)
+
+
+def _reference_from_fraction(x: Fraction, precision: int, mode: str) -> BigFloat:
+    """The Fraction rounding that the integer-pair kernel replaced."""
+    precision = max(64, precision)
+    if x == 0:
+        return BigFloat(0, 0, precision)
+    ax = abs(x)
+    e = ax.numerator.bit_length() - ax.denominator.bit_length()
+    while F(2) ** e > ax:
+        e -= 1
+    while F(2) ** (e + 1) <= ax:
+        e += 1
+    shift = precision - 1 - e
+    scaled = x * F(2) ** shift
+    q, rem = divmod(scaled.numerator, scaled.denominator)
+    if mode == "floor":
+        m = q
+    elif mode == "ceil":
+        m = q + (1 if rem else 0)
+    else:
+        m = q + (1 if 2 * rem > scaled.denominator
+                 or (2 * rem == scaled.denominator and q % 2) else 0)
+    return BigFloat(m, -shift, precision)
+
+
+def _reference_from_interval(lo: Fraction, hi: Fraction, precision: int) -> Enclosure:
+    """The Fraction form of Enclosure.from_interval."""
+    mid = (lo + hi) / 2
+    center = _reference_from_fraction(mid, precision, "nearest")
+    err = abs(center.to_fraction() - mid) + (hi - lo) / 2
+    return Enclosure(center, _reference_from_fraction(err, 64, "ceil"))
+
+
+_MODES = st.sampled_from(["nearest", "floor", "ceil"])
+
+
+@given(st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40),
+       st.integers(2, 10 ** 9), st.integers(-200, 200), _MODES,
+       st.sampled_from([64, 65, 200]))
+@settings(max_examples=300)
+# ties at 64 bits: 2^64 + 1 and 2^64 + 3 have 65 bits ending in a half
+@example(2 ** 64 + 1, 1, 3, 0, "nearest", 64)
+@example(2 ** 64 + 3, 1, 3, 0, "nearest", 64)
+@example(-(2 ** 64 + 3), 1, 3, -7, "nearest", 64)
+@example(-(2 ** 64 + 1), 5, 6, 9, "ceil", 64)
+@example(0, 7, 2, 3, "floor", 64)
+def test_ratio_rounding_matches_fraction_rounding(n, d, g, shift, mode, precision):
+    # (n g, d g) scaled by 2^shift, never reduced, against the reduced value
+    x = F(n, d) * F(2) ** shift
+    num, den = n * g << max(shift, 0), d * g << max(-shift, 0)
+    got = BigFloat.from_ratio(num, den, precision, mode)
+    assert got == BigFloat.from_fraction(x, precision, mode)
+    assert got == _reference_from_fraction(x, precision, mode)
+
+
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(0, 10 ** 30),
+       st.integers(1, 10 ** 30), st.integers(2, 10 ** 9),
+       st.sampled_from([64, 100]))
+@settings(max_examples=200)
+@example(5, 0, 4, 3, 64)
+@example(1, 1, 3, 2, 64)
+def test_enclosure_from_unreduced_pairs_matches_from_interval(mid, half, d, g,
+                                                              precision):
+    lo, hi = F(mid - half, d), F(mid + half, d)
+    enc = Enclosure.from_ratio(mid * g, half * g, d * g, precision)
+    want = Enclosure.from_interval(lo, hi, precision)
+    assert (enc.lo(), enc.hi()) == (want.lo(), want.hi())
+    assert enc == want == _reference_from_interval(lo, hi, precision)
+
+
+def test_enclosure_from_ratio_rejects_negative_half_width():
+    with pytest.raises(ValueError, match="empty interval"):
+        Enclosure.from_ratio(1, -1, 3)
+
+
+@given(st.integers(-10 ** 30, 10 ** 30).filter(bool),
+       st.integers(-10 ** 30, 10 ** 30).filter(bool))
+@settings(max_examples=60)
+@example(2 ** 64 + 1, 2 ** 20)
+@example(-(2 ** 63 + 1), 2 ** 20)
+def test_enclosure_exact_matches_its_fraction_form(num, den):
+    # a dyadic x that rounds to itself gets radius zero, others one ulp
+    x = F(num, den)
+    for precision in (64, 80):
+        center = _reference_from_fraction(x, precision, "nearest")
+        want = (Enclosure(center, BigFloat(0, 0, 64)) if center.to_fraction() == x
+                else _reference_from_interval(x, x, precision))
+        assert Enclosure.exact(x, precision) == want
+
+
+@given(st.lists(st.integers(-10 ** 12, 10 ** 12), max_size=6),
+       st.integers(0, 500), st.integers(0, 40))
+@settings(max_examples=100)
+def test_leaf_values_match_horner(coeffs, lo, count):
+    assert _values(coeffs, lo, lo + count) == [_zeval(coeffs, j)
+                                                for j in range(lo, lo + count)]
 
 
 @given(st.fractions(min_value=-9, max_value=9, max_denominator=499),
@@ -488,6 +589,20 @@ _TERMINATING = ChuSeries(F(-3, 4), (F(-2), F(1, 3)), (F(5, 2), F(7, 4)),
 @example(ChuSeries(F(1, 2), (F(-3),), (), UniPoly.one(), UniPoly.one()), 5)
 @example(ChuSeries(F(0), (F(1, 2),), (F(4, 3),), UniPoly.from_coeffs([3, 1]),
                    UniPoly.one()), 5)
+# z and a(j)/b(j) far below the smallest float: the stop index is predicted
+# from logarithms of integers
+@example(ChuSeries(F(1, 10 ** 400), (F(1, 2),), (F(3, 2),), UniPoly.one(),
+                   UniPoly.from_coeffs([10 ** 400, 1])), 20)
+# the leaf p(4) = 0 lies before the stop index 8: every later term is zero
+@example(ChuSeries(F(1, 3), (F(-4), F(1, 2)), (F(3, 2), F(5, 4)),
+                   UniPoly.one(), UniPoly.one()), 10)
+# num = (3j + 2)(j - 9) vanishes at j = 9, where the same series without
+# the factor j - 9 stops at 5 digits; the term quotient's denominator
+# carries num(j), so the stability point moves to 16 and the leaf
+# a(9) = 0 falls inside the product tree
+@example(ChuSeries(F(1, 4), (F(1, 3), F(1), F(5, 3)), (F(7, 6), F(3, 2), F(11, 6)),
+                   UniPoly.from_coeffs([2, 3]) * UniPoly.from_roots([9]),
+                   UniPoly.one()), 5)
 def test_chu_eval_matches_reference_on_random_series(s, digits):
     _same_as_reference(s, digits)
 
@@ -517,6 +632,32 @@ def test_chu_eval_term_cap_boundary_matches_reference():
     lo, hi, terms = _same_as_reference(_TERMINATING, 12, 3)
     assert terms == 3 and lo <= sum(_TERMINATING.terms(3)) == F(-40329, 13475) <= hi
     assert _same_as_reference(_TERMINATING, 12, 2) == "requested digits unreachable"
+
+
+def _geometric_sum(s: ChuSeries, digits: int, cap: int) -> _GeometricSum:
+    """The geometric sum chu_eval_terms sets up for s."""
+    num_j, den_j = s.ratio_parts()
+    p, q = _common_ints([UniPoly.from_roots([-u for u in s.upper], s.z),
+                         UniPoly.from_roots([-l for l in s.lower])])
+    rn, rd = _common_ints([num_j, den_j])
+    return _GeometricSum(p, q, s.num.numerators, s.den.numerators,
+                         F(s.den.denominator, s.num.denominator), rn, rd,
+                         abs(num_j.lc / den_j.lc), _stability_point(num_j, den_j, cap),
+                         cap, F(1, 2 * 10 ** digits))
+
+
+@pytest.mark.parametrize("s, digits", [(_rt1(), 50), (entry("FR-2").chu, 30),
+                                       (_TERMINATING, 12)],
+                         ids=["RT1", "FR-2", "terminating"])
+def test_confirmation_recovers_the_stop_index_from_any_prediction(s, digits):
+    # too early, exact and too late by 5; from the late guess the rule
+    # already holds at J + 4, so the search restarts from j0
+    lo, hi, j = _same_as_reference(s, digits, 1000)
+    g = _geometric_sum(s, digits, 1000)
+    assert g.predict() == j
+    for guess in (j - 5, j, j + 5):
+        enc, got = g.confirm(guess, _bits_for(digits))
+        assert (enc.lo(), enc.hi(), got) == (lo, hi, j), guess
 
 
 def test_chu_eval_digits_cap():
@@ -628,6 +769,34 @@ def test_pow10_ceil_exp_is_the_smallest_cover(num, den):
     e = _pow10_ceil_exp(x)
     assert x <= F(10) ** e
     assert x > F(10) ** (e - 1)
+
+
+_PINS = json.loads((Path(__file__).parent / "stop_index_pins.json").read_text())
+_LONGEST = ("FR-2", "S1627-1", "S1627-2", "S1627-3", "S1627-4", "S2764-1")
+
+
+@pytest.mark.parametrize("digits", [50, 300, 2000])
+def test_stop_indices_match_pins(digits):
+    """Terms summed for each display at its default cap, as check-all
+    prints them, pinned from the term-by-term stop search at commit
+    62060736b0d5dd06924a709d0b8c72499b09fc7a by
+
+        PYTHONPATH=src python -c "import json
+        from hyperaccel.catalog import catalog_entries, verify_entry
+        ids = [e.id for e in catalog_entries() if e.chu is not None]
+        pins = {str(d): {i: verify_entry(i, d).terms_used for i in ids}
+                for d in (50, 300, 2000)}
+        print(json.dumps(pins, indent=1))" > tests/stop_index_pins.json
+
+    All 95 displays at 50 and 300 digits; at 2000 digits the six longest
+    sums only, which keeps the suite fast.
+    """
+    pins = _PINS[str(digits)]
+    assert len(pins) == 95
+    for rid in _LONGEST if digits == 2000 else pins:
+        chu = entry(rid).chu
+        _, terms = chu_eval_terms(chu, digits, default_term_budget(chu.z, digits))
+        assert terms == pins[rid], rid
 
 
 def test_summation_work_budget_boundary():
