@@ -34,7 +34,8 @@ from .accelerator import (ChuSeries, accelerated_stream, chu_normalize,
                           convergence_rate)
 from .exact_arith import MultiPoly, UniPoly
 from .hypergeom_terms import FamilyId, GammaFactor, HypTerm, family_instantiate
-from .numerics import (ClosedForm, Enclosure, chu_eval_terms, closedform_eval)
+from .numerics import (ClosedForm, Enclosure, chu_eval_terms, closedform_eval,
+                       radii_within)
 from .telescoper import builtin_recurrence, specialize, zeilberger_two_term
 
 _F0 = Fraction(0)
@@ -868,12 +869,14 @@ def entry(rid: str) -> CatalogEntry:
 
 
 def default_term_budget(z: Fraction, digits: int) -> int:
-    """Term cap from the per-term digit gain, with fixed slack."""
+    """Term cap from the per-term digit gain, with fixed slack; the gain is
+    taken from z's integer parts, as z may underflow a float."""
     if abs(z) >= 1:
         raise ValueError("divergent series: |z| >= 1")
     if z == 0:
         return digits + 120
-    return math.ceil(digits / -math.log10(abs(z))) + 120
+    gain = math.log10(z.denominator) - math.log10(abs(z.numerator))
+    return math.ceil(digits / gain) + 120
 
 
 def verify_series(chu: ChuSeries, closed: ClosedForm, digits: int,
@@ -887,8 +890,7 @@ def verify_series(chu: ChuSeries, closed: ClosedForm, digits: int,
         max_terms = default_term_budget(chu.z, digits)
     lhs, used = chu_eval_terms(chu, digits, max_terms)
     rhs = closedform_eval(closed, digits)
-    combined = lhs.radius.to_fraction() + rhs.radius.to_fraction()
-    ok = lhs.overlaps(rhs) and combined <= Fraction(10) ** (2 - digits)
+    ok = lhs.overlaps(rhs) and radii_within((lhs, rhs), digits - 2)
     return VerifyReport(passed=ok, lhs=lhs, rhs=rhs, terms_used=used)
 
 

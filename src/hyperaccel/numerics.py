@@ -2,15 +2,14 @@
 
 Values are enclosed as center +/- radius with dyadic BigFloat bounds
 (mantissa * 2^exponent at a stated precision of at least 64 bits).
-Interval endpoints pass through exact rational arithmetic and are
-rounded outward on conversion, so enclosures are sound by construction.
+Arithmetic works on integer endpoints over one exponent and rounds
+each result outward, so enclosures are sound by construction.
 
 pi comes from the Machin arctangent combination 16 atan(1/5) -
-4 atan(1/239), log 2 from 2 atanh(1/3), and rational powers of small
-integer bases from floor q-th roots of scaled integers by Newton
-iteration; each constant has an independent cross-check formula
-exercised by the tests, and none of them share code with series
-evaluation.
+4 atan(1/239), log 2 from 2 atanh(1/3), both memoized by precision, and
+rational powers of small integer bases from floor q-th roots of scaled
+integers by Newton iteration; the tests cross-check each constant, and
+none of them share code with series evaluation.
 
 chu_eval sums the series exactly in integers and certifies its tail
 geometrically: once the term-quotient numerator, denominator, and
@@ -42,6 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import isqrt, log
 from operator import lt, sub
@@ -70,24 +70,16 @@ def _bits_for(digits: int) -> int:
     return max(_MIN_PRECISION, int(digits * 3.322) + 48)
 
 
-def _pow10_ceil_exp(x: Fraction) -> int:
-    """Smallest e with x <= 10^e, for x > 0."""
-    # the bit lengths put x within a factor 2 of 2^bits, so this start is
-    # within two of e; the loops make it exact
-    bits = x.numerator.bit_length() - x.denominator.bit_length()
-    e = int(bits * 0.30103) + 1
-    while Fraction(10) ** (e - 1) >= x:
+def _pow10_ceil_exp(n: int, d: int) -> int:
+    """Smallest e with n/d <= 10^e, for n, d > 0."""
+    # the bit lengths put n/d within a factor 2 of 2^bits, so this start
+    # is within two of e; the loops make it exact
+    e = int((n.bit_length() - d.bit_length()) * 0.30103) + 1
+    while n * 10 ** max(1 - e, 0) <= d * 10 ** max(e - 1, 0):
         e -= 1
-    while Fraction(10) ** e < x:
+    while n * 10 ** max(-e, 0) > d * 10 ** max(e, 0):
         e += 1
     return e
-
-
-def _round_half_even(x: Fraction) -> int:
-    q, rem = divmod(x.numerator, x.denominator)
-    if 2 * rem > x.denominator or (2 * rem == x.denominator and q % 2):
-        q += 1
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +91,8 @@ def _round_half_even(x: Fraction) -> int:
 class BigFloat:
     """Dyadic float mantissa * 2^exponent at a stated precision in bits.
 
-    It only rounds and stores; interval arithmetic works on the exact
-    to_fraction() values.
+    It only rounds and stores; Enclosure arithmetic works on the integer
+    mantissas and exponents.
     """
 
     mantissa: int
@@ -112,16 +104,10 @@ class BigFloat:
             raise ValueError("precision below 64 bits")
 
     @staticmethod
-    def from_fraction(x: Scalar, precision: int = _MIN_PRECISION,
-                      mode: str = "nearest") -> "BigFloat":
-        """Round x to precision bits; mode is nearest, floor, or ceil."""
-        return BigFloat.from_ratio(*Fraction(x).as_integer_ratio(), precision, mode)
-
-    @staticmethod
     def from_ratio(n: int, d: int, precision: int = _MIN_PRECISION,
                    mode: str = "nearest") -> "BigFloat":
-        """Round n/d to precision bits for d > 0, as from_fraction rounds
-        the same value; n and d need have no common factor divided out."""
+        """Round n/d to precision bits for d > 0; mode is nearest, floor,
+        or ceil, and n and d need have no common factor divided out."""
         precision = max(_MIN_PRECISION, precision)
         if n == 0:
             return BigFloat(0, 0, precision)
@@ -179,6 +165,25 @@ class Enclosure:
         """Radius-zero enclosure when x is dyadic, else a one-ulp interval."""
         return Enclosure.from_interval(x, x, precision)
 
+    @staticmethod
+    def _from_ends(l: int, h: int, e: int, precision: int) -> "Enclosure":
+        """[l 2^e, h 2^e] for l <= h, rounded as from_interval rounds it."""
+        return Enclosure.from_ratio((l + h) << max(e, 0), (h - l) << max(e, 0),
+                                    2 << max(-e, 0), precision)
+
+    def _ends(self) -> tuple[int, int, int]:
+        """(l, h, e) with lo() = l 2^e and hi() = h 2^e."""
+        c, r = self.center, self.radius
+        e = min(c.exponent, r.exponent)
+        m, w = c.mantissa << (c.exponent - e), r.mantissa << (r.exponent - e)
+        return m - w, m + w, e
+
+    def _aligned(self, other: "Enclosure") -> tuple[int, int, int, int]:
+        """The endpoints of self and other over one exponent."""
+        (l1, h1, e1), (l2, h2, e2) = self._ends(), other._ends()
+        e = min(e1, e2)
+        return l1 << (e1 - e), h1 << (e1 - e), l2 << (e2 - e), h2 << (e2 - e)
+
     def lo(self) -> Fraction:
         return self.center.to_fraction() - self.radius.to_fraction()
 
@@ -189,49 +194,53 @@ class Enclosure:
         return self.lo() <= Fraction(x) <= self.hi()
 
     def contains(self, other: "Enclosure") -> bool:
-        return self.lo() <= other.lo() and other.hi() <= self.hi()
+        l1, h1, l2, h2 = self._aligned(other)
+        return l1 <= l2 and h2 <= h1
 
     def overlaps(self, other: "Enclosure") -> bool:
-        return self.lo() <= other.hi() and other.lo() <= self.hi()
+        l1, h1, l2, h2 = self._aligned(other)
+        return l1 <= h2 and l2 <= h1
 
-    def __mul__(self, other):
-        prods = [self.lo() * other.lo(), self.lo() * other.hi(),
-                 self.hi() * other.lo(), self.hi() * other.hi()]
-        return Enclosure.from_interval(min(prods), max(prods),
-                                       max(self.center.precision, other.center.precision))
+    def __mul__(self, other: "Enclosure") -> "Enclosure":
+        (l1, h1, e1), (l2, h2, e2) = self._ends(), other._ends()
+        prods = (l1 * l2, l1 * h2, h1 * l2, h1 * h2)
+        return Enclosure._from_ends(min(prods), max(prods), e1 + e2,
+                                    max(self.center.precision, other.center.precision))
 
     def reciprocal(self) -> "Enclosure":
-        lo, hi = self.lo(), self.hi()
-        if lo <= 0 <= hi:
+        l, h, e = self._ends()
+        if l <= 0 <= h:
             raise ZeroDivisionError("interval straddles zero")
-        return Enclosure.from_interval(1 / hi, 1 / lo, self.center.precision)
+        # [1/(h 2^e), 1/(l 2^e)] with l h > 0
+        return Enclosure.from_ratio((l + h) << max(-e, 0), (h - l) << max(-e, 0),
+                                    2 * l * h << max(e, 0), self.center.precision)
 
     def __pow__(self, n: int) -> "Enclosure":
         if n < 0:
             return (self ** (-n)).reciprocal()
-        if n == 0:
-            return Enclosure.exact(1, self.center.precision)
-        lo, hi = self.lo(), self.hi()
-        ends = sorted((lo ** n, hi ** n))
-        if n % 2 == 0 and lo <= 0 <= hi:
-            ends[0] = _F0
-        return Enclosure.from_interval(ends[0], ends[1], self.center.precision)
+        l, h, e = self._ends()
+        lo, hi = sorted((l ** n, h ** n))
+        if n and n % 2 == 0 and l <= 0 <= h:
+            lo = 0
+        return Enclosure._from_ends(lo, hi, e * n, self.center.precision)
 
     def decimal(self, digits: int) -> str:
         """Decimal string of the center with a power-of-ten error bound."""
-        c = self.center.to_fraction()
-        scale = 10 ** digits
-        i = _round_half_even(c * scale)
+        (m, e), (r, er) = ((x.mantissa, x.exponent) for x in (self.center, self.radius))
+        # center * 10^digits = c / 2^k, rounded half to even to i
+        k, scale = max(-e, -er, 0), 10 ** digits
+        c = m * scale << (e + k)
+        i, rem = divmod(c, 1 << k)
+        if 2 * rem > 1 << k or (2 * rem == 1 << k and i % 2):
+            i += 1
         body = decimal_text(abs(i)).rjust(digits + 1, "0")
         sign = "-" if i < 0 else ""
-        if digits:
-            text = f"{sign}{body[:-digits]}.{body[-digits:]}"
-        else:
-            text = f"{sign}{body}"
-        err = self.radius.to_fraction() + abs(c - Fraction(i, scale))
+        text = f"{sign}{body[:-digits]}.{body[-digits:]}" if digits else sign + body
+        # radius + |center - i / 10^digits| = err / (10^digits 2^k)
+        err = (r * scale << (er + k)) + abs(c - (i << k))
         if err == 0:
             return f"{text} ± 0"
-        return f"{text} ± 1e{_pow10_ceil_exp(err)}"
+        return f"{text} ± 1e{_pow10_ceil_exp(err, scale << k)}"
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +282,17 @@ def _atanh_inv_scaled(q: int, pbits: int) -> tuple[int, int]:
     return total, i + 2
 
 
-def _scaled_enclosure(scaled: int, err_ulps: int, pbits: int,
-                      digits: int) -> Enclosure:
-    enc = Enclosure.from_ratio(scaled, err_ulps, 1 << pbits, pbits)
-    if enc.radius.to_fraction() > Fraction(1, 10 ** digits):
+def radii_within(encs: tuple[Enclosure, ...], digits: int) -> bool:
+    """True when the radii of encs sum to at most 10^-digits."""
+    e = min(x.radius.exponent for x in encs)
+    total = sum(x.radius.mantissa << (x.radius.exponent - e) for x in encs)
+    return (total * 10 ** max(digits, 0) << max(e, 0)
+            <= 10 ** max(-digits, 0) << max(-e, 0))
+
+
+def _narrow(enc: Enclosure, digits: int) -> Enclosure:
+    """enc, with its radius checked against 10^-digits."""
+    if not radii_within((enc,), digits):
         raise RuntimeError("enclosure wider than requested")
     return enc
 
@@ -286,47 +302,23 @@ def _check_digits(digits: int) -> None:
         raise ValueError("digits above supported range")
 
 
-def const_pi(digits: int) -> Enclosure:
-    """pi with radius at most 10^-digits, by 16 atan(1/5) - 4 atan(1/239)."""
-    _check_digits(digits)
-    return _pi(digits)
-
-
+# callers share results, as Enclosure is frozen
+@lru_cache(maxsize=8)
 def _pi(digits: int) -> Enclosure:
+    """pi with radius at most 10^-digits, by 16 atan(1/5) - 4 atan(1/239)."""
     pbits = _bits_for(digits)
     a5, e5 = _atan_inv_scaled(5, pbits)
     a239, e239 = _atan_inv_scaled(239, pbits)
-    return _scaled_enclosure(16 * a5 - 4 * a239, 16 * e5 + 4 * e239, pbits, digits)
+    return _narrow(Enclosure.from_ratio(16 * a5 - 4 * a239, 16 * e5 + 4 * e239,
+                                        1 << pbits, pbits), digits)
 
 
-def const_pi_alt(digits: int) -> Enclosure:
-    """Cross-check enclosure of pi from 8 atan(1/3) + 4 atan(1/7)."""
-    _check_digits(digits)
-    pbits = _bits_for(digits)
-    a3, e3 = _atan_inv_scaled(3, pbits)
-    a7, e7 = _atan_inv_scaled(7, pbits)
-    return _scaled_enclosure(8 * a3 + 4 * a7, 8 * e3 + 4 * e7, pbits, digits)
-
-
-def const_log2(digits: int) -> Enclosure:
-    """log 2 with radius at most 10^-digits, by 2 atanh(1/3)."""
-    _check_digits(digits)
-    return _log2(digits)
-
-
+@lru_cache(maxsize=8)
 def _log2(digits: int) -> Enclosure:
+    """log 2 with radius at most 10^-digits, by 2 atanh(1/3)."""
     pbits = _bits_for(digits)
     a3, e3 = _atanh_inv_scaled(3, pbits)
-    return _scaled_enclosure(2 * a3, 2 * e3, pbits, digits)
-
-
-def const_log2_alt(digits: int) -> Enclosure:
-    """Cross-check enclosure of log 2 from 2 atanh(1/5) + 2 atanh(1/7)."""
-    _check_digits(digits)
-    pbits = _bits_for(digits)
-    a5, e5 = _atanh_inv_scaled(5, pbits)
-    a7, e7 = _atanh_inv_scaled(7, pbits)
-    return _scaled_enclosure(2 * a5 + 2 * a7, 2 * e5 + 2 * e7, pbits, digits)
+    return _narrow(Enclosure.from_ratio(2 * a3, 2 * e3, 1 << pbits, pbits), digits)
 
 
 def _iroot(n: int, q: int) -> int:
@@ -348,35 +340,26 @@ def _iroot(n: int, q: int) -> int:
     return x
 
 
-def const_root(base: int, e: Scalar, digits: int) -> Enclosure:
-    """base^e for a natural base and rational e, radius at most 10^-digits."""
-    _check_digits(digits)
-    return _root(base, e, digits)
-
-
 def _root(base: int, e: Scalar, digits: int) -> Enclosure:
+    """base^e for a natural base and rational e, radius at most 10^-digits."""
     if base < 0:
         raise ValueError("negative base")
-    e = Fraction(e)
+    pbits = _bits_for(digits)
     if base == 0:
         if e > 0:
-            return Enclosure.exact(0, _bits_for(digits))
+            return Enclosure.exact(0, pbits)
         raise ValueError("zero base with non-positive exponent")
     if e == 0 or base == 1:
-        return Enclosure.exact(1, _bits_for(digits))
-    pbits = _bits_for(digits)
+        return Enclosure.exact(1, pbits)
     p, q = e.numerator, e.denominator
     if q == 1:
         return Enclosure.exact(Fraction(base) ** p, pbits)
+    # base^(|p|/q) lies in [m, m + 1] 2^-pbits, held exactly by enc as
+    # (2m + 1 ± 1) 2^-(pbits + 1) and rounded once
     m = _iroot(base ** abs(p) << (q * pbits), q)
-    lo = Fraction(m, 1 << pbits)
-    hi = Fraction(m + 1, 1 << pbits)
-    if p < 0:
-        lo, hi = 1 / hi, 1 / lo
-    enc = Enclosure.from_interval(lo, hi, pbits)
-    if enc.radius.to_fraction() > Fraction(1, 10 ** digits):
-        raise RuntimeError("enclosure wider than requested")
-    return enc
+    enc = Enclosure(BigFloat(2 * m + 1, -pbits - 1, pbits), BigFloat(1, -pbits - 1))
+    return _narrow(enc.reciprocal() if p < 0
+                   else Enclosure._from_ends(*enc._ends(), pbits), digits)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +412,7 @@ def closedform_eval(cf: ClosedForm, digits: int) -> Enclosure:
     for base, exp in ((2, cf.exp_2), (3, cf.exp_3)):
         if exp:
             acc = acc * _root(base, exp, wd)
-    enc = Enclosure.from_interval(acc.lo(), acc.hi(), _bits_for(digits))
-    if enc.radius.to_fraction() > Fraction(1, 10 ** digits):
-        raise RuntimeError("enclosure wider than requested")
-    return enc
+    return _narrow(Enclosure._from_ends(*acc._ends(), _bits_for(digits)), digits)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +581,7 @@ def chu_eval_terms(s: ChuSeries, digits: int,
     pbits = _bits_for(digits)
     if s.z == 0:
         t0 = s.term(0)
-        return Enclosure.from_interval(t0, t0, pbits), 1
+        return Enclosure.exact(t0, pbits), 1
     num_j, den_j = s.ratio_parts()
     found = None
     if num_j.degree <= den_j.degree:
@@ -622,7 +602,7 @@ def chu_eval_terms(s: ChuSeries, digits: int,
         if not ms or min(ms) + 1 > cap:
             raise ValueError("requested digits unreachable")
         total = sum(s.terms(min(ms) + 1))
-        return Enclosure.from_interval(total, total, pbits), min(ms) + 1
+        return Enclosure.exact(total, pbits), min(ms) + 1
     return found
 
 

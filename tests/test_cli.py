@@ -287,6 +287,15 @@ def test_eval_near_unit_argument_exceeds_work_budget(capsys):
     assert err.startswith("hyperaccel: summation work above supported range")
 
 
+def test_eval_argument_below_float_range(capsys):
+    # z = 10^-400 is 0.0 as a float, but its default cap still follows
+    # from the digit gain of 400 a term: sum z^j / (j + 1) = 1 + z/2 + ...
+    code, out, err = run(capsys, "eval", "--series",
+                         f"z=1/{10 ** 400} upper=[1] lower=[2] num=[1] den=[1]",
+                         "--digits", "20")
+    assert (code, out, err) == (0, "1.0000000000000000000000 ± 1e-400\n", "")
+
+
 def test_eval_env_cap_above_work_budget_fails(capsys, monkeypatch):
     monkeypatch.setenv("HYPERACCEL_MAX_TERMS", "100000000")
     code, out, err = run(capsys, "eval", "--id", "Q1", "--digits", "10")

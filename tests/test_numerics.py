@@ -1,5 +1,6 @@
 """Enclosure arithmetic, reference constants, and certified series sums."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -22,19 +23,22 @@ from hyperaccel.numerics import (
     _bits_for,
     _budget_cap,
     _GeometricSum,
+    _atan_inv_scaled,
+    _atanh_inv_scaled,
+    _iroot,
+    _log2,
+    _narrow,
     _oracle_geometric,
+    _pi,
     _pow10_ceil_exp,
+    _root,
     _stability_point,
     _values,
     chu_eval,
     chu_eval_terms,
     closedform_eval,
-    const_log2,
-    const_log2_alt,
-    const_pi,
-    const_pi_alt,
-    const_root,
     direct_sum_eval,
+    radii_within,
 )
 from hyperaccel.telescoper import derive_recurrence
 
@@ -87,6 +91,10 @@ def _n27_3() -> ChuSeries:
 # -- BigFloat ----------------------------------------------------------------
 
 
+def _from_fraction(x: Fraction, precision: int = 64, mode: str = "nearest") -> BigFloat:
+    return BigFloat.from_ratio(*x.as_integer_ratio(), precision, mode)
+
+
 def test_bigfloat_requires_64_bits():
     with pytest.raises(ValueError, match="precision below 64 bits"):
         BigFloat(1, 0, 32)
@@ -95,12 +103,12 @@ def test_bigfloat_requires_64_bits():
 def test_bigfloat_dyadic_round_trip():
     # [TRIVIAL] dyadic values survive conversion exactly
     x = F(-7, 256)
-    assert BigFloat.from_fraction(x, 64).to_fraction() == x
+    assert _from_fraction(x, 64).to_fraction() == x
 
 
 def test_bigfloat_rounding_modes_bracket():
-    lo = BigFloat.from_fraction(F(1, 3), 64, "floor").to_fraction()
-    hi = BigFloat.from_fraction(F(1, 3), 64, "ceil").to_fraction()
+    lo = _from_fraction(F(1, 3), 64, "floor").to_fraction()
+    hi = _from_fraction(F(1, 3), 64, "ceil").to_fraction()
     assert lo < F(1, 3) < hi
     assert hi - lo == F(1, 2 ** 65)  # one ulp at this scale
 
@@ -108,7 +116,7 @@ def test_bigfloat_rounding_modes_bracket():
 @given(st.fractions(min_value=-9, max_value=9, max_denominator=997))
 @settings(max_examples=60)
 def test_bigfloat_nearest_within_half_ulp(x):
-    bf = BigFloat.from_fraction(x, 64)
+    bf = _from_fraction(x, 64)
     if x == 0:
         assert bf.to_fraction() == 0
     else:
@@ -165,7 +173,7 @@ def test_ratio_rounding_matches_fraction_rounding(n, d, g, shift, mode, precisio
     x = F(n, d) * F(2) ** shift
     num, den = n * g << max(shift, 0), d * g << max(-shift, 0)
     got = BigFloat.from_ratio(num, den, precision, mode)
-    assert got == BigFloat.from_fraction(x, precision, mode)
+    assert got == _from_fraction(x, precision, mode)
     assert got == _reference_from_fraction(x, precision, mode)
 
 
@@ -250,81 +258,220 @@ def test_enclosure_negative_radius_rejected():
 
 def test_enclosure_decimal_format():
     assert Enclosure.exact(F(30)).decimal(5) == "30.00000 ± 0"
-    text = const_pi(30).decimal(25)
+    text = _pi(30).decimal(25)
     assert text.startswith("3.1415926535897932384626434 ±"[:20])
+
+
+# The Fraction endpoint arithmetic that the integer endpoints replaced,
+# rounded by the Fraction rounding of _reference_from_interval.
+
+
+def _ref_mul(a: Enclosure, b: Enclosure) -> Enclosure:
+    prods = [a.lo() * b.lo(), a.lo() * b.hi(), a.hi() * b.lo(), a.hi() * b.hi()]
+    return _reference_from_interval(min(prods), max(prods),
+                                    max(a.center.precision, b.center.precision))
+
+
+def _ref_reciprocal(a: Enclosure) -> Enclosure:
+    lo, hi = a.lo(), a.hi()
+    if lo <= 0 <= hi:
+        raise ZeroDivisionError("interval straddles zero")
+    return _reference_from_interval(1 / hi, 1 / lo, a.center.precision)
+
+
+def _ref_pow(a: Enclosure, n: int) -> Enclosure:
+    if n < 0:
+        return _ref_reciprocal(_ref_pow(a, -n))
+    if n == 0:
+        return _reference_from_interval(F(1), F(1), a.center.precision)
+    lo, hi = a.lo(), a.hi()
+    ends = sorted((lo ** n, hi ** n))
+    if n % 2 == 0 and lo <= 0 <= hi:
+        ends[0] = F(0)
+    return _reference_from_interval(ends[0], ends[1], a.center.precision)
+
+
+def _ref_decimal(a: Enclosure, digits: int) -> str:
+    c = a.center.to_fraction()
+    scale = 10 ** digits
+    x = c * scale
+    q, rem = divmod(x.numerator, x.denominator)
+    if 2 * rem > x.denominator or (2 * rem == x.denominator and q % 2):
+        q += 1
+    body = str(abs(q)).rjust(digits + 1, "0")
+    sign = "-" if q < 0 else ""
+    text = f"{sign}{body[:-digits]}.{body[-digits:]}" if digits else f"{sign}{body}"
+    err = a.radius.to_fraction() + abs(c - F(q, scale))
+    if err == 0:
+        return f"{text} ± 0"
+    e = 0
+    while F(10) ** (e - 1) >= err:
+        e -= 1
+    while F(10) ** e < err:
+        e += 1
+    return f"{text} ± 1e{e}"
+
+
+def _result(f):
+    """f(), or the message of the ZeroDivisionError it raises."""
+    try:
+        return f()
+    except ZeroDivisionError as ex:
+        return str(ex)
+
+
+# centres and radii with their own exponents, so that radius 0, negative
+# endpoints and intervals straddling or touching zero all occur
+_MANTISSAS = st.integers(-2 ** 20, 2 ** 20) | st.integers(-2 ** 130, 2 ** 130)
+_ENCLOSURES = st.builds(
+    lambda m, e, p, r, er: Enclosure(BigFloat(m, e, p), BigFloat(r, er, 64)),
+    _MANTISSAS, st.integers(-200, 60), st.sampled_from([64, 100]),
+    st.just(0) | st.integers(1, 2 ** 20) | st.integers(1, 2 ** 70),
+    st.integers(-260, 60))
+_STRADDLE = Enclosure(BigFloat(-3, -2, 64), BigFloat(5, -1, 64))
+_TOUCH = Enclosure(BigFloat(3, -4, 64), BigFloat(3, -4, 64))
+_POINT = Enclosure(BigFloat(-(2 ** 70 + 1), -90, 100), BigFloat(0, 0, 64))
+# 2.5 rounds to 2 at 0 digits; the radius 1 sums to 10^0 with _POINT's 0
+_TIE = Enclosure(BigFloat(5, -1, 64), BigFloat(1, 0, 64))
+
+
+@given(_ENCLOSURES, _ENCLOSURES)
+@settings(max_examples=300)
+@example(_STRADDLE, _TOUCH)
+@example(_TOUCH, _POINT)
+@example(_POINT, _POINT)
+def test_enclosure_products_and_comparisons_match_fraction_endpoints(a, b):
+    assert a * b == _ref_mul(a, b)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert x.overlaps(y) == (x.lo() <= y.hi() and y.lo() <= x.hi())
+        assert x.contains(y) == (x.lo() <= y.lo() and y.hi() <= x.hi())
+
+
+@given(_ENCLOSURES, st.integers(-4, 5), st.integers(0, 40))
+@settings(max_examples=300)
+@example(_STRADDLE, 2, 3)
+@example(_STRADDLE, -3, 0)
+@example(_TOUCH, 4, 5)
+@example(_TOUCH, -1, 5)
+@example(_POINT, -2, 30)
+@example(_POINT, 0, 30)
+@example(_TIE, 1, 0)
+def test_enclosure_powers_and_decimals_match_fraction_endpoints(a, n, digits):
+    assert _result(lambda: a ** n) == _result(lambda: _ref_pow(a, n))
+    assert _result(a.reciprocal) == _result(lambda: _ref_reciprocal(a))
+    assert a.decimal(digits) == _ref_decimal(a, digits)
+
+
+@given(_ENCLOSURES, _ENCLOSURES, st.integers(-5, 80))
+@settings(max_examples=200)
+@example(_POINT, _POINT, 3)
+@example(_TIE, _POINT, 0)
+def test_radii_within_matches_fraction_sum(a, b, digits):
+    total = a.radius.to_fraction() + b.radius.to_fraction()
+    assert radii_within((a, b), digits) == (total <= F(10) ** -digits)
+    assert radii_within((a,), digits) == (a.radius.to_fraction() <= F(10) ** -digits)
 
 
 # -- Reference constants ------------------------------------------------------
 
 
+def _pi_alt(digits: int) -> Enclosure:
+    """Cross-check enclosure of pi from 8 atan(1/3) + 4 atan(1/7)."""
+    pbits = _bits_for(digits)
+    a3, e3 = _atan_inv_scaled(3, pbits)
+    a7, e7 = _atan_inv_scaled(7, pbits)
+    return _narrow(Enclosure.from_ratio(8 * a3 + 4 * a7, 8 * e3 + 4 * e7,
+                                        1 << pbits, pbits), digits)
+
+
+def _log2_alt(digits: int) -> Enclosure:
+    """Cross-check enclosure of log 2 from 2 atanh(1/5) + 2 atanh(1/7)."""
+    pbits = _bits_for(digits)
+    a5, e5 = _atanh_inv_scaled(5, pbits)
+    a7, e7 = _atanh_inv_scaled(7, pbits)
+    return _narrow(Enclosure.from_ratio(2 * a5 + 2 * a7, 2 * e5 + 2 * e7,
+                                        1 << pbits, pbits), digits)
+
+
 def test_pi_fifty_digits():
-    enc = const_pi(50)
+    enc = _pi(50)
     assert enc.radius.to_fraction() <= F(1, 10 ** 50)
     assert _traps(enc, PI_50)
 
 
 def test_pi_cross_check_formula():
     # [DERIVED] Machin combination against an independent arctangent pair
-    assert const_pi(120).overlaps(const_pi_alt(120))
+    assert _pi(120).overlaps(_pi_alt(120))
 
 
 def test_pi_prefix_consistency():
-    assert const_pi(64).decimal(40) == const_pi(100).decimal(40)
+    assert _pi(64).decimal(40) == _pi(100).decimal(40)
 
 
 def test_pi_square_contains_pi_squared():
-    assert (const_pi(30) ** 2).contains(const_pi(60) ** 2)
+    assert (_pi(30) ** 2).contains(_pi(60) ** 2)
 
 
 def test_log2_fifty_digits():
-    enc = const_log2(50)
+    enc = _log2(50)
     assert enc.radius.to_fraction() <= F(1, 10 ** 50)
     assert _traps(enc, LOG2_50)
-    assert enc.overlaps(const_log2_alt(50))
+    assert enc.overlaps(_log2_alt(50))
 
 
 def test_sqrt2_fifty_digits():
-    enc = const_root(2, F(1, 2), 50)
+    enc = _root(2, F(1, 2), 50)
     assert enc.radius.to_fraction() <= F(1, 10 ** 50)
     assert _traps(enc, SQRT2_50)
     assert (enc ** 2).contains_value(2)
 
 
 def test_sqrt3_and_cbrt2():
-    assert _traps(const_root(3, F(1, 2), 50), SQRT3_50)
-    cbrt = const_root(2, F(1, 3), 50)
+    assert _traps(_root(3, F(1, 2), 50), SQRT3_50)
+    cbrt = _root(2, F(1, 3), 50)
     assert _traps(cbrt, CBRT2_50)
     assert (cbrt ** 3).contains_value(2)
 
 
 def test_root_integer_exponent_exact():
-    enc = const_root(2, 3, 20)
+    enc = _root(2, 3, 20)
     assert enc.center.to_fraction() == 8 and enc.radius.mantissa == 0
-    assert const_root(3, -1, 20).contains_value(F(1, 3))
+    assert _root(3, -1, 20).contains_value(F(1, 3))
 
 
 def test_root_negative_exponent():
-    enc = const_root(2, F(-4, 3), 30)
+    enc = _root(2, F(-4, 3), 30)
     assert (enc ** -3).contains_value(16)
+
+
+@pytest.mark.parametrize("base, e", [(2, F(-4, 3)), (3, F(-1, 2)), (2, F(5, 3))])
+def test_root_matches_fraction_endpoints(base, e):
+    for digits in (20, 60):
+        pbits = _bits_for(digits)
+        m = _iroot(base ** abs(e.numerator) << (e.denominator * pbits), e.denominator)
+        lo, hi = F(m, 2 ** pbits), F(m + 1, 2 ** pbits)
+        if e < 0:
+            lo, hi = 1 / hi, 1 / lo
+        assert _root(base, e, digits) == _reference_from_interval(lo, hi, pbits)
 
 
 def test_root_errors():
     with pytest.raises(ValueError, match="negative base"):
-        const_root(-2, F(1, 2), 10)
+        _root(-2, F(1, 2), 10)
     with pytest.raises(ValueError, match="non-positive exponent"):
-        const_root(0, -1, 10)
-    assert const_root(0, F(1, 2), 10).center.mantissa == 0
+        _root(0, -1, 10)
+    assert _root(0, F(1, 2), 10).center.mantissa == 0
 
 
 def test_digits_cap():
     with pytest.raises(ValueError, match="digits above supported range"):
-        const_pi(10001)
+        closedform_eval(ClosedForm.make(1, exp_pi=1), 10001)
 
 
 def test_refinement_nesting():
-    assert const_pi(20).contains(const_pi(40))
-    assert const_log2(20).contains(const_log2(40))
-    assert const_root(2, F(1, 2), 20).contains(const_root(2, F(1, 2), 40))
+    assert _pi(20).contains(_pi(40))
+    assert _log2(20).contains(_log2(40))
+    assert _root(2, F(1, 2), 20).contains(_root(2, F(1, 2), 40))
 
 
 # -- Closed forms -------------------------------------------------------------
@@ -378,6 +525,46 @@ def test_closedform_contains_higher_precision_center():
     low = closedform_eval(cf, 15)
     high = closedform_eval(cf, 30)
     assert low.contains_value(high.center.to_fraction())
+
+
+_CLOSED_PINS = json.loads((Path(__file__).parent / "closedform_pins.json").read_text())
+
+
+@pytest.mark.parametrize("digits", [50, 300, 2000])
+def test_closed_forms_match_pins(digits):
+    """Centre and radius of every display's constant, pinned as a sha256 of
+    their mantissas and exponents from the Fraction endpoint arithmetic at
+    commit 0212ce0e738b474ca6f94dd1f08a8af219b1a3d4 by
+
+        PYTHONPATH=src python -c "import hashlib, json
+        from hyperaccel.catalog import catalog_entries
+        from hyperaccel.numerics import closedform_eval
+        def pin(x):
+            c, r = x.center, x.radius
+            return hashlib.sha256(f'{c.mantissa} {c.exponent} {r.mantissa} {r.exponent}'.encode()).hexdigest()
+        es = [e for e in catalog_entries() if e.chu is not None and e.closed is not None]
+        pins = {str(d): {e.id: pin(closedform_eval(e.closed, d)) for e in es}
+                for d in (50, 300, 2000)}
+        print(json.dumps(pins, indent=1))" > tests/closedform_pins.json
+    """
+    pins = _CLOSED_PINS[str(digits)]
+    assert len(pins) == 95
+    for rid, want in pins.items():
+        enc = closedform_eval(entry(rid).closed, digits)
+        c, r = enc.center, enc.radius
+        text = f"{c.mantissa} {c.exponent} {r.mantissa} {r.exponent}"
+        assert hashlib.sha256(text.encode()).hexdigest() == want, rid
+
+
+def test_constants_are_memoized_in_a_bounded_cache():
+    for const in (_pi, _log2):
+        assert const(60) is const(60)
+        assert const(60) == const.__wrapped__(60)
+        size = const.cache_info().maxsize
+        assert size is not None and size <= 16
+        for digits in range(20, 23 + size):
+            const(digits)
+        assert const.cache_info().currsize <= size
 
 
 # -- chu_eval -----------------------------------------------------------------
@@ -766,7 +953,7 @@ def test_oracle_geometric_matches_reference(n0):
 @example(1, 3)
 def test_pow10_ceil_exp_is_the_smallest_cover(num, den):
     x = F(num, den)
-    e = _pow10_ceil_exp(x)
+    e = _pow10_ceil_exp(num, den)
     assert x <= F(10) ** e
     assert x > F(10) ** (e - 1)
 
