@@ -869,14 +869,19 @@ def entry(rid: str) -> CatalogEntry:
 
 
 def default_term_budget(z: Fraction, digits: int) -> int:
-    """Term cap from the per-term digit gain, with fixed slack; the gain is
-    taken from z's integer parts, as z may underflow a float."""
+    """Term cap from the per-term digit gain log10(1/|z|), with fixed slack;
+    the gain is taken from z's integer parts, as z may underflow a float.
+    Where |z| is too near 1 for their float logarithms to differ, the gain
+    is bounded below in integers instead, by (1 - |z|)/3 < (1 - |z|)/ln 10."""
     if abs(z) >= 1:
         raise ValueError("divergent series: |z| >= 1")
     if z == 0:
         return digits + 120
-    gain = math.log10(z.denominator) - math.log10(abs(z.numerator))
-    return math.ceil(digits / gain) + 120
+    n, d = abs(z.numerator), z.denominator
+    gain = math.log10(d) - math.log10(n)
+    if gain > 0:
+        return math.ceil(digits / gain) + 120
+    return -(-3 * digits * d // (d - n)) + 120
 
 
 def verify_series(chu: ChuSeries, closed: ClosedForm, digits: int,

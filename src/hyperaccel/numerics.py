@@ -24,9 +24,11 @@ numerators of num and den, and K is the quotient of their denominators.
 The tail rule is monotone in j (see _GeometricSum), so the stop index
 is predicted in floats and decided exactly on a binary-splitting
 product tree of integers P, Q, B, T (Haible and Papanikolaou, ANTS
-1998), whose partial sum T/(B Q) and tail bound are rounded to the
-dyadic endpoints from integers, with no gcd taken.  They and the stop
-index are the exact rationals a running Fraction sum would give.
+1998).  Its upper merges divide out the content the left P and the
+right Q share (see _merge), which keeps P/Q and T/(B Q) exact; the
+partial sum and tail bound are then rounded to the dyadic endpoints
+from those integers, with no other gcd taken.  They and the stop index
+are the exact rationals a running Fraction sum would give.
 
 direct_sum_eval is the low-precision brute-force oracle for the
 unaccelerated sums.  Terminating sums are exact and geometrically
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
-from math import isqrt, log
+from math import gcd, isqrt, log
 from operator import lt, sub
 from typing import Optional
 
@@ -58,10 +60,15 @@ _F1 = Fraction(1)
 _MIN_PRECISION = 64
 _DIGITS_CAP = 10000
 _GUARD_DIGITS = 10
-# bound on cap * (cap + digits) for a series sum; the stop search and the
-# product tree cost about cap * digits, so the cap * cap part is only a
-# margin, kept until the budget is restated from measurements
+# bound on cap * (cap + digits) for a series sum, set for a stop search
+# that cost about cap * cap; the stop is now predicted and confirmed on
+# the content-reduced product tree, which costs far less, so the budget
+# is a margin kept until it is restated from measurements
 _SUM_WORK_CAP = 2 * 10 ** 9
+# product-tree merges spanning at least this many leaves cancel the
+# content the left P and the right Q share; below it a gcd saves about
+# what it costs
+_CANCEL_LEAVES = 32
 _ORACLE_DIGITS_CAP = 6
 _ORACLE_TERM_CAP = 300000
 
@@ -458,16 +465,32 @@ def _values(c: list[int], lo: int, hi: int) -> list[int]:
     return list(islice(vals, hi - lo))
 
 
+def _merge(x: tuple[int, int, int, int], y: tuple[int, int, int, int],
+           leaves: int) -> tuple[int, int, int, int]:
+    """P, Q, B, T over [lo, hi) from x over [lo, mid) and y over [mid, hi),
+    a span of the given number of leaves.  From _CANCEL_LEAVES leaves on,
+    g = gcd(p1, q2) is divided out of p1 and q2 first: g divides the
+    merged P = p1 p2, Q = q1 q2 and T = b2 q2 t1 + b1 p1 t2, so P/Q and
+    T/(B Q) keep their values, and each of |P|, |Q|, |T| is the unreduced
+    one divided by a positive integer (Cheng, Hanrot, Thome, Zima and
+    Zimmermann, ISSAC 2007)."""
+    (p1, q1, b1, t1), (p2, q2, b2, t2) = x, y
+    if leaves >= _CANCEL_LEAVES:
+        g = gcd(p1, q2)
+        p1, q2 = p1 // g, q2 // g
+    return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
+
+
 def _split(pv: list[int], qv: list[int], av: list[int], bv: list[int],
            lo: int, hi: int) -> tuple[int, int, int, int]:
     """Integers P, Q, B, T over [lo, hi): P/Q = prod p(i)/q(i) and
-    T/(B Q) = sum_n a(n)/b(n) prod_{lo <= i < n} p(i)/q(i)."""
+    T/(B Q) = sum_n a(n)/b(n) prod_{lo <= i < n} p(i)/q(i), with the
+    content p1 and q2 share cancelled at the upper merges (see _merge)."""
     if hi - lo == 1:
         return pv[lo], qv[lo], bv[lo], av[lo] * qv[lo]
     mid = (lo + hi) // 2
-    p1, q1, b1, t1 = _split(pv, qv, av, bv, lo, mid)
-    p2, q2, b2, t2 = _split(pv, qv, av, bv, mid, hi)
-    return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
+    return _merge(_split(pv, qv, av, bv, lo, mid),
+                  _split(pv, qv, av, bv, mid, hi), hi - lo)
 
 
 class _GeometricSum:
@@ -548,7 +571,7 @@ class _GeometricSum:
             if j == self.cap:
                 return None
             p, q, a, b = (v[j] for v in self.leaves)
-            P, Q, B, T = P * p, Q * q, B * b, b * q * T + B * P * a * q
+            P, Q, B, T = _merge((P, Q, B, T), (p, q, b, a * q), j + 1)
             j += 1
         # the sum k T/(B Q) and the bound k |P a(j)| d/(|Q b(j)| (d - n)),
         # both over the positive denominator kd |B Q b(j)| (d - n)
@@ -576,7 +599,7 @@ def chu_eval_terms(s: ChuSeries, digits: int,
     cap = min(10 * digits, _budget_cap(digits)) if max_terms is None else max_terms
     if cap * (cap + digits) > _SUM_WORK_CAP:
         raise ValueError(f"summation work above supported range:"
-                         f" {cap} terms at {digits} digits")
+                         f" {decimal_text(cap)} terms at {digits} digits")
     tol = Fraction(1, 2 * 10 ** digits)
     pbits = _bits_for(digits)
     if s.z == 0:

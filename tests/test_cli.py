@@ -287,6 +287,21 @@ def test_eval_near_unit_argument_exceeds_work_budget(capsys):
     assert err.startswith("hyperaccel: summation work above supported range")
 
 
+@pytest.mark.parametrize("e, digits", [(20, 20), (4299, 9000)])
+def test_eval_argument_within_float_rounding_of_one_exceeds_work_budget(
+        capsys, e, digits):
+    # log10 of numerator and denominator agree as floats, so the digit gain
+    # comes from its lower bound (1 - z)/3 = 10^-e/3, and the cap of
+    # 3 digits 10^e + 120 terms is printed in full past the int-to-str limit
+    code, out, err = run(capsys, "eval", "--series",
+                         f"z={10 ** e - 1}/{10 ** e} upper=[] lower=[] num=[1] den=[1]",
+                         "--digits", str(digits))
+    assert (code, out) == (1, "")
+    cap = f"{3 * digits}{'0' * (e - 3)}120"
+    assert err == ("hyperaccel: summation work above supported range:"
+                   f" {cap} terms at {digits} digits\n")
+
+
 def test_eval_argument_below_float_range(capsys):
     # z = 10^-400 is 0.0 as a float, but its default cap still follows
     # from the digit gain of 400 a term: sum z^j / (j + 1) = 1 + z/2 + ...

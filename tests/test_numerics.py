@@ -32,6 +32,7 @@ from hyperaccel.numerics import (
     _pi,
     _pow10_ceil_exp,
     _root,
+    _split,
     _stability_point,
     _values,
     chu_eval,
@@ -530,6 +531,12 @@ def test_closedform_contains_higher_precision_center():
 _CLOSED_PINS = json.loads((Path(__file__).parent / "closedform_pins.json").read_text())
 
 
+def _pin(enc: Enclosure) -> str:
+    c, r = enc.center, enc.radius
+    text = f"{c.mantissa} {c.exponent} {r.mantissa} {r.exponent}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("digits", [50, 300, 2000])
 def test_closed_forms_match_pins(digits):
     """Centre and radius of every display's constant, pinned as a sha256 of
@@ -550,10 +557,7 @@ def test_closed_forms_match_pins(digits):
     pins = _CLOSED_PINS[str(digits)]
     assert len(pins) == 95
     for rid, want in pins.items():
-        enc = closedform_eval(entry(rid).closed, digits)
-        c, r = enc.center, enc.radius
-        text = f"{c.mantissa} {c.exponent} {r.mantissa} {r.exponent}"
-        assert hashlib.sha256(text.encode()).hexdigest() == want, rid
+        assert _pin(closedform_eval(entry(rid).closed, digits)) == want, rid
 
 
 def test_constants_are_memoized_in_a_bounded_cache():
@@ -833,6 +837,49 @@ def _geometric_sum(s: ChuSeries, digits: int, cap: int) -> _GeometricSum:
                          cap, F(1, 2 * 10 ** digits))
 
 
+def _plain_split(pv, qv, av, bv, lo, hi):
+    """The product tree with no content cancelled: the reference for
+    _split."""
+    if hi - lo == 1:
+        return pv[lo], qv[lo], bv[lo], av[lo] * qv[lo]
+    mid = (lo + hi) // 2
+    p1, q1, b1, t1 = _plain_split(pv, qv, av, bv, lo, mid)
+    p2, q2, b2, t2 = _plain_split(pv, qv, av, bv, mid, hi)
+    return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200).flatmap(
+    lambda n: st.lists(st.integers(-60, 60), min_size=4 * n, max_size=4 * n)))
+@example([6, -4, 3, 3] * 40 + [0, -4, 3, 3] + [-10, -4, -5, 3] * 59)
+@example([2 ** 40, 12, 1, -7] * 64)
+def test_split_cancels_content_without_changing_values(vals):
+    # leaves p(j), q(j), a(j), b(j) interleaved; q and b must not vanish,
+    # so a drawn 0 reads as 61 there
+    pv, av = vals[0::4], vals[2::4]
+    qv, bv = ([x or 61 for x in vals[i::4]] for i in (1, 3))
+    n = len(pv)
+    got, want = _split(pv, qv, av, bv, 0, n), _plain_split(pv, qv, av, bv, 0, n)
+    (p, q, b, t), (p0, q0, b0, t0) = got, want
+    assert F(p, q) == F(p0, q0)
+    assert F(t, b * q) == F(t0, b0 * q0)
+    for x, x0 in zip((p, q, t), (p0, q0, t0)):
+        assert abs(x).bit_length() <= abs(x0).bit_length()
+
+
+def test_split_keeps_fr2_a_quarter_of_the_unreduced_size():
+    # FR-2 at 300 digits sums J = 4070 terms; over [0, J) the reduced T
+    # had 24266 bits against 149212 when the cancellation was introduced
+    digits = 300
+    s = entry("FR-2").chu
+    cap = default_term_budget(s.z, digits)
+    g = _geometric_sum(s, digits, cap)
+    _, j = g.confirm(g.predict(), _bits_for(digits))
+    t = _split(*g.leaves, 0, j)[3]
+    t0 = _plain_split(*g.leaves, 0, j)[3]
+    assert 4 * abs(t).bit_length() <= abs(t0).bit_length()
+
+
 @pytest.mark.parametrize("s, digits", [(_rt1(), 50), (entry("FR-2").chu, 30),
                                        (_TERMINATING, 12)],
                          ids=["RT1", "FR-2", "terminating"])
@@ -959,6 +1006,7 @@ def test_pow10_ceil_exp_is_the_smallest_cover(num, den):
 
 
 _PINS = json.loads((Path(__file__).parent / "stop_index_pins.json").read_text())
+_SERIES_PINS = json.loads((Path(__file__).parent / "series_pins.json").read_text())
 _LONGEST = ("FR-2", "S1627-1", "S1627-2", "S1627-3", "S1627-4", "S2764-1")
 
 
@@ -975,15 +1023,32 @@ def test_stop_indices_match_pins(digits):
                 for d in (50, 300, 2000)}
         print(json.dumps(pins, indent=1))" > tests/stop_index_pins.json
 
+    and the series enclosure of each, centre and radius, pinned as a
+    sha256 of their mantissas and exponents from the unreduced product
+    tree at commit 4182a409921e91680d06a68001c8a6724e73fb8f by
+
+        PYTHONPATH=src python -c "import hashlib, json
+        from hyperaccel.catalog import catalog_entries, verify_entry
+        def pin(x):
+            c, r = x.center, x.radius
+            return hashlib.sha256(f'{c.mantissa} {c.exponent} {r.mantissa} {r.exponent}'.encode()).hexdigest()
+        ids = [e.id for e in catalog_entries() if e.chu is not None]
+        longest = ('FR-2', 'S1627-1', 'S1627-2', 'S1627-3', 'S1627-4', 'S2764-1')
+        pins = {str(d): {i: pin(verify_entry(i, d).lhs) for i in (longest if d == 2000 else ids)}
+                for d in (50, 300, 2000)}
+        print(json.dumps(pins, indent=1))" > tests/series_pins.json
+
     All 95 displays at 50 and 300 digits; at 2000 digits the six longest
     sums only, which keeps the suite fast.
     """
-    pins = _PINS[str(digits)]
+    pins, encs = _PINS[str(digits)], _SERIES_PINS[str(digits)]
     assert len(pins) == 95
+    assert len(encs) == (len(_LONGEST) if digits == 2000 else 95)
     for rid in _LONGEST if digits == 2000 else pins:
         chu = entry(rid).chu
-        _, terms = chu_eval_terms(chu, digits, default_term_budget(chu.z, digits))
+        enc, terms = chu_eval_terms(chu, digits, default_term_budget(chu.z, digits))
         assert terms == pins[rid], rid
+        assert _pin(enc) == encs[rid], rid
 
 
 def test_summation_work_budget_boundary():
