@@ -17,9 +17,9 @@ overlap against its constant's enclosure; derive_entry rebuilds the
 recurrence from the recipe (the stored general-parameter recurrence
 where one exists, creative telescoping otherwise), unrolls the
 accelerated stream, and reports the exact termwise proportionality
-constant against the display from their bracket normal forms.  rate
-stores the signed term ratio limit; it equals chu.z whenever a display
-is present.
+constant against the display from their term quotients and the
+stream's bracket normal form.  rate stores the signed term ratio limit;
+it equals chu.z whenever a display is present.
 """
 
 from __future__ import annotations
@@ -944,8 +944,9 @@ def derivation_term(e: CatalogEntry) -> HypTerm:
     return family_instantiate(d.family, d.params)
 
 
-def derivation_recurrence(e: CatalogEntry):
-    """Recurrence for an entry: stored general form where one exists."""
+def derivation_recurrence(e: CatalogEntry, term: Optional[HypTerm] = None):
+    """Recurrence for an entry: stored general form where one exists.
+    term is the entry's `derivation_term`, built here when not given."""
     d = e.derivation
     if d is None:
         raise ValueError(f"entry {e.id} has no derivation")
@@ -953,34 +954,40 @@ def derivation_recurrence(e: CatalogEntry):
     if base is not None:
         point = dict(zip(d.family.param_names, d.params))
         return specialize(base, point)
-    return zeilberger_two_term(derivation_term(e), d.r)
+    return zeilberger_two_term(term if term is not None else derivation_term(e),
+                               d.r)
 
 
 def derive_entry(rid: str) -> DeriveReport:
     """Re-derive an entry's recurrence and compare against its display.
 
     proportional is the constant c with stream term = c * display term
-    for every j, the quotient of the scales of their bracket normal forms
-    when the forms are equal; None when no display is stored or its
-    normal form differs or does not exist.
+    for every j; None when no display is stored, its first term is zero
+    or its term quotient differs from the stream's.  The bracket normal
+    form depends only on the reduced term quotient, and the form's own
+    quotient equals its input's, so the display's form equals the
+    stream's exactly when the two quotients are equal, dn sd = sn dd as
+    (numerator, denominator) pairs.  Then c is the stream's scale over
+    the display's, t0 den(0)/num(0) for the display's first term t0 and
+    the stream's form; no second normal form is built.
     """
     e = entry(rid)
-    rec = derivation_recurrence(e)
+    term = derivation_term(e)
+    rec = derivation_recurrence(e, term)
     if rec is None:
         return DeriveReport(recurrence_found=False, rate=None,
                             proportional=None)
     rate = convergence_rate(rec)
-    stream = accelerated_stream(derivation_term(e), rec, e.derivation.n0,
+    stream = accelerated_stream(term, rec, e.derivation.n0,
                                 check_vanishing=False)
     series, scale = chu_normalize(stream.ratio, stream.term(0))
     proportional = None
     if e.chu is not None:
-        try:
-            display, d_scale = chu_normalize(e.chu.ratio_parts(), e.chu.term(0))
-        except ValueError:
-            display = None
-        if display == series:
-            proportional = scale / d_scale
+        (dn, dd), t0 = e.chu.ratio_parts(), e.chu.term(0)
+        sn, sd = stream.ratio
+        # t0 != 0 makes num and den, hence dd, nonzero
+        if t0 != 0 and dn * sd == sn * dd:
+            proportional = scale / (t0 * series.den.eval(0) / series.num.eval(0))
     return DeriveReport(recurrence_found=True, rate=rate,
                         proportional=proportional)
 

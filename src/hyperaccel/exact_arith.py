@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -71,17 +72,40 @@ _STR_PIECE_BITS = 2000
 
 
 def _digits_text(n: int) -> str:
+    """Decimal digits of n >= 0.
+
+    Above _STR_PIECE_BITS bits, n is split on bit shifts into pieces of
+    at most that many bits, n = hi 2^w + lo with w = _STR_PIECE_BITS 2^i
+    at level i, and recombined as hi * 2^w + lo in `decimal`, with 2^w
+    computed once per level.  The context's precision covers any
+    integer, so every step is exact, and libmpdec's multiplication is
+    subquadratic, where a split by divmod at 10^k is quadratic.
+    """
     if n.bit_length() <= _STR_PIECE_BITS:
         return str(n)
-    k = int(n.bit_length() * 0.30103) // 2
-    hi, lo = divmod(n, 10 ** k)
-    return _digits_text(hi) + _digits_text(lo).rjust(k, "0")
+    widths = [_STR_PIECE_BITS]
+    while widths[-1] < n.bit_length():
+        widths.append(2 * widths[-1])
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
+        powers = [Decimal(1 << _STR_PIECE_BITS)]
+        for _ in widths[1:-1]:
+            powers.append(powers[-1] * powers[-1])
+
+        def join(m: int, level: int) -> Decimal:
+            # m < 2^widths[level]
+            if level == 0:
+                return Decimal(m)
+            w = widths[level - 1]
+            return join(m >> w, level - 1) * powers[level - 1] + join(
+                m & ((1 << w) - 1), level - 1)
+
+        return str(join(n, len(widths) - 1))
 
 
 def decimal_text(x: Scalar) -> str:
-    """str(x) for an int or Fraction of any size, built from pieces split
-    at powers of ten, so the interpreter's int-to-str limit never applies
-    and is never changed."""
+    """str(x) for an int or Fraction of any size, built from pieces of at
+    most _STR_PIECE_BITS bits, so the interpreter's int-to-str limit never
+    applies and is never changed."""
     if isinstance(x, Fraction) and x.denominator != 1:
         return f"{decimal_text(x.numerator)}/{_digits_text(x.denominator)}"
     n = int(x)
@@ -712,6 +736,17 @@ class MultiPoly:
         for k, c in self._coeffs.items():
             out[k >> s] = c
         return UniPoly(tuple(out), self._den)
+
+    def int_terms(self, x: str, y: str) -> tuple[int, list[tuple[int, int, int]]]:
+        """(d, [(i, j, c), ...]) with self = sum c x^i y^j / d, every c a
+        nonzero integer and d > 0; ValueError when a third variable is
+        present."""
+        extra = self.variables() - {x, y}
+        if extra:
+            raise ValueError(f"unbound variable: {sorted(extra)[0]}")
+        sx, sy = _SHIFTS[_VAR_INDEX[x]], _SHIFTS[_VAR_INDEX[y]]
+        return self._den, [((k >> sx) & _FIELD_MASK, (k >> sy) & _FIELD_MASK, c)
+                           for k, c in self._coeffs.items()]
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer and coprime; 0 for zero."""

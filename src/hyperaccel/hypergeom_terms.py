@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 from typing import Mapping, Sequence
 
@@ -221,8 +222,9 @@ def _term(factors: list[GammaFactor], sign: int = 1) -> HypTerm:
     return HypTerm(tuple(factors), sign)
 
 
+@lru_cache(maxsize=None)
 def family_term(family: FamilyId) -> HypTerm:
-    """The family summand with symbolic parameters."""
+    """The family summand with symbolic parameters, built once per family."""
     if family is FamilyId.QUARTER:
         return _term(
             _poch("a", "k + f", 1) + _poch("b", "k + e", 1)

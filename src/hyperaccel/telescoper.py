@@ -7,7 +7,18 @@ A recurrence couples a summand F(n, k) at two n-offsets,
 with G = cert * F for a rational certificate cert(n, k), a (numerator,
 denominator) pair of MultiPolys.  Verification substitutes the exact
 shift ratios of F, clears all denominators, and checks that the one
-cross-multiplied numerator polynomial is identically zero.
+cross-multiplied numerator polynomial R is identically zero.
+`recurrence_residual` expands R; the stored recurrences, whose free
+parameters a-f would make any single integer image of R far too large,
+are checked that way.  `verify_recurrence`, for an instantiated summand,
+expands nothing.  It keeps every part of R as an integer scalar times a
+product of integer polynomials in n and k, bounds the l1 norm of R by H
+and its degree in n by D through the same expression, and evaluates R
+at the Kronecker point n = X = 2^B, k = X^(D+1), B = bit_length(H) + 1
+(Harvey, J. Symb. Comput. 2009).  Distinct monomials go to distinct
+powers of X with coefficients of size at most H < X, so the image is
+zero exactly when R is.  The image is a product of sums of shifted
+integers.
 
 Derivation runs the parameterized Gosper algorithm: with rho_k = Nk/Dk
 and rho_n = Nn/Dn the shift ratios of an instantiated summand, the
@@ -36,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Mapping, Optional, Sequence
 
 from hyperaccel.builtin_data import neg27_dataset, negq_dataset, quarter_dataset
@@ -89,8 +100,143 @@ def recurrence_residual(term: HypTerm, rec: Recurrence) -> MultiPoly:
             - (cn1 * nk * cd - cn * cd1_dk) * dn)
 
 
+@dataclass(frozen=True)
+class _Bound:
+    """An l1-norm bound and an n-degree bound of an integer polynomial in
+    n and k, combined as the polynomials they bound are."""
+
+    norm: int
+    deg: int
+
+    def __add__(self, other: "_Bound") -> "_Bound":
+        return _Bound(self.norm + other.norm, max(self.deg, other.deg))
+
+    __sub__ = __add__
+
+    def __mul__(self, other: "_Bound") -> "_Bound":
+        return _Bound(self.norm * other.norm, self.deg + other.deg)
+
+
+def _image(terms: list[tuple[int, int, int]], b: int, kb: int, shifted: bool) -> int:
+    """f(X, Y), or f(X, Y + 1) when shifted, at X = 2^b and Y = 2^kb, for
+    f the sum of c n^i k^j over the (i, j, c) terms."""
+    if not shifted:
+        return sum(c << (b * i + kb * j) for i, j, c in terms)
+    rows: dict[int, int] = {}
+    for i, j, c in terms:
+        rows[j] = rows.get(j, 0) + (c << (b * i))
+    acc = 0
+    for j in range(max(rows, default=0), -1, -1):
+        acc = (acc << kb) + acc + rows.get(j, 0)
+    return acc
+
+
+class _Product:
+    """An integer scalar times a product of integer polynomials in n and
+    k, each given by its (i, j, c) terms and read at k + 1 when shifted."""
+
+    def __init__(self, scalar: int,
+                 factors: list[tuple[list[tuple[int, int, int]], bool]]):
+        self.scalar = scalar
+        self.factors = factors
+
+    def bound(self) -> _Bound:
+        norm, deg = abs(self.scalar), 0
+        for terms, shifted in self.factors:
+            # (k + 1)^j has l1 norm 2^j
+            norm *= sum(abs(c) << j if shifted else abs(c) for _, j, c in terms)
+            deg += max((i for i, _, _ in terms), default=0)
+        return _Bound(norm, deg)
+
+    def image(self, b: int, kb: int) -> int:
+        out = self.scalar
+        for terms, shifted in self.factors:
+            out *= _image(terms, b, kb, shifted)
+        return out
+
+
+def _ratio_products(parts: tuple[Fraction, list[MultiPoly], list[MultiPoly]]
+                    ) -> tuple[_Product, _Product]:
+    """Integer products (N, D) with N/D = sign prod(num)/prod(den) for
+    the factor lists (sign, num, den) of a shift ratio."""
+    sign, num, den = parts
+    ns, ds = sign.numerator, sign.denominator
+    nf, df = [], []
+    for f in num:
+        d, terms = f.int_terms("n", "k")
+        ds *= d
+        nf.append((terms, False))
+    for f in den:
+        d, terms = f.int_terms("n", "k")
+        ns *= d
+        df.append((terms, False))
+    return _Product(ns, nf), _Product(ds, df)
+
+
+def _kronecker_zero(form, parts: Sequence[_Product]) -> bool:
+    """Whether the polynomial R = form(*parts) is zero, from its image at
+    n = X = 2^B, k = X^(D+1), B = bit_length(H) + 1, where H and D bound
+    the l1 norm of R and its degree in n; form must use only +, - and *.
+    `verify_recurrence` states and proves the lemma that makes it exact.
+    """
+    h = form(*(p.bound() for p in parts))
+    b = h.norm.bit_length() + 1
+    return form(*(p.image(b, b * (h.deg + 1)) for p in parts)) == 0
+
+
+def _residual_form(p1, p2, nn, dn, nk, dk, cn, cd, cn1, cd1, d12):
+    """R of `verify_recurrence` from its parts, evaluated alike on
+    integer images and on `_Bound`s."""
+    return ((p1 * nn + p2 * dn) * cd1 * dk * cd
+            - d12 * (cn1 * nk * cd - cn * cd1 * dk) * dn)
+
+
 def verify_recurrence(term: HypTerm, rec: Recurrence) -> bool:
-    return recurrence_residual(term, rec).is_zero
+    """Whether the recurrence holds for the instantiated summand, decided
+    exactly from one integer: nothing is expanded.
+
+    The factor lists of rho_n = NN/DN and rho_k = NK/DK come from the
+    summand afresh; they, cert = Cn/Cd and p1 = P1/D12, p2 = P2/D12 are
+    written as integer polynomials in n and k times integer scalars.
+    The recurrence holds iff
+
+        R = (P1 NN + P2 DN) Cd+ DK Cd - D12 (Cn+ NK Cd - Cn Cd+ DK) DN
+
+    is zero, f+(n, k) = f(n, k + 1): R is D12 DN Cd+ DK Cd times the
+    residual p1 rho_n + p2 - (cert(k+1) rho_k - cert).  H bounds the l1
+    norm of R and D its degree in n, both computed through the same
+    expression, with products of norms, sums for differences and
+    ||f+||_1 <= sum |c| 2^(e_k) (`_Bound`).
+
+    Lemma.  With X = 2^B and B = bit_length(H) + 1, R(X, X^(D+1)) = 0
+    iff R = 0.  Each monomial n^i k^j of R goes to X^(i + (D+1) j), and
+    i <= D makes these powers distinct, so the image is sum c_m X^m with
+    every |c_m| <= H < X.  If some c_m is nonzero, the lowest one, c,
+    has 0 < |c| < X, and the image is X^m (c + X y) for an integer y,
+    which is not zero because X does not divide c.
+
+    The image is a product of sums of shifted integers; an f+ part takes
+    one Horner pass in k.  Raises ZeroDivisionError on a zero
+    certificate denominator and ValueError when a parameter other than
+    n and k is free.
+    """
+    cn, cd = rec.cert
+    if cd.is_zero:
+        raise ZeroDivisionError("certificate with zero denominator")
+    if rec.r < 1:
+        raise ValueError("n-shift must be a positive integer")
+    _require_instantiated(term)
+    nn, dn = _ratio_products(n_ratio_parts(term, rec.r))
+    nk, dk = _ratio_products(k_ratio_parts(term))
+    (e1, t1), (e2, t2) = rec.p1.int_terms("n", "k"), rec.p2.int_terms("n", "k")
+    (en, tn), (ed, td) = cn.int_terms("n", "k"), cd.int_terms("n", "k")
+    d12 = lcm(e1, e2)
+    parts = (_Product(d12 // e1, [(t1, False)]), _Product(d12 // e2, [(t2, False)]),
+             nn, dn, nk, dk,
+             _Product(ed, [(tn, False)]), _Product(en, [(td, False)]),
+             _Product(ed, [(tn, True)]), _Product(en, [(td, True)]),
+             _Product(d12, []))
+    return _kronecker_zero(_residual_form, parts)
 
 
 _BUILTIN_SHIFTS = {

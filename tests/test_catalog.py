@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperaccel.accelerator import ChuSeries, accelerated_stream, stream_proportional
+from hyperaccel.accelerator import (ChuSeries, accelerated_stream, chu_normalize,
+                                    stream_proportional)
 from hyperaccel import catalog
 from hyperaccel.catalog import (CatalogEntry, catalog_entries, closed_text,
                                 default_term_budget, derive_entry, entry,
@@ -236,6 +237,46 @@ def test_derive_reports_none_for_inequivalent_display(
     assert rep.recurrence_found and rep.rate == e.rate
     assert rep.proportional is None
     assert _window_constant(e, term, rec, bad.chu) is None
+
+
+def _normal_form_constant(e, term, rec, display):
+    """The constant from two bracket normal forms, the stream's and the
+    display's: their scales' quotient when the forms are equal."""
+    stream = accelerated_stream(term, rec, e.derivation.n0,
+                                check_vanishing=False)
+    series, scale = chu_normalize(stream.ratio, stream.term(0))
+    try:
+        form, d_scale = chu_normalize(display.ratio_parts(), display.term(0))
+    except ValueError:
+        return None
+    return scale / d_scale if form == series else None
+
+
+def test_quotient_decision_matches_two_normal_forms(monkeypatch, derivation_recipes):
+    """derive_entry's quotient test gives the constant two normal forms
+    give, on every stored display, on each with num tripled (same
+    quotient, a third of the constant) and on each with one coefficient
+    of num changed by -1, +1 or so that num(0) = 0 (None)."""
+    checked = found = 0
+    for e, term, rec in derivation_recipes:
+        if e.chu is None:
+            continue
+        coeffs = list(e.chu.num.coeffs)
+        variants = [coeffs, [3 * c for c in coeffs]]
+        for index, delta in ((0, -1), (len(coeffs) - 1, 1), (0, -coeffs[0])):
+            changed = list(coeffs)
+            changed[index] += delta
+            variants.append(changed)
+        for num in variants:
+            display = dataclasses.replace(e.chu, num=UniPoly.from_coeffs(num))
+            shown = dataclasses.replace(e, chu=display)
+            monkeypatch.setattr(catalog, "entry",
+                                lambda key, shown=shown: shown)
+            want = _normal_form_constant(e, term, rec, display)
+            assert derive_entry(e.id).proportional == want, e.id
+            checked += 1
+            found += want is not None
+    assert (checked, found) == (5 * 67, 2 * 67)
 
 
 def test_stream_ratio_equals_display_ratio_for_all_j(derivation_recipes):

@@ -594,3 +594,21 @@ def test_decimal_text_ignores_and_keeps_the_int_str_limit():
         assert decimal_text(n) == want
         assert decimal_text(F(-1, n)) == "-1/" + want
         assert sys.get_int_max_str_digits() == 640
+
+
+@pytest.mark.parametrize("base, e, s", [
+    *((2, m, s) for m in (1999, 2000, 2001, 3999, 4000, 4001, 7999, 8000, 8001)
+      for s in (-1, 0, 1)),
+    *((10, k, s) for k in (602, 603, 1204, 1205, 2408, 2409, 4816, 4817)
+      for s in (-1, 0, 1)),
+])
+def test_decimal_text_at_piece_and_power_boundaries(base, e, s):
+    """2^m + s around the piece width and its doubles, where the split
+    changes level, and 10^k + s, where the digit count changes."""
+    n = base ** e + s
+    with _int_str_limit(0):
+        want = str(n)
+    with _int_str_limit(640):
+        assert decimal_text(n) == want
+        assert decimal_text(-n) == "-" + want
+        assert decimal_text(F(1, n)) == "1/" + want

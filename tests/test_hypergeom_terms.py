@@ -160,3 +160,9 @@ def test_ratio_cocycle(n0, k0):
     lhs = quotient_eval(rho_n, {"n": n, "k": k0 + 1}) * quotient_eval(rho_k, point)
     rhs = quotient_eval(rho_k, {"n": n + 1, "k": k0}) * quotient_eval(rho_n, point)
     assert lhs == rhs
+
+
+def test_family_term_is_built_once_per_family():
+    terms = {family: family_term(family) for family in FamilyId}
+    assert all(family_term(family) is t for family, t in terms.items())
+    assert family_term.cache_info().currsize == len(FamilyId)

@@ -22,6 +22,8 @@ from hyperaccel.hypergeom_terms import (
     n_shift_ratio,
 )
 from hyperaccel.telescoper import (
+    _Product,
+    _kronecker_zero,
     _normal_form,
     _nullspace,
     builtin_recurrence,
@@ -225,6 +227,194 @@ def test_zero_certificate_denominator_raises():
     rec = zeilberger_two_term(term, 1)
     with pytest.raises(ZeroDivisionError):
         recurrence_residual(term, replace(rec, cert=(rec.cert[0], MultiPoly.zero())))
+
+
+# ---------------------------------------------------------------------------
+# The Kronecker zero test against the expanded residual
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def solved(derivation_recipes):
+    """(summand, recurrence) for the 39 recipes the solver derives."""
+    out = [(term, rec) for e, term, rec in derivation_recipes
+           if builtin_recurrence(e.derivation.family) is None]
+    assert len(out) == 39
+    return out
+
+
+def _product(poly, shifted=False):
+    den, terms = poly.int_terms("n", "k")
+    assert den == 1
+    return _Product(1, [(terms, shifted)])
+
+
+def _difference(f, g):
+    return f - g
+
+
+@pytest.mark.parametrize("t", range(1, 80, 7))
+def test_kronecker_image_keeps_large_constants_apart_from_n(t):
+    """n - c is not zero for c = 2^t and 2^t - 1: X = 2^B exceeds the
+    norm bound, so n -> X never meets the constant."""
+    for c in (2 ** t, 2 ** t - 1):
+        parts = [_product(_NV), _product(MultiPoly.const(c))]
+        assert _kronecker_zero(_difference, parts) is False
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_kronecker_image_keeps_k_apart_from_powers_of_n(d):
+    """k - n^d is not zero: k -> X^(D+1) lies above every n^i, i <= D."""
+    parts = [_product(_KV), _product(MultiPoly.var("n", d))]
+    assert _kronecker_zero(_difference, parts) is False
+
+
+_small = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-9, 9)),
+    min_size=1, max_size=4).map(
+    lambda ts: sum((MultiPoly.var("n", i) * MultiPoly.var("k", j) * c
+                    for i, j, c in ts), MultiPoly.zero()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys=st.lists(st.tuples(_small, st.booleans()), min_size=1, max_size=3),
+       scalar=st.integers(-50, 50), b=st.integers(1, 12))
+def test_product_bound_and_image_match_expansion(polys, scalar, b):
+    """A _Product's bound holds for its expansion (l1 norm and degree in
+    n), and its image is the expansion evaluated at (2^b, 2^(b (D+1)))."""
+    expanded = MultiPoly.const(scalar)
+    for f, shifted in polys:
+        expanded = expanded * (f.shift_var("k", 1) if shifted else f)
+    den, terms = expanded.int_terms("n", "k")
+    assert den == 1
+    product = _Product(scalar, [_product(f, shifted).factors[0]
+                                for f, shifted in polys])
+    bound = product.bound()
+    assert sum(abs(c) for *_, c in terms) <= bound.norm
+    assert max((i for i, _, _ in terms), default=0) <= bound.deg
+    kb = b * (bound.deg + 1)
+    assert product.image(b, kb) == sum(c * 2 ** (b * i + kb * j)
+                                       for i, j, c in terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_small, g=_small, h=_small, shift=st.booleans(),
+       same=st.booleans())
+def test_kronecker_zero_matches_expansion(f, g, h, shift, same):
+    """f g+ - h (g+ the shift k -> k+1 when shift is set) is zero exactly
+    when its image is; with same, h is the expanded f g+, so it is."""
+    gk = g.shift_var("k", 1) if shift else g
+    if same:
+        h = f * gk
+    want = (f * gk - h).is_zero
+    parts = [_product(f), _product(g, shift), _product(h)]
+    assert _kronecker_zero(lambda a, b, c: a * b - c, parts) is want
+
+
+def test_kronecker_test_matches_expanded_residual(derivation_recipes):
+    """On all 95 recipes, the 39 solver recurrences and the 56 stored ones
+    specialized, the Kronecker image and the expanded residual agree."""
+    for e, term, rec in derivation_recipes:
+        assert verify_recurrence(term, rec) is True, e.id
+        assert recurrence_residual(term, rec).is_zero, e.id
+
+
+_PARTS = ("p1", "p2", "cert_num", "cert_den")
+
+
+def _perturbed(rec, part, delta):
+    cn, cd = rec.cert
+    if part == "cert_num":
+        return replace(rec, cert=(cn + delta, cd))
+    if part == "cert_den":
+        return replace(rec, cert=(cn, cd + delta))
+    return replace(rec, **{part: getattr(rec, part) + delta})
+
+
+def _verdict(check, term, rec):
+    try:
+        return check(term, rec)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=80, deadline=None)
+@given(index=st.integers(0, 38), part=st.sampled_from(_PARTS),
+       a=st.integers(0, 12), b=st.integers(0, 6),
+       delta=st.one_of(st.sampled_from([1, -1, 2, -2, 2 ** 200, -2 ** 200]),
+                       st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                       st.fractions(max_denominator=10 ** 4).filter(bool)))
+def test_kronecker_test_matches_residual_after_perturbation(
+        solved, index, part, a, b, delta):
+    """Adding delta n^a k^b to one of p1, p2, Cn or Cd gives the same
+    verdict from the image as from the expanded residual."""
+    term, rec = solved[index]
+    mono = MultiPoly.var("n", a) * MultiPoly.var("k", b) * F(delta)
+    bad = _perturbed(rec, part, mono)
+    want = _verdict(lambda t, r: recurrence_residual(t, r).is_zero, term, bad)
+    assert _verdict(verify_recurrence, term, bad) == want
+
+
+def test_kronecker_test_rejects_single_unit_changes(solved):
+    """A change of 1 in any one coefficient of p1, p2, Cn or Cd breaks
+    every solver recurrence, and the image sees it."""
+    for term, rec in solved:
+        for part, poly in zip(_PARTS, (rec.p1, rec.p2, *rec.cert)):
+            for mono, _ in poly.terms[:3]:
+                bad = _perturbed(rec, part, MultiPoly.from_dict({mono: 1}))
+                assert verify_recurrence(term, bad) is False
+
+
+def test_kronecker_test_zero_certificate_denominator_raises(solved):
+    term, rec = solved[0]
+    with pytest.raises(ZeroDivisionError):
+        verify_recurrence(term, replace(rec, cert=(rec.cert[0], MultiPoly.zero())))
+
+
+def test_kronecker_test_rejects_free_parameters(solved):
+    with pytest.raises(ValueError, match="free parameter"):
+        verify_recurrence(family_term(FamilyId.QUARTER),
+                          builtin_recurrence(FamilyId.QUARTER))
+    term, rec = solved[0]
+    with pytest.raises(ValueError):
+        verify_recurrence(term, replace(rec, p1=rec.p1 + MultiPoly.var("a")))
+    with pytest.raises(ValueError):
+        verify_recurrence(term, replace(
+            rec, cert=(rec.cert[0], rec.cert[1] * MultiPoly.var("f"))))
+
+
+def test_solver_recheck_is_live(monkeypatch):
+    """zeilberger_two_term re-checks what `_assemble` returns: a recurrence
+    with p2 off by one is refused."""
+    import hyperaccel.telescoper as telescoper
+    assemble = telescoper._assemble
+
+    def corrupted(*args):
+        rec = assemble(*args)
+        return replace(rec, p2=rec.p2 + MultiPoly.one())
+
+    monkeypatch.setattr(telescoper, "_assemble", corrupted)
+    term = family_instantiate(FamilyId.QUARTER,
+                              (F(1, 3), F(1, 3), F(1), F(1, 3), F(1, 3), F(2, 3)))
+    with pytest.raises(RuntimeError, match="re-verification"):
+        zeilberger_two_term(term, 1)
+
+
+def test_kronecker_test_multiplies_no_polynomials(monkeypatch):
+    """The zero test builds no MultiPoly product: it holds with
+    MultiPoly.__mul__ replaced by a function that raises."""
+    params = (F(1, 3), F(1, 3), F(1), F(1, 3), F(1, 3), F(2, 3))
+    term = family_instantiate(FamilyId.QUARTER, params)
+    rec = specialize(builtin_recurrence(FamilyId.QUARTER), dict(zip("abcdef", params)))
+    bad = replace(rec, p1=rec.p1 + MultiPoly.one())
+
+    def refuse(self, other):
+        raise AssertionError("MultiPoly product in the zero test")
+
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+    monkeypatch.setattr(MultiPoly, "__rmul__", refuse)
+    assert verify_recurrence(term, rec) is True
+    assert verify_recurrence(term, bad) is False
 
 
 def test_specialize_rejects_vanishing_certificate_denominator():
