@@ -18,11 +18,12 @@ pair of UniPolys in j.
 
 Unrolling is valid only when the remainder after m steps dies off.
 vanishing_check estimates that remainder in double precision: the
-running product of g2 times a direct-summation value of the original
-series at the shifted point, each summand there normalized by its own
-k = 0 term.  It is a numeric heuristic, not a proof; the exact
-certificate of correctness is agreement of the summed stream with its
-closed form.
+running product of g2 times the value of the original series at the
+shifted point, each summand there normalized by its own k = 0 term.
+That value comes from the direct-summation oracle, numerics.direct_sum,
+at two digits; a point where the oracle refuses fails the check.  It is
+a numeric heuristic, not a proof; the exact certificate of correctness
+is agreement of the summed stream with its closed form.
 
 The bracket normal form rewrites the stream as scale * T_j with
 
@@ -42,22 +43,21 @@ factorials as one running product.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from hyperaccel.exact_arith import (MultiPoly, Scalar, UniPoly, index_roots,
-                                    rational_roots)
+from hyperaccel.exact_arith import Scalar, UniPoly, index_roots, rational_roots
 from hyperaccel.hypergeom_terms import (HypTerm, k_ratio_at, k_shift_ratio,
                                         n_shift_ratio)
+from hyperaccel.numerics import direct_sum
 from hyperaccel.telescoper import Recurrence
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 _REMAINDER_TOL = 1e-30
-_ORACLE_TERMS = 300
+_ORACLE_DIGITS = 2
 _UNROLL_STEPS = 200
 
 
@@ -87,35 +87,6 @@ def convergence_rate(rec: Recurrence) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _horner(coeffs: list[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def direct_sum_estimate(rho_k: tuple[MultiPoly, MultiPoly], nu: Scalar) -> float:
-    """Double-precision direct sum at n = nu of the series whose k-shift
-    ratio is rho_k (`k_shift_ratio` of the summand).
-
-    Terms are normalized by the k = 0 term.  Raises when the terms fail
-    to decay, which signals a series that is not summable at the
-    shifted point.
-    """
-    num, den = ([float(c) for c in part.coeffs] for part in k_ratio_at(rho_k, nu))
-    t = 1.0
-    total = 0.0
-    for k in range(_ORACLE_TERMS):
-        total += t
-        d = _horner(den, float(k))
-        if d == 0.0 or not math.isfinite(d):
-            raise ValueError("direct summation oracle diverges")
-        t *= _horner(num, float(k)) / d
-    if not math.isfinite(total) or not math.isfinite(t) or abs(t) > 1.0:
-        raise ValueError("direct summation oracle diverges")
-    return total
-
-
 def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
     """Numeric estimate that the unrolling remainder dies off.
 
@@ -123,10 +94,11 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
     product of g2(nu_o) over o <= m times the original series at
     nu_{m+1}, each evaluated relative to its own k = 0 summand.  The
     product runs in double precision with the series value from the
-    direct-summation oracle; the estimate must fall below 1e-30 within
-    200 steps and decrease monotonically over the final ten steps.  A
-    geometric |g2| below one passes; fabricated coefficients with
-    |g2| >= 1 fail.
+    direct-summation oracle (numerics.direct_sum) at two digits; the
+    estimate must fall below 1e-30 within 200 steps and decrease
+    monotonically over the final ten steps.  A geometric |g2| below one
+    passes; fabricated coefficients with |g2| >= 1 fail, and so does a
+    series the oracle refuses to sum at some shifted point.
     """
     p1 = rec.p1.as_unipoly("n")
     p2 = rec.p2.as_unipoly("n")
@@ -140,7 +112,12 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
             raise ValueError(f"pole in accelerated stream at term {m}")
         pre *= abs(float(-p1.eval(nu) / p2v))
         nu += rec.r
-        vals.append(pre * abs(direct_sum_estimate(rho_k, nu)))
+        # a refused k-sum, or one beyond the float range, is not gauged
+        try:
+            total = direct_sum(*k_ratio_at(rho_k, nu), _ORACLE_DIGITS)
+            vals.append(pre * abs(float(total.center.to_fraction())))
+        except (ValueError, OverflowError):
+            return False
     if not vals[-1] < _REMAINDER_TOL:
         return False
     last = vals[-10:]

@@ -17,9 +17,9 @@ overlap against its constant's enclosure; derive_entry rebuilds the
 recurrence from the recipe (the stored general-parameter recurrence
 where one exists, creative telescoping otherwise), unrolls the
 accelerated stream, and reports the exact termwise proportionality
-constant against the display from their term quotients and the
-stream's bracket normal form.  rate stores the signed term ratio limit;
-it equals chu.z whenever a display is present.
+constant against the display from their term quotients and first
+terms.  rate stores the signed term ratio limit; it equals chu.z
+whenever a display is present.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+# chu_normalize is not called here; it stays importable as
+# catalog.chu_normalize, which bench/selftest.py reads after the tracer
+# uninstalls its wrappers
 from .accelerator import (ChuSeries, accelerated_stream, chu_normalize,
                           convergence_rate)
 from .exact_arith import MultiPoly, UniPoly
@@ -963,13 +966,11 @@ def derive_entry(rid: str) -> DeriveReport:
 
     proportional is the constant c with stream term = c * display term
     for every j; None when no display is stored, its first term is zero
-    or its term quotient differs from the stream's.  The bracket normal
-    form depends only on the reduced term quotient, and the form's own
-    quotient equals its input's, so the display's form equals the
-    stream's exactly when the two quotients are equal, dn sd = sn dd as
-    (numerator, denominator) pairs.  Then c is the stream's scale over
-    the display's, t0 den(0)/num(0) for the display's first term t0 and
-    the stream's form; no second normal form is built.
+    or its term quotient differs from the stream's.  Equal term
+    quotients, dn sd = sn dd as (numerator, denominator) pairs, make the
+    two sequences termwise proportional from their first terms on, so c
+    is the stream's first term over the display's; no bracket normal
+    form is built.
     """
     e = entry(rid)
     term = derivation_term(e)
@@ -980,14 +981,13 @@ def derive_entry(rid: str) -> DeriveReport:
     rate = convergence_rate(rec)
     stream = accelerated_stream(term, rec, e.derivation.n0,
                                 check_vanishing=False)
-    series, scale = chu_normalize(stream.ratio, stream.term(0))
     proportional = None
     if e.chu is not None:
         (dn, dd), t0 = e.chu.ratio_parts(), e.chu.term(0)
         sn, sd = stream.ratio
         # t0 != 0 makes num and den, hence dd, nonzero
         if t0 != 0 and dn * sd == sn * dd:
-            proportional = scale / (t0 * series.den.eval(0) / series.num.eval(0))
+            proportional = stream.term(0) / t0
     return DeriveReport(recurrence_found=True, rate=rate,
                         proportional=proportional)
 

@@ -60,6 +60,28 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
             f"not a comma-separated rational list: {text!r}")
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with `--params -2/3,2/3,0` and `--n -1/2` joined into
+    `--params=-2/3,2/3,0` and `--n=-1/2`.
+
+    argparse reads a word after an option as a flag when it starts with
+    '-' and is not a negative decimal number, which a negative rational
+    such as -2/3 is not; a joined word is parsed as the option's value.
+    """
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in ("--params", "--n") and word.startswith("-"):
+            try:
+                _rational_list(word)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                out[-1] += "=" + word
+                continue
+        out.append(word)
+    return out
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -125,8 +147,7 @@ def _build_recurrence(family: FamilyId, params, r: Optional[int],
     except ValueError as ex:
         raise UsageError(str(ex)) from None
     shifts = (r,) if r is not None else (1, 2)
-    rec = derive_recurrence(term, max_deg=max_deg, shifts=shifts,
-                            family=family)
+    rec = derive_recurrence(term, max_deg=max_deg, shifts=shifts)
     return term, rec
 
 
@@ -391,7 +412,8 @@ def _series_arg(text: str):
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         status = args.func(args)
         sys.stdout.flush()

@@ -147,7 +147,7 @@ def n_shift_ratio(term: HypTerm, r: int) -> tuple[MultiPoly, MultiPoly]:
 
 def k_ratio_at(rho_k: tuple[MultiPoly, MultiPoly], n0: Scalar) -> tuple[UniPoly, UniPoly]:
     """A k-shift ratio pair at n = n0, as UniPolys in k with integer,
-    jointly primitive parts, the coefficients the float summation sees."""
+    jointly primitive parts: the term quotient numerics.direct_sum sums."""
     num, den = _primitive_pair(*(part.subst({"n": n0}) for part in rho_k))
     return num.as_unipoly("k"), den.as_unipoly("k")
 
@@ -290,33 +290,3 @@ def family_instantiate(family: FamilyId, params: Sequence[Rational]) -> HypTerm:
         )
     point = {name: Fraction(v) for name, v in zip(names, params)}
     return family_term(family).subst(point)
-
-
-def alt_control_single_offset(a: Rational, b: Rational, c: Rational) -> HypTerm:
-    """(-1)^k (a)_k (b)_k / ((a+n)_k (b+n)_{k+c}), instantiated.
-
-    An alternating companion with one shifted lower offset; it admits no
-    two-term recurrence at unit n-offset and serves as a derivation control.
-    """
-    term = _term(
-        _poch("a", "k", 1) + _poch("b", "k", 1)
-        + _poch("a + n", "k", -1) + _poch("b + n", "k + c", -1),
-        sign=-1,
-    )
-    return term.subst({"a": Fraction(a), "b": Fraction(b), "c": Fraction(c)})
-
-
-def alt_control_double_offset(a: Rational, b: Rational, c: Rational,
-                              d: Rational) -> HypTerm:
-    """(-1)^k (a)_k (b)_k / ((a+n)_{k+d} (b+n)_{k+c}), instantiated.
-
-    The two-offset alternating companion; also recurrence-free at unit
-    n-offset and used as a derivation control.
-    """
-    term = _term(
-        _poch("a", "k", 1) + _poch("b", "k", 1)
-        + _poch("a + n", "k + d", -1) + _poch("b + n", "k + c", -1),
-        sign=-1,
-    )
-    return term.subst({"a": Fraction(a), "b": Fraction(b), "c": Fraction(c),
-                       "d": Fraction(d)})

@@ -30,12 +30,15 @@ partial sum and tail bound are then rounded to the dyadic endpoints
 from those integers, with no other gcd taken.  They and the stop index
 are the exact rationals a running Fraction sum would give.
 
-direct_sum_eval is the low-precision brute-force oracle for the
-unaccelerated sums.  Terminating sums are exact and geometrically
-convergent sums carry the same certified tail bound; the slowly
-convergent positive and alternating cases use documented asymptotic
-tail estimates in double precision, which is why the oracle is capped
-at six digits.
+direct_sum is the one direct-summation oracle: the low-precision
+brute-force sum of an unaccelerated k-series from its term quotient,
+normalized by its k = 0 term.  direct_sum_eval applies it to a summand
+at one point n0, and accelerator.vanishing_check to the summand at each
+shifted point of the unrolling.  Terminating sums are exact and
+geometrically convergent sums carry the same certified tail bound; the
+slowly convergent positive and alternating cases use documented
+asymptotic tail estimates in double precision, which is why the oracle
+is capped at six digits.
 """
 
 from __future__ import annotations
@@ -47,12 +50,14 @@ from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import gcd, isqrt, log
 from operator import lt, sub
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from hyperaccel.accelerator import ChuSeries, _horner
 from hyperaccel.exact_arith import (Scalar, UniPoly, _common_ints, _zeval,
                                     decimal_text, index_roots)
 from hyperaccel.hypergeom_terms import HypTerm, k_ratio_at, k_shift_ratio
+
+if TYPE_CHECKING:
+    from hyperaccel.accelerator import ChuSeries
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -662,17 +667,24 @@ def chu_eval(s: ChuSeries, digits: int,
 
 def direct_sum_eval(term: HypTerm, n0: Scalar, target_digits: int) -> Enclosure:
     """Enclosure of the unaccelerated sum at n = n0, normalized by the
-    k = 0 summand, at no more than six digits.
+    k = 0 summand: `direct_sum` on the summand's k-shift ratio there."""
+    return direct_sum(*k_ratio_at(k_shift_ratio(term), n0), target_digits)
 
-    Terminating sums are exact; |ratio| limits below one get the
-    certified geometric tail bound; ratio limits of +1 (with decay
-    exponent above one) and -1 (alternating, decay exponent positive)
-    are summed in double precision with an integral-estimate or
-    alternating tail.  Everything else raises "oracle unavailable".
+
+def direct_sum(num: UniPoly, den: UniPoly, target_digits: int) -> Enclosure:
+    """Enclosure, at no more than six digits, of the sum over k >= 0 of
+    the terms t_0 = 1, t_{k+1} = t_k num(k)/den(k).
+
+    Terminating sums are exact, summed on the product tree; |ratio|
+    limits below one get the certified geometric tail bound; ratio
+    limits of +1 (with decay exponent above one) and -1 (alternating,
+    decay exponent positive) are summed in double precision with an
+    integral-estimate or alternating tail.  Everything else raises
+    "oracle unavailable", and so does a sum that meets no tail rule
+    within the term cap.
     """
     if target_digits > _ORACLE_DIGITS_CAP:
         raise ValueError("oracle unavailable")
-    num, den = k_ratio_at(k_shift_ratio(term), n0)
     if index_roots(den):
         raise ValueError("oracle unavailable")
     if num.is_zero:
@@ -680,11 +692,11 @@ def direct_sum_eval(term: HypTerm, n0: Scalar, target_digits: int) -> Enclosure:
     stops = index_roots(num)
     tol = Fraction(1, 2 * 10 ** target_digits)
     if stops:
-        total, t = _F0, _F1
-        for k in range(stops[0] + 1):
-            total += t
-            t *= num.eval(k) / den.eval(k)
-        return Enclosure.exact(total)
+        # the exact sum over k <= stop is T/Q on the product tree (B = 1)
+        m = stops[0] + 1
+        p, q = _common_ints([num, den])
+        _, Q, _, T = _split(_values(p, 0, m), _values(q, 0, m), [1] * m, [1] * m, 0, m)
+        return Enclosure.from_ratio(T if Q > 0 else -T, 0, abs(Q))
     if num.degree > den.degree:
         raise ValueError("oracle unavailable")
     limit = _F0 if num.degree < den.degree else num.lc / den.lc
@@ -716,6 +728,13 @@ def _oracle_geometric(num: UniPoly, den: UniPoly, lim: Fraction,
     if found is None:
         raise ValueError("oracle unavailable")
     return found[0]
+
+
+def _horner(coeffs: list[float], x: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _oracle_positive(num: UniPoly, den: UniPoly, alpha: float,

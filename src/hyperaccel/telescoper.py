@@ -81,7 +81,6 @@ class Recurrence:
     p1: MultiPoly
     p2: MultiPoly
     cert: tuple[MultiPoly, MultiPoly]
-    family: Optional[FamilyId] = None
 
 
 def recurrence_residual(term: HypTerm, rec: Recurrence) -> MultiPoly:
@@ -262,8 +261,7 @@ def builtin_recurrence(family: FamilyId) -> Optional[Recurrence]:
         p1, p2, cert = neg27_dataset()
     else:
         return None
-    return Recurrence(r=_BUILTIN_SHIFTS[family], p1=p1, p2=p2, cert=cert,
-                      family=family)
+    return Recurrence(r=_BUILTIN_SHIFTS[family], p1=p1, p2=p2, cert=cert)
 
 
 def builtin_residual(family: FamilyId) -> MultiPoly:
@@ -283,7 +281,7 @@ def specialize(rec: Recurrence, params: Mapping[str, Scalar]) -> Recurrence:
     if cd.is_zero:
         raise ZeroDivisionError("certificate with zero denominator")
     return Recurrence(r=rec.r, p1=rec.p1.subst(params), p2=rec.p2.subst(params),
-                      cert=(cn, cd), family=rec.family)
+                      cert=(cn, cd))
 
 
 def same_ratio(a: Recurrence, b: Recurrence) -> bool:
@@ -456,8 +454,8 @@ def _int_rows(cols: list[MultiPoly]) -> list[list[list[int]]]:
             for m in range(max(len(cs) for cs in coeffs))]
 
 
-def zeilberger_two_term(term: HypTerm, r: int, max_deg: int = 8,
-                        family: Optional[FamilyId] = None) -> Optional[Recurrence]:
+def zeilberger_two_term(term: HypTerm, r: int,
+                        max_deg: int = 8) -> Optional[Recurrence]:
     """Derive a two-term recurrence with n-offset r, or None.
 
     The summand must have every parameter instantiated, leaving only n
@@ -490,14 +488,14 @@ def zeilberger_two_term(term: HypTerm, r: int, max_deg: int = 8,
     if not vecs:
         return None
     vec = next((v for v in vecs if v[-1]), vecs[0])
-    rec = _assemble(vec, deg, rstar, p * d_n, r, family)
+    rec = _assemble(vec, deg, rstar, p * d_n, r)
     if not verify_recurrence(term, rec):
         raise RuntimeError("derived recurrence failed exact re-verification")
     return rec
 
 
 def _assemble(vec: list[list[int]], deg: int, rstar: MultiPoly,
-              pd: MultiPoly, r: int, family: Optional[FamilyId]) -> Recurrence:
+              pd: MultiPoly, r: int) -> Recurrence:
     """Rescale a nullspace vector (x_0..x_deg, p1, p2) over Z[n] to the
     canonical polynomial pair and build the recurrence.
 
@@ -527,16 +525,14 @@ def _assemble(vec: list[list[int]], deg: int, rstar: MultiPoly,
     return Recurrence(r=r, p1=_n_poly([c // ct for c in a]),
                       p2=_n_poly([c // ct for c in b]),
                       cert=_primitive_pair(_kn_poly([_zdiv(c, h) for c in cs]) * (s / ct),
-                                           pd * _n_poly(_zdiv(g, h))),
-                      family=family)
+                                           pd * _n_poly(_zdiv(g, h))))
 
 
 def derive_recurrence(term: HypTerm, max_deg: int = 8,
-                      shifts: Sequence[int] = (1, 2),
-                      family: Optional[FamilyId] = None) -> Optional[Recurrence]:
+                      shifts: Sequence[int] = (1, 2)) -> Optional[Recurrence]:
     """Search n-offsets in order and return the first recurrence found."""
     for r in shifts:
-        rec = zeilberger_two_term(term, r, max_deg=max_deg, family=family)
+        rec = zeilberger_two_term(term, r, max_deg=max_deg)
         if rec is not None:
             return rec
     return None

@@ -13,14 +13,14 @@ from hyperaccel.accelerator import (
     accelerated_stream,
     chu_normalize,
     convergence_rate,
-    direct_sum_estimate,
     stream_proportional,
     vanishing_check,
 )
 from hyperaccel.catalog import catalog_entries
 from hyperaccel.exact_arith import MultiPoly, UniPoly
-from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate, k_shift_ratio,
-                                        n_shift_ratio)
+from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate, k_ratio_at,
+                                        k_shift_ratio, n_shift_ratio)
+from hyperaccel.numerics import direct_sum
 from hyperaccel.telescoper import Recurrence, zeilberger_two_term
 
 from quotient_helpers import quotient_eval, same_quotient
@@ -103,7 +103,9 @@ def test_direct_sum_matches_exact_partial_sum():
     for k in range(300):
         total += t
         t *= quotient_eval(rho, {"n": F(5), "k": k})
-    assert abs(direct_sum_estimate(rho, F(5)) - float(total)) < 1e-9
+    # the tail past 300 terms is below 10^-18 at n = 5
+    enc = direct_sum(*k_ratio_at(rho, F(5)), 6)
+    assert abs(enc.center.to_fraction() - total) <= F(1, 10 ** 6)
 
 
 def test_direct_sum_divergence_is_an_error():
@@ -116,8 +118,8 @@ def test_direct_sum_divergence_is_an_error():
         GammaFactor(MultiPoly.affine(F(1), k=F(1)), -1),
         GammaFactor(MultiPoly.affine(F(1)), 1),
     ), sign_base=1)
-    with pytest.raises(ValueError, match="diverges"):
-        direct_sum_estimate(k_shift_ratio(grow), F(3))
+    with pytest.raises(ValueError, match="oracle unavailable"):
+        direct_sum(*k_ratio_at(k_shift_ratio(grow), F(3)), 2)
 
 
 def test_vanishing_check_passes_quarter_example():
@@ -133,6 +135,32 @@ def test_vanishing_check_passes_neg_27_example():
 def test_vanishing_check_rejects_fabricated_growth():
     term, _ = _quarter_example()
     assert not vanishing_check(term, _fake_rec(F(2)), F(1))
+
+
+def test_vanishing_check_fails_where_the_oracle_refuses():
+    # from n0 = -1/2 the first shifted point is 1/2, where the k-sum's
+    # decay exponent 2 n - 1/3 is 2/3: the series does not converge there
+    term, rec = _quarter_example()
+    assert not vanishing_check(term, rec, F(-1, 2))
+    with pytest.raises(ValueError, match="remainder does not vanish"):
+        accelerated_stream(term, rec, F(-1, 2))
+
+
+# one recipe of each family; FR-2, the only twenty7-32 recipe, is refused
+VANISHING_PINS = {
+    "GUILLERA-QUARTER": True, "NQ1": True, "N27-1": True, "F427-1": True,
+    "S1627-1": True, "S1627-3": True, "S64-1": True, "S64-4": True,
+    "S2764-1": True, "FR-1": True, "FR-2": False,
+}
+
+
+def test_vanishing_verdict_pinned_per_family(derivation_recipes):
+    got = {e.id: vanishing_check(term, rec, e.derivation.n0)
+           for e, term, rec in derivation_recipes if e.id in VANISHING_PINS}
+    assert got == VANISHING_PINS
+    families = {e.derivation.family for e, _, _ in derivation_recipes
+                if e.id in VANISHING_PINS}
+    assert families == set(FamilyId)
 
 
 def _count_calls(monkeypatch, name):

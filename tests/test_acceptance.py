@@ -24,14 +24,14 @@ from hyperaccel.catalog import (catalog_entries, derivation_recurrence,
                                 derivation_term, derive_entry, entry,
                                 series_text, verify_entry, verify_series)
 from hyperaccel.exact_arith import MultiPoly, UniPoly
-from hyperaccel.hypergeom_terms import (FamilyId, alt_control_double_offset,
-                                        alt_control_single_offset,
-                                        family_instantiate, family_term)
+from hyperaccel.hypergeom_terms import FamilyId, family_instantiate, family_term
 from hyperaccel.numerics import direct_sum_eval
 from hyperaccel.telescoper import (Recurrence, builtin_recurrence,
                                    builtin_residual, recurrence_residual,
                                    same_ratio, specialize, theorem_families,
                                    zeilberger_two_term)
+
+from control_summands import alt_control_double_offset, alt_control_single_offset
 
 F = Fraction
 
@@ -79,7 +79,7 @@ def test_03_rederived_recurrences_match_stored_specializations():
         if section == "two-step":
             assert d.r == 2, e.id
         term = family_instantiate(d.family, d.params)
-        derived = zeilberger_two_term(term, d.r, family=d.family)
+        derived = zeilberger_two_term(term, d.r)
         stored = specialize(builtin_recurrence(d.family),
                             dict(zip(d.family.param_names, d.params)))
         assert derived is not None, e.id
@@ -199,7 +199,7 @@ def test_07_accelerated_sums_agree_with_direct_oracle():
     for label, family, params, r, n0 in ORACLE_INSTANCES:
         term = family_instantiate(family, params)
         oracle = direct_sum_eval(term, n0, 4)
-        rec = zeilberger_two_term(term, r, family=family)
+        rec = zeilberger_two_term(term, r)
         assert rec is not None, label
         stream = accelerated_stream(term, rec, n0)
         total = F(0)
@@ -227,7 +227,7 @@ def test_08_random_coefficient_corruptions_are_caught():
             mono, _ = rng.choice(base.p2.terms)
             delta = MultiPoly.from_dict({mono: F(rng.choice([1, -1, 2]))})
             bad = Recurrence(r=base.r, p1=base.p1, p2=base.p2 + delta,
-                             cert=base.cert, family=base.family)
+                             cert=base.cert)
             assert not recurrence_residual(term, bad).is_zero
         else:
             e = rng.choice(display)

@@ -293,6 +293,21 @@ def test_stream_ratio_equals_display_ratio_for_all_j(derivation_recipes):
     assert checked == 67
 
 
+def test_every_recipe_stream_has_a_bracket_form(derivation_recipes):
+    """derive_entry takes its constant from the first terms and builds no
+    bracket normal form; every recipe stream, the 28 without a display
+    too, still has one, and scale * series reproduces its first 41
+    terms."""
+    undisplayed = 0
+    for e, term, rec in derivation_recipes:
+        stream = accelerated_stream(term, rec, e.derivation.n0,
+                                    check_vanishing=False)
+        series, scale = chu_normalize(stream.ratio, stream.term(0))
+        assert [scale * t for t in series.terms(41)] == stream.take(41), e.id
+        undisplayed += e.chu is None
+    assert (len(derivation_recipes), undisplayed) == (95, 28)
+
+
 def test_term_budget_covers_slow_rates():
     assert default_term_budget(Fraction(27, 32), 50) >= 700
     assert default_term_budget(Fraction(1, 4), 50) >= 83

@@ -90,7 +90,38 @@ def test_derive_divergent_tuple_fails_with_diagnostic(capsys):
     code, _, err = run(capsys, "derive", "--family", "quarter",
                        "--params", "9,9,9,9,9,9", "--n", "1")
     assert code == 1
-    assert err.startswith("hyperaccel: ")
+    assert err == "hyperaccel: remainder does not vanish\n"
+
+
+def test_derive_from_a_point_where_the_series_diverges_fails(capsys):
+    # the first shifted point n = 1/2 leaves the k-sum with decay
+    # exponent 2/3, which the direct-summation oracle refuses
+    code, out, err = run(capsys, "derive", "--family", "quarter",
+                         "--params", Q1_PARAMS, "--n=-1/2")
+    assert code == 1
+    assert err == "hyperaccel: remainder does not vanish\n"
+    assert "stream" not in out
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["rate", "--family", "neg-64", "--params", "-2/3,2/3,0"],
+     ["rate", "--family", "neg-64", "--params=-2/3,2/3,0"]),
+    (["derive", "--family", "neg-64", "--params", "-2/3,2/3,0", "--n", "-1/3"],
+     ["derive", "--family", "neg-64", "--params=-2/3,2/3,0", "--n=-1/3"]),
+])
+def test_negative_rational_values_with_space_or_equals(capsys, spaced, joined):
+    code, out, err = run(capsys, *spaced)
+    assert (code, out, err) == run(capsys, *joined)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith(
+        "rate = -1/64" if spaced[0] == "rate" else "stream valid from n = -1/3")
+
+
+def test_unknown_flag_after_negative_value_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rate", "--family", "neg-64", "--params", "-2/3,2/3,0",
+              "--bogus"])
+    assert exc.value.code == 2
 
 
 def test_derive_wrong_arity_is_usage_error(capsys):

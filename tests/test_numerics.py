@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from hyperaccel.accelerator import ChuSeries, accelerated_stream
 from hyperaccel.catalog import catalog_entries, default_term_budget, entry
-from hyperaccel.exact_arith import UniPoly, _common_ints, _zeval, rational_roots
+from hyperaccel.exact_arith import (UniPoly, _common_ints, _zeval, index_roots,
+                                    rational_roots)
 from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate,
                                         k_ratio_at, k_shift_ratio)
 from hyperaccel.numerics import (
@@ -38,6 +39,7 @@ from hyperaccel.numerics import (
     chu_eval,
     chu_eval_terms,
     closedform_eval,
+    direct_sum,
     direct_sum_eval,
     radii_within,
 )
@@ -933,6 +935,19 @@ def test_oracle_terminating_binomial_sum():
         t *= quotient_eval(rho, {"n": F(4), "k": F(k)})
     assert enc.contains_value(total)
     assert enc.radius.to_fraction() <= F(1, 10 ** 18)
+
+
+def test_oracle_terminating_sum_matches_running_fraction_sum():
+    # the stop grows with n: 1002 terms at n = 1001, as the vanishing
+    # check meets them at large start points
+    term = family_instantiate(FamilyId.SIXTEEN_27_A, [F(-100), F(1, 2)])
+    num, den = k_ratio_at(k_shift_ratio(term), 1001)
+    total, t = F(0), F(1)
+    for k in range(index_roots(num)[0] + 1):
+        total += t
+        t *= num.eval(k) / den.eval(k)
+    assert index_roots(num)[0] == 1001
+    assert direct_sum(num, den, 2) == Enclosure.exact(total)
 
 
 def test_oracle_digits_capped_at_six():

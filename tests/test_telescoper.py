@@ -14,8 +14,6 @@ from hyperaccel.catalog import derivation_term, entry
 from hyperaccel.exact_arith import MultiPoly, _zmul, _zsub
 from hyperaccel.hypergeom_terms import (
     FamilyId,
-    alt_control_double_offset,
-    alt_control_single_offset,
     family_instantiate,
     family_term,
     k_shift_ratio,
@@ -36,6 +34,7 @@ from hyperaccel.telescoper import (
     zeilberger_two_term,
 )
 
+from control_summands import alt_control_double_offset, alt_control_single_offset
 from quotient_helpers import quotient_eval
 
 _N_IDX = 6  # position of n in the exponent vectors
