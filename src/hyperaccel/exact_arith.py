@@ -10,7 +10,8 @@ over one positive denominator, jointly in lowest terms, and implements
 every operation on those lists; its `coeffs`, `lc` and `eval` give
 Fractions.  Its `gcd` is the monic gcd over Q, and `exact_div` divides
 primitive parts, whose quotient lies in Z[x] by Gauss's lemma.  The
-recurrence solver's fraction-free linear algebra runs on the same lists.
+recurrence solver's gcds and exact quotients in Z[n] run on the same
+lists.
 
 `MultiPoly` is a sparse multivariate polynomial over the fixed variable
 universe `VARS`.  It stores nonzero integer numerators over one positive

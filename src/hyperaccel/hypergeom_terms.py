@@ -122,7 +122,9 @@ def k_ratio_parts(term: HypTerm) -> tuple[Fraction, list[MultiPoly], list[MultiP
 
 
 def n_ratio_parts(term: HypTerm, r: int) -> tuple[Fraction, list[MultiPoly], list[MultiPoly]]:
-    """Factored form of F(n+r, k)/F(n, k)."""
+    """Factored form of F(n+r, k)/F(n, k), for r >= 1."""
+    if r < 1:
+        raise ValueError("n-shift must be a positive integer")
     return _ratio_parts(term, "n", r)
 
 
@@ -140,8 +142,6 @@ def k_shift_ratio(term: HypTerm) -> tuple[MultiPoly, MultiPoly]:
 
 def n_shift_ratio(term: HypTerm, r: int) -> tuple[MultiPoly, MultiPoly]:
     """F(n+r, k)/F(n, k) as an exact (numerator, denominator) pair."""
-    if r < 1:
-        raise ValueError("n-shift must be a positive integer")
     return _parts_to_pair(n_ratio_parts(term, r))
 
 

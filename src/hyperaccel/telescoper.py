@@ -38,8 +38,10 @@ P, Q, R, Nn and Dn are then expanded once as MultiPolys in n and k, and
 the coefficient rows in k of the equation are cleared to primitive rows
 over Z[n], integer coefficient lists in n.  `_nullspace` eliminates
 them by Bareiss pivoting and back-substitutes in Cramer form, so the
-solution stays in Z[n].  `_assemble` takes one gcd in Z[n] for the
-pair (p1, p2) and one for the certificate's denominator.
+solution stays in Z[n].  It eliminates on the Kronecker image f(2^B)
+of each entry, one integer, where B bounds every minor's coefficients,
+and unpacks the basis at the end.  `_assemble` takes one gcd in Z[n]
+for the pair (p1, p2) and one for the certificate's denominator.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Mapping, Optional, Sequence
 
 from hyperaccel.builtin_data import neg27_dataset, negq_dataset, quarter_dataset
 from hyperaccel.exact_arith import (MultiPoly, Scalar, UniPoly, _common_ints,
-                                    _primitive_pair, _zdiv, _zgcd, _zmul, _zsub)
+                                    _primitive_pair, _zdiv, _zgcd)
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     HypTerm,
@@ -217,13 +219,11 @@ def verify_recurrence(term: HypTerm, rec: Recurrence) -> bool:
     The image is a product of sums of shifted integers; an f+ part takes
     one Horner pass in k.  Raises ZeroDivisionError on a zero
     certificate denominator and ValueError when a parameter other than
-    n and k is free.
+    n and k is free or rec.r < 1.
     """
     cn, cd = rec.cert
     if cd.is_zero:
         raise ZeroDivisionError("certificate with zero denominator")
-    if rec.r < 1:
-        raise ValueError("n-shift must be a positive integer")
     _require_instantiated(term)
     nn, dn = _ratio_products(n_ratio_parts(term, rec.r))
     nk, dk = _ratio_products(k_ratio_parts(term))
@@ -368,6 +368,33 @@ def _degree_bound(q: list[MultiPoly], rstar: list[MultiPoly], f_deg: int) -> int
 # ---------------------------------------------------------------------------
 
 
+def _image_bits(rows: list[list[list[int]]]) -> int:
+    """B = bit_length(H) + 1.  With m the smaller dimension of the
+    matrix and a line's weight max(1, sum of its entries' l1 norms), H
+    is the product of the m heaviest rows' weights or of the m heaviest
+    columns', whichever is smaller."""
+    m = min(len(rows), len(rows[0]))
+    heights = []
+    for lines in (rows, zip(*rows)):
+        weights = sorted((max(1, sum(abs(c) for e in line for c in e))
+                          for line in lines), reverse=True)
+        heights.append(prod(weights[:m]))
+    return min(heights).bit_length() + 1
+
+
+def _unpack(x: int, b: int) -> list[int]:
+    """The coefficient list f with f(2^b) = x and every |c| < 2^(b-1)."""
+    out = []
+    half, mask = 1 << (b - 1), (1 << b) - 1
+    while x:
+        c = x & mask
+        if c >= half:
+            c -= 1 << b
+        out.append(c)
+        x = (x - c) >> b
+    return out
+
+
 def _nullspace(rows: list[list[list[int]]]) -> list[list[list[int]]]:
     """Basis of the right nullspace of a matrix over Z[n].
 
@@ -376,13 +403,30 @@ def _nullspace(rows: list[list[list[int]]]) -> list[list[list[int]]]:
     form: a free column's entry is the last pivot, the other free entries
     are zero, and each pivot entry is the row's sum divided exactly by
     the row's pivot, so each basis vector lies in Z[n]^cols.
+
+    The elimination runs on the Kronecker images f(2^B) of the entries,
+    one integer each, for B = `_image_bits(rows)`, and the basis entries
+    are unpacked at the end; the basis is the one the coefficient lists
+    give.  Every Bareiss entry is, up to sign, a minor of the input with
+    at most m rows (m and the weights as in `_image_bits`), and so is
+    every basis entry (the last pivot, or a Cramer minor).  Expanding the determinant, a minor's l1 norm is at
+    most the product over its rows of their weights, and, transposed,
+    over its columns, so its coefficients are at most H < 2^(B-1).  By
+    the lemma of `verify_recurrence` in one variable, each zero test of
+    an image is then the zero test of its polynomial, and the same
+    pivots are chosen.  Evaluation at 2^B is a ring map, so an exact
+    quotient in Z[n] maps to the exact quotient of the images; the
+    products inside an update may exceed H, but they are only ever
+    divided.  `_unpack` reads each basis entry back from its image.
     """
     if not rows:
         return []
-    ncols = len(rows[0])
-    mat = [list(row) for row in rows]
+    b = _image_bits(rows)
+    mat = [[sum(c << (b * i) for i, c in enumerate(e)) for e in row]
+           for row in rows]
+    ncols = len(mat[0])
     piv_cols: list[int] = []
-    prev = [1]
+    prev = 1
     rpos = 0
     for col in range(ncols):
         sel = next((i for i in range(rpos, len(mat)) if mat[i][col]), None)
@@ -395,7 +439,7 @@ def _nullspace(rows: list[list[list[int]]]) -> list[list[list[int]]]:
             row = mat[i]
             ci = row[col]
             for j in range(col, ncols):
-                row[j] = _zdiv(_zsub(_zmul(pv, row[j]), _zmul(ci, top[j])), prev)
+                row[j] = (pv * row[j] - ci * top[j]) // prev
         piv_cols.append(col)
         prev = pv
         rpos += 1
@@ -403,17 +447,17 @@ def _nullspace(rows: list[list[list[int]]]) -> list[list[list[int]]]:
             break
     basis = []
     for fc in (c for c in range(ncols) if c not in piv_cols):
-        vec: list[list[int]] = [[] for _ in range(ncols)]
+        vec = [0] * ncols
         vec[fc] = prev
         for i in reversed(range(len(piv_cols))):
             pc = piv_cols[i]
             row = mat[i]
-            s: list[int] = []
+            s = 0
             for j in range(pc + 1, ncols):
                 if vec[j] and row[j]:
-                    s = _zsub(s, _zmul(row[j], vec[j]))
-            vec[pc] = _zdiv(s, row[pc])
-        basis.append(vec)
+                    s -= row[j] * vec[j]
+            vec[pc] = s // row[pc]
+        basis.append([_unpack(x, b) for x in vec])
     return basis
 
 
@@ -460,6 +504,7 @@ def zeilberger_two_term(term: HypTerm, r: int,
 
     The summand must have every parameter instantiated, leaving only n
     and k free.  max_deg caps the degree of the telescoper ansatz.
+    Raises ValueError for r < 1 (from `n_ratio_parts`) before solving.
     """
     _require_instantiated(term)
     sk, nk, dk = k_ratio_parts(term)

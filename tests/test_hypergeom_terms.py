@@ -14,6 +14,7 @@ from hyperaccel.hypergeom_terms import (
     family_instantiate,
     family_term,
     k_shift_ratio,
+    n_ratio_parts,
     n_shift_ratio,
 )
 
@@ -133,6 +134,14 @@ def test_non_hypergeometric_n_shift():
         n_shift_ratio(bad, 1)
     # an even shift clears the half-integer coefficient
     assert same_quotient(n_shift_ratio(bad, 2), (A("1/2 n + k"), MultiPoly.one()))
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_nonpositive_n_shift_is_refused(r):
+    t = family_term(FamilyId.QUARTER)
+    for ratio in (n_ratio_parts, n_shift_ratio):
+        with pytest.raises(ValueError, match="n-shift must be a positive integer"):
+            ratio(t, r)
 
 
 def test_alternating_sign_in_k_ratio_only():

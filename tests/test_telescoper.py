@@ -7,11 +7,11 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperaccel.catalog import derivation_term, entry
-from hyperaccel.exact_arith import MultiPoly, _zmul, _zsub
+from hyperaccel.exact_arith import MultiPoly, _zdiv, _zmul, _zsub
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     family_instantiate,
@@ -19,8 +19,10 @@ from hyperaccel.hypergeom_terms import (
     k_shift_ratio,
     n_shift_ratio,
 )
+import hyperaccel.telescoper as telescoper
 from hyperaccel.telescoper import (
     _Product,
+    _image_bits,
     _kronecker_zero,
     _normal_form,
     _nullspace,
@@ -160,6 +162,57 @@ def test_alternating_controls_have_no_unit_shift_recurrence():
 def test_derivation_requires_instantiated_summand():
     with pytest.raises(ValueError):
         zeilberger_two_term(family_term(FamilyId.QUARTER), 1)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_derivation_rejects_nonpositive_shift_before_solving(monkeypatch, r):
+    """r < 1 is refused by `n_ratio_parts`, with verify_recurrence's
+    message, before the system is expanded or solved."""
+    def refuse(*args):
+        raise AssertionError("solver work for a nonpositive shift")
+
+    term = family_instantiate(FamilyId.QUARTER,
+                              (F(1, 3), F(1, 3), F(1), F(1, 3), F(1, 3), F(2, 3)))
+    rec = zeilberger_two_term(term, 1)
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+    monkeypatch.setattr(telescoper, "_nullspace", refuse)
+    with pytest.raises(ValueError, match="n-shift must be a positive integer"):
+        zeilberger_two_term(term, r)
+    with pytest.raises(ValueError, match="n-shift must be a positive integer"):
+        verify_recurrence(term, replace(rec, r=r))
+
+
+_small_fractions = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_solver_on_random_family_points(family, r, data):
+    """At random rational points of every family, the solver returns None
+    or a recurrence whose expanded residual is zero; twenty7-32 has none;
+    where a stored general recurrence with the same shift specializes, the
+    two agree up to scaling.  At r = 2, sixty4-a and twenty7-64 give
+    systems some hundreds of bits wide, so `_nullspace` runs on wide
+    images end to end."""
+    params = data.draw(st.tuples(*[_small_fractions] * len(family.param_names)))
+    term = family_instantiate(family, params)
+    rec = zeilberger_two_term(term, r)
+    if family is FamilyId.TWENTY7_32:
+        assert rec is None
+    if rec is None:
+        return
+    assert rec.r == r
+    assert recurrence_residual(term, rec).is_zero
+    stored = builtin_recurrence(family)
+    if stored is None or stored.r != r:
+        return
+    try:
+        spec = specialize(stored, dict(zip(family.param_names, params)))
+    except ZeroDivisionError:
+        return
+    assert same_ratio(rec, spec)
 
 
 def test_derived_normalization_conventions():
@@ -385,7 +438,6 @@ def test_kronecker_test_rejects_free_parameters(solved):
 def test_solver_recheck_is_live(monkeypatch):
     """zeilberger_two_term re-checks what `_assemble` returns: a recurrence
     with p2 off by one is refused."""
-    import hyperaccel.telescoper as telescoper
     assemble = telescoper._assemble
 
     def corrupted(*args):
@@ -599,3 +651,223 @@ def test_nullspace_basis_annihilates_rows(rows):
             assert total == []
     if basis:
         assert _rank_zn(basis) == len(basis)
+
+
+# ---------------------------------------------------------------------------
+# `_nullspace` on Kronecker images against the list reference
+# ---------------------------------------------------------------------------
+
+
+def _plain_nullspace(rows):
+    """Bareiss elimination and Cramer back-substitution on coefficient
+    lists throughout (test reference for `_nullspace`)."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    mat = [list(row) for row in rows]
+    piv_cols = []
+    prev = [1]
+    rpos = 0
+    for col in range(ncols):
+        sel = next((i for i in range(rpos, len(mat)) if mat[i][col]), None)
+        if sel is None:
+            continue
+        mat[rpos], mat[sel] = mat[sel], mat[rpos]
+        top = mat[rpos]
+        pv = top[col]
+        for i in range(rpos + 1, len(mat)):
+            row = mat[i]
+            ci = row[col]
+            for j in range(col, ncols):
+                row[j] = _zdiv(_zsub(_zmul(pv, row[j]), _zmul(ci, top[j])), prev)
+        piv_cols.append(col)
+        prev = pv
+        rpos += 1
+        if rpos == len(mat):
+            break
+    basis = []
+    for fc in (c for c in range(ncols) if c not in piv_cols):
+        vec = [[] for _ in range(ncols)]
+        vec[fc] = prev
+        for i in reversed(range(len(piv_cols))):
+            pc = piv_cols[i]
+            row = mat[i]
+            s = []
+            for j in range(pc + 1, ncols):
+                if vec[j] and row[j]:
+                    s = _zsub(s, _zmul(row[j], vec[j]))
+            vec[pc] = _zdiv(s, row[pc])
+        basis.append(vec)
+    return basis
+
+
+def _height(rows):
+    """H of `_image_bits`: over the m = min(rows, columns) heaviest rows,
+    or columns if less, the product of max(1, sum of entry l1 norms)."""
+    m = min(len(rows), len(rows[0]))
+    best = None
+    for lines in (rows, [[row[j] for row in rows] for j in range(len(rows[0]))]):
+        weights = sorted(max(1, sum(abs(c) for e in line for c in e))
+                         for line in lines)
+        out = 1
+        for w in weights[len(weights) - m:]:
+            out *= w
+        best = out if best is None else min(best, out)
+    return best
+
+
+# one narrow and one wide system, with images of 7 and 484 bits
+_NARROW = [[[1, -2, 3], [0, 0, 0, 0, 0, 0, 0, 0, -3], [2]],
+           [[], [3, 1], [-1, 0, 1]]]
+_WIDE = [[[2 ** 120 - 1, -2 ** 119, 3], [5, 0, -2 ** 120], [1], []],
+         [[-2 ** 120, 0, 0, 7], [2 ** 118], [-9, 2 ** 100], [3]],
+         [[1, 2 ** 120], [-2 ** 120 + 3], [0, 0, 0, 0, 0, 0, 0, 0, 2 ** 120], [1]],
+         [[2 ** 110, 2 ** 110], [1, 1], [], [-(2 ** 120)]]]
+
+
+def test_image_bits_take_the_lighter_m_lines():
+    """H takes only m = min(rows, columns) lines, rows or columns,
+    whichever product is smaller; the bases still match the reference."""
+    tall = [[[3], [1, 1], []] for _ in range(24)]
+    # rows: 5^3 = 125 over the 3 heaviest; columns: 72 * 48 * 1
+    assert _image_bits(tall) == (125).bit_length() + 1
+    skew = [[[2 ** 100], [1], [1]], [[2 ** 100], [-1], []]]
+    # columns: 2^101 * 2 over the 2 heaviest; rows: about 2^200
+    assert _image_bits(skew) == (2 ** 102).bit_length() + 1
+    for rows in (tall, skew):
+        assert _image_bits(rows) == _height(rows).bit_length() + 1
+        assert _nullspace(rows) == _plain_nullspace(rows)
+
+
+@st.composite
+def _wide_matrices(draw):
+    """Matrices over Z[n] with coefficients up to +-3 .. +-2^120 and
+    n-degree up to 8, with dependent rows and all-zero rows and columns."""
+    size = draw(st.sampled_from([3, 2 ** 20, 2 ** 60, 2 ** 120]))
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-size, size),
+                      st.sampled_from([size, -size, size - 1, 1 - size]))
+    poly = st.lists(coeff, max_size=9).map(lambda cs: _zsub(cs, []))
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(poly, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+    if draw(st.booleans()):
+        zero_col = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[zero_col] = []
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [[] for _ in range(ncols)])
+    if len(rows) >= 2 and draw(st.booleans()):
+        # c rows[i] + rows[j] for a polynomial c
+        i, j = draw(st.permutations(range(len(rows))))[:2]
+        c = draw(poly)
+        rows.append([_zsub(_zmul(c, x), _zsub([], y))
+                     for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(_wide_matrices())
+@example(_NARROW)
+@example(_WIDE)
+def test_nullspace_matches_list_reference(rows):
+    """`_nullspace` returns the reference's basis entry for entry, and
+    no basis coefficient reaches 2^(B-1)."""
+    basis = _nullspace(rows)
+    assert basis == _plain_nullspace(rows)
+    half = 1 << (_image_bits(rows) - 1)
+    assert all(abs(c) < half for vec in basis for e in vec for c in e)
+
+
+def _mono(c, d):
+    return [0] * d + [c]
+
+
+# 2^64 - 1 = 65535 * 65537 * 4294967297
+_EDGES = {
+    "diagonal, basis entry -H = -(2^64 - 1)": [
+        [_mono(-65535, 2), [], [], []],
+        [[], _mono(65537, 0), [], []],
+        [[], [], _mono(4294967297, 5), []]],
+    "diagonal, basis entry +H = 2^64 - 1": [
+        [_mono(65535, 0), [], [], []],
+        [[], _mono(65537, 1), [], []],
+        [[], [], _mono(4294967297, 0), []]],
+    "diagonal, basis entry -H = -2^80": [
+        [_mono(2 ** 40, 3), [], []],
+        [[], _mono(-(2 ** 40), 0), []]],
+    "row swap, basis entry +-H": [
+        [[], _mono(-(2 ** 50 - 1), 1), []],
+        [_mono(2 ** 30 + 1, 0), [], []]],
+    "triangular staircase, pivot columns skipped, entries +-H": [
+        [_mono(-7, 1), [], [], [], []],
+        [[], [], _mono(2 ** 63 - 1, 0), [], []],
+        [[], [], [], _mono(-(2 ** 33), 4), []]],
+    # B = bit_length(H) + 1 = 320 and 321
+    "one row, basis entry H = 2^318": [[_mono(2 ** 318, 0), []]],
+    "one row, basis entry H = 2^319": [[_mono(-(2 ** 319), 0), []]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGES))
+def test_nullspace_unpacks_basis_entries_of_size_h(name):
+    """Monomial matrices, one nonzero entry a row, have a minor whose one
+    coefficient is +-H, the largest any unpacked coefficient can reach;
+    it comes back exactly."""
+    rows = _EDGES[name]
+    basis = _nullspace(rows)
+    assert basis == _plain_nullspace(rows)
+    h = _height(rows)
+    assert h in {abs(c) for vec in basis for e in vec for c in e}
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[[1, 2], [3], [-1, 0, 5]]],
+    [[[], [], []]],
+    [[[], [2, 1], []], [[], [-3], []], [[], [], []], [[], [0, 0, 4], []]],
+    [[[5]], [[-2, 1]]],
+    [[[2 ** 200, 1]], [[0, 2 ** 200]], [[1]]],
+], ids=["empty", "one row", "zero row", "one nonzero column",
+        "one column", "one wide column"])
+def test_nullspace_edge_shapes_match_reference(rows):
+    assert _nullspace(rows) == _plain_nullspace(rows)
+
+
+def test_catalog_systems_match_the_list_reference(monkeypatch, solved):
+    """Every system the 39 solver recipes of a derive pass eliminate
+    gives the reference's basis."""
+    systems = []
+
+    def record(rows):
+        systems.append([list(row) for row in rows])
+        return _nullspace(rows)
+
+    monkeypatch.setattr(telescoper, "_nullspace", record)
+    for term, rec in solved:
+        assert zeilberger_two_term(term, rec.r) == rec
+    assert len(systems) == 39
+    for rows in systems:
+        assert _nullspace(rows) == _plain_nullspace(rows)
+
+
+@pytest.mark.parametrize("family,params", [
+    (FamilyId.SIXTY4_A, (F(3), F(-4, 3), F(9, 5))),
+    (FamilyId.TWENTY7_64, (F(12), F(7, 6), F(4))),
+])
+def test_wide_solves_match_the_list_reference(monkeypatch, family, params):
+    """An r = 2 solve whose images are over 400 bits wide: its system has
+    the reference's basis, and the solve ends as it does on the
+    reference elimination."""
+    term = family_instantiate(family, params)
+    systems = []
+
+    def record(rows):
+        systems.append([list(row) for row in rows])
+        return _nullspace(rows)
+
+    monkeypatch.setattr(telescoper, "_nullspace", record)
+    rec = zeilberger_two_term(term, 2)
+    assert len(systems) == 1 and _image_bits(systems[0]) > 400
+    assert _nullspace(systems[0]) == _plain_nullspace(systems[0])
+    monkeypatch.setattr(telescoper, "_nullspace", _plain_nullspace)
+    assert zeilberger_two_term(term, 2) == rec
