@@ -45,11 +45,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterator, Optional, Sequence
 
 from hyperaccel.exact_arith import Scalar, UniPoly, index_roots, rational_roots
 from hyperaccel.hypergeom_terms import (HypTerm, k_ratio_at, k_shift_ratio,
-                                        n_shift_ratio)
+                                        n_ratio_parts)
 from hyperaccel.numerics import direct_sum
 from hyperaccel.telescoper import Recurrence
 
@@ -131,10 +132,16 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
 
 def _stream_parts(term: HypTerm, rec: Recurrence) -> tuple[UniPoly, ...]:
     """p1, p2, and the numerators and denominators of the certificate and
-    of the n-shift ratio at k = 0, as polynomials in n."""
-    return tuple(part.subst({"k": 0}).as_unipoly("n")
-                 for part in (rec.p1, rec.p2, *rec.cert,
-                              *n_shift_ratio(term, rec.r)))
+    of the n-shift ratio at k = 0, as polynomials in n.  The ratio's are
+    the products of its affine factors at k = 0, each linear in n; its
+    sign is 1."""
+    _, num, den = n_ratio_parts(term, rec.r)
+    parts = [part.subst({"k": 0}).as_unipoly("n")
+             for part in (rec.p1, rec.p2, *rec.cert)]
+    for factors in (num, den):
+        parts.append(prod((f.subst({"k": 0}).as_unipoly("n") for f in factors),
+                          start=UniPoly.one()))
+    return tuple(parts)
 
 
 def iter_accelerated(parts: Sequence[UniPoly], r: int,

@@ -39,6 +39,11 @@ _FAILURE = 1
 # (F427-7, printed in 31 s) except S64-R6 (1.75e8)
 _MAX_STREAM_TERMS = 5000
 _MAX_STREAM_DIGITS = 12 * 10 ** 7
+# derive --n and accelerate take a start point n with |n| at most this: the
+# remainder check sums about |n| terms at each of 201 shifted points of a
+# binomial family.  At |n| = 1000 `derive --n` takes at most 0.4 s over one
+# recipe of each family, and `accelerate --chu` 2.6 s (Python 3.11.7, 2 vCPUs)
+_MAX_START = 1000
 
 
 class UsageError(Exception):
@@ -90,6 +95,12 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
     return value
+
+
+def _check_start(n: Fraction) -> None:
+    if abs(n) > _MAX_START:
+        raise UsageError(f"start point above supported range:"
+                         f" |n| at most {_MAX_START}")
 
 
 def _env_max_terms() -> Optional[int]:
@@ -152,6 +163,8 @@ def _build_recurrence(family: FamilyId, params, r: Optional[int],
 
 
 def _cmd_derive(args) -> int:
+    if args.n is not None:
+        _check_start(args.n)
     family = FamilyId(args.family)
     term, rec = _build_recurrence(family, args.params, args.r, args.max_deg)
     if rec is None:
@@ -188,6 +201,7 @@ def _cmd_accelerate(args) -> int:
     if args.terms > _MAX_STREAM_TERMS:
         raise UsageError(f"term count above supported range:"
                          f" at most {_MAX_STREAM_TERMS}")
+    _check_start(args.n)
     family = FamilyId(args.family)
     r = None if args.r == "auto" else int(args.r)
     term, rec = _build_recurrence(family, args.params, r, args.max_deg)

@@ -30,6 +30,12 @@ coefficient, by integer gcd only (no multivariate gcd is attempted), so
 two equal quotients can have different parts; it is applied only where
 the parts reach printed output or a float.
 
+`Affine` is a polynomial of degree at most one over VARS kept as one
+integer row, a coefficient per variable and the constant, over one
+positive denominator, jointly in lowest terms.  It substitutes values
+and shifts variables on the row, and becomes a MultiPoly only where a
+product is expanded.
+
 All arithmetic here is exact; nothing in this module rounds.
 """
 
@@ -749,6 +755,21 @@ class MultiPoly:
         return self._den, [((k >> sx) & _FIELD_MASK, (k >> sy) & _FIELD_MASK, c)
                            for k, c in self._coeffs.items()]
 
+    @staticmethod
+    def from_int_terms(den: int, terms: Iterable[tuple[int, int, int]],
+                       x: str, y: str) -> "MultiPoly":
+        """sum c x^i y^j / den over the (i, j, c) terms, for den > 0: the
+        inverse of `int_terms`, built in one pass over the terms."""
+        sx, sy = _SHIFTS[_VAR_INDEX[x]], _SHIFTS[_VAR_INDEX[y]]
+        out: dict[int, int] = {}
+        get = out.get
+        for i, j, c in terms:
+            _check_exponent(i)
+            _check_exponent(j)
+            key = (i << sx) | (j << sy)
+            out[key] = get(key, 0) + c
+        return _normalized(out, den)
+
     def content(self) -> Fraction:
         """Positive rational c with self/c integer and coprime; 0 for zero."""
         if not self._coeffs:
@@ -806,6 +827,121 @@ def _primitive_pair(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPol
         g = -g
     return (MultiPoly({k: c // g for k, c in a.items()}),
             MultiPoly({k: c // g for k, c in b.items()}))
+
+
+# ---------------------------------------------------------------------------
+# Affine forms over VARS
+# ---------------------------------------------------------------------------
+
+# the MultiPoly keys of VARS[0], ..., VARS[-1] and of the constant
+_ROW_KEYS = tuple(1 << s for s in _SHIFTS) + (0,)
+_KEY_INDEX = {key: i for i, key in enumerate(_ROW_KEYS)}
+
+
+class Affine:
+    """Affine form (c_1 VARS[0] + ... + c_m VARS[m-1] + u) / d: the integer
+    row (c_1, ..., c_m, u) over one positive denominator d, jointly in
+    lowest terms, so equal forms have equal rows.
+
+    Build one with `Affine.new` or `Affine.from_poly`; `Affine(row, den)`
+    takes an already normalized row.  Adding an integer and shifting a
+    variable by an integer keep a row normalized.
+    """
+
+    __slots__ = ("row", "den")
+
+    def __init__(self, row: tuple[int, ...], den: int):
+        self.row = row
+        self.den = den
+
+    @staticmethod
+    def new(row: Sequence[int], den: int) -> "Affine":
+        """The form row / den for a nonzero den, normalized."""
+        g = gcd(den, *row)
+        if den < 0:
+            g = -g
+        return Affine(tuple(c // g for c in row), den // g)
+
+    @staticmethod
+    def from_poly(p: MultiPoly) -> Optional["Affine"]:
+        """p as an affine form, whose row is p's numerators in lowest
+        terms already; None when p has a term of degree two or more."""
+        row = [0] * (_NVARS + 1)
+        for key, c in p._coeffs.items():
+            i = _KEY_INDEX.get(key)
+            if i is None:
+                return None
+            row[i] = c
+        return Affine(tuple(row), p._den)
+
+    def poly(self) -> MultiPoly:
+        return MultiPoly({key: c for key, c in zip(_ROW_KEYS, self.row) if c},
+                         self.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Affine):
+            return NotImplemented
+        return self.den == other.den and self.row == other.row
+
+    def __hash__(self) -> int:
+        return hash((self.row, self.den))
+
+    def __repr__(self) -> str:
+        return f"Affine.from_poly({self.poly()!r})"
+
+    def coeff(self, name: str) -> Fraction:
+        """Coefficient of one variable."""
+        return Fraction(self.row[_VAR_INDEX[name]], self.den)
+
+    def variables(self) -> set[str]:
+        return {v for v, c in zip(VARS, self.row) if c}
+
+    def plus(self, c: int) -> "Affine":
+        """self + c for an integer c."""
+        row = self.row
+        return Affine(row[:-1] + (row[-1] + c * self.den,), self.den)
+
+    def shift(self, name: str, s: int) -> "Affine":
+        """self with name -> name + s, for an integer s."""
+        row = self.row
+        return Affine(row[:-1] + (row[-1] + row[_VAR_INDEX[name]] * s,),
+                      self.den)
+
+    def subst(self, point: Mapping[str, Scalar]) -> "Affine":
+        """Substitute rational values for a subset of the variables."""
+        row, den = list(self.row), self.den
+        for name, v in point.items():
+            i = _VAR_INDEX[name]
+            c = row[i]
+            if c:
+                v = _frac(v)
+                q = v.denominator
+                if q != 1:
+                    row = [x * q for x in row]
+                    den *= q
+                # (c/d) (p/q) = c p/(d q), over the new denominator d q
+                row[i] = 0
+                row[-1] += c * v.numerator
+        return Affine.new(row, den)
+
+    def _only(self, *names: str) -> None:
+        keep = {_VAR_INDEX[name] for name in names}
+        for i, c in enumerate(self.row[:-1]):
+            if c and i not in keep:
+                raise ValueError(f"unbound variable: {VARS[i]}")
+
+    def as_unipoly(self, name: str) -> UniPoly:
+        """self as a UniPoly in name; other variables must be absent."""
+        self._only(name)
+        return _unipoly([self.row[-1], self.row[_VAR_INDEX[name]]], self.den)
+
+    def int_terms(self, x: str, y: str) -> tuple[int, list[tuple[int, int, int]]]:
+        """(d, [(i, j, c), ...]) as `MultiPoly.int_terms` gives them."""
+        self._only(x, y)
+        row = self.row
+        terms = ((0, 0, row[-1]), (1, 0, row[_VAR_INDEX[x]]),
+                 (0, 1, row[_VAR_INDEX[y]]))
+        return self.den, [t for t in terms if t[2]]
 
 
 def _parse_multipoly(s: str) -> MultiPoly:

@@ -2,43 +2,55 @@
 
 Representation: a summand F(n, k) is a `HypTerm`, a product of Gamma-function
 factors with integer exponents and an optional alternating sign (-1)^k.  Each
-`GammaFactor` stores the Gamma argument as an affine `MultiPoly` in the
-parameter variables a-f and the indices n, k.  Pochhammer symbols and binomial
-coefficients are expressed through Gamma factors, so a shift of either index
-turns into a finite product of affine polynomials and every term ratio is an
-exact rational function.
+`GammaFactor` stores the Gamma argument as an `Affine` row, integer
+coefficients of the parameter variables a-f, the indices n, k and the
+constant over one denominator; a MultiPoly argument of degree at most one is
+converted once.  Pochhammer symbols and binomial coefficients are expressed
+through Gamma factors, so a shift of either index turns into a finite product
+of affine factors and every term ratio is an exact rational function.
 
-`k_shift_ratio` gives F(n, k+1)/F(n, k) and `n_shift_ratio` gives
-F(n+r, k)/F(n, k); both are returned as a (numerator, denominator) pair of
-MultiPolys with integer, jointly primitive parts, and are also available in
-factored form for the recurrence solver.
+`k_ratio_parts` gives F(n, k+1)/F(n, k) and `n_ratio_parts` gives
+F(n+r, k)/F(n, k) as a sign and two tuples of `Affine` factors, the
+numerator's and the denominator's, with identical pairs cancelled.  A term
+builds each of them once and keeps it as long as it lives, so the solver, its
+exact re-check and the accelerated stream of one summand share the factors.
+`k_shift_ratio` and `n_shift_ratio` expand the same ratios into a
+(numerator, denominator) pair of MultiPolys with integer, jointly primitive
+parts.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from typing import Mapping, Sequence
 
-from hyperaccel.exact_arith import (MultiPoly, Rational, Scalar, UniPoly,
-                                    _primitive_pair)
+from hyperaccel.exact_arith import (Affine, MultiPoly, Rational, Scalar,
+                                    UniPoly, _primitive_pair)
 
 _ONE = MultiPoly.one()
+
+# the sign, numerator and denominator factors of a shift ratio
+RatioParts = tuple[Fraction, tuple[Affine, ...], tuple[Affine, ...]]
 
 
 @dataclass(frozen=True)
 class GammaFactor:
-    """Gamma(arg) ** exponent with an affine polynomial argument."""
+    """Gamma(arg) ** exponent with an affine argument, given as an `Affine`
+    or as a MultiPoly of degree at most one."""
 
-    arg: MultiPoly
+    arg: Affine
     exponent: int
 
     def __post_init__(self) -> None:
-        if self.arg.total_degree() > 1:
-            raise ValueError("Gamma argument must be affine")
+        if isinstance(self.arg, MultiPoly):
+            row = Affine.from_poly(self.arg)
+            if row is None:
+                raise ValueError("Gamma argument must be affine")
+            object.__setattr__(self, "arg", row)
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,9 @@ class HypTerm:
 
     gammas: tuple[GammaFactor, ...]
     sign_base: int = 1
+    # the ratio parts by (index, step), each built on first use
+    _ratios: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self) -> None:
         if self.sign_base not in (1, -1):
@@ -59,31 +74,17 @@ class HypTerm:
         )
 
 
-def _var_coeff(p: MultiPoly, name: str) -> Fraction:
-    """Coefficient of a variable in an affine polynomial."""
-    cs = p.coeffs_in(name)
-    if len(cs) < 2:
-        return Fraction(0)
-    c = cs[1]
-    if c.variables():
-        raise ValueError("Gamma argument must be affine")
-    return c.eval({})
-
-
-def _gamma_shift_factors(arg: MultiPoly, step: Fraction) -> tuple[list[MultiPoly], int]:
-    """Factors of Gamma(arg + step)/Gamma(arg) and their side (+1 num, -1 den)."""
-    if step.denominator != 1:
-        raise ValueError("non-integer Gamma argument shift")
-    s = int(step)
+def _gamma_shift_factors(arg: Affine, s: int) -> tuple[list[Affine], int]:
+    """Factors of Gamma(arg + s)/Gamma(arg) and their side (+1 num, -1 den)."""
     if s > 0:
-        return [arg + MultiPoly.const(i) for i in range(s)], +1
+        return [arg.plus(i) for i in range(s)], +1
     if s < 0:
-        return [arg - MultiPoly.const(i) for i in range(1, -s + 1)], -1
+        return [arg.plus(-i) for i in range(1, -s + 1)], -1
     return [], +1
 
 
-def _cancel_common(num: list[MultiPoly], den: list[MultiPoly]) -> tuple[list[MultiPoly], list[MultiPoly]]:
-    """Remove structurally identical factor pairs."""
+def _cancel_common(num: list[Affine], den: list[Affine]) -> tuple[list[Affine], list[Affine]]:
+    """Remove identical factor pairs."""
     out_den = list(den)
     out_num = []
     for p in num:
@@ -94,45 +95,57 @@ def _cancel_common(num: list[MultiPoly], den: list[MultiPoly]) -> tuple[list[Mul
     return out_num, out_den
 
 
-def _ratio_parts(term: HypTerm, index: str, step: int) -> tuple[Fraction, list[MultiPoly], list[MultiPoly]]:
-    """Sign and affine factor lists of F(..., index + step, ...)/F(..., index, ...)."""
-    num: list[MultiPoly] = []
-    den: list[MultiPoly] = []
+def _factor_lists(term: HypTerm, index: str, step: int) -> RatioParts:
+    """Sign and affine factors of F(..., index + step, ...)/F(..., index, ...)."""
+    num: list[Affine] = []
+    den: list[Affine] = []
     for g in term.gammas:
-        coeff = _var_coeff(g.arg, index)
-        shift = coeff * step
+        shift = g.arg.coeff(index) * step
         if shift.denominator != 1:
             raise ValueError(
                 "not hypergeometric in k" if index == "k"
                 else f"not hypergeometric in n with shift {step}"
             )
-        factors, side = _gamma_shift_factors(g.arg, shift)
+        factors, side = _gamma_shift_factors(g.arg, int(shift))
         target = num if side * g.exponent > 0 else den
         for p in factors:
             for _ in range(abs(g.exponent)):
                 target.append(p)
     num, den = _cancel_common(num, den)
     sign = Fraction(term.sign_base ** (step % 2)) if index == "k" else Fraction(1)
-    return sign, num, den
+    return sign, tuple(num), tuple(den)
 
 
-def k_ratio_parts(term: HypTerm) -> tuple[Fraction, list[MultiPoly], list[MultiPoly]]:
+def _ratio_parts(term: HypTerm, index: str, step: int) -> RatioParts:
+    """`_factor_lists` of the term, built once per term."""
+    key = (index, step)
+    parts = term._ratios.get(key)
+    if parts is None:
+        parts = term._ratios[key] = _factor_lists(term, index, step)
+    return parts
+
+
+def k_ratio_parts(term: HypTerm) -> RatioParts:
     """Factored form of F(n, k+1)/F(n, k)."""
     return _ratio_parts(term, "k", 1)
 
 
-def n_ratio_parts(term: HypTerm, r: int) -> tuple[Fraction, list[MultiPoly], list[MultiPoly]]:
+def n_ratio_parts(term: HypTerm, r: int) -> RatioParts:
     """Factored form of F(n+r, k)/F(n, k), for r >= 1."""
     if r < 1:
         raise ValueError("n-shift must be a positive integer")
     return _ratio_parts(term, "n", r)
 
 
-def _parts_to_pair(parts: tuple[Fraction, list[MultiPoly], list[MultiPoly]]
-                   ) -> tuple[MultiPoly, MultiPoly]:
+def expand_factors(factors: Sequence[Affine], start: MultiPoly = _ONE) -> MultiPoly:
+    """start times the product of the factors, as a MultiPoly."""
+    return prod((f.poly() for f in factors), start=start)
+
+
+def _parts_to_pair(parts: RatioParts) -> tuple[MultiPoly, MultiPoly]:
     sign, num, den = parts
-    return _primitive_pair(prod(num, start=MultiPoly.const(sign)),
-                           prod(den, start=_ONE))
+    return _primitive_pair(expand_factors(num, MultiPoly.const(sign)),
+                           expand_factors(den))
 
 
 def k_shift_ratio(term: HypTerm) -> tuple[MultiPoly, MultiPoly]:

@@ -32,10 +32,12 @@ algebra over the field of rational functions in n.  The certificate is
 R(k-1) x(k) / (P(k) Dn(k)).
 
 The solver works on factors and integers, and takes no gcd until the
-end.  Every factor of the shift ratios is affine, m k + u(n), so the
-normal form is found on the factor lists themselves (`_normal_form`).
-P, Q, R, Nn and Dn are then expanded once as MultiPolys in n and k, and
-the coefficient rows in k of the equation are cleared to primitive rows
+end.  Every factor of the shift ratios is affine, m k + s n + u, and
+stays an integer `Affine` row: the normal form is found on the factor
+lists themselves by integer cross-multiplication (`_normal_form`), and
+the re-check reads its integer terms straight from the rows.  Only P,
+Q, R, Nn and Dn are expanded, once, as MultiPolys in n and k; the
+coefficient rows in k of the equation are cleared to primitive rows
 over Z[n], integer coefficient lists in n.  `_nullspace` eliminates
 them by Bareiss pivoting and back-substitutes in Cramer form, so the
 solution stays in Z[n].  It eliminates on the Kronecker image f(2^B)
@@ -53,11 +55,14 @@ from math import gcd, lcm, prod
 from typing import Mapping, Optional, Sequence
 
 from hyperaccel.builtin_data import neg27_dataset, negq_dataset, quarter_dataset
-from hyperaccel.exact_arith import (MultiPoly, Scalar, UniPoly, _common_ints,
-                                    _primitive_pair, _zdiv, _zgcd)
+from hyperaccel.exact_arith import (VARS, Affine, MultiPoly, Scalar, UniPoly,
+                                    _common_ints, _primitive_pair, _zdiv,
+                                    _zgcd)
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     HypTerm,
+    RatioParts,
+    expand_factors,
     family_term,
     k_ratio_parts,
     k_shift_ratio,
@@ -68,6 +73,7 @@ from hyperaccel.hypergeom_terms import (
 _ONE = MultiPoly.one()
 _K = MultiPoly.var("k")
 _K_PLUS_1 = _K + _ONE
+_K_INDEX = VARS.index("k")
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +162,7 @@ class _Product:
         return out
 
 
-def _ratio_products(parts: tuple[Fraction, list[MultiPoly], list[MultiPoly]]
-                    ) -> tuple[_Product, _Product]:
+def _ratio_products(parts: RatioParts) -> tuple[_Product, _Product]:
     """Integer products (N, D) with N/D = sign prod(num)/prod(den) for
     the factor lists (sign, num, den) of a shift ratio."""
     sign, num, den = parts
@@ -196,9 +201,10 @@ def verify_recurrence(term: HypTerm, rec: Recurrence) -> bool:
     """Whether the recurrence holds for the instantiated summand, decided
     exactly from one integer: nothing is expanded.
 
-    The factor lists of rho_n = NN/DN and rho_k = NK/DK come from the
-    summand afresh; they, cert = Cn/Cd and p1 = P1/D12, p2 = P2/D12 are
-    written as integer polynomials in n and k times integer scalars.
+    The factor lists of rho_n = NN/DN and rho_k = NK/DK are the
+    summand's `Affine` rows; they, cert = Cn/Cd and p1 = P1/D12, p2 =
+    P2/D12 are written as integer polynomials in n and k times integer
+    scalars.
     The recurrence holds iff
 
         R = (P1 NN + P2 DN) Cd+ DK Cd - D12 (Cn+ NK Cd - Cn Cd+ DK) DN
@@ -294,54 +300,68 @@ def same_ratio(a: Recurrence, b: Recurrence) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _root_form(f: MultiPoly) -> Optional[tuple[Fraction, MultiPoly]]:
-    """(m, u/m) for an affine factor f = m k + u(n) with m != 0; None
-    when f is free of k."""
-    cs = f.coeffs_in("k")
-    if len(cs) != 2:
-        return None
-    m = cs[1].eval({})
-    return m, cs[0] * (1 / m)
+def _roots(fs: Sequence[Affine]) -> list[Optional[tuple[tuple[int, ...], int, int]]]:
+    """(direction, m, u) for each factor f = (m k + w + u)/d with m != 0,
+    where w is the part in the other variables and direction is the
+    primitive row of m k + w with m > 0; None when f is free of k.  Two
+    factors have equal directions iff their w/m are equal."""
+    out = []
+    for f in fs:
+        lin = f.row[:-1]
+        m = lin[_K_INDEX]
+        if not m:
+            out.append(None)
+            continue
+        g = gcd(*lin)
+        if m < 0:
+            g = -g
+        out.append((tuple(c // g for c in lin), m, f.row[-1]))
+    return out
 
 
-def _normal_form(sk: Fraction, num: Sequence[MultiPoly], den: Sequence[MultiPoly]
-                 ) -> tuple[list[MultiPoly], Fraction, list[MultiPoly], list[MultiPoly]]:
+def _normal_form(sk: Fraction, num: Sequence[Affine], den: Sequence[Affine]
+                 ) -> tuple[list[Affine], Fraction, list[Affine], list[Affine]]:
     """Normal form of q/r = sk prod(num)/prod(den) on its affine factors.
 
     Returns (P factors, c, Q factors, R factors) with q/r = (P(k+1)/P(k))
     (Q(k)/R(k)) for P = prod P factors, Q = c prod Q factors and R = prod
     R factors, and gcd(Q(k), R(k+j)) = 1 for every j >= 0.  A num factor
-    a and a den factor b meet at shift j when a(k) = (m_a/m_b) b(k+j);
-    for j ascending every meeting pair is removed, P gains a(k-1) ...
-    a(k-j) and c gains m_a/m_b.  Within one j the meeting relation joins
-    whole classes of equal roots, so the greedy matching removes what a
-    gcd of the expanded products would, and no gcd is taken.
+    a and a den factor b meet at shift j when a(k) = (m_a/m_b) b(k+j):
+    their parts w/m outside k and the constant agree, and j = u_a/m_a -
+    u_b/m_b, tested in integers as (u_a m_b - u_b m_a)/(m_a m_b), is an
+    integer >= 0.  For j ascending every meeting pair is removed, P gains
+    a(k-1) ... a(k-j) and c gains m_a/m_b.  Within one j the meeting
+    relation joins whole classes of equal roots, so the greedy matching
+    removes what a gcd of the expanded products would, and no gcd is
+    taken.
     """
-    nroots = [_root_form(f) for f in num]
-    droots = [_root_form(f) for f in den]
+    nroots, droots = _roots(num), _roots(den)
+    by_direction: dict[tuple[int, ...], list[int]] = {}
+    for l, b in enumerate(droots):
+        if b is not None:
+            by_direction.setdefault(b[0], []).append(l)
     pairs = []
     for i, a in enumerate(nroots):
-        for l, b in enumerate(droots):
-            if a is None or b is None:
-                continue
-            # a meets b at the shift u_a/m_a - u_b/m_b, if n-free
-            d = a[1] - b[1]
-            if not d.variables():
-                j = d.eval({})
-                if j.denominator == 1 and j >= 0:
-                    pairs.append((int(j), i, l))
+        if a is None:
+            continue
+        _, ma, ua = a
+        for l in by_direction.get(a[0], ()):
+            _, mb, ub = droots[l]
+            j, rem = divmod(ua * mb - ub * ma, ma * mb)
+            if not rem and j >= 0:
+                pairs.append((j, i, l))
     pairs.sort()
     used_num: set[int] = set()
     used_den: set[int] = set()
-    p_factors: list[MultiPoly] = []
+    p_factors: list[Affine] = []
     c = sk
     for j, i, l in pairs:
         if i in used_num or l in used_den:
             continue
         used_num.add(i)
         used_den.add(l)
-        c *= nroots[i][0] / droots[l][0]
-        p_factors.extend(num[i].shift_var("k", -t) for t in range(1, j + 1))
+        c *= Fraction(nroots[i][1] * den[l].den, droots[l][1] * num[i].den)
+        p_factors.extend(num[i].shift("k", -t) for t in range(1, j + 1))
     return (p_factors, c,
             [f for i, f in enumerate(num) if i not in used_num],
             [f for l, f in enumerate(den) if l not in used_den])
@@ -476,17 +496,15 @@ def _require_instantiated(term: HypTerm) -> None:
             f"summand must be instantiated; free parameter {sorted(extra)[0]}")
 
 
-def _n_poly(cs: list[int]) -> MultiPoly:
-    return MultiPoly.from_unipoly(UniPoly.from_coeffs(cs), "n")
-
-
 def _kn_poly(cs: list[list[int]]) -> MultiPoly:
     """sum_i cs[i](n) k^i for integer coefficient lists cs[i] in n."""
-    out = MultiPoly.zero()
-    for i, c in enumerate(cs):
-        if c:
-            out = out + _n_poly(c) * _K ** i
-    return out
+    return MultiPoly.from_int_terms(
+        1, ((e, i, c) for i, ci in enumerate(cs) for e, c in enumerate(ci)),
+        "n", "k")
+
+
+def _n_poly(cs: list[int]) -> MultiPoly:
+    return _kn_poly([cs])
 
 
 def _int_rows(cols: list[MultiPoly]) -> list[list[list[int]]]:
@@ -510,12 +528,20 @@ def zeilberger_two_term(term: HypTerm, r: int,
     sk, nk, dk = k_ratio_parts(term)
     _, nn, dn = n_ratio_parts(term, r)
     p_f, c, q_f, r_f = _normal_form(sk, nk + dn,
-                                    dk + [f.shift_var("k", 1) for f in dn])
-    p = prod(p_f, start=_ONE)
-    q = prod(q_f, start=_ONE) * c
-    rstar = prod(r_f, start=_ONE).shift_var("k", -1)
-    d_n = prod(dn, start=_ONE)
-    rhs1 = p * prod(nn, start=_ONE)
+                                    dk + tuple(f.shift("k", 1) for f in dn))
+    rec = _solve(expand_factors(p_f), expand_factors(q_f) * c,
+                 expand_factors([f.shift("k", -1) for f in r_f]),
+                 expand_factors(nn), expand_factors(dn), r, max_deg)
+    if rec is not None and not verify_recurrence(term, rec):
+        raise RuntimeError("derived recurrence failed exact re-verification")
+    return rec
+
+
+def _solve(p: MultiPoly, q: MultiPoly, rstar: MultiPoly, n_n: MultiPoly,
+           d_n: MultiPoly, r: int, max_deg: int) -> Optional[Recurrence]:
+    """The recurrence with n-offset r from the expanded normal form P, Q,
+    R* = R(k-1) and the n-shift ratio Nn/Dn, or None; not re-checked."""
+    rhs1 = p * n_n
     rhs2 = p * d_n
     bound = _degree_bound(q.coeffs_in("k"), rstar.coeffs_in("k"),
                           max(rhs1.degree("k"), rhs2.degree("k"))) + 1
@@ -533,10 +559,7 @@ def zeilberger_two_term(term: HypTerm, r: int,
     if not vecs:
         return None
     vec = next((v for v in vecs if v[-1]), vecs[0])
-    rec = _assemble(vec, deg, rstar, p * d_n, r)
-    if not verify_recurrence(term, rec):
-        raise RuntimeError("derived recurrence failed exact re-verification")
-    return rec
+    return _assemble(vec, deg, rstar, rhs2, r)
 
 
 def _assemble(vec: list[list[int]], deg: int, rstar: MultiPoly,

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 from itertools import count, islice
 
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from hyperaccel import accelerator
 from hyperaccel.accelerator import (
@@ -21,7 +23,7 @@ from hyperaccel.exact_arith import MultiPoly, UniPoly
 from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate, k_ratio_at,
                                         k_shift_ratio, n_shift_ratio)
 from hyperaccel.numerics import direct_sum
-from hyperaccel.telescoper import Recurrence, zeilberger_two_term
+from hyperaccel.telescoper import Recurrence, derive_recurrence, zeilberger_two_term
 
 from quotient_helpers import quotient_eval, same_quotient
 
@@ -300,6 +302,40 @@ def test_stream_terms_match_multipoly_evaluation(derivation_recipes):
         n0 = e.derivation.n0
         assert (_first_terms(_stream_terms(term, rec, n0), 30)
                 == _first_terms(_reference_iter_accelerated(term, rec, n0), 30)), e.id
+
+
+# rational heights up to 4: the bracket form's rational_roots factors the
+# quotient's end coefficients by trial division, which takes seconds on
+# some neg-64 tuples already at these heights
+_heights = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_random_family_streams_match_reference_and_bracket_form(data):
+    """Over random tuples of every family with a recurrence (twenty7-32
+    has none), the stream's first terms, or the pole that stops them,
+    are those of the MultiPoly evaluation; where the window has no pole
+    and the stream a bracket form, scale * series reproduces it."""
+    family = data.draw(st.sampled_from(
+        [f for f in FamilyId if f is not FamilyId.TWENTY7_32]),
+        label="family")
+    params = data.draw(st.tuples(*[_heights] * len(family.param_names)),
+                       label="params")
+    n0 = data.draw(st.builds(F, st.integers(1, 8), st.integers(1, 4)), label="n0")
+    term = family_instantiate(family, params)
+    rec = derive_recurrence(term)
+    assume(rec is not None)
+    terms = _first_terms(_stream_terms(term, rec, n0), 12)
+    assert terms == _first_terms(_reference_iter_accelerated(term, rec, n0), 12)
+    assume(len(terms) == 12 and all(isinstance(t, F) for t in terms))
+    stream = accelerated_stream(term, rec, n0, check_vanishing=False)
+    try:
+        series, scale = chu_normalize(stream.ratio, terms[0])
+    except ValueError:
+        event("no bracket form")
+        return
+    assert [scale * t for t in series.terms(12)] == terms
 
 
 @pytest.mark.parametrize("cert_num", ["1", "k", "n + 2k"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hyperaccel.accelerator import (ChuSeries, accelerated_stream, chu_normalize,
                                     stream_proportional)
-from hyperaccel import catalog
+from hyperaccel import catalog, hypergeom_terms
 from hyperaccel.catalog import (CatalogEntry, catalog_entries, closed_text,
                                 default_term_budget, derive_entry, entry,
                                 export_lines, parse_closed_text,
@@ -18,6 +18,7 @@ from hyperaccel.catalog import (CatalogEntry, catalog_entries, closed_text,
                                 verify_series)
 from hyperaccel.exact_arith import UniPoly
 from hyperaccel.numerics import ClosedForm
+from hyperaccel.telescoper import builtin_recurrence
 
 from quotient_helpers import same_quotient
 
@@ -218,6 +219,27 @@ def test_all_derivations(derivation_recipes):
         if e.chu is not None:
             assert rep.proportional is not None, e.id
             assert rep.proportional == _window_constant(e, term, rec, e.chu), e.id
+
+
+def test_derive_entry_builds_each_shift_ratio_once(monkeypatch):
+    """A derive_entry builds the summand's n-ratio factors once, and its
+    k-ratio factors once where the solver runs; the solver, its exact
+    re-check and the stream share them."""
+    built = []
+    factor_lists = hypergeom_terms._factor_lists
+    monkeypatch.setattr(hypergeom_terms, "_factor_lists",
+                        lambda term, index, step: built.append((index, step))
+                        or factor_lists(term, index, step))
+    solved = 0
+    for e in ENTRIES:
+        if e.derivation is None:
+            continue
+        built.clear()
+        derive_entry(e.id)
+        solver = builtin_recurrence(e.derivation.family) is None
+        assert sorted(built) == [("k", 1)] * solver + [("n", e.derivation.r)], e.id
+        solved += solver
+    assert solved == 39
 
 
 @pytest.mark.parametrize("index, delta", [

@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from hyperaccel.accelerator import accelerated_stream
-from hyperaccel.cli import _MAX_STREAM_DIGITS, _MAX_STREAM_TERMS, main
+from hyperaccel.cli import (_MAX_START, _MAX_STREAM_DIGITS, _MAX_STREAM_TERMS,
+                            main)
 from hyperaccel.hypergeom_terms import FamilyId, family_instantiate
 from hyperaccel.telescoper import derive_recurrence
 
@@ -101,6 +102,22 @@ def test_derive_from_a_point_where_the_series_diverges_fails(capsys):
     assert code == 1
     assert err == "hyperaccel: remainder does not vanish\n"
     assert "stream" not in out
+
+
+@pytest.mark.parametrize("command", ["derive", "accelerate"])
+def test_start_point_bound(capsys, command):
+    """|n| = 1000 is accepted; there the remainder check sums about 1000
+    terms at each shifted point of this binomial family.  A larger |n|,
+    integer or not, is refused with exit 2 before anything is derived."""
+    args = [command, "--family", "sixteen-27-a", "--params=-100,1/2"]
+    extra = ["--terms", "1"] if command == "accelerate" else []
+    code, out, err = run(capsys, *args, f"--n={_MAX_START}", *extra)
+    assert (code, err) == (0, "") and out
+    refused = ("hyperaccel: start point above supported range:"
+               f" |n| at most {_MAX_START}\n")
+    for n in (_MAX_START + 1, -_MAX_START - 1,
+              Fraction(1000 * _MAX_START + 1, 1000)):
+        assert run(capsys, *args, "--n", str(n), *extra) == (2, "", refused)
 
 
 @pytest.mark.parametrize("spaced, joined", [

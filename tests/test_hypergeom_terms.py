@@ -6,18 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperaccel.exact_arith import MultiPoly
+from hyperaccel.exact_arith import Affine, MultiPoly
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     GammaFactor,
     HypTerm,
     family_instantiate,
     family_term,
+    k_ratio_parts,
     k_shift_ratio,
     n_ratio_parts,
     n_shift_ratio,
 )
 
+import factor_reference
 from quotient_helpers import quotient_eval, same_quotient
 
 F = Fraction
@@ -175,3 +177,58 @@ def test_family_term_is_built_once_per_family():
     terms = {family: family_term(family) for family in FamilyId}
     assert all(family_term(family) is t for family, t in terms.items())
     assert family_term.cache_info().currsize == len(FamilyId)
+
+
+# -- Affine factor rows against the MultiPoly reference ----------------------------
+
+
+def test_gamma_factor_converts_its_argument_once():
+    g = GammaFactor(A("1/2 k + a"), 1)
+    assert g.arg == Affine.from_poly(A("1/2 k + a"))
+    assert GammaFactor(g.arg, 1) == g
+    with pytest.raises(ValueError, match="Gamma argument must be affine"):
+        GammaFactor(A("n k + 1"), 1)
+
+
+def _same_parts(term, index, step):
+    """The row parts are the reference's factor lists, in order, and expand
+    to the reference's shift ratio."""
+    ratio = k_ratio_parts(term) if index == "k" else n_ratio_parts(term, step)
+    sign, num, den = ratio
+    ref = factor_reference.ratio_parts(term, index, step)
+    assert (sign, [f.poly() for f in num], [f.poly() for f in den]) == ref
+    pair = k_shift_ratio(term) if index == "k" else n_shift_ratio(term, step)
+    assert pair == factor_reference.parts_to_pair(ref)
+
+
+@pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
+def test_symbolic_ratio_parts_match_reference(family):
+    term = family_term(family)
+    _same_parts(term, "k", 1)
+    for r in (1, 2, 3):
+        _same_parts(term, "n", r)
+
+
+_fractions = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_instantiated_ratio_parts_match_reference(family, r, data):
+    params = data.draw(st.tuples(*[_fractions] * len(family.param_names)))
+    term = family_instantiate(family, params)
+    _same_parts(term, "k", 1)
+    _same_parts(term, "n", r)
+
+
+def test_ratio_parts_are_built_once_per_term():
+    params = [F(1, 3), F(1, 3), 1, F(1, 3), F(1, 3), F(2, 3)]
+    term = family_instantiate(FamilyId.QUARTER, params)
+    assert k_ratio_parts(term) is k_ratio_parts(term)
+    assert n_ratio_parts(term, 2) is n_ratio_parts(term, 2)
+    assert n_ratio_parts(term, 1) is not n_ratio_parts(term, 2)
+    # a new term starts with none of them
+    again = family_instantiate(FamilyId.QUARTER, params)
+    assert again == term and k_ratio_parts(again) is not k_ratio_parts(term)

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperaccel.exact_arith import VARS, MultiPoly, UniPoly, _primitive_pair
+from hyperaccel.exact_arith import (VARS, Affine, MultiPoly, UniPoly,
+                                    _primitive_pair)
 
 F = Fraction
 _NVARS = len(VARS)
@@ -315,3 +316,77 @@ def test_largest_exponents_keep_their_variables_apart():
     j = MultiPoly.var("j", limit - 2) * MultiPoly.var("j")
     assert j.variables() == {"j"}
     assert tuple(j.terms) == (((0,) * 8 + (limit - 1,), F(1)),)
+
+
+# -- Affine rows against the MultiPolys they stand for ---------------------------
+
+# affine polynomials over all nine variables, each coefficient often zero
+_affine_dicts = st.tuples(
+    st.lists(st.one_of(st.just(0), _coeffs), min_size=_NVARS, max_size=_NVARS),
+    _coeffs).map(lambda t: {**{tuple(int(i == v) for i in range(_NVARS)): c
+                               for v, c in enumerate(t[0])},
+                            (0,) * _NVARS: t[1]})
+_ints = st.integers(-5, 5)
+
+
+@settings(max_examples=150)
+@given(_affine_dicts, _affine_dicts)
+def test_affine_round_trip_and_equality(d1, d2):
+    p, q = MultiPoly.from_dict(d1), MultiPoly.from_dict(d2)
+    a, b = Affine.from_poly(p), Affine.from_poly(q)
+    assert a.poly() == p and b.poly() == q
+    assert (a == b) == (p == q)
+    assert (hash(a) == hash(b)) or p != q
+    assert a.den > 0 and gcd(a.den, *a.row) == 1
+    assert Affine.new([3 * c for c in a.row], -3 * a.den).poly() == -p
+    assert a.variables() == p.variables()
+    for name in VARS:
+        cs = p.coeffs_in(name)
+        assert a.coeff(name) == (cs[1].eval({}) if len(cs) > 1 else 0)
+
+
+@settings(max_examples=150)
+@given(_affine_dicts, st.dictionaries(_names, _scalars, max_size=4), _names, _ints)
+def test_affine_subst_shift_plus_match_multipoly(d, point, name, s):
+    p = MultiPoly.from_dict(d)
+    a = Affine.from_poly(p)
+    assert a.subst(point) == Affine.from_poly(p.subst(point))
+    assert a.shift(name, s) == Affine.from_poly(p.shift_var(name, s))
+    assert a.plus(s) == Affine.from_poly(p + MultiPoly.const(s))
+
+
+@settings(max_examples=100)
+@given(_affine_dicts, st.sampled_from(["n", "k"]))
+def test_affine_int_terms_and_unipoly_match_multipoly(d, name):
+    p = MultiPoly.from_dict(d)
+    a = Affine.from_poly(p)
+    for read in (lambda f: f.int_terms("n", "k"), lambda f: f.as_unipoly(name)):
+        try:
+            expected = read(p)
+        except ValueError as ex:
+            with pytest.raises(ValueError, match=str(ex)):
+                read(a)
+        else:
+            got = read(a)
+            if isinstance(got, tuple):
+                assert (got[0], sorted(got[1])) == (expected[0], sorted(expected[1]))
+                assert MultiPoly.from_int_terms(*got, "n", "k") == p
+            else:
+                assert got == expected
+
+
+@given(_dicts)
+def test_affine_from_poly_refuses_higher_degrees(d):
+    p = MultiPoly.from_dict(d)
+    assert (Affine.from_poly(p) is None) == (p.total_degree() > 1)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), _ints), max_size=8),
+       st.integers(1, 12))
+def test_from_int_terms_sums_repeated_exponents(terms, den):
+    p = MultiPoly.from_int_terms(den, terms, "n", "k")
+    expected = MultiPoly.zero()
+    for i, j, c in terms:
+        expected = expected + MultiPoly.var("n", i) * MultiPoly.var("k", j) * F(c, den)
+    assert p == expected

@@ -11,12 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperaccel.catalog import derivation_term, entry
-from hyperaccel.exact_arith import MultiPoly, _zdiv, _zmul, _zsub
+from hyperaccel.exact_arith import Affine, MultiPoly, _zdiv, _zmul, _zsub
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     family_instantiate,
     family_term,
+    k_ratio_parts,
     k_shift_ratio,
+    n_ratio_parts,
     n_shift_ratio,
 )
 import hyperaccel.telescoper as telescoper
@@ -36,6 +38,7 @@ from hyperaccel.telescoper import (
     zeilberger_two_term,
 )
 
+import factor_reference
 from control_summands import alt_control_double_offset, alt_control_single_offset
 from quotient_helpers import quotient_eval
 
@@ -560,27 +563,57 @@ def _factor_lists(draw):
     return sk, num, den
 
 
+def _polys(rows):
+    return [f.poly() for f in rows]
+
+
 @settings(max_examples=80, deadline=None)
 @given(_factor_lists())
 def test_normal_form_on_factor_lists(case):
-    sk, num, den = case
+    """The row normal form of MultiPoly factor lists, read as `Affine`
+    rows, is a normal form, and it is the MultiPoly reference's."""
+    sk, num_polys, den_polys = case
+    num = [Affine.from_poly(f) for f in num_polys]
+    den = [Affine.from_poly(f) for f in den_polys]
     p_f, c, q_f, r_f = _normal_form(sk, num, den)
-    p, q, r = _prod(p_f), _prod(q_f) * c, _prod(r_f)
+    p, q, r = _prod(_polys(p_f)), _prod(_polys(q_f)) * c, _prod(_polys(r_f))
     # sk prod(num) / prod(den) = (P(k+1)/P(k)) (Q/R), cross-multiplied
-    assert _prod(num) * sk * p * r == _prod(den) * p.shift_var("k", 1) * q
+    assert _prod(num_polys) * sk * p * r == _prod(den_polys) * p.shift_var("k", 1) * q
     # the remaining factors come from the lists, and no pair of them
     # meets: a(k) is never a multiple of b(k+j) for j >= 0
     for f in q_f:
         assert f in num
     for f in r_f:
         assert f in den
-    for a in q_f:
-        for b in r_f:
+    for a in _polys(q_f):
+        for b in _polys(r_f):
             if a.degree("k") != 1 or b.degree("k") != 1:
                 continue
             ma, mb = a.coeffs_in("k")[1], b.coeffs_in("k")[1]
             for j in range(40):
                 assert a * mb != b.shift_var("k", j) * ma, (a, b, j)
+    ref_p, ref_c, ref_q, ref_r = factor_reference.normal_form(sk, num_polys, den_polys)
+    assert (_polys(p_f), c, _polys(q_f), _polys(r_f)) == (ref_p, ref_c, ref_q, ref_r)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_row_solver_matches_the_multipoly_reference(family, r, data):
+    """At random rational points of every family, the solver's row normal
+    form is the MultiPoly reference's, and the solver returns the
+    recurrence, or None, that the reference's expanded P, Q, R*, Nn and
+    Dn give."""
+    params = data.draw(st.tuples(*[_small_fractions] * len(family.param_names)))
+    term = family_instantiate(family, params)
+    sk, nk, dk = k_ratio_parts(term)
+    _, nn, dn = n_ratio_parts(term, r)
+    p_f, c, q_f, r_f = _normal_form(sk, nk + dn,
+                                    dk + tuple(f.shift("k", 1) for f in dn))
+    ref_p, ref_c, ref_q, ref_r = factor_reference.solver_normal_form(term, r)
+    assert (_polys(p_f), c, _polys(q_f), _polys(r_f)) == (ref_p, ref_c, ref_q, ref_r)
+    assert zeilberger_two_term(term, r) == factor_reference.reference_recurrence(term, r)
 
 
 # ---------------------------------------------------------------------------
