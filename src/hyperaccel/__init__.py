@@ -48,7 +48,6 @@ from hyperaccel.telescoper import (
     builtin_residual,
     derive_recurrence,
     recurrence_residual,
-    same_ratio,
     specialize,
     theorem_families,
     zeilberger_two_term,
@@ -85,7 +84,6 @@ __all__ = [
     "parse_series_text",
     "rational_roots",
     "recurrence_residual",
-    "same_ratio",
     "series_text",
     "specialize",
     "stream_proportional",

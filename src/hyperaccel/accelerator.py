@@ -132,12 +132,13 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
 
 def _stream_parts(term: HypTerm, rec: Recurrence) -> tuple[UniPoly, ...]:
     """p1, p2, and the numerators and denominators of the certificate and
-    of the n-shift ratio at k = 0, as polynomials in n.  The ratio's are
+    of the n-shift ratio at k = 0, as polynomials in n.  p1 and p2 are
+    free of k, as `convergence_rate` requires.  The ratio's parts are
     the products of its affine factors at k = 0, each linear in n; its
     sign is 1."""
     _, num, den = n_ratio_parts(term, rec.r)
-    parts = [part.subst({"k": 0}).as_unipoly("n")
-             for part in (rec.p1, rec.p2, *rec.cert)]
+    parts = [rec.p1.as_unipoly("n"), rec.p2.as_unipoly("n")]
+    parts.extend(part.subst({"k": 0}).as_unipoly("n") for part in rec.cert)
     for factors in (num, den):
         parts.append(prod((f.subst({"k": 0}).as_unipoly("n") for f in factors),
                           start=UniPoly.one()))

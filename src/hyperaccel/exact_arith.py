@@ -23,7 +23,9 @@ of keys and one integer multiply of numerators.  An exponent must stay
 below 2^15.  The top bit of each field is a guard: a product that would
 reach 2^15 in some variable sets it and raises OverflowError instead of
 carrying into the next variable.  The `terms` view gives (exponent tuple,
-Fraction) pairs in ascending order.  A rational function is a plain
+Fraction) pairs in ascending order.  `subst` reads the terms through a
+layout built once per set of substituted names and kept on the instance,
+outside equality and hashing.  A rational function is a plain
 (numerator, denominator) pair of MultiPolys.  `_primitive_pair` gives
 it integer, jointly primitive parts and a positive leading denominator
 coefficient, by integer gcd only (no multivariate gcd is attempted), so
@@ -47,7 +49,7 @@ from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from operator import mul, or_
 from typing import Iterable, Mapping, Optional, Union
 
 Rational = Fraction
@@ -64,6 +66,7 @@ _EXP_LIMIT = 1 << (_EXP_BITS - 1)
 _FIELD_MASK = (1 << _EXP_BITS) - 1
 _SHIFTS = tuple(_EXP_BITS * (_NVARS - 1 - i) for i in range(_NVARS))
 _GUARD = sum(_EXP_LIMIT << s for s in _SHIFTS)
+_FIELDS = tuple(_FIELD_MASK << s for s in _SHIFTS)
 
 _F0 = Fraction(0)
 
@@ -503,6 +506,51 @@ def _normalized(coeffs: dict[int, int], den: int) -> "MultiPoly":
     return MultiPoly(coeffs, den)
 
 
+def _var_index(name: str) -> int:
+    i = _VAR_INDEX.get(name)
+    if i is None:
+        raise ValueError(f"unknown variable: {name}")
+    return i
+
+
+class _SubstLayout:
+    """A MultiPoly's terms laid out for substituting one set of variables.
+
+    `names` and `degrees` are the substituted variables the polynomial
+    has and its degree in each; `names` is empty when it has none of
+    them.  Its distinct monomials in them are numbered in order of first
+    appearance, and `cols` holds, per name, the exponent in each.  A
+    term's kept key is its key with those variables' fields cleared;
+    `groups` pairs each kept key, in order of first appearance, with the
+    numerators and the monomial numbers of its terms.  Raises ValueError
+    for a name outside VARS.
+    """
+
+    __slots__ = ("names", "degrees", "cols", "groups")
+
+    def __init__(self, coeffs: dict[int, int], names: frozenset[str]):
+        present = reduce(or_, coeffs, 0)
+        used = [i for i in sorted(map(_var_index, names)) if present & _FIELDS[i]]
+        self.names = tuple(map(VARS.__getitem__, used))
+        if not used:
+            return
+        mask = sum(map(_FIELDS.__getitem__, used))
+        monos: dict[int, int] = {}
+        groups: dict[int, tuple[list[int], list[int]]] = {}
+        for k, c in coeffs.items():
+            part = k & mask
+            kept = k ^ part
+            group = groups.get(kept)
+            if group is None:
+                group = groups[kept] = ([], [])
+            group[0].append(c)
+            group[1].append(monos.setdefault(part, len(monos)))
+        self.cols = [[(part >> _SHIFTS[i]) & _FIELD_MASK for part in monos]
+                     for i in used]
+        self.degrees = tuple(map(max, self.cols))
+        self.groups = list(groups.items())
+
+
 class _Terms(Sequence):
     """A MultiPoly's (exponent tuple, Fraction) pairs in ascending exponent
     order.  The length is the term count; the pairs are built on first
@@ -536,12 +584,14 @@ class MultiPoly:
     takes an already normalized {key: numerator} dict and owns it.
     """
 
-    __slots__ = ("_coeffs", "_den", "_pairs")
+    __slots__ = ("_coeffs", "_den", "_pairs", "_layouts")
 
     def __init__(self, coeffs: dict[int, int], den: int = 1):
         self._coeffs = coeffs
         self._den = den if coeffs else 1
         self._pairs: Optional[tuple[tuple[tuple[int, ...], Fraction], ...]] = None
+        # `subst` layouts by the set of substituted names; outside == and hash
+        self._layouts: Optional[dict[frozenset[str], _SubstLayout]] = None
 
     @property
     def terms(self) -> _Terms:
@@ -683,29 +733,33 @@ class MultiPoly:
         """Substitute rational values for a subset of the variables.
 
         A value p/q for a variable of degree m turns x^e into
-        p^e q^(m-e) over q^m, so the numerators stay integers.
+        p^e q^(m-e) over q^m, so the numerators stay integers.  The
+        terms are read through the `_SubstLayout` for the set of names,
+        built on the first call with that set and kept on this instance.
+        A call forms each distinct monomial in the substituted variables
+        once, from a table of p^e q^(m-e) per variable, and sums c times
+        it over the terms of each kept key.  Raises ValueError for a name
+        outside VARS.
         """
-        den = self._den
-        powers = []
-        for name, v in point.items():
-            s = _SHIFTS[_VAR_INDEX[name]]
-            v = _frac(v)
-            m = self.degree(name)
-            if m > 0:
-                p, q = v.numerator, v.denominator
-                powers.append((s, [p ** e * q ** (m - e) for e in range(m + 1)]))
-                den *= q ** m
-        if not powers:
+        names = frozenset(point)
+        if self._layouts is None:
+            self._layouts = {}
+        layout = self._layouts.get(names)
+        if layout is None:
+            layout = self._layouts[names] = _SubstLayout(self._coeffs, names)
+        if not layout.names:
             return self
-        out: dict[int, int] = {}
-        get = out.get
-        for k, c in self._coeffs.items():
-            for s, pw in powers:
-                e = (k >> s) & _FIELD_MASK
-                c *= pw[e]
-                k -= e << s
-            out[k] = get(k, 0) + c
-        return _normalized(out, den)
+        den = self._den
+        values: list[int] = []
+        for name, m, col in zip(layout.names, layout.degrees, layout.cols):
+            p, q = point[name].as_integer_ratio()
+            table = [p ** e * q ** (m - e) for e in range(m + 1)]
+            den *= q ** m
+            powers = map(table.__getitem__, col)
+            values = list(map(mul, values, powers) if values else powers)
+        mono = values.__getitem__
+        return _normalized({k: sum(map(mul, cs, map(mono, monos)))
+                            for k, (cs, monos) in layout.groups}, den)
 
     def coeffs_in(self, name: str) -> list["MultiPoly"]:
         """Dense coefficient list in one variable; entries are MultiPolys."""
@@ -860,6 +914,8 @@ class Affine:
         g = gcd(den, *row)
         if den < 0:
             g = -g
+        if g == 1:
+            return Affine(tuple(row), den)
         return Affine(tuple(c // g for c in row), den // g)
 
     @staticmethod
@@ -911,24 +967,25 @@ class Affine:
         """Substitute rational values for a subset of the variables."""
         row, den = list(self.row), self.den
         for name, v in point.items():
-            i = _VAR_INDEX[name]
+            i = _var_index(name)
             c = row[i]
             if c:
-                v = _frac(v)
-                q = v.denominator
+                p, q = v.as_integer_ratio()
                 if q != 1:
                     row = [x * q for x in row]
                     den *= q
                 # (c/d) (p/q) = c p/(d q), over the new denominator d q
                 row[i] = 0
-                row[-1] += c * v.numerator
+                row[-1] += c * p
         return Affine.new(row, den)
 
     def _only(self, *names: str) -> None:
         keep = {_VAR_INDEX[name] for name in names}
         for i, c in enumerate(self.row[:-1]):
             if c and i not in keep:
-                raise ValueError(f"unbound variable: {VARS[i]}")
+                # the first name in sorted order, as MultiPoly reports it
+                extra = self.variables() - set(names)
+                raise ValueError(f"unbound variable: {min(extra)}")
 
     def as_unipoly(self, name: str) -> UniPoly:
         """self as a UniPoly in name; other variables must be absent."""

@@ -282,17 +282,15 @@ def builtin_residual(family: FamilyId) -> MultiPoly:
 def specialize(rec: Recurrence, params: Mapping[str, Scalar]) -> Recurrence:
     """Substitute rational parameter values into a recurrence; raises
     ZeroDivisionError when the certificate's denominator vanishes
-    identically there."""
+    identically there and ValueError for a name outside VARS.  Each of
+    the four polynomials keeps its substitution layout for these names,
+    so a stored recurrence lays out its terms on its first
+    specialization only."""
     cn, cd = (part.subst(params) for part in rec.cert)
     if cd.is_zero:
         raise ZeroDivisionError("certificate with zero denominator")
     return Recurrence(r=rec.r, p1=rec.p1.subst(params), p2=rec.p2.subst(params),
                       cert=(cn, cd))
-
-
-def same_ratio(a: Recurrence, b: Recurrence) -> bool:
-    """Whether two recurrences agree up to overall scaling of (p1, p2)."""
-    return a.r == b.r and a.p1 * b.p2 == b.p1 * a.p2
 
 
 # ---------------------------------------------------------------------------

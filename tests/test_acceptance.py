@@ -28,10 +28,11 @@ from hyperaccel.hypergeom_terms import FamilyId, family_instantiate, family_term
 from hyperaccel.numerics import direct_sum_eval
 from hyperaccel.telescoper import (Recurrence, builtin_recurrence,
                                    builtin_residual, recurrence_residual,
-                                   same_ratio, specialize, theorem_families,
+                                   specialize, theorem_families,
                                    zeilberger_two_term)
 
 from control_summands import alt_control_double_offset, alt_control_single_offset
+from quotient_helpers import same_ratio
 
 F = Fraction
 

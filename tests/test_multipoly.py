@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from hyperaccel.exact_arith import (VARS, Affine, MultiPoly, UniPoly,
                                     _primitive_pair)
 
+import subst_reference
+
 F = Fraction
 _NVARS = len(VARS)
 _INDEX = {v: i for i, v in enumerate(VARS)}
@@ -194,11 +196,40 @@ def test_ring_operations_match_reference(d1, d2, c, e):
     assert same(p ** e, r ** e)
 
 
-@settings(max_examples=100)
-@given(_dicts, st.dictionaries(_names, _scalars, max_size=4))
-def test_subst_matches_reference(d, point):
+# every subset of the nine variables, so also names the polynomial lacks
+_points = st.sets(_names).flatmap(
+    lambda names: st.fixed_dictionaries({name: _scalars for name in names}))
+
+
+@settings(max_examples=150)
+@given(_dicts, _points, st.data())
+@example({(1, 2, 0, 0, 0, 0, 3, 1, 0): F(3, 2), (0, 0, 0, 0, 0, 0, 1, 0, 0): -2},
+         dict.fromkeys(VARS, 0), None)
+@example({(0, 0, 0, 0, 0, 0, 1, 2, 0): 5}, {"a": F(-1, 3)}, None)
+def test_subst_matches_reference(d, point, data):
+    """subst, through the layout built on its first call, matches the
+    tuple reference term by term and equals `subst_reference`, which
+    scans the keys on every call; a second call with the same names and
+    other values reuses the layout and still does, and the layout leaves
+    == and hash alone."""
     p, r = both(d)
     assert same(p.subst(point), r.subst(point))
+    assert p.subst(point) == subst_reference.subst(p, point)
+    if data is not None:
+        again = {name: data.draw(_scalars) for name in point}
+        assert p.subst(again) == subst_reference.subst(p, again)
+    fresh = MultiPoly.from_dict(d)
+    assert p == fresh and hash(p) == hash(fresh)
+
+
+def test_subst_names_an_unknown_variable():
+    p = MultiPoly.from_string("a n + k")
+    p.subst({"a": 1})
+    for point in ({"z": 1}, {"a": 1, "z": 1}):
+        with pytest.raises(ValueError, match="^unknown variable: z$"):
+            p.subst(point)
+        with pytest.raises(ValueError, match="^unknown variable: z$"):
+            Affine.from_poly(p.subst({"a": 1})).subst(point)
 
 
 @settings(max_examples=100)

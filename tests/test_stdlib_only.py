@@ -1,13 +1,17 @@
 """The package imports nothing outside the Python standard library, and
-its export list names only what it defines."""
+its export list names only what it defines and what the package or the
+benchmark uses."""
 
 import ast
 import pathlib
+import re
 import sys
 
 import hyperaccel
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hyperaccel"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hyperaccel"
+BENCH = ROOT / "bench"
 
 
 def _imported_modules(path):
@@ -36,3 +40,21 @@ def test_every_exported_name_resolves():
     missing = [name for name in hyperaccel.__all__
                if not hasattr(hyperaccel, name)]
     assert not missing
+
+
+def test_every_exported_name_is_used_outside_tests():
+    # a name is used when some line of the package (apart from
+    # __init__.py, whose import and export lists restate every name) or
+    # of the benchmark mentions it, other than the line defining it;
+    # production code that only tests call fails here
+    files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    lines = [line for path in files + sorted(BENCH.glob("*.py"))
+             for line in path.read_text().splitlines()]
+    unused = []
+    for name in hyperaccel.__all__:
+        word = re.compile(rf"\b{name}\b")
+        definition = re.compile(rf"^\s*(def|class)\s+{name}\b|^{name}\s*=")
+        if not any(word.search(line) and not definition.match(line)
+                   for line in lines):
+            unused.append(name)
+    assert not unused

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperaccel.catalog import derivation_term, entry
+import hyperaccel.exact_arith as exact_arith
+from hyperaccel.catalog import catalog_entries, derivation_term, derive_entry, entry
 from hyperaccel.exact_arith import Affine, MultiPoly, _zdiv, _zmul, _zsub
 from hyperaccel.hypergeom_terms import (
     FamilyId,
@@ -32,15 +33,16 @@ from hyperaccel.telescoper import (
     builtin_residual,
     derive_recurrence,
     recurrence_residual,
-    same_ratio,
     specialize,
+    theorem_families,
     verify_recurrence,
     zeilberger_two_term,
 )
 
 import factor_reference
+import subst_reference
 from control_summands import alt_control_double_offset, alt_control_single_offset
-from quotient_helpers import quotient_eval
+from quotient_helpers import quotient_eval, same_ratio
 
 _N_IDX = 6  # position of n in the exponent vectors
 
@@ -477,6 +479,87 @@ def test_specialize_rejects_vanishing_certificate_denominator():
     assert specialize(rec, {"a": 2}).cert[1] == MultiPoly.one()
     with pytest.raises(ZeroDivisionError):
         specialize(rec, {"a": 1})
+
+
+# -- specialize through substitution layouts, against the scan per call -----
+
+
+def test_specialize_matches_reference_on_catalog_recipes():
+    count = 0
+    for e in catalog_entries():
+        d = e.derivation
+        base = builtin_recurrence(d.family) if d is not None else None
+        if base is None:
+            continue
+        point = dict(zip(d.family.param_names, d.params))
+        assert specialize(base, point) == subst_reference.specialize(base, point), e.id
+        count += 1
+    assert count == 56
+
+
+@pytest.mark.parametrize("family", theorem_families(), ids=lambda f: f.value)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_specialize_matches_reference_on_stored_recurrences(family, data):
+    """Any subset of the parameters at rational values, zero and negative
+    ones among them, gives the reference's recurrence; a certificate
+    denominator that vanishes there raises ZeroDivisionError on both."""
+    base = builtin_recurrence(family)
+    names = data.draw(st.sets(st.sampled_from(family.param_names)))
+    point = {name: data.draw(_small_fractions) for name in names}
+    if point and data.draw(st.booleans()):
+        # name - value vanishes identically at the point
+        name, value = data.draw(st.sampled_from(sorted(point.items())))
+        base = replace(base, cert=(base.cert[0], MultiPoly.var(name)
+                                   - MultiPoly.const(value)))
+        with pytest.raises(ZeroDivisionError):
+            subst_reference.specialize(base, point)
+        with pytest.raises(ZeroDivisionError):
+            specialize(base, point)
+        return
+    assert specialize(base, point) == subst_reference.specialize(base, point)
+
+
+def test_derive_passes_build_each_stored_layout_once(monkeypatch):
+    """Two derive passes build the substitution layout of each stored
+    polynomial for its family's parameters once, and no layout of a
+    stored polynomial twice: the later calls reuse them."""
+    builtin_recurrence.cache_clear()
+    built = []
+    layout = exact_arith._SubstLayout
+    monkeypatch.setattr(exact_arith, "_SubstLayout",
+                        lambda coeffs, names: built.append((coeffs, names))
+                        or layout(coeffs, names))
+    for _ in range(2):
+        for e in catalog_entries():
+            if e.derivation is not None:
+                derive_entry(e.id)
+    for family in theorem_families():
+        rec = builtin_recurrence(family)
+        for part in (rec.p1, rec.p2, *rec.cert):
+            names = [n for coeffs, n in built if coeffs is part._coeffs]
+            assert names.count(frozenset(family.param_names)) == 1, family
+            assert len(set(names)) == len(names), family
+
+
+def test_specialize_reads_each_polynomial_not_the_recurrence():
+    """Layouts belong to polynomials: a recurrence with its parts swapped
+    or copied specializes like the reference."""
+    base = builtin_recurrence(FamilyId.NEG_QUARTER)
+    point = {"a": F(2, 3), "b": F(1), "c": F(-1, 3)}
+    spec = specialize(base, point)
+    swapped = replace(base, p1=base.p2, p2=base.p1)
+    assert specialize(swapped, point) == replace(spec, p1=spec.p2, p2=spec.p1)
+    copied = replace(base, cert=tuple(MultiPoly.from_string(str(c))
+                                      for c in base.cert))
+    assert copied.cert == base.cert and copied.cert[0] is not base.cert[0]
+    assert specialize(copied, point) == spec == subst_reference.specialize(base, point)
+
+
+def test_specialize_names_an_unknown_parameter():
+    base = builtin_recurrence(FamilyId.QUARTER)
+    with pytest.raises(ValueError, match="^unknown variable: z$"):
+        specialize(base, {"z": 1})
 
 
 # ---------------------------------------------------------------------------
