@@ -14,12 +14,10 @@ from hyperaccel.accelerator import (
     accelerated_stream,
     chu_normalize,
     convergence_rate,
-    stream_proportional,
 )
 from hyperaccel.catalog import (
     CatalogEntry,
     catalog_entries,
-    default_term_budget,
     derive_entry,
     entry,
     export_text,
@@ -41,7 +39,7 @@ from hyperaccel.hypergeom_terms import (
     k_shift_ratio,
     n_shift_ratio,
 )
-from hyperaccel.numerics import Enclosure, chu_eval, direct_sum_eval
+from hyperaccel.numerics import Enclosure, chu_eval_terms, default_term_budget
 from hyperaccel.telescoper import (
     Recurrence,
     builtin_recurrence,
@@ -68,13 +66,12 @@ __all__ = [
     "builtin_recurrence",
     "builtin_residual",
     "catalog_entries",
-    "chu_eval",
+    "chu_eval_terms",
     "chu_normalize",
     "convergence_rate",
     "default_term_budget",
     "derive_entry",
     "derive_recurrence",
-    "direct_sum_eval",
     "entry",
     "export_text",
     "family_instantiate",
@@ -86,7 +83,6 @@ __all__ = [
     "recurrence_residual",
     "series_text",
     "specialize",
-    "stream_proportional",
     "theorem_families",
     "verify_entry",
     "zeilberger_two_term",

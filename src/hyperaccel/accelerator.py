@@ -138,7 +138,9 @@ def _stream_parts(term: HypTerm, rec: Recurrence) -> tuple[UniPoly, ...]:
     sign is 1."""
     _, num, den = n_ratio_parts(term, rec.r)
     parts = [rec.p1.as_unipoly("n"), rec.p2.as_unipoly("n")]
-    parts.extend(part.subst({"k": 0}).as_unipoly("n") for part in rec.cert)
+    # the certificate at k = 0 is its k^0 coefficient; a zero part has none
+    parts.extend((part.coeffs_in("k") or [part])[0].as_unipoly("n")
+                 for part in rec.cert)
     for factors in (num, den):
         parts.append(prod((f.subst({"k": 0}).as_unipoly("n") for f in factors),
                           start=UniPoly.one()))

@@ -12,19 +12,18 @@ index, and closed-form rows read coeff*pi^a*log2^b*2^c*3^d with unit
 factors omitted.  Both texts are exactly what export_text writes, so
 the embedded catalog diffs cleanly against an exported file.
 
-verify_series sums a display with certified enclosures and checks
-overlap against its constant's enclosure; derive_entry rebuilds the
-recurrence from the recipe (the stored general-parameter recurrence
-where one exists, creative telescoping otherwise), unrolls the
-accelerated stream, and reports the exact termwise proportionality
-constant against the display from their term quotients and first
-terms.  rate stores the signed term ratio limit; it equals chu.z
-whenever a display is present.
+verify_series sums a display with certified enclosures, at the term cap
+numerics picks unless one is passed, and checks overlap against its
+constant's enclosure; derive_entry rebuilds the recurrence from the
+recipe (the stored general-parameter recurrence where one exists,
+creative telescoping otherwise), unrolls the accelerated stream, and
+reports the exact termwise proportionality constant against the display
+from their term quotients and first terms.  rate stores the signed
+term ratio limit; it equals chu.z whenever a display is present.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -871,31 +870,14 @@ def entry(rid: str) -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
-def default_term_budget(z: Fraction, digits: int) -> int:
-    """Term cap from the per-term digit gain log10(1/|z|), with fixed slack;
-    the gain is taken from z's integer parts, as z may underflow a float.
-    Where |z| is too near 1 for their float logarithms to differ, the gain
-    is bounded below in integers instead, by (1 - |z|)/3 < (1 - |z|)/ln 10."""
-    if abs(z) >= 1:
-        raise ValueError("divergent series: |z| >= 1")
-    if z == 0:
-        return digits + 120
-    n, d = abs(z.numerator), z.denominator
-    gain = math.log10(d) - math.log10(n)
-    if gain > 0:
-        return math.ceil(digits / gain) + 120
-    return -(-3 * digits * d // (d - n)) + 120
-
-
 def verify_series(chu: ChuSeries, closed: ClosedForm, digits: int,
                   max_terms: Optional[int] = None) -> VerifyReport:
     """Certified comparison of a bracket series against its constant.
 
     Passes iff the two enclosures overlap and their combined radius is
-    at most 10^-(digits-2).
+    at most 10^-(digits-2).  max_terms, when given, overrides the term
+    cap that chu_eval_terms picks.
     """
-    if max_terms is None:
-        max_terms = default_term_budget(chu.z, digits)
     lhs, used = chu_eval_terms(chu, digits, max_terms)
     rhs = closedform_eval(closed, digits)
     ok = lhs.overlaps(rhs) and radii_within((lhs, rhs), digits - 2)

@@ -11,8 +11,9 @@ All numeric flags parse as exact rationals.  Output is plain text with
 a stable column layout, or tab-separated with --format tsv; identical
 invocations print byte-identical stdout.  Exit codes: 0 success or all
 checks passed, 1 verification or derivation failure, 2 usage error.
-The environment variable HYPERACCEL_MAX_TERMS overrides the default
-summation term cap.
+The environment variable HYPERACCEL_MAX_TERMS overrides the summation
+term cap, which numerics.chu_eval_terms otherwise picks from |z| and the
+digits.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .accelerator import accelerated_stream, chu_normalize, convergence_rate
-from .catalog import (catalog_entries, default_term_budget, entry,
-                      export_text, series_text, verify_entry)
+from .catalog import (catalog_entries, entry, export_text, series_text,
+                      verify_entry)
 from .exact_arith import MultiPoly, decimal_text
 from .hypergeom_terms import FamilyId, family_instantiate
 from .numerics import chu_eval_terms
@@ -159,6 +160,9 @@ def _build_recurrence(family: FamilyId, params, r: Optional[int],
         raise UsageError(str(ex)) from None
     shifts = (r,) if r is not None else (1, 2)
     rec = derive_recurrence(term, max_deg=max_deg, shifts=shifts)
+    if rec is None:
+        raise ValueError(f"no two-term recurrence found for family"
+                         f" {family.value} with the given parameters")
     return term, rec
 
 
@@ -167,10 +171,6 @@ def _cmd_derive(args) -> int:
         _check_start(args.n)
     family = FamilyId(args.family)
     term, rec = _build_recurrence(family, args.params, args.r, args.max_deg)
-    if rec is None:
-        print(f"hyperaccel: no two-term recurrence found for family"
-              f" {family.value} with the given parameters", file=sys.stderr)
-        return _FAILURE
     _emit(args.format, ["family", family.value])
     _emit(args.format, ["r", str(rec.r)])
     _emit(args.format, ["p1", _ascending_coeffs(rec.p1, "n")])
@@ -189,10 +189,6 @@ def _cmd_derive(args) -> int:
 def _cmd_rate(args) -> int:
     family = FamilyId(args.family)
     _, rec = _build_recurrence(family, args.params, args.r, args.max_deg)
-    if rec is None:
-        print(f"hyperaccel: no two-term recurrence found for family"
-              f" {family.value} with the given parameters", file=sys.stderr)
-        return _FAILURE
     print(f"rate = {convergence_rate(rec)}")
     return 0
 
@@ -205,10 +201,6 @@ def _cmd_accelerate(args) -> int:
     family = FamilyId(args.family)
     r = None if args.r == "auto" else int(args.r)
     term, rec = _build_recurrence(family, args.params, r, args.max_deg)
-    if rec is None:
-        print(f"hyperaccel: no two-term recurrence found for family"
-              f" {family.value} with the given parameters", file=sys.stderr)
-        return _FAILURE
     stream = accelerated_stream(term, rec, args.n)
     if args.chu:
         series, scale = chu_normalize(stream.ratio, stream.term(0))
@@ -242,10 +234,7 @@ def _cmd_eval(args) -> int:
         series = _display_series(args.id).chu
     else:
         series = args.series
-    max_terms = _env_max_terms()
-    if max_terms is None:
-        max_terms = default_term_budget(series.z, args.digits)
-    enclosure, _ = chu_eval_terms(series, args.digits, max_terms)
+    enclosure, _ = chu_eval_terms(series, args.digits, _env_max_terms())
     print(enclosure.decimal(args.digits + 2))
     return 0
 
@@ -271,11 +260,6 @@ def _cmd_check(args) -> int:
     return 0 if row[1] else _FAILURE
 
 
-def _pool_check(task):
-    rid, digits, max_terms = task
-    return _check_row(rid, digits, max_terms)
-
-
 def _cmd_check_all(args) -> int:
     ids = [e.id for e in catalog_entries() if e.chu is not None]
     max_terms = _env_max_terms()
@@ -284,7 +268,7 @@ def _cmd_check_all(args) -> int:
         import multiprocessing
 
         with multiprocessing.Pool(args.jobs) as pool:
-            rows = pool.map(_pool_check, tasks)
+            rows = pool.starmap(_check_row, tasks)
     else:
         rows = [_check_row(*task) for task in tasks]
     by_id = {row[0]: row for row in rows}

@@ -11,8 +11,8 @@ rational powers of small integer bases from floor q-th roots of scaled
 integers by Newton iteration; the tests cross-check each constant, and
 none of them share code with series evaluation.
 
-chu_eval sums the series exactly in integers and certifies its tail
-geometrically: once the term-quotient numerator, denominator, and
+chu_eval_terms sums the series exactly in integers and certifies its
+tail geometrically: once the term-quotient numerator, denominator, and
 their derivative combination N'D - ND' each keep a single coefficient
 sign from some shift J1 on, the quotient magnitude is monotone toward
 |z| past J1, so max(|ratio(j)|, |z|) < 1 bounds every later quotient
@@ -28,17 +28,19 @@ product tree of integers P, Q, B, T (Haible and Papanikolaou, ANTS
 right Q share (see _merge), which keeps P/Q and T/(B Q) exact; the
 partial sum and tail bound are then rounded to the dyadic endpoints
 from those integers, with no other gcd taken.  They and the stop index
-are the exact rationals a running Fraction sum would give.
+are the exact rationals a running Fraction sum would give.  The term
+cap is decided here alone: default_term_budget gives it from |z| and
+the digits for every caller that passes none, and one work budget
+bounds it, default or explicit.
 
 direct_sum is the one direct-summation oracle: the low-precision
 brute-force sum of an unaccelerated k-series from its term quotient,
-normalized by its k = 0 term.  direct_sum_eval applies it to a summand
-at one point n0, and accelerator.vanishing_check to the summand at each
-shifted point of the unrolling.  Terminating sums are exact and
-geometrically convergent sums carry the same certified tail bound; the
-slowly convergent positive and alternating cases use documented
-asymptotic tail estimates in double precision, which is why the oracle
-is capped at six digits.
+normalized by its k = 0 term, which accelerator.vanishing_check applies
+to the summand at each shifted point of the unrolling.  Terminating
+sums are exact and geometrically convergent sums carry the same
+certified tail bound; the slowly convergent positive and alternating
+cases use documented asymptotic tail estimates in double precision,
+which is why the oracle is capped at six digits.
 """
 
 from __future__ import annotations
@@ -48,13 +50,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
-from math import gcd, isqrt, log
+from math import ceil, gcd, log, log10
 from operator import lt, sub
 from typing import TYPE_CHECKING, Optional
 
 from hyperaccel.exact_arith import (Scalar, UniPoly, _common_ints, _zeval,
                                     decimal_text, index_roots)
-from hyperaccel.hypergeom_terms import HypTerm, k_ratio_at, k_shift_ratio
 
 if TYPE_CHECKING:
     from hyperaccel.accelerator import ChuSeries
@@ -587,21 +588,53 @@ class _GeometricSum:
                                     kd * B * Q * w, pbits), j
 
 
-def _budget_cap(digits: int) -> int:
-    """The largest term cap with cap * (cap + digits) <= _SUM_WORK_CAP."""
-    return (isqrt(digits * digits + 4 * _SUM_WORK_CAP) - digits) // 2
+def default_term_budget(z: Fraction, digits: int) -> int:
+    """Term cap from the per-term digit gain log10(1/|z|), with fixed slack;
+    the gain is taken from z's integer parts, as z may underflow a float.
+    Where |z| is too near 1 for their float logarithms to differ, the gain
+    is bounded below in integers instead, by (1 - |z|)/3 < (1 - |z|)/ln 10."""
+    if abs(z) >= 1:
+        raise ValueError("divergent series: |z| >= 1")
+    if z == 0:
+        return digits + 120
+    n, d = abs(z.numerator), z.denominator
+    gain = log10(d) - log10(n)
+    if gain > 0:
+        return ceil(digits / gain) + 120
+    return -(-3 * digits * d // (d - n)) + 120
 
 
 def chu_eval_terms(s: ChuSeries, digits: int,
                    max_terms: Optional[int] = None) -> tuple[Enclosure, int]:
-    """chu_eval plus the number of terms actually summed."""
-    _check_digits(digits)
+    """Enclosure of the series value with radius at most 10^-digits, and
+    the number of terms summed.
+
+    The stop index J is the first j at or past the stability point J1
+    where the geometric bound |t_j| / (1 - max(|ratio(j)|, |z|)) is at
+    most half of 10^-digits; the quotient magnitude is provably monotone
+    from J1 on, so the bound is monotone in j (see _GeometricSum).  J is
+    predicted in floats and confirmed exactly on the binary-splitting
+    product tree of the partial sum over [0, J), whose integers are
+    rounded to the enclosure endpoints with no Fraction.  A series that
+    meets no tail rule within the cap (its term quotient has the higher
+    degree in its numerator, or no stability point or stop index lies
+    within the cap) is still summed when an upper parameter -m makes it
+    finite and m + 1 terms fit the cap: exactly over j <= m, with m + 1
+    terms.
+
+    The term cap defaults to default_term_budget(z, digits).  Raises,
+    in this order, when |z| >= 1, when digits exceeds the supported
+    range, when a lower parameter or den root puts a pole at a summation
+    index, when the cap times cap + digits exceeds the work budget, or
+    when the term cap is hit.
+    """
     if abs(s.z) >= 1:
         raise ValueError("divergent series: |z| >= 1")
+    _check_digits(digits)
     if (any(l.denominator == 1 and l <= 0 for l in s.lower)
             or s.den.is_zero or index_roots(s.den)):
         raise ValueError("pole of series term")
-    cap = min(10 * digits, _budget_cap(digits)) if max_terms is None else max_terms
+    cap = default_term_budget(s.z, digits) if max_terms is None else max_terms
     if cap * (cap + digits) > _SUM_WORK_CAP:
         raise ValueError(f"summation work above supported range:"
                          f" {decimal_text(cap)} terms at {digits} digits")
@@ -634,41 +667,9 @@ def chu_eval_terms(s: ChuSeries, digits: int,
     return found
 
 
-def chu_eval(s: ChuSeries, digits: int,
-             max_terms: Optional[int] = None) -> Enclosure:
-    """Enclosure of the series value with radius at most 10^-digits.
-
-    The stop index J is the first j at or past the stability point J1
-    where the geometric bound |t_j| / (1 - max(|ratio(j)|, |z|)) is at
-    most half of 10^-digits; the quotient magnitude is provably monotone
-    from J1 on, so the bound is monotone in j (see _GeometricSum).  J is
-    predicted in floats and confirmed exactly on the binary-splitting
-    product tree of the partial sum over [0, J), whose integers are
-    rounded to the enclosure endpoints with no Fraction.  A series that
-    meets no tail rule within the cap (its term quotient has the higher
-    degree in its numerator, or no stability point or stop index lies
-    within the cap) is still summed when an upper parameter -m makes it
-    finite and m + 1 terms fit the cap: exactly over j <= m, with m + 1
-    terms.
-
-    The term cap defaults to the smaller of 10 * digits and the largest
-    cap within the summation work budget.  Raises when digits exceeds
-    the supported range, when |z| >= 1, when a lower parameter or den
-    root puts a pole at a summation index, when an explicit cap times
-    cap + digits exceeds the work budget, or when the term cap is hit.
-    """
-    return chu_eval_terms(s, digits, max_terms)[0]
-
-
 # ---------------------------------------------------------------------------
 # Direct-summation oracle
 # ---------------------------------------------------------------------------
-
-
-def direct_sum_eval(term: HypTerm, n0: Scalar, target_digits: int) -> Enclosure:
-    """Enclosure of the unaccelerated sum at n = n0, normalized by the
-    k = 0 summand: `direct_sum` on the summand's k-shift ratio there."""
-    return direct_sum(*k_ratio_at(k_shift_ratio(term), n0), target_digits)
 
 
 def direct_sum(num: UniPoly, den: UniPoly, target_digits: int) -> Enclosure:

@@ -8,9 +8,9 @@ with G = cert * F for a rational certificate cert(n, k), a (numerator,
 denominator) pair of MultiPolys.  Verification substitutes the exact
 shift ratios of F, clears all denominators, and checks that the one
 cross-multiplied numerator polynomial R is identically zero.
-`recurrence_residual` expands R; the stored recurrences, whose free
-parameters a-f would make any single integer image of R far too large,
-are checked that way.  `verify_recurrence`, for an instantiated summand,
+`recurrence_residual` expands R, `_residual_form` on MultiPolys; the
+stored recurrences, whose free parameters a-f would make any single
+integer image of R far too large, are checked that way.  `verify_recurrence`, for an instantiated summand,
 expands nothing.  It keeps every part of R as an integer scalar times a
 product of integer polynomials in n and k, bounds the l1 norm of R by H
 and its degree in n by D through the same expression, and evaluates R
@@ -94,17 +94,17 @@ class Recurrence:
 def recurrence_residual(term: HypTerm, rec: Recurrence) -> MultiPoly:
     """Numerator of the residual p1 rho_n + p2 - (cert(k+1) rho_k - cert)
     over Dn Cd(k+1) Dk Cd, for rho_n = Nn/Dn, rho_k = Nk/Dk and cert =
-    Cn/Cd; zero iff the recurrence holds.  The denominator is never
-    built.  Raises ZeroDivisionError when a denominator is zero."""
+    Cn/Cd; zero iff the recurrence holds.  It is `_residual_form` on the
+    expanded MultiPolys, with p1 and p2 as they are (D12 = 1).  The
+    denominator is never built.  Raises ZeroDivisionError when a
+    denominator is zero."""
     nn, dn = n_shift_ratio(term, rec.r)
     nk, dk = k_shift_ratio(term)
     cn, cd = rec.cert
     if cd.is_zero:
         raise ZeroDivisionError("certificate with zero denominator")
-    cn1, cd1 = cn.shift_var("k", 1), cd.shift_var("k", 1)
-    cd1_dk = cd1 * dk
-    return ((rec.p1 * nn + rec.p2 * dn) * (cd1_dk * cd)
-            - (cn1 * nk * cd - cn * cd1_dk) * dn)
+    return _residual_form(rec.p1, rec.p2, nn, dn, nk, dk, cn, cd,
+                          cn.shift_var("k", 1), cd.shift_var("k", 1), 1)
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,8 @@ def _kronecker_zero(form, parts: Sequence[_Product]) -> bool:
 
 def _residual_form(p1, p2, nn, dn, nk, dk, cn, cd, cn1, cd1, d12):
     """R of `verify_recurrence` from its parts, evaluated alike on
-    integer images and on `_Bound`s."""
+    integer images, on `_Bound`s and, by `recurrence_residual`, on
+    MultiPolys."""
     return ((p1 * nn + p2 * dn) * cd1 * dk * cd
             - d12 * (cn1 * nk * cd - cn * cd1 * dk) * dn)
 

@@ -24,8 +24,9 @@ from hyperaccel.catalog import (catalog_entries, derivation_recurrence,
                                 derivation_term, derive_entry, entry,
                                 series_text, verify_entry, verify_series)
 from hyperaccel.exact_arith import MultiPoly, UniPoly
-from hyperaccel.hypergeom_terms import FamilyId, family_instantiate, family_term
-from hyperaccel.numerics import direct_sum_eval
+from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate, family_term,
+                                        k_ratio_at, k_shift_ratio)
+from hyperaccel.numerics import direct_sum
 from hyperaccel.telescoper import (Recurrence, builtin_recurrence,
                                    builtin_residual, recurrence_residual,
                                    specialize, theorem_families,
@@ -199,7 +200,7 @@ def test_07_accelerated_sums_agree_with_direct_oracle():
     unaccelerated oracle to 10^-3."""
     for label, family, params, r, n0 in ORACLE_INSTANCES:
         term = family_instantiate(family, params)
-        oracle = direct_sum_eval(term, n0, 4)
+        oracle = direct_sum(*k_ratio_at(k_shift_ratio(term), n0), 4)
         rec = zeilberger_two_term(term, r)
         assert rec is not None, label
         stream = accelerated_stream(term, rec, n0)

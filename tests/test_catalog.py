@@ -12,12 +12,11 @@ from hyperaccel.accelerator import (ChuSeries, accelerated_stream, chu_normalize
                                     stream_proportional)
 from hyperaccel import catalog, hypergeom_terms
 from hyperaccel.catalog import (CatalogEntry, catalog_entries, closed_text,
-                                default_term_budget, derive_entry, entry,
-                                export_lines, parse_closed_text,
-                                parse_series_text, series_text, verify_entry,
-                                verify_series)
+                                derive_entry, entry, export_lines,
+                                parse_closed_text, parse_series_text,
+                                series_text, verify_entry, verify_series)
 from hyperaccel.exact_arith import UniPoly
-from hyperaccel.numerics import ClosedForm
+from hyperaccel.numerics import ClosedForm, default_term_budget
 from hyperaccel.telescoper import builtin_recurrence
 
 from quotient_helpers import same_quotient

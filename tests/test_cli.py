@@ -19,9 +19,11 @@ from pathlib import Path
 import pytest
 
 from hyperaccel.accelerator import accelerated_stream
+from hyperaccel.catalog import catalog_entries, verify_entry
 from hyperaccel.cli import (_MAX_START, _MAX_STREAM_DIGITS, _MAX_STREAM_TERMS,
                             main)
 from hyperaccel.hypergeom_terms import FamilyId, family_instantiate
+from hyperaccel.numerics import chu_eval_terms
 from hyperaccel.telescoper import derive_recurrence
 
 Q1_PARAMS = "1/3,1/3,1,1/3,1/3,2/3"
@@ -162,6 +164,17 @@ def test_rate_r2_family(capsys):
     assert out == "rate = -1/4\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("derive", "--n", "1"), ("rate",), ("accelerate", "--n", "1")],
+    ids=["derive", "rate", "accelerate"])
+def test_tuple_without_recurrence_fails_with_one_message(capsys, argv):
+    code, out, err = run(capsys, *argv, "--family", "twenty7-32",
+                         "--params", "1/3,1/5")
+    assert (code, out) == (1, "")
+    assert err == ("hyperaccel: no two-term recurrence found for family"
+                   " twenty7-32 with the given parameters\n")
+
+
 # ---------------------------------------------------------------------------
 # accelerate
 # ---------------------------------------------------------------------------
@@ -267,18 +280,25 @@ def test_eval_explicit_series_matches_entry(capsys):
     assert out.startswith("18.137993642342178505")
 
 
+FR2_50 = "35.3429173528851739327047380618944074472181557429699362 ± 1e-50\n"
+
+
 def test_eval_env_cap_too_small_fails(capsys, monkeypatch):
     monkeypatch.setenv("HYPERACCEL_MAX_TERMS", "10")
-    code, _, err = run(capsys, "eval", "--id", "FR-2", "--digits", "50")
-    assert code == 1
-    assert "unreachable" in err
+    assert run(capsys, "eval", "--id", "FR-2", "--digits", "50") == (
+        1, "", "hyperaccel: requested digits unreachable\n")
 
 
 def test_eval_env_cap_generous_succeeds(capsys, monkeypatch):
     monkeypatch.setenv("HYPERACCEL_MAX_TERMS", "900")
-    code, out, _ = run(capsys, "eval", "--id", "FR-2", "--digits", "50")
-    assert code == 0
-    assert out.startswith("35.34291735288517393270473806189440744721815574296993")
+    assert run(capsys, "eval", "--id", "FR-2", "--digits", "50") == (0, FR2_50, "")
+
+
+def test_eval_default_cap_sums_fr2(capsys, monkeypatch):
+    # the cap numerics picks for FR-2 (z = 27/32) at 50 digits holds its
+    # 687 terms, as the generous override does
+    monkeypatch.delenv("HYPERACCEL_MAX_TERMS", raising=False)
+    assert run(capsys, "eval", "--id", "FR-2", "--digits", "50") == (0, FR2_50, "")
 
 
 def test_eval_digits_above_cap_fails_at_once(capsys):
@@ -414,6 +434,21 @@ def test_check_single_entry_pass(capsys):
     assert match is not None
     assert match.group(1) == "RT1"
     assert match.group(2) == "PASS"
+
+
+def test_library_catalog_and_check_sum_each_display_alike(capsys):
+    # numerics alone picks the default term cap, so a bare library call,
+    # the catalog's verification and `check` sum each display the same way
+    displays = [e for e in catalog_entries() if e.chu is not None]
+    assert len(displays) == 95
+    for e in displays:
+        enc, terms = chu_eval_terms(e.chu, 50)
+        report = verify_entry(e.id, 50)
+        assert (report.lhs, report.terms_used) == (enc, terms), e.id
+        code, out, err = run(capsys, "check", "--id", e.id, "--digits", "50")
+        assert (code, err) == (0, ""), e.id
+        assert f" lhs={enc.decimal(52)} " in out and out.endswith(
+            f" terms={terms}\n"), e.id
 
 
 def test_check_at_digits_cap_passes(capsys):

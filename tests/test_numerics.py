@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperaccel.accelerator import ChuSeries, accelerated_stream
-from hyperaccel.catalog import catalog_entries, default_term_budget, entry
+from hyperaccel.catalog import catalog_entries, entry
 from hyperaccel.exact_arith import (UniPoly, _common_ints, _zeval, index_roots,
                                     rational_roots)
 from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate,
@@ -22,7 +22,6 @@ from hyperaccel.numerics import (
     ClosedForm,
     Enclosure,
     _bits_for,
-    _budget_cap,
     _GeometricSum,
     _atan_inv_scaled,
     _atanh_inv_scaled,
@@ -36,11 +35,10 @@ from hyperaccel.numerics import (
     _split,
     _stability_point,
     _values,
-    chu_eval,
     chu_eval_terms,
     closedform_eval,
+    default_term_budget,
     direct_sum,
-    direct_sum_eval,
     radii_within,
 )
 from hyperaccel.telescoper import derive_recurrence
@@ -573,12 +571,12 @@ def test_constants_are_memoized_in_a_bounded_cache():
         assert const.cache_info().currsize <= size
 
 
-# -- chu_eval -----------------------------------------------------------------
+# -- chu_eval_terms -----------------------------------------------------------
 
 
 def test_chu_eval_rt1_matches_closed_form():
     # [DERIVED] series value against 5 pi / (4 sqrt 3) at 50 digits
-    enc = chu_eval(_rt1(), 50)
+    enc, _ = chu_eval_terms(_rt1(), 50)
     cf = closedform_eval(ClosedForm.make(F(5, 4), exp_pi=1, exp_3=F(-1, 2)), 50)
     assert enc.overlaps(cf)
     assert enc.radius.to_fraction() + cf.radius.to_fraction() <= F(1, 10 ** 48)
@@ -595,7 +593,7 @@ def test_chu_eval_pm1_fifty_digits_within_thirty_terms():
 
 
 def test_chu_eval_alternating_log2_series():
-    enc = chu_eval(_n27_3(), 50)
+    enc, _ = chu_eval_terms(_n27_3(), 50)
     assert enc.overlaps(closedform_eval(ClosedForm.make(24, exp_log2=1), 50))
 
 
@@ -609,29 +607,29 @@ def test_chu_eval_z_zero_sums_first_term():
 def test_chu_eval_divergent_rejected():
     s = ChuSeries(F(3, 2), (), (), UniPoly.one(), UniPoly.one())
     with pytest.raises(ValueError, match=r"\|z\| >= 1"):
-        chu_eval(s, 10)
+        chu_eval_terms(s, 10)
 
 
 def test_chu_eval_pole_in_lower_parameter():
     s = ChuSeries(F(1, 4), (F(1),), (F(-2),), UniPoly.one(), UniPoly.one())
     with pytest.raises(ValueError, match="pole of series term"):
-        chu_eval(s, 10)
+        chu_eval_terms(s, 10)
 
 
 def test_chu_eval_pole_in_polynomial_denominator():
     s = ChuSeries(F(1, 4), (F(1),), (F(5, 4),),
                   UniPoly.one(), UniPoly.from_roots([3]))
     with pytest.raises(ValueError, match="pole of series term"):
-        chu_eval(s, 10)
+        chu_eval_terms(s, 10)
 
 
 def test_chu_eval_term_cap():
     with pytest.raises(ValueError, match="requested digits unreachable"):
-        chu_eval(_rt1(), 50, max_terms=5)
+        chu_eval_terms(_rt1(), 50, max_terms=5)
 
 
 def test_chu_eval_nested_refinement():
-    e10, e20, e30 = (chu_eval(_rt1(), d) for d in (10, 20, 30))
+    e10, e20, e30 = (chu_eval_terms(_rt1(), d)[0] for d in (10, 20, 30))
     assert e10.contains(e20) and e20.contains(e30)
     assert e10.radius.to_fraction() > e20.radius.to_fraction() > e30.radius.to_fraction()
     assert e10.contains_value(e20.center.to_fraction())
@@ -656,14 +654,14 @@ def test_chu_eval_digits_per_term_rate_law():
         assert abs(t50 - 50 * per_digit) <= 5 + 25, (rate, t50)
 
 
-# -- chu_eval against the running-Fraction reference -------------------------
+# -- chu_eval_terms against the running-Fraction reference -------------------
 
 
 def _reference_eval_terms(s: ChuSeries, digits: int, max_terms=None):
     """The summation loop chu_eval_terms replaced: a running Fraction sum
-    with the same stability point, tail rule and term cap, and the same
-    finite-sum fallback for series the tail rule cannot bound within the
-    cap."""
+    with the same stability point, tail rule and term cap (by default
+    default_term_budget's), and the same finite-sum fallback for series
+    the tail rule cannot bound within the cap."""
     if abs(s.z) >= 1:
         raise ValueError("divergent series: |z| >= 1")
     for l in s.lower:
@@ -675,7 +673,7 @@ def _reference_eval_terms(s: ChuSeries, digits: int, max_terms=None):
         for rt in rational_roots(s.den):
             if rt >= 0 and rt.denominator == 1:
                 raise ValueError("pole of series term")
-    cap = 10 * digits if max_terms is None else max_terms
+    cap = default_term_budget(s.z, digits) if max_terms is None else max_terms
     tol = F(1, 2 * 10 ** digits)
     pbits = _bits_for(digits)
     if s.z == 0:
@@ -739,7 +737,7 @@ def test_chu_eval_matches_reference_on_every_display():
     displays = [e for e in catalog_entries() if e.chu is not None]
     assert len(displays) == 95
     for e in displays:
-        got = _same_as_reference(e.chu, 60, default_term_budget(e.chu.z, 60))
+        got = _same_as_reference(e.chu, 60)
         assert not isinstance(got, str), e.id
 
 
@@ -898,10 +896,10 @@ def test_confirmation_recovers_the_stop_index_from_any_prediction(s, digits):
 
 def test_chu_eval_digits_cap():
     with pytest.raises(ValueError, match="digits above supported range"):
-        chu_eval(_rt1(), 10001)
+        chu_eval_terms(_rt1(), 10001)
 
 
-# -- direct_sum_eval ----------------------------------------------------------
+# -- direct_sum on summands ---------------------------------------------------
 
 
 def _quarter_series_instance():
@@ -912,14 +910,14 @@ def _quarter_series_instance():
 def test_oracle_matches_accelerated_stream():
     # [DERIVED] unaccelerated sum against the telescoped stream total
     term = _quarter_series_instance()
-    enc = direct_sum_eval(term, 1, 4)
+    enc = direct_sum(*k_ratio_at(k_shift_ratio(term), 1), 4)
     stream = accelerated_stream(term, derive_recurrence(term), 1)
     assert enc.contains_value(sum(stream.take(60), F(0)))
 
 
 def test_oracle_alternating_instance():
     term = family_instantiate(FamilyId.NEG_QUARTER, [F(2, 3), F(1), F(-1, 3)])
-    enc = direct_sum_eval(term, F(2, 3), 5)
+    enc = direct_sum(*k_ratio_at(k_shift_ratio(term), F(2, 3)), 5)
     stream = accelerated_stream(term, derive_recurrence(term, shifts=(2,)), F(2, 3))
     assert enc.contains_value(sum(stream.take(60), F(0)))
 
@@ -927,7 +925,7 @@ def test_oracle_alternating_instance():
 def test_oracle_terminating_binomial_sum():
     # [TRIVIAL] independent exact replay of the finite sum
     term = family_instantiate(FamilyId.SIXTEEN_27_A, [F(-1), F(1, 2)])
-    enc = direct_sum_eval(term, 4, 6)
+    enc = direct_sum(*k_ratio_at(k_shift_ratio(term), 4), 6)
     rho = k_shift_ratio(term)
     total, t = F(0), F(1)
     for k in range(8):
@@ -953,20 +951,20 @@ def test_oracle_terminating_sum_matches_running_fraction_sum():
 def test_oracle_digits_capped_at_six():
     term = _quarter_series_instance()
     with pytest.raises(ValueError, match="oracle unavailable"):
-        direct_sum_eval(term, 1, 12)
+        direct_sum(*k_ratio_at(k_shift_ratio(term), 1), 12)
 
 
 def test_oracle_rejects_nonconvergent_point():
     # decay exponent 2 n - 1/3 drops to 2/3 at n = 1/2: no convergence
     term = _quarter_series_instance()
     with pytest.raises(ValueError, match="oracle unavailable"):
-        direct_sum_eval(term, F(1, 2), 3)
+        direct_sum(*k_ratio_at(k_shift_ratio(term), F(1, 2)), 3)
 
 
 def test_oracle_refinement_consistent():
     term = _quarter_series_instance()
-    rough = direct_sum_eval(term, 1, 3)
-    fine = direct_sum_eval(term, 1, 5)
+    rough = direct_sum(*k_ratio_at(k_shift_ratio(term), 1), 3)
+    fine = direct_sum(*k_ratio_at(k_shift_ratio(term), 1), 5)
     assert rough.contains_value(fine.center.to_fraction())
 
 
@@ -1061,7 +1059,7 @@ def test_stop_indices_match_pins(digits):
     assert len(encs) == (len(_LONGEST) if digits == 2000 else 95)
     for rid in _LONGEST if digits == 2000 else pins:
         chu = entry(rid).chu
-        enc, terms = chu_eval_terms(chu, digits, default_term_budget(chu.z, digits))
+        enc, terms = chu_eval_terms(chu, digits)
         assert terms == pins[rid], rid
         assert _pin(enc) == encs[rid], rid
 
@@ -1079,18 +1077,23 @@ def test_summation_work_budget_boundary():
 
 @pytest.mark.parametrize("digits", [4265, 5000])
 def test_default_cap_keeps_within_the_work_budget(digits):
-    # from 4265 digits on, 10 * digits terms exceed the work budget; the
-    # default cap is then the budget's largest, which Q1 (8300 terms at
-    # 5000 digits) stays well below
-    assert 10 * digits * (11 * digits) > _SUM_WORK_CAP
-    cap = _budget_cap(digits)
-    assert cap * (cap + digits) <= _SUM_WORK_CAP < (cap + 1) * (cap + 1 + digits)
-    q1 = entry("Q1").chu
+    # the default cap follows the digit gain of z: Q1's (z = 1/4, 8300
+    # terms at 5000 digits) stays within the work budget, while FR-2's
+    # (z = 27/32) exceeds it from about 3400 digits on and is refused
+    # before any summing, as an explicit cap above the budget is
+    q1, fr2 = entry("Q1").chu, entry("FR-2").chu
+    cap = default_term_budget(q1.z, digits)
+    assert cap * (cap + digits) <= _SUM_WORK_CAP
     enc, terms = chu_eval_terms(q1, digits)
     assert terms < cap
     assert enc.radius.to_fraction() <= F(1, 10 ** digits)
     explicit, same = chu_eval_terms(q1, digits, terms)
     assert (same, explicit.lo(), explicit.hi()) == (terms, enc.lo(), enc.hi())
+    cap = default_term_budget(fr2.z, digits)
+    assert cap * (cap + digits) > _SUM_WORK_CAP
+    with pytest.raises(ValueError, match=f"^summation work above supported range:"
+                                         f" {cap} terms at {digits} digits$"):
+        chu_eval_terms(fr2, digits)
     with pytest.raises(ValueError, match="summation work above supported range"):
         chu_eval_terms(q1, digits, 10 * digits)
 

@@ -4,7 +4,6 @@ benchmark uses."""
 
 import ast
 import pathlib
-import re
 import sys
 
 import hyperaccel
@@ -42,19 +41,35 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
+def _referenced_names(path):
+    """Names a file reads, as bare names, attributes or imports; words in
+    strings, docstrings and comments do not count."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.split(".")[-1]
+
+
 def test_every_exported_name_is_used_outside_tests():
-    # a name is used when some line of the package (apart from
-    # __init__.py, whose import and export lists restate every name) or
-    # of the benchmark mentions it, other than the line defining it;
+    # a name is used when code of the package (apart from __init__.py,
+    # whose import and export lists restate every name) or of the
+    # benchmark refers to it; a definition is no reference, so
     # production code that only tests call fails here
     files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    lines = [line for path in files + sorted(BENCH.glob("*.py"))
-             for line in path.read_text().splitlines()]
-    unused = []
-    for name in hyperaccel.__all__:
-        word = re.compile(rf"\b{name}\b")
-        definition = re.compile(rf"^\s*(def|class)\s+{name}\b|^{name}\s*=")
-        if not any(word.search(line) and not definition.match(line)
-                   for line in lines):
-            unused.append(name)
-    assert not unused
+    used = {name for path in files + sorted(BENCH.glob("*.py"))
+            for name in _referenced_names(path)}
+    assert not [name for name in hyperaccel.__all__ if name not in used]
+
+
+def test_numerics_imports_only_exact_arith_at_run_time():
+    # only top-level imports count: one under TYPE_CHECKING is for
+    # annotations alone
+    tree = ast.parse((SRC / "numerics.py").read_text())
+    package = {("hyperaccel." if node.level else "") + (node.module or "")
+               for node in tree.body if isinstance(node, ast.ImportFrom)}
+    assert {m for m in package if m.startswith("hyperaccel")} == {
+        "hyperaccel.exact_arith"}
