@@ -20,10 +20,13 @@ Unrolling is valid only when the remainder after m steps dies off.
 vanishing_check estimates that remainder in double precision: the
 running product of g2 times the value of the original series at the
 shifted point, each summand there normalized by its own k = 0 term.
-That value comes from the direct-summation oracle, numerics.direct_sum,
-at two digits; a point where the oracle refuses fails the check.  It is
-a numeric heuristic, not a proof; the exact certificate of correctness
-is agreement of the summed stream with its closed form.
+That series is read off the affine factors of F(n, k+1)/F(n, k) at the
+point as a bracket series (k_series_at), with nothing expanded and no
+root search, and summed by the direct-summation oracle,
+numerics.direct_sum, at two digits; a point where the oracle refuses
+fails the check.  It is a numeric heuristic, not a proof; the exact
+certificate of correctness is agreement of the summed stream with its
+closed form.
 
 The bracket normal form rewrites the stream as scale * T_j with
 
@@ -49,8 +52,7 @@ from math import prod
 from typing import Iterator, Optional, Sequence
 
 from hyperaccel.exact_arith import Scalar, UniPoly, index_roots, rational_roots
-from hyperaccel.hypergeom_terms import (HypTerm, k_ratio_at, k_shift_ratio,
-                                        n_ratio_parts)
+from hyperaccel.hypergeom_terms import HypTerm, k_ratio_parts, n_ratio_parts
 from hyperaccel.numerics import direct_sum
 from hyperaccel.telescoper import Recurrence
 
@@ -88,6 +90,29 @@ def convergence_rate(rec: Recurrence) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def k_series_at(term: HypTerm, n: Scalar) -> ChuSeries:
+    """sum_k F(n, k)/F(n, 0) as a bracket series with num = den = 1, read
+    off the factors of F(n, k+1)/F(n, k): a factor (m k + c)/d at n gives
+    the parameter c/m and the factor m/d of z, and a factor free of k gives
+    its value to z.  Equal upper and lower parameters are kept.  Raises
+    ValueError when a factor free of k vanishes in the denominator."""
+    sign, num, den = k_ratio_parts(term)
+    z = sign
+    params: tuple[list[Fraction], list[Fraction]] = ([], [])
+    for side, factors in enumerate((num, den)):
+        for f in factors:
+            at_n = f.subst({"n": n}).as_unipoly("k")
+            c, m = at_n.coeff(0), at_n.coeff(1)
+            if m:
+                params[side].append(c / m)
+            elif side and not c:
+                raise ValueError("pole of series term")
+            # the factor is m (k + c/m), or c when m = 0
+            z = z / (m or c) if side else z * (m or c)
+    return ChuSeries(z, tuple(params[0]), tuple(params[1]), UniPoly.one(),
+                     UniPoly.one())
+
+
 def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
     """Numeric estimate that the unrolling remainder dies off.
 
@@ -103,7 +128,6 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
     """
     p1 = rec.p1.as_unipoly("n")
     p2 = rec.p2.as_unipoly("n")
-    rho_k = k_shift_ratio(term)
     nu = Fraction(n0)
     pre = 1.0
     vals = []
@@ -115,7 +139,7 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
         nu += rec.r
         # a refused k-sum, or one beyond the float range, is not gauged
         try:
-            total = direct_sum(*k_ratio_at(rho_k, nu), _ORACLE_DIGITS)
+            total = direct_sum(k_series_at(term, nu), _ORACLE_DIGITS)
             vals.append(pre * abs(float(total.center.to_fraction())))
         except (ValueError, OverflowError):
             return False

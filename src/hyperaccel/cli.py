@@ -42,8 +42,9 @@ _MAX_STREAM_TERMS = 5000
 _MAX_STREAM_DIGITS = 12 * 10 ** 7
 # derive --n and accelerate take a start point n with |n| at most this: the
 # remainder check sums about |n| terms at each of 201 shifted points of a
-# binomial family.  At |n| = 1000 `derive --n` takes at most 0.4 s over one
-# recipe of each family, and `accelerate --chu` 2.6 s (Python 3.11.7, 2 vCPUs)
+# binomial family.  At |n| = 1000, over one recipe of each family, `derive
+# --n` takes at most 0.41 s as a command (0.24 s in process) and `accelerate
+# --chu` 1.8 s (1.4 s in process; Python 3.11.7, 2 vCPUs)
 _MAX_START = 1000
 
 
@@ -264,10 +265,12 @@ def _cmd_check_all(args) -> int:
     ids = [e.id for e in catalog_entries() if e.chu is not None]
     max_terms = _env_max_terms()
     tasks = [(rid, args.digits, max_terms) for rid in ids]
-    if args.jobs > 1:
+    # no more processes than displays or CPUs, whatever --jobs asks for
+    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(jobs) as pool:
             rows = pool.starmap(_check_row, tasks)
     else:
         rows = [_check_row(*task) for task in tasks]

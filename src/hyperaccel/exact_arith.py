@@ -704,11 +704,6 @@ class MultiPoly:
         s = _SHIFTS[_VAR_INDEX[name]]
         return max((k >> s) & _FIELD_MASK for k in self._coeffs)
 
-    def total_degree(self) -> int:
-        if not self._coeffs:
-            return -1
-        return max(sum(_unpack(k)) for k in self._coeffs)
-
     def variables(self) -> set[str]:
         used = reduce(or_, self._coeffs, 0)
         return {v for v, s in zip(VARS, _SHIFTS) if (used >> s) & _FIELD_MASK}
@@ -839,13 +834,6 @@ class MultiPoly:
     @staticmethod
     def from_string(s: str) -> "MultiPoly":
         return _parse_multipoly(s)
-
-    @staticmethod
-    def from_unipoly(u: UniPoly, name: str) -> "MultiPoly":
-        _check_exponent(max(u.degree, 0))
-        s = _SHIFTS[_VAR_INDEX[name]]
-        return MultiPoly({e << s: c for e, c in enumerate(u.numerators) if c},
-                         u.denominator)
 
     def __str__(self) -> str:
         if not self._coeffs:

@@ -16,7 +16,8 @@ builds each of them once and keeps it as long as it lives, so the solver, its
 exact re-check and the accelerated stream of one summand share the factors.
 `k_shift_ratio` and `n_shift_ratio` expand the same ratios into a
 (numerator, denominator) pair of MultiPolys with integer, jointly primitive
-parts.
+parts.  The remainder check of an accelerated stream needs no expansion: it
+reads each k-sum off the k-ratio factors (accelerator.k_series_at).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from math import prod
 from typing import Mapping, Sequence
 
 from hyperaccel.exact_arith import (Affine, MultiPoly, Rational, Scalar,
-                                    UniPoly, _primitive_pair)
+                                    _primitive_pair)
 
 _ONE = MultiPoly.one()
 
@@ -158,13 +159,6 @@ def n_shift_ratio(term: HypTerm, r: int) -> tuple[MultiPoly, MultiPoly]:
     return _parts_to_pair(n_ratio_parts(term, r))
 
 
-def k_ratio_at(rho_k: tuple[MultiPoly, MultiPoly], n0: Scalar) -> tuple[UniPoly, UniPoly]:
-    """A k-shift ratio pair at n = n0, as UniPolys in k with integer,
-    jointly primitive parts: the term quotient numerics.direct_sum sums."""
-    num, den = _primitive_pair(*(part.subst({"n": n0}) for part in rho_k))
-    return num.as_unipoly("k"), den.as_unipoly("k")
-
-
 # ---------------------------------------------------------------------------
 # Built-in families
 # ---------------------------------------------------------------------------
@@ -184,15 +178,11 @@ class FamilyId(enum.Enum):
     TWENTY7_32 = "twenty7-32"
 
     @property
-    def arity(self) -> int:
-        """Length of the parameter tuple including the index n."""
-        return _ARITY[self]
-
-    @property
     def param_names(self) -> tuple[str, ...]:
         return _PARAM_NAMES[self]
 
 
+# the length of each family's tuple: its parameters and the index n
 _ARITY = {
     FamilyId.QUARTER: 7,
     FamilyId.NEG_QUARTER: 4,

@@ -33,14 +33,15 @@ cap is decided here alone: default_term_budget gives it from |z| and
 the digits for every caller that passes none, and one work budget
 bounds it, default or explicit.
 
-direct_sum is the one direct-summation oracle: the low-precision
-brute-force sum of an unaccelerated k-series from its term quotient,
-normalized by its k = 0 term, which accelerator.vanishing_check applies
-to the summand at each shifted point of the unrolling.  Terminating
-sums are exact and geometrically convergent sums carry the same
-certified tail bound; the slowly convergent positive and alternating
-cases use documented asymptotic tail estimates in double precision,
-which is why the oracle is capped at six digits.
+direct_sum is the one direct-summation oracle: the low-precision sum
+of an unaccelerated k-series normalized by its k = 0 term, a bracket
+series with num = den = 1, which accelerator.vanishing_check reads off
+the summand at each shifted point of the unrolling (k_series_at).
+Terminating sums are exact and geometrically convergent sums carry the
+certified tail bound, by the finite and geometric routines that
+chu_eval_terms uses too; the slowly convergent positive and
+alternating cases use documented asymptotic tail estimates in double
+precision, which is why the oracle is capped at six digits.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ if TYPE_CHECKING:
     from hyperaccel.accelerator import ChuSeries
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 _MIN_PRECISION = 64
 _DIGITS_CAP = 10000
@@ -185,34 +185,17 @@ class Enclosure:
                                     2 << max(-e, 0), precision)
 
     def _ends(self) -> tuple[int, int, int]:
-        """(l, h, e) with lo() = l 2^e and hi() = h 2^e."""
+        """(l, h, e) with the interval [l 2^e, h 2^e]."""
         c, r = self.center, self.radius
         e = min(c.exponent, r.exponent)
         m, w = c.mantissa << (c.exponent - e), r.mantissa << (r.exponent - e)
         return m - w, m + w, e
 
-    def _aligned(self, other: "Enclosure") -> tuple[int, int, int, int]:
-        """The endpoints of self and other over one exponent."""
+    def overlaps(self, other: "Enclosure") -> bool:
         (l1, h1, e1), (l2, h2, e2) = self._ends(), other._ends()
         e = min(e1, e2)
-        return l1 << (e1 - e), h1 << (e1 - e), l2 << (e2 - e), h2 << (e2 - e)
-
-    def lo(self) -> Fraction:
-        return self.center.to_fraction() - self.radius.to_fraction()
-
-    def hi(self) -> Fraction:
-        return self.center.to_fraction() + self.radius.to_fraction()
-
-    def contains_value(self, x: Scalar) -> bool:
-        return self.lo() <= Fraction(x) <= self.hi()
-
-    def contains(self, other: "Enclosure") -> bool:
-        l1, h1, l2, h2 = self._aligned(other)
-        return l1 <= l2 and h2 <= h1
-
-    def overlaps(self, other: "Enclosure") -> bool:
-        l1, h1, l2, h2 = self._aligned(other)
-        return l1 <= h2 and l2 <= h1
+        return (l1 << (e1 - e) <= h2 << (e2 - e)
+                and l2 << (e2 - e) <= h1 << (e1 - e))
 
     def __mul__(self, other: "Enclosure") -> "Enclosure":
         (l1, h1, e1), (l2, h2, e2) = self._ends(), other._ends()
@@ -261,8 +244,10 @@ class Enclosure:
 # ---------------------------------------------------------------------------
 
 
-def _atan_inv_scaled(q: int, pbits: int) -> tuple[int, int]:
-    """Floor-scaled atan(1/q) at 2^pbits and an error bound in ulps."""
+def _arctan_scaled(q: int, pbits: int, sign: int) -> tuple[int, int]:
+    """Floor-scaled sum_i sign^i / ((2i + 1) q^(2i+1)) at 2^pbits, that is
+    atan(1/q) for sign -1 and atanh(1/q) for sign 1, and an error bound in
+    ulps."""
     total = 0
     one = 1 << pbits
     qq = q * q
@@ -272,24 +257,7 @@ def _atan_inv_scaled(q: int, pbits: int) -> tuple[int, int]:
         term = one // ((2 * i + 1) * power)
         if term == 0:
             break
-        total += term if i % 2 == 0 else -term
-        power *= qq
-        i += 1
-    return total, i + 2
-
-
-def _atanh_inv_scaled(q: int, pbits: int) -> tuple[int, int]:
-    """Floor-scaled atanh(1/q) at 2^pbits and an error bound in ulps."""
-    total = 0
-    one = 1 << pbits
-    qq = q * q
-    power = q
-    i = 0
-    while True:
-        term = one // ((2 * i + 1) * power)
-        if term == 0:
-            break
-        total += term
+        total += term if i % 2 == 0 else sign * term
         power *= qq
         i += 1
     return total, i + 2
@@ -320,8 +288,8 @@ def _check_digits(digits: int) -> None:
 def _pi(digits: int) -> Enclosure:
     """pi with radius at most 10^-digits, by 16 atan(1/5) - 4 atan(1/239)."""
     pbits = _bits_for(digits)
-    a5, e5 = _atan_inv_scaled(5, pbits)
-    a239, e239 = _atan_inv_scaled(239, pbits)
+    a5, e5 = _arctan_scaled(5, pbits, -1)
+    a239, e239 = _arctan_scaled(239, pbits, -1)
     return _narrow(Enclosure.from_ratio(16 * a5 - 4 * a239, 16 * e5 + 4 * e239,
                                         1 << pbits, pbits), digits)
 
@@ -330,7 +298,7 @@ def _pi(digits: int) -> Enclosure:
 def _log2(digits: int) -> Enclosure:
     """log 2 with radius at most 10^-digits, by 2 atanh(1/3)."""
     pbits = _bits_for(digits)
-    a3, e3 = _atanh_inv_scaled(3, pbits)
+    a3, e3 = _arctan_scaled(3, pbits, 1)
     return _narrow(Enclosure.from_ratio(2 * a3, 2 * e3, 1 << pbits, pbits), digits)
 
 
@@ -588,6 +556,52 @@ class _GeometricSum:
                                     kd * B * Q * w, pbits), j
 
 
+def _leaf_polys(s: ChuSeries) -> tuple[list[int], list[int], tuple[int, ...],
+                                       tuple[int, ...], Fraction]:
+    """p, q, a, b and K with t_j = K C_j a(j)/b(j), C_0 = 1 and
+    C_{j+1}/C_j = p(j)/q(j): p/q is z prod (j + u) / prod (j + l) as
+    integers with no common factor and a positive leading coefficient in
+    q, and a, b are the integer numerators of num and den."""
+    p, q = _common_ints([UniPoly.from_roots([-u for u in s.upper], s.z),
+                         UniPoly.from_roots([-l for l in s.lower])])
+    return (p, q, s.num.numerators, s.den.numerators,
+            Fraction(s.den.denominator, s.num.denominator))
+
+
+def _finite_stop(s: ChuSeries) -> Optional[int]:
+    """The least m with an upper parameter -m, past which every term is
+    zero; None when there is none."""
+    return min((-int(u) for u in s.upper if u.denominator == 1 and u <= 0),
+               default=None)
+
+
+def _finite_sum(s: ChuSeries, m: int, pbits: int) -> Enclosure:
+    """The exact sum of the terms j <= m, K T/(B Q) on the product tree."""
+    p, q, a, b, k = _leaf_polys(s)
+    P, Q, B, T = _split(*(_values(c, 0, m + 1) for c in (p, q, a, b)), 0, m + 1)
+    sign = 1 if B * Q > 0 else -1
+    return Enclosure.from_ratio(sign * k.numerator * T, 0,
+                                sign * k.denominator * B * Q, pbits)
+
+
+def _geometric_sum(s: ChuSeries, cap: int, tol: Fraction,
+                   pbits: int) -> Optional[tuple[Enclosure, int]]:
+    """The enclosure and stop index J of the geometric tail rule at
+    tolerance tol (see _GeometricSum); None when the term quotient has the
+    higher degree in its numerator, or no stability point or J lies within
+    the cap."""
+    num_j, den_j = s.ratio_parts()
+    if num_j.degree > den_j.degree:
+        return None
+    j1 = _stability_point(num_j, den_j, cap)
+    if j1 is None:
+        return None
+    lim = abs(num_j.lc / den_j.lc) if num_j.degree == den_j.degree else _F0
+    g = _GeometricSum(*_leaf_polys(s), *_common_ints([num_j, den_j]), lim, j1,
+                      cap, tol)
+    return g.confirm(g.predict(), pbits)
+
+
 def default_term_budget(z: Fraction, digits: int) -> int:
     """Term cap from the per-term digit gain log10(1/|z|), with fixed slack;
     the gain is taken from z's integer parts, as z may underflow a float.
@@ -643,27 +657,14 @@ def chu_eval_terms(s: ChuSeries, digits: int,
     if s.z == 0:
         t0 = s.term(0)
         return Enclosure.exact(t0, pbits), 1
-    num_j, den_j = s.ratio_parts()
-    found = None
-    if num_j.degree <= den_j.degree:
-        j1 = _stability_point(num_j, den_j, cap)
-        if j1 is not None:
-            lim = abs(num_j.lc / den_j.lc) if num_j.degree == den_j.degree else _F0
-            p, q = _common_ints([UniPoly.from_roots([-u for u in s.upper], s.z),
-                                 UniPoly.from_roots([-l for l in s.lower])])
-            rn, rd = _common_ints([num_j, den_j])
-            g = _GeometricSum(p, q, s.num.numerators, s.den.numerators,
-                              Fraction(s.den.denominator, s.num.denominator),
-                              rn, rd, lim, j1, cap, tol)
-            found = g.confirm(g.predict(), pbits)
+    found = _geometric_sum(s, cap, tol, pbits)
     if found is None:
         # no tail bound within the cap, but an upper parameter -m may make
         # the series finite: every term past j = m is zero
-        ms = [-int(u) for u in s.upper if u.denominator == 1 and u <= 0]
-        if not ms or min(ms) + 1 > cap:
+        m = _finite_stop(s)
+        if m is None or m + 1 > cap:
             raise ValueError("requested digits unreachable")
-        total = sum(s.terms(min(ms) + 1))
-        return Enclosure.exact(total, pbits), min(ms) + 1
+        return _finite_sum(s, m, pbits), m + 1
     return found
 
 
@@ -672,9 +673,10 @@ def chu_eval_terms(s: ChuSeries, digits: int,
 # ---------------------------------------------------------------------------
 
 
-def direct_sum(num: UniPoly, den: UniPoly, target_digits: int) -> Enclosure:
-    """Enclosure, at no more than six digits, of the sum over k >= 0 of
-    the terms t_0 = 1, t_{k+1} = t_k num(k)/den(k).
+def direct_sum(s: ChuSeries, target_digits: int) -> Enclosure:
+    """Enclosure, at no more than six digits, of a bracket series with
+    num = den = 1, whose terms are t_0 = 1, t_{k+1} = t_k z prod (k + u) /
+    prod (k + l).
 
     Terminating sums are exact, summed on the product tree; |ratio|
     limits below one get the certified geometric tail bound; ratio
@@ -684,51 +686,35 @@ def direct_sum(num: UniPoly, den: UniPoly, target_digits: int) -> Enclosure:
     "oracle unavailable", and so does a sum that meets no tail rule
     within the term cap.
     """
-    if target_digits > _ORACLE_DIGITS_CAP:
+    if (target_digits > _ORACLE_DIGITS_CAP
+            or any(l.denominator == 1 and l <= 0 for l in s.lower)):
         raise ValueError("oracle unavailable")
-    if index_roots(den):
-        raise ValueError("oracle unavailable")
-    if num.is_zero:
+    if s.z == 0:
         return Enclosure.exact(1)
-    stops = index_roots(num)
-    tol = Fraction(1, 2 * 10 ** target_digits)
-    if stops:
-        # the exact sum over k <= stop is T/Q on the product tree (B = 1)
-        m = stops[0] + 1
-        p, q = _common_ints([num, den])
-        _, Q, _, T = _split(_values(p, 0, m), _values(q, 0, m), [1] * m, [1] * m, 0, m)
-        return Enclosure.from_ratio(T if Q > 0 else -T, 0, abs(Q))
-    if num.degree > den.degree:
+    m = _finite_stop(s)
+    if m is not None:
+        return _finite_sum(s, m, _MIN_PRECISION)
+    if len(s.upper) > len(s.lower):
         raise ValueError("oracle unavailable")
-    limit = _F0 if num.degree < den.degree else num.lc / den.lc
+    limit = s.z if len(s.upper) == len(s.lower) else _F0
+    tol = Fraction(1, 2 * 10 ** target_digits)
     if abs(limit) < 1:
-        return _oracle_geometric(num, den, abs(limit), tol)
+        found = _geometric_sum(s, 4000, tol, _MIN_PRECISION)
+        if found is None:
+            raise ValueError("oracle unavailable")
+        return found[0]
     if abs(limit) > 1:
         raise ValueError("oracle unavailable")
-    d = den.degree
+    # the decay exponent of t_k ~ k^-alpha (limit 1) or of |t_k| (limit -1)
+    alpha = sum(s.lower) - sum(s.upper)
+    p, q = _leaf_polys(s)[:2]
     if limit == 1:
-        alpha = (den.coeff(d - 1) - num.coeff(d - 1)) / den.lc
         if alpha <= 1:
             raise ValueError("oracle unavailable")
-        return _oracle_positive(num, den, float(alpha), float(tol))
-    alpha = (den.coeff(d - 1) + num.coeff(d - 1)) / den.lc
+        return _oracle_positive(p, q, float(alpha), float(tol))
     if alpha <= 0:
         raise ValueError("oracle unavailable")
-    return _oracle_alternating(num, den, float(tol))
-
-
-def _oracle_geometric(num: UniPoly, den: UniPoly, lim: Fraction,
-                      tol: Fraction) -> Enclosure:
-    cap = 4000
-    j1 = _stability_point(num, den, cap)
-    if j1 is None:
-        raise ValueError("oracle unavailable")
-    p, q = _common_ints([num, den])
-    g = _GeometricSum(p, q, [1], [1], _F1, p, q, lim, j1, cap, tol)
-    found = g.confirm(g.predict(), _MIN_PRECISION)
-    if found is None:
-        raise ValueError("oracle unavailable")
-    return found[0]
+    return _oracle_alternating(p, q, float(tol))
 
 
 def _horner(coeffs: list[float], x: float) -> float:
@@ -738,10 +724,10 @@ def _horner(coeffs: list[float], x: float) -> float:
     return acc
 
 
-def _oracle_positive(num: UniPoly, den: UniPoly, alpha: float,
+def _oracle_positive(num: list[int], den: list[int], alpha: float,
                      tol: float) -> Enclosure:
-    nf = [float(c) for c in num.coeffs]
-    df = [float(c) for c in den.coeffs]
+    nf = [float(c) for c in num]
+    df = [float(c) for c in den]
     total, t = 0.0, 1.0
     k = 0
     while k < _ORACLE_TERM_CAP:
@@ -758,9 +744,9 @@ def _oracle_positive(num: UniPoly, den: UniPoly, alpha: float,
     raise ValueError("oracle unavailable")
 
 
-def _oracle_alternating(num: UniPoly, den: UniPoly, tol: float) -> Enclosure:
-    nf = [float(c) for c in num.coeffs]
-    df = [float(c) for c in den.coeffs]
+def _oracle_alternating(num: list[int], den: list[int], tol: float) -> Enclosure:
+    nf = [float(c) for c in num]
+    df = [float(c) for c in den]
     total, t = 0.0, 1.0
     k = 0
     while k < _ORACLE_TERM_CAP:

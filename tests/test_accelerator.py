@@ -1,6 +1,7 @@
 """Tests for accelerated stream generation and bracket normal form."""
 
 import math
+import random
 from fractions import Fraction as F
 from itertools import count, islice
 
@@ -8,23 +9,25 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from hyperaccel import accelerator
+from hyperaccel import accelerator, exact_arith, hypergeom_terms, numerics
 from hyperaccel.accelerator import (
     AccelStream,
     ChuSeries,
     accelerated_stream,
     chu_normalize,
     convergence_rate,
+    k_series_at,
     stream_proportional,
     vanishing_check,
 )
 from hyperaccel.catalog import catalog_entries
-from hyperaccel.exact_arith import MultiPoly, UniPoly
-from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate, k_ratio_at,
-                                        k_shift_ratio, n_shift_ratio)
+from hyperaccel.exact_arith import Affine, MultiPoly, UniPoly
+from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate, k_shift_ratio,
+                                        n_shift_ratio)
 from hyperaccel.numerics import direct_sum
 from hyperaccel.telescoper import Recurrence, derive_recurrence, zeilberger_two_term
 
+import oracle_reference
 from quotient_helpers import quotient_eval, same_quotient
 
 
@@ -106,7 +109,7 @@ def test_direct_sum_matches_exact_partial_sum():
         total += t
         t *= quotient_eval(rho, {"n": F(5), "k": k})
     # the tail past 300 terms is below 10^-18 at n = 5
-    enc = direct_sum(*k_ratio_at(rho, F(5)), 6)
+    enc = direct_sum(k_series_at(term, F(5)), 6)
     assert abs(enc.center.to_fraction() - total) <= F(1, 10 ** 6)
 
 
@@ -121,7 +124,7 @@ def test_direct_sum_divergence_is_an_error():
         GammaFactor(MultiPoly.affine(F(1)), 1),
     ), sign_base=1)
     with pytest.raises(ValueError, match="oracle unavailable"):
-        direct_sum(*k_ratio_at(k_shift_ratio(grow), F(3)), 2)
+        direct_sum(k_series_at(grow, F(3)), 2)
 
 
 def test_vanishing_check_passes_quarter_example():
@@ -174,11 +177,84 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_vanishing_check_builds_the_k_ratio_once(monkeypatch):
-    term, rec = _quarter_example()
-    calls = _count_calls(monkeypatch, "k_shift_ratio")
-    assert vanishing_check(term, rec, F(1))
-    assert len(calls) == 1
+def test_remainder_check_expands_nothing(monkeypatch):
+    # each k-sum is read off the factors of F(n, k+1)/F(n, k): no expanded
+    # ratio, no substitution into one, and no root search for parameters
+    examples = [_quarter_example(), _neg_27_example()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a remainder check expanded its k-sum")
+
+    monkeypatch.setattr(MultiPoly, "subst", refuse)
+    for module in (accelerator, exact_arith, hypergeom_terms, numerics):
+        for name in ("k_shift_ratio", "rational_roots"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for term, rec in examples:
+        assert vanishing_check(term, rec, F(1))
+
+
+def _oracle_outcome(evaluate):
+    """The enclosure evaluate() returns, or the type and text of its error."""
+    try:
+        return evaluate()
+    except (ValueError, OverflowError, ZeroDivisionError) as ex:
+        return type(ex).__name__, str(ex)
+
+
+def _same_as_oracle_reference(term, n0, digits):
+    got = _oracle_outcome(lambda: direct_sum(k_series_at(term, n0), digits))
+    want = _oracle_outcome(lambda: oracle_reference.direct_sum(
+        *oracle_reference.k_ratio_at(k_shift_ratio(term), n0), digits))
+    assert got == want, (n0, digits)
+    return got
+
+
+def test_k_series_matches_reference_oracle_on_random_summands():
+    # every family at parameters a/b, |a| <= 6 and b <= 4, from start
+    # points a/b, -8 <= a <= 30 and b <= 3, and FR-2's summand; the cases
+    # reach the finite, geometric, positive and alternating branches and
+    # the refusals
+    rng = random.Random(19)
+    cases = [(family_instantiate(FamilyId.TWENTY7_32, [F(1), F(1, 2)]),
+              F(rng.randint(-8, 30), rng.randint(1, 3))) for _ in range(10)]
+    for family in FamilyId:
+        for _ in range(20):
+            params = [F(rng.randint(-6, 6), rng.randint(1, 4))
+                      for _ in family.param_names]
+            cases.append((family_instantiate(family, params),
+                          F(rng.randint(-8, 30), rng.randint(1, 3))))
+    outcomes = [_same_as_oracle_reference(term, n0, digits)
+                for term, n0 in cases for digits in (2, 4)]
+    assert sum(isinstance(x, tuple) for x in outcomes) > 0
+    assert sum(not isinstance(x, tuple) for x in outcomes) > len(outcomes) // 2
+
+
+def test_k_series_matches_reference_oracle_on_every_recipe(derivation_recipes):
+    assert len(derivation_recipes) == 95
+    for e, term, rec in derivation_recipes:
+        nu = F(e.derivation.n0)
+        for _ in range(5):
+            nu += rec.r
+            _same_as_oracle_reference(term, nu, 2)
+
+
+def test_k_series_reads_factors_free_of_k_into_z(monkeypatch):
+    # every factor a Gamma factor gives moves with k, so factors free of k
+    # are planted here: 3 (k + 1) / (2 k + 1) gives z = 3/2, and a zero
+    # factor free of k in the denominator is refused as a ValueError
+    k1, two_k1 = (Affine.from_poly(MultiPoly.from_string(t))
+                  for t in ("k + 1", "2k + 1"))
+    three, zero = (Affine.from_poly(MultiPoly.const(c)) for c in (3, 0))
+    term, _ = _quarter_example()
+    monkeypatch.setattr(accelerator, "k_ratio_parts",
+                        lambda t: (F(1), (k1, three), (two_k1,)))
+    assert k_series_at(term, 1) == ChuSeries(F(3, 2), (F(1),), (F(1, 2),),
+                                             UniPoly.one(), UniPoly.one())
+    monkeypatch.setattr(accelerator, "k_ratio_parts",
+                        lambda t: (F(1), (k1,), (two_k1, zero)))
+    with pytest.raises(ValueError, match="pole of series term"):
+        k_series_at(term, 1)
 
 
 # ---------------------------------------------------------------------------

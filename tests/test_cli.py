@@ -509,6 +509,37 @@ def test_check_all_parallel_matches_sequential(capsys):
     assert parallel == sequential
 
 
+def test_check_all_jobs_bounded_by_cpus_and_displays(capsys, monkeypatch):
+    # a stand-in pool records the size it is asked for and runs the work
+    # in process, so no large pool is ever started
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*task) for task in tasks]
+
+    _, sequential, _ = run(capsys, "check-all", "--digits", "12")
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    for cpus, jobs, want in ((4, "100000", [4]), (8, "3", [3]),
+                             (None, "100000", []), (1000, "100000", [95])):
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        code, out, err = run(capsys, "check-all", "--digits", "12",
+                             "--jobs", jobs)
+        assert (code, out, err, sizes) == (0, sequential, "", want)
+
+
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------

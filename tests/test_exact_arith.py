@@ -32,6 +32,7 @@ from hyperaccel.exact_arith import (
     rational_roots,
 )
 
+from multipoly_helpers import from_unipoly
 from quotient_helpers import quotient_eval, same_quotient
 
 F = Fraction
@@ -552,7 +553,7 @@ def test_unipoly_equal_by_two_routes_hash_equal(roots, lead):
 @settings(max_examples=80, deadline=None)
 @given(small_polys, st.sampled_from(["n", "k", "j"]))
 def test_unipoly_multipoly_round_trip(p, name):
-    m = MultiPoly.from_unipoly(p, name)
+    m = from_unipoly(p, name)
     assert m.as_unipoly(name) == p
     i = VARS.index(name)
     assert dict(m.terms) == {tuple(e if v == i else 0 for v in range(len(VARS))): c

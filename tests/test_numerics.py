@@ -10,12 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperaccel.accelerator import ChuSeries, accelerated_stream
+from hyperaccel.accelerator import ChuSeries, accelerated_stream, k_series_at
 from hyperaccel.catalog import catalog_entries, entry
-from hyperaccel.exact_arith import (UniPoly, _common_ints, _zeval, index_roots,
-                                    rational_roots)
-from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate,
-                                        k_ratio_at, k_shift_ratio)
+from hyperaccel.exact_arith import UniPoly, _common_ints, _zeval, rational_roots
+from hyperaccel.hypergeom_terms import FamilyId, family_instantiate, k_shift_ratio
 from hyperaccel.numerics import (
     _SUM_WORK_CAP,
     BigFloat,
@@ -23,12 +21,10 @@ from hyperaccel.numerics import (
     Enclosure,
     _bits_for,
     _GeometricSum,
-    _atan_inv_scaled,
-    _atanh_inv_scaled,
+    _arctan_scaled,
     _iroot,
     _log2,
     _narrow,
-    _oracle_geometric,
     _pi,
     _pow10_ceil_exp,
     _root,
@@ -43,6 +39,7 @@ from hyperaccel.numerics import (
 )
 from hyperaccel.telescoper import derive_recurrence
 
+from enclosure_helpers import contains, contains_value, lower_end, upper_end
 from quotient_helpers import quotient_eval
 
 F = Fraction
@@ -69,7 +66,7 @@ def _window(s: str) -> tuple[Fraction, Fraction]:
 
 def _traps(enc: Enclosure, fixture: str) -> bool:
     lo, hi = _window(fixture)
-    return enc.lo() <= hi and lo <= enc.hi()
+    return lower_end(enc) <= hi and lo <= upper_end(enc)
 
 
 def _rt1() -> ChuSeries:
@@ -189,7 +186,8 @@ def test_enclosure_from_unreduced_pairs_matches_from_interval(mid, half, d, g,
     lo, hi = F(mid - half, d), F(mid + half, d)
     enc = Enclosure.from_ratio(mid * g, half * g, d * g, precision)
     want = Enclosure.from_interval(lo, hi, precision)
-    assert (enc.lo(), enc.hi()) == (want.lo(), want.hi())
+    assert ((lower_end(enc), upper_end(enc))
+            == (lower_end(want), upper_end(want)))
     assert enc == want == _reference_from_interval(lo, hi, precision)
 
 
@@ -227,7 +225,7 @@ def test_leaf_values_match_horner(coeffs, lo, count):
 def test_enclosure_interval_soundness(a, b):
     lo, hi = min(a, b), max(a, b)
     enc = Enclosure.from_interval(lo, hi, 64)
-    assert enc.contains_value(lo) and enc.contains_value(hi)
+    assert contains_value(enc, lo) and contains_value(enc, hi)
 
 
 @given(st.fractions(min_value=-5, max_value=5, max_denominator=99),
@@ -238,13 +236,13 @@ def test_enclosure_interval_soundness(a, b):
 def test_enclosure_product_soundness(a, b, c, d):
     e1 = Enclosure.from_interval(min(a, b), max(a, b), 64)
     e2 = Enclosure.from_interval(min(c, d), max(c, d), 64)
-    assert (e1 * e2).contains_value(a * c)
+    assert contains_value(e1 * e2, a * c)
 
 
 def test_enclosure_even_power_straddles_zero():
     enc = Enclosure.from_interval(-2, 1, 64) ** 2
-    assert enc.contains_value(0) and enc.contains_value(4)
-    assert enc.lo() >= -F(1, 2 ** 40)
+    assert contains_value(enc, 0) and contains_value(enc, 4)
+    assert lower_end(enc) >= -F(1, 2 ** 40)
 
 
 def test_enclosure_reciprocal_straddle_rejected():
@@ -268,13 +266,14 @@ def test_enclosure_decimal_format():
 
 
 def _ref_mul(a: Enclosure, b: Enclosure) -> Enclosure:
-    prods = [a.lo() * b.lo(), a.lo() * b.hi(), a.hi() * b.lo(), a.hi() * b.hi()]
+    prods = [lower_end(a) * lower_end(b), lower_end(a) * upper_end(b),
+             upper_end(a) * lower_end(b), upper_end(a) * upper_end(b)]
     return _reference_from_interval(min(prods), max(prods),
                                     max(a.center.precision, b.center.precision))
 
 
 def _ref_reciprocal(a: Enclosure) -> Enclosure:
-    lo, hi = a.lo(), a.hi()
+    lo, hi = lower_end(a), upper_end(a)
     if lo <= 0 <= hi:
         raise ZeroDivisionError("interval straddles zero")
     return _reference_from_interval(1 / hi, 1 / lo, a.center.precision)
@@ -285,7 +284,7 @@ def _ref_pow(a: Enclosure, n: int) -> Enclosure:
         return _ref_reciprocal(_ref_pow(a, -n))
     if n == 0:
         return _reference_from_interval(F(1), F(1), a.center.precision)
-    lo, hi = a.lo(), a.hi()
+    lo, hi = lower_end(a), upper_end(a)
     ends = sorted((lo ** n, hi ** n))
     if n % 2 == 0 and lo <= 0 <= hi:
         ends[0] = F(0)
@@ -344,8 +343,10 @@ _TIE = Enclosure(BigFloat(5, -1, 64), BigFloat(1, 0, 64))
 def test_enclosure_products_and_comparisons_match_fraction_endpoints(a, b):
     assert a * b == _ref_mul(a, b)
     for x, y in ((a, b), (b, a), (a, a)):
-        assert x.overlaps(y) == (x.lo() <= y.hi() and y.lo() <= x.hi())
-        assert x.contains(y) == (x.lo() <= y.lo() and y.hi() <= x.hi())
+        assert x.overlaps(y) == (lower_end(x) <= upper_end(y)
+                                 and lower_end(y) <= upper_end(x))
+        assert contains(x, y) == (lower_end(x) <= lower_end(y)
+                                  and upper_end(y) <= upper_end(x))
 
 
 @given(_ENCLOSURES, st.integers(-4, 5), st.integers(0, 40))
@@ -379,8 +380,8 @@ def test_radii_within_matches_fraction_sum(a, b, digits):
 def _pi_alt(digits: int) -> Enclosure:
     """Cross-check enclosure of pi from 8 atan(1/3) + 4 atan(1/7)."""
     pbits = _bits_for(digits)
-    a3, e3 = _atan_inv_scaled(3, pbits)
-    a7, e7 = _atan_inv_scaled(7, pbits)
+    a3, e3 = _arctan_scaled(3, pbits, -1)
+    a7, e7 = _arctan_scaled(7, pbits, -1)
     return _narrow(Enclosure.from_ratio(8 * a3 + 4 * a7, 8 * e3 + 4 * e7,
                                         1 << pbits, pbits), digits)
 
@@ -388,8 +389,8 @@ def _pi_alt(digits: int) -> Enclosure:
 def _log2_alt(digits: int) -> Enclosure:
     """Cross-check enclosure of log 2 from 2 atanh(1/5) + 2 atanh(1/7)."""
     pbits = _bits_for(digits)
-    a5, e5 = _atanh_inv_scaled(5, pbits)
-    a7, e7 = _atanh_inv_scaled(7, pbits)
+    a5, e5 = _arctan_scaled(5, pbits, 1)
+    a7, e7 = _arctan_scaled(7, pbits, 1)
     return _narrow(Enclosure.from_ratio(2 * a5 + 2 * a7, 2 * e5 + 2 * e7,
                                         1 << pbits, pbits), digits)
 
@@ -410,7 +411,7 @@ def test_pi_prefix_consistency():
 
 
 def test_pi_square_contains_pi_squared():
-    assert (_pi(30) ** 2).contains(_pi(60) ** 2)
+    assert contains(_pi(30) ** 2, _pi(60) ** 2)
 
 
 def test_log2_fifty_digits():
@@ -424,25 +425,25 @@ def test_sqrt2_fifty_digits():
     enc = _root(2, F(1, 2), 50)
     assert enc.radius.to_fraction() <= F(1, 10 ** 50)
     assert _traps(enc, SQRT2_50)
-    assert (enc ** 2).contains_value(2)
+    assert contains_value(enc ** 2, 2)
 
 
 def test_sqrt3_and_cbrt2():
     assert _traps(_root(3, F(1, 2), 50), SQRT3_50)
     cbrt = _root(2, F(1, 3), 50)
     assert _traps(cbrt, CBRT2_50)
-    assert (cbrt ** 3).contains_value(2)
+    assert contains_value(cbrt ** 3, 2)
 
 
 def test_root_integer_exponent_exact():
     enc = _root(2, 3, 20)
     assert enc.center.to_fraction() == 8 and enc.radius.mantissa == 0
-    assert _root(3, -1, 20).contains_value(F(1, 3))
+    assert contains_value(_root(3, -1, 20), F(1, 3))
 
 
 def test_root_negative_exponent():
     enc = _root(2, F(-4, 3), 30)
-    assert (enc ** -3).contains_value(16)
+    assert contains_value(enc ** -3, 16)
 
 
 @pytest.mark.parametrize("base, e", [(2, F(-4, 3)), (3, F(-1, 2)), (2, F(5, 3))])
@@ -470,9 +471,9 @@ def test_digits_cap():
 
 
 def test_refinement_nesting():
-    assert _pi(20).contains(_pi(40))
-    assert _log2(20).contains(_log2(40))
-    assert _root(2, F(1, 2), 20).contains(_root(2, F(1, 2), 40))
+    assert contains(_pi(20), _pi(40))
+    assert contains(_log2(20), _log2(40))
+    assert contains(_root(2, F(1, 2), 20), _root(2, F(1, 2), 40))
 
 
 # -- Closed forms -------------------------------------------------------------
@@ -505,27 +506,29 @@ def test_closedform_five_pi_over_four_sqrt3():
     enc = closedform_eval(ClosedForm.make(F(5, 4), exp_pi=1, exp_3=F(-1, 2)), 30)
     plo, phi = _window(PI_50)
     slo, shi = _window(SQRT3_50)
-    assert enc.hi() >= F(5, 4) * plo / shi and enc.lo() <= F(5, 4) * phi / slo
+    assert upper_end(enc) >= F(5, 4) * plo / shi
+    assert lower_end(enc) <= F(5, 4) * phi / slo
     assert enc.radius.to_fraction() <= F(1, 10 ** 30)
 
 
 def test_closedform_three_quarter_pi_squared():
     enc = closedform_eval(ClosedForm.make(F(3, 4), exp_pi=2), 20)
     plo, phi = _window(PI_50)
-    assert enc.hi() >= F(3, 4) * plo * plo and enc.lo() <= F(3, 4) * phi * phi
+    assert upper_end(enc) >= F(3, 4) * plo * plo
+    assert lower_end(enc) <= F(3, 4) * phi * phi
 
 
 def test_closedform_log2_multiple():
     enc = closedform_eval(ClosedForm.make(24, exp_log2=1), 30)
     llo, lhi = _window(LOG2_50)
-    assert enc.hi() >= 24 * llo and enc.lo() <= 24 * lhi
+    assert upper_end(enc) >= 24 * llo and lower_end(enc) <= 24 * lhi
 
 
 def test_closedform_contains_higher_precision_center():
     cf = ClosedForm.make(F(9, 2), exp_3=F(1, 2), exp_pi=-1)
     low = closedform_eval(cf, 15)
     high = closedform_eval(cf, 30)
-    assert low.contains_value(high.center.to_fraction())
+    assert contains_value(low, high.center.to_fraction())
 
 
 _CLOSED_PINS = json.loads((Path(__file__).parent / "closedform_pins.json").read_text())
@@ -601,7 +604,7 @@ def test_chu_eval_z_zero_sums_first_term():
     s = ChuSeries(F(0), (F(1, 2),), (F(4, 3),),
                   UniPoly.from_coeffs([3, 1]), UniPoly.one())
     enc, terms = chu_eval_terms(s, 20)
-    assert terms == 1 and enc.contains_value(3)
+    assert terms == 1 and contains_value(enc, 3)
 
 
 def test_chu_eval_divergent_rejected():
@@ -630,9 +633,9 @@ def test_chu_eval_term_cap():
 
 def test_chu_eval_nested_refinement():
     e10, e20, e30 = (chu_eval_terms(_rt1(), d)[0] for d in (10, 20, 30))
-    assert e10.contains(e20) and e20.contains(e30)
+    assert contains(e10, e20) and contains(e20, e30)
     assert e10.radius.to_fraction() > e20.radius.to_fraction() > e30.radius.to_fraction()
-    assert e10.contains_value(e20.center.to_fraction())
+    assert contains_value(e10, e20.center.to_fraction())
 
 
 def test_chu_eval_digits_per_term_rate_law():
@@ -724,7 +727,7 @@ def _outcome(evaluate, s: ChuSeries, digits: int, max_terms=None):
         enc, terms = evaluate(s, digits, max_terms)
     except ValueError as ex:
         return str(ex)
-    return enc.lo(), enc.hi(), terms
+    return lower_end(enc), upper_end(enc), terms
 
 
 def _same_as_reference(s: ChuSeries, digits: int, max_terms=None):
@@ -891,7 +894,7 @@ def test_confirmation_recovers_the_stop_index_from_any_prediction(s, digits):
     assert g.predict() == j
     for guess in (j - 5, j, j + 5):
         enc, got = g.confirm(guess, _bits_for(digits))
-        assert (enc.lo(), enc.hi(), got) == (lo, hi, j), guess
+        assert (lower_end(enc), upper_end(enc), got) == (lo, hi, j), guess
 
 
 def test_chu_eval_digits_cap():
@@ -910,28 +913,28 @@ def _quarter_series_instance():
 def test_oracle_matches_accelerated_stream():
     # [DERIVED] unaccelerated sum against the telescoped stream total
     term = _quarter_series_instance()
-    enc = direct_sum(*k_ratio_at(k_shift_ratio(term), 1), 4)
+    enc = direct_sum(k_series_at(term, 1), 4)
     stream = accelerated_stream(term, derive_recurrence(term), 1)
-    assert enc.contains_value(sum(stream.take(60), F(0)))
+    assert contains_value(enc, sum(stream.take(60), F(0)))
 
 
 def test_oracle_alternating_instance():
     term = family_instantiate(FamilyId.NEG_QUARTER, [F(2, 3), F(1), F(-1, 3)])
-    enc = direct_sum(*k_ratio_at(k_shift_ratio(term), F(2, 3)), 5)
+    enc = direct_sum(k_series_at(term, F(2, 3)), 5)
     stream = accelerated_stream(term, derive_recurrence(term, shifts=(2,)), F(2, 3))
-    assert enc.contains_value(sum(stream.take(60), F(0)))
+    assert contains_value(enc, sum(stream.take(60), F(0)))
 
 
 def test_oracle_terminating_binomial_sum():
     # [TRIVIAL] independent exact replay of the finite sum
     term = family_instantiate(FamilyId.SIXTEEN_27_A, [F(-1), F(1, 2)])
-    enc = direct_sum(*k_ratio_at(k_shift_ratio(term), 4), 6)
+    enc = direct_sum(k_series_at(term, 4), 6)
     rho = k_shift_ratio(term)
     total, t = F(0), F(1)
     for k in range(8):
         total += t
         t *= quotient_eval(rho, {"n": F(4), "k": F(k)})
-    assert enc.contains_value(total)
+    assert contains_value(enc, total)
     assert enc.radius.to_fraction() <= F(1, 10 ** 18)
 
 
@@ -939,37 +942,38 @@ def test_oracle_terminating_sum_matches_running_fraction_sum():
     # the stop grows with n: 1002 terms at n = 1001, as the vanishing
     # check meets them at large start points
     term = family_instantiate(FamilyId.SIXTEEN_27_A, [F(-100), F(1, 2)])
-    num, den = k_ratio_at(k_shift_ratio(term), 1001)
-    total, t = F(0), F(1)
-    for k in range(index_roots(num)[0] + 1):
+    rho = k_shift_ratio(term)
+    total, t, k = F(0), F(1), 0
+    while t:
         total += t
-        t *= num.eval(k) / den.eval(k)
-    assert index_roots(num)[0] == 1001
-    assert direct_sum(num, den, 2) == Enclosure.exact(total)
+        t *= quotient_eval(rho, {"n": F(1001), "k": F(k)})
+        k += 1
+    assert k == 1002
+    assert direct_sum(k_series_at(term, 1001), 2) == Enclosure.exact(total)
 
 
 def test_oracle_digits_capped_at_six():
     term = _quarter_series_instance()
     with pytest.raises(ValueError, match="oracle unavailable"):
-        direct_sum(*k_ratio_at(k_shift_ratio(term), 1), 12)
+        direct_sum(k_series_at(term, 1), 12)
 
 
 def test_oracle_rejects_nonconvergent_point():
     # decay exponent 2 n - 1/3 drops to 2/3 at n = 1/2: no convergence
     term = _quarter_series_instance()
     with pytest.raises(ValueError, match="oracle unavailable"):
-        direct_sum(*k_ratio_at(k_shift_ratio(term), F(1, 2)), 3)
+        direct_sum(k_series_at(term, F(1, 2)), 3)
 
 
 def test_oracle_refinement_consistent():
     term = _quarter_series_instance()
-    rough = direct_sum(*k_ratio_at(k_shift_ratio(term), 1), 3)
-    fine = direct_sum(*k_ratio_at(k_shift_ratio(term), 1), 5)
-    assert rough.contains_value(fine.center.to_fraction())
+    rough = direct_sum(k_series_at(term, 1), 3)
+    fine = direct_sum(k_series_at(term, 1), 5)
+    assert contains_value(rough, fine.center.to_fraction())
 
 
 def _reference_oracle_geometric(num, den, lim, tol):
-    """The running-Fraction loop _oracle_geometric replaced."""
+    """The running-Fraction loop the oracle's geometric sum replaced."""
     j1 = _stability_point(num, den, 4000)
     total, t = F(0), F(1)
     k = 0
@@ -991,14 +995,16 @@ def _reference_oracle_geometric(num, den, lim, tol):
 def test_oracle_geometric_matches_reference(n0):
     # FR-2's recipe; its unaccelerated term quotient tends to -4/27 or 4/27
     term = family_instantiate(FamilyId.TWENTY7_32, [F(1), F(1, 2)])
-    num, den = k_ratio_at(k_shift_ratio(term), n0)
+    s = k_series_at(term, n0)
+    num, den = s.ratio_parts()
     lim = abs(num.lc / den.lc)
     assert num.degree == den.degree and lim < 1
     for digits in (1, 4, 6):
         tol = F(1, 2 * 10 ** digits)
-        got = _oracle_geometric(num, den, lim, tol)
+        got = direct_sum(s, digits)
         want = _reference_oracle_geometric(num, den, lim, tol)
-        assert (got.lo(), got.hi()) == (want.lo(), want.hi())
+        assert ((lower_end(got), upper_end(got))
+                == (lower_end(want), upper_end(want)))
 
 
 # -- decimal error exponents and the summation work budget ---------------------
@@ -1088,7 +1094,8 @@ def test_default_cap_keeps_within_the_work_budget(digits):
     assert terms < cap
     assert enc.radius.to_fraction() <= F(1, 10 ** digits)
     explicit, same = chu_eval_terms(q1, digits, terms)
-    assert (same, explicit.lo(), explicit.hi()) == (terms, enc.lo(), enc.hi())
+    assert ((same, lower_end(explicit), upper_end(explicit))
+            == (terms, lower_end(enc), upper_end(enc)))
     cap = default_term_budget(fr2.z, digits)
     assert cap * (cap + digits) > _SUM_WORK_CAP
     with pytest.raises(ValueError, match=f"^summation work above supported range:"

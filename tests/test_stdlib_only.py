@@ -1,10 +1,11 @@
-"""The package imports nothing outside the Python standard library, and
-its export list names only what it defines and what the package or the
-benchmark uses."""
+"""The package imports nothing outside the Python standard library, its
+export list names only what it defines and what the package or the
+benchmark uses, and everything it defines is used by one of them."""
 
 import ast
 import pathlib
 import sys
+import types
 
 import hyperaccel
 
@@ -63,6 +64,34 @@ def test_every_exported_name_is_used_outside_tests():
     used = {name for path in files + sorted(BENCH.glob("*.py"))
             for name in _referenced_names(path)}
     assert not [name for name in hyperaccel.__all__ if name not in used]
+
+
+def _tracer_paths():
+    """The attribute names bench/tracer.py wraps; it names them in strings."""
+    module = types.ModuleType("bench_tracer")
+    exec(compile((BENCH / "tracer.py").read_text(), "tracer.py", "exec"),
+         module.__dict__)
+    return {part for _, _, paths, _, _ in module.LAYERS
+            for path in paths for part in path.split(".")}
+
+
+def test_every_definition_is_used_outside_tests():
+    # every function, class and method defined in the package is named by
+    # code of the package or of the benchmark; a definition is no
+    # reference, so production code that only tests call fails here.
+    # Names are matched, not resolved: a method that shares its name with
+    # a used one passes.  __init__.py restates the exported names, and
+    # dunders are called by Python itself.
+    files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    used = {name for path in files + sorted(BENCH.glob("*.py"))
+            for name in _referenced_names(path)} | _tracer_paths()
+    unused = sorted(
+        f"{path.name}: {node.name}" for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used)
+    assert not unused
 
 
 def test_numerics_imports_only_exact_arith_at_run_time():
