@@ -13,8 +13,8 @@ number built from the certificate, p1, p2, and the n-shift ratio of the
 summand evaluated along nu_j = n0 + r j.  The certificate and the ratio
 are reduced once to univariate polynomials in n at k = 0, so each term
 costs a few Horner evaluations.  AccelStream generates the terms lazily
-and carries the term quotient t_{j+1}/t_j as a (numerator, denominator)
-pair of UniPolys in j.
+and compares the term quotient t_{j+1}/t_j with a series' on one integer
+image of their factors; it expands the quotient into UniPolys on use.
 
 Unrolling is valid only when the remainder after m steps dies off.
 vanishing_check estimates that remainder in double precision: the
@@ -48,10 +48,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from typing import Iterator, Optional, Sequence
 
-from hyperaccel.exact_arith import Scalar, UniPoly, index_roots, rational_roots
+from hyperaccel.exact_arith import (Scalar, UniPoly, _Bound, _kronecker_zero,
+                                    _zeval, index_roots, rational_roots)
 from hyperaccel.hypergeom_terms import HypTerm, k_ratio_parts, n_ratio_parts
 from hyperaccel.numerics import direct_sum
 from hyperaccel.telescoper import Recurrence
@@ -198,40 +200,72 @@ def iter_accelerated(parts: Sequence[UniPoly], r: int,
         j += 1
 
 
+def _quotient_factors(parts: Sequence[UniPoly], r: int, n0: Scalar):
+    """The factors (p, a, b), each p(a + b j), of the term quotient's
+    numerator -p1(nu) cert(nu + r, 0) rho(nu, 0), without its sign, and
+    denominator cert(nu, 0) p2(nu + r), nu = n0 + r j."""
+    p1, p2, cn, cd, rn, rd = parts
+    nu = Fraction(n0)
+    return ([(p1, nu, r), (cn, nu + r, r), (rn, nu, r), (cd, nu, r)],
+            [(cd, nu + r, r), (rd, nu, r), (cn, nu, r), (p2, nu + r, r)])
+
+
 def stream_ratio(parts: Sequence[UniPoly], r: int,
                  n0: Scalar) -> tuple[UniPoly, UniPoly]:
     """Term quotient t_{j+1}/t_j of the accelerated stream from the
-    `_stream_parts` of a summand and its recurrence with n-offset r, as a
-    numerator and denominator in j, with no common factor divided out.
-
-    With nu = n0 + r j it is -p1(nu) cert(nu + r, 0) rho(nu, 0) /
-    (cert(nu, 0) p2(nu + r)), composed from the parts in n as UniPolys.
-    """
-    p1, p2, cn, cd, rn, rd = parts
-    nu, nu_next = Fraction(n0), Fraction(n0) + r
-    num = (p1.compose(nu, r) * cn.compose(nu_next, r) * rn.compose(nu, r)
-           * cd.compose(nu, r))
-    den = (cd.compose(nu_next, r) * rd.compose(nu, r) * cn.compose(nu, r)
-           * p2.compose(nu_next, r))
+    `_stream_parts` of a summand and its recurrence with n-offset r: the
+    `_quotient_factors` expanded in j, no common factor divided out."""
+    num, den = (prod((p.compose(a, b) for p, a, b in side), start=UniPoly.one())
+                for side in _quotient_factors(parts, r, n0))
     return -num, den
+
+
+class _JProduct:
+    """scalar/den times the product of the p(a + b j) over the (p, a, b)
+    in polys, as integer polynomials m^d p((u + v j)/m) over den, the
+    product of the p's denominators and the m^d; scalar starts at 1."""
+
+    def __init__(self, polys: Sequence[tuple[UniPoly, Scalar, Scalar]]):
+        self.scalar, self.den, self.factors = 1, 1, []
+        for p, a, b in polys:
+            a, b = Fraction(a), Fraction(b)
+            m = a.denominator * b.denominator
+            self.den *= p.denominator * m ** max(p.degree, 0)
+            self.factors.append((p.numerators, a.numerator * b.denominator,
+                                 b.numerator * a.denominator, m))
+
+    def bound(self) -> _Bound:
+        """A factor's l1 norm is at most sum |c_i| (|u| + |v|)^i m^(d-i).
+        The degree is 0: it only spaces the powers of k, and there is no k."""
+        return _Bound(abs(self.scalar) * prod(
+            _zeval([abs(c) for c in p], abs(u) + abs(v), m)
+            for p, u, v, m in self.factors), 0)
+
+    def image(self, b: int, kb: int) -> int:
+        """The value at j = 2^b; there is no k, so kb is unused."""
+        return self.scalar * prod(_zeval(p, u + (v << b), m)
+                                  for p, u, v, m in self.factors)
 
 
 class AccelStream:
     """Lazily generated accelerated terms with their term quotient.
 
     source, rec, and n0 identify the stream; term(j) and take(count)
-    yield exact rational terms from a growing cache; ratio is
-    t_{j+1}/t_j as stream_ratio's (numerator, denominator) pair in j.
+    yield exact rational terms from a growing cache.  ratio, built on
+    first use, is t_{j+1}/t_j as stream_ratio's pair in j.
     """
 
     def __init__(self, source: HypTerm, rec: Recurrence, n0: Scalar):
         self.source = source
         self.rec = rec
         self.n0 = Fraction(n0)
-        parts = _stream_parts(source, rec)
-        self.ratio = stream_ratio(parts, rec.r, n0)
-        self._it = iter_accelerated(parts, rec.r, n0)
+        self._parts = _stream_parts(source, rec)
+        self._it = iter_accelerated(self._parts, rec.r, n0)
         self._cache: list[Fraction] = []
+
+    @cached_property
+    def ratio(self) -> tuple[UniPoly, UniPoly]:
+        return stream_ratio(self._parts, self.rec.r, self.n0)
 
     def term(self, j: int) -> Fraction:
         while len(self._cache) <= j:
@@ -240,6 +274,21 @@ class AccelStream:
 
     def take(self, count: int) -> list[Fraction]:
         return [self.term(j) for j in range(count)]
+
+    def same_quotient(self, series: ChuSeries) -> bool:
+        """Whether t_{j+1}/t_j equals the term quotient dn/dd of a series
+        with num and den nonzero, dn sd = sn dd for sn/sd the `ratio`,
+        decided on the factors by one image (`exact_arith._kronecker_zero`)."""
+        sn, sd = _quotient_factors(self._parts, self.rec.r, self.n0)
+        s = series
+        # dn = num(j+1) den(j) z prod (j + u), dd = num(j) den(j+1) prod (j + l)
+        left = _JProduct([(s.num, 1, 1), (s.den, 0, 1), *sd,
+                          (UniPoly.from_roots([-u for u in s.upper], s.z), 0, 1)])
+        right = _JProduct([(s.num, 0, 1), (s.den, 1, 1), *sn,
+                           (UniPoly.from_roots([-l for l in s.lower]), 0, 1)])
+        # sn carries the sign -1
+        left.scalar, right.scalar = right.den, -left.den
+        return _kronecker_zero(lambda x, y: x - y, (left, right))
 
 
 def accelerated_stream(term: HypTerm, rec: Recurrence, n0: Scalar,

@@ -949,10 +949,10 @@ def derive_entry(rid: str) -> DeriveReport:
     proportional is the constant c with stream term = c * display term
     for every j; None when no display is stored, its first term is zero
     or its term quotient differs from the stream's.  Equal term
-    quotients, dn sd = sn dd as (numerator, denominator) pairs, make the
-    two sequences termwise proportional from their first terms on, so c
-    is the stream's first term over the display's; no bracket normal
-    form is built.
+    quotients make the two sequences termwise proportional from their
+    first terms on, so c is the stream's first term over the display's.
+    AccelStream.same_quotient decides the equality on the factors, and
+    no quotient or bracket normal form is expanded.
     """
     e = entry(rid)
     term = derivation_term(e)
@@ -965,10 +965,9 @@ def derive_entry(rid: str) -> DeriveReport:
                                 check_vanishing=False)
     proportional = None
     if e.chu is not None:
-        (dn, dd), t0 = e.chu.ratio_parts(), e.chu.term(0)
-        sn, sd = stream.ratio
-        # t0 != 0 makes num and den, hence dd, nonzero
-        if t0 != 0 and dn * sd == sn * dd:
+        t0 = e.chu.term(0)
+        # t0 != 0 makes num and den nonzero
+        if t0 != 0 and stream.same_quotient(e.chu):
             proportional = stream.term(0) / t0
     return DeriveReport(recurrence_found=True, rate=rate,
                         proportional=proportional)

@@ -10,8 +10,8 @@ over one positive denominator, jointly in lowest terms, and implements
 every operation on those lists; its `coeffs`, `lc` and `eval` give
 Fractions.  Its `gcd` is the monic gcd over Q, and `exact_div` divides
 primitive parts, whose quotient lies in Z[x] by Gauss's lemma.  The
-recurrence solver's gcds and exact quotients in Z[n] run on the same
-lists.
+recurrence solver's grids, gcds, exact quotients and Kronecker zero
+test (`_kronecker_zero`) run on the same lists.
 
 `MultiPoly` is a sparse multivariate polynomial over the fixed variable
 universe `VARS`.  It stores nonzero integer numerators over one positive
@@ -213,6 +213,42 @@ def _common_ints(polys: Sequence["UniPoly"]) -> list[list[int]]:
     return [[c // g for c in row] for row in rows] if g > 1 else rows
 
 
+@dataclass(frozen=True)
+class _Bound:
+    """An l1-norm bound and an n-degree bound of an integer polynomial in
+    n and k, combined as the polynomials they bound are."""
+
+    norm: int
+    deg: int
+
+    def __add__(self, other: "_Bound") -> "_Bound":
+        return _Bound(self.norm + other.norm, max(self.deg, other.deg))
+
+    __sub__ = __add__
+
+    def __mul__(self, other: "_Bound") -> "_Bound":
+        return _Bound(self.norm * other.norm, self.deg + other.deg)
+
+
+def _kronecker_zero(form, parts: Sequence) -> bool:
+    """Whether the polynomial R = form(*parts) is zero, from its image at
+    n = X = 2^B, k = X^(D+1), B = bit_length(H) + 1, where H and D bound
+    the l1 norm of R and its degree in n; form must use only +, - and *.
+    A part gives its `_Bound` by bound() and its image by image(b, kb) at
+    n = 2^b, k = 2^kb.
+
+    Lemma.  R(X, X^(D+1)) = 0 iff R = 0, in n and k or in n alone.  Each
+    monomial n^i k^j of R goes to X^(i + (D+1) j), and i <= D makes these
+    powers distinct, so the image is sum c_m X^m with every |c_m| <= H <
+    X.  If some c_m is nonzero, the lowest one, c, has 0 < |c| < X, and
+    the image is X^m (c + X y) for an integer y, which is not zero
+    because X does not divide c.
+    """
+    h = form(*(p.bound() for p in parts))
+    b = h.norm.bit_length() + 1
+    return form(*(p.image(b, b * (h.deg + 1)) for p in parts)) == 0
+
+
 # ---------------------------------------------------------------------------
 # Univariate polynomials
 # ---------------------------------------------------------------------------
@@ -364,10 +400,6 @@ class UniPoly:
         q = _zdiv([c // ga for c in a], [c // gb for c in b])
         return _unipoly([c * ga * other.denominator for c in q],
                         self.denominator * gb)
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer and coprime; 0 for zero."""
-        return Fraction(gcd(*self.numerators), self.denominator)
 
     def primitive(self) -> "UniPoly":
         """Integer coprime coefficients, positive leading coefficient."""
@@ -818,18 +850,6 @@ class MultiPoly:
             key = (i << sx) | (j << sy)
             out[key] = get(key, 0) + c
         return _normalized(out, den)
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer and coprime; 0 for zero."""
-        if not self._coeffs:
-            return _F0
-        return Fraction(gcd(*self._coeffs.values()), self._den)
-
-    def lead_coeff(self) -> Fraction:
-        """Coefficient of the lexicographically largest exponent vector."""
-        if not self._coeffs:
-            return _F0
-        return Fraction(self._coeffs[max(self._coeffs)], self._den)
 
     @staticmethod
     def from_string(s: str) -> "MultiPoly":

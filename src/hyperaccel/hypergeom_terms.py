@@ -138,15 +138,10 @@ def n_ratio_parts(term: HypTerm, r: int) -> RatioParts:
     return _ratio_parts(term, "n", r)
 
 
-def expand_factors(factors: Sequence[Affine], start: MultiPoly = _ONE) -> MultiPoly:
-    """start times the product of the factors, as a MultiPoly."""
-    return prod((f.poly() for f in factors), start=start)
-
-
 def _parts_to_pair(parts: RatioParts) -> tuple[MultiPoly, MultiPoly]:
     sign, num, den = parts
-    return _primitive_pair(expand_factors(num, MultiPoly.const(sign)),
-                           expand_factors(den))
+    return _primitive_pair(prod((f.poly() for f in num), start=MultiPoly.const(sign)),
+                           prod((f.poly() for f in den), start=_ONE))
 
 
 def k_shift_ratio(term: HypTerm) -> tuple[MultiPoly, MultiPoly]:
@@ -285,11 +280,20 @@ def family_term(family: FamilyId) -> HypTerm:
 
 
 def family_instantiate(family: FamilyId, params: Sequence[Rational]) -> HypTerm:
-    """Substitute rational parameter values; n and k stay symbolic."""
+    """Substitute rational parameter values; n and k stay symbolic.
+    Raises ValueError on a wrong count, and on a Gamma argument put on a
+    pole, an integer <= 0, naming the parameter and the factor."""
     names = family.param_names
     if len(params) != len(names):
         raise ValueError(
             f"family {family.value} expects {len(names)} parameters, got {len(params)}"
         )
     point = {name: Fraction(v) for name, v in zip(names, params)}
-    return family_term(family).subst(point)
+    general = family_term(family)
+    term = general.subst(point)
+    for g, at in zip(general.gammas, term.gammas):
+        *lin, u = at.arg.row
+        if not any(lin) and at.arg.den == 1 and u <= 0:
+            values = ", ".join(f"{v} = {point[v]}" for v in sorted(g.arg.variables()))
+            raise ValueError(f"parameter {values} puts Gamma({g.arg.poly()}) at a pole")
+    return term

@@ -10,15 +10,11 @@ shift ratios of F, clears all denominators, and checks that the one
 cross-multiplied numerator polynomial R is identically zero.
 `recurrence_residual` expands R, `_residual_form` on MultiPolys; the
 stored recurrences, whose free parameters a-f would make any single
-integer image of R far too large, are checked that way.  `verify_recurrence`, for an instantiated summand,
-expands nothing.  It keeps every part of R as an integer scalar times a
-product of integer polynomials in n and k, bounds the l1 norm of R by H
-and its degree in n by D through the same expression, and evaluates R
-at the Kronecker point n = X = 2^B, k = X^(D+1), B = bit_length(H) + 1
-(Harvey, J. Symb. Comput. 2009).  Distinct monomials go to distinct
-powers of X with coefficients of size at most H < X, so the image is
-zero exactly when R is.  The image is a product of sums of shifted
-integers.
+integer image of R far too large, are checked that way.
+`verify_recurrence`, for an instantiated summand, expands nothing: it
+keeps every part of R as an integer scalar times a product of integer
+polynomials in n and k and decides R = 0 from one Kronecker image
+(`exact_arith._kronecker_zero`; Harvey, J. Symb. Comput. 2009).
 
 Derivation runs the parameterized Gosper algorithm: with rho_k = Nk/Dk
 and rho_n = Nn/Dn the shift ratios of an instantiated summand, the
@@ -31,19 +27,16 @@ is solved for a polynomial x and scalars (p1, p2) by exact linear
 algebra over the field of rational functions in n.  The certificate is
 R(k-1) x(k) / (P(k) Dn(k)).
 
-The solver works on factors and integers, and takes no gcd until the
-end.  Every factor of the shift ratios is affine, m k + s n + u, and
-stays an integer `Affine` row: the normal form is found on the factor
-lists themselves by integer cross-multiplication (`_normal_form`), and
-the re-check reads its integer terms straight from the rows.  Only P,
-Q, R, Nn and Dn are expanded, once, as MultiPolys in n and k; the
-coefficient rows in k of the equation are cleared to primitive rows
-over Z[n], integer coefficient lists in n.  `_nullspace` eliminates
-them by Bareiss pivoting and back-substitutes in Cramer form, so the
-solution stays in Z[n].  It eliminates on the Kronecker image f(2^B)
-of each entry, one integer, where B bounds every minor's coefficients,
-and unpacks the basis at the end.  `_assemble` takes one gcd in Z[n]
-for the pair (p1, p2) and one for the certificate's denominator.
+The solver works on factors and integers, and builds no MultiPoly
+before the recurrence.  Every factor of the shift ratios is affine,
+m k + s n + u, an integer `Affine` row: `_normal_form` works on the
+factor lists by integer cross-multiplication, and `_grid` multiplies
+the rows of P, Q, R, Nn and Dn into integer grids over the powers of
+k.  `_nullspace` eliminates the equation's primitive rows in k by
+Bareiss pivoting on one Kronecker image per entry and back-substitutes
+in Cramer form, so the solution stays in Z[n].  `_assemble` divides
+out the vector's content and takes one gcd for (p1, p2) and one for
+the certificate's denominator.
 """
 
 from __future__ import annotations
@@ -51,18 +44,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd, lcm, prod
 from typing import Mapping, Optional, Sequence
 
 from hyperaccel.builtin_data import neg27_dataset, negq_dataset, quarter_dataset
-from hyperaccel.exact_arith import (VARS, Affine, MultiPoly, Scalar, UniPoly,
-                                    _common_ints, _primitive_pair, _zdiv,
-                                    _zgcd)
+from hyperaccel.exact_arith import (VARS, Affine, MultiPoly, Scalar, _Bound,
+                                    _kronecker_zero, _primitive_pair, _zdiv,
+                                    _zgcd, _zmul, _zsub)
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     HypTerm,
     RatioParts,
-    expand_factors,
     family_term,
     k_ratio_parts,
     k_shift_ratio,
@@ -70,10 +63,8 @@ from hyperaccel.hypergeom_terms import (
     n_shift_ratio,
 )
 
-_ONE = MultiPoly.one()
-_K = MultiPoly.var("k")
-_K_PLUS_1 = _K + _ONE
 _K_INDEX = VARS.index("k")
+_N_INDEX = VARS.index("n")
 
 
 # ---------------------------------------------------------------------------
@@ -105,23 +96,6 @@ def recurrence_residual(term: HypTerm, rec: Recurrence) -> MultiPoly:
         raise ZeroDivisionError("certificate with zero denominator")
     return _residual_form(rec.p1, rec.p2, nn, dn, nk, dk, cn, cd,
                           cn.shift_var("k", 1), cd.shift_var("k", 1), 1)
-
-
-@dataclass(frozen=True)
-class _Bound:
-    """An l1-norm bound and an n-degree bound of an integer polynomial in
-    n and k, combined as the polynomials they bound are."""
-
-    norm: int
-    deg: int
-
-    def __add__(self, other: "_Bound") -> "_Bound":
-        return _Bound(self.norm + other.norm, max(self.deg, other.deg))
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "_Bound") -> "_Bound":
-        return _Bound(self.norm * other.norm, self.deg + other.deg)
 
 
 def _image(terms: list[tuple[int, int, int]], b: int, kb: int, shifted: bool) -> int:
@@ -179,17 +153,6 @@ def _ratio_products(parts: RatioParts) -> tuple[_Product, _Product]:
     return _Product(ns, nf), _Product(ds, df)
 
 
-def _kronecker_zero(form, parts: Sequence[_Product]) -> bool:
-    """Whether the polynomial R = form(*parts) is zero, from its image at
-    n = X = 2^B, k = X^(D+1), B = bit_length(H) + 1, where H and D bound
-    the l1 norm of R and its degree in n; form must use only +, - and *.
-    `verify_recurrence` states and proves the lemma that makes it exact.
-    """
-    h = form(*(p.bound() for p in parts))
-    b = h.norm.bit_length() + 1
-    return form(*(p.image(b, b * (h.deg + 1)) for p in parts)) == 0
-
-
 def _residual_form(p1, p2, nn, dn, nk, dk, cn, cd, cn1, cd1, d12):
     """R of `verify_recurrence` from its parts, evaluated alike on
     integer images, on `_Bound`s and, by `recurrence_residual`, on
@@ -205,28 +168,17 @@ def verify_recurrence(term: HypTerm, rec: Recurrence) -> bool:
     The factor lists of rho_n = NN/DN and rho_k = NK/DK are the
     summand's `Affine` rows; they, cert = Cn/Cd and p1 = P1/D12, p2 =
     P2/D12 are written as integer polynomials in n and k times integer
-    scalars.
-    The recurrence holds iff
+    scalars.  The recurrence holds iff
 
         R = (P1 NN + P2 DN) Cd+ DK Cd - D12 (Cn+ NK Cd - Cn Cd+ DK) DN
 
     is zero, f+(n, k) = f(n, k + 1): R is D12 DN Cd+ DK Cd times the
-    residual p1 rho_n + p2 - (cert(k+1) rho_k - cert).  H bounds the l1
-    norm of R and D its degree in n, both computed through the same
-    expression, with products of norms, sums for differences and
-    ||f+||_1 <= sum |c| 2^(e_k) (`_Bound`).
-
-    Lemma.  With X = 2^B and B = bit_length(H) + 1, R(X, X^(D+1)) = 0
-    iff R = 0.  Each monomial n^i k^j of R goes to X^(i + (D+1) j), and
-    i <= D makes these powers distinct, so the image is sum c_m X^m with
-    every |c_m| <= H < X.  If some c_m is nonzero, the lowest one, c,
-    has 0 < |c| < X, and the image is X^m (c + X y) for an integer y,
-    which is not zero because X does not divide c.
-
-    The image is a product of sums of shifted integers; an f+ part takes
-    one Horner pass in k.  Raises ZeroDivisionError on a zero
-    certificate denominator and ValueError when a parameter other than
-    n and k is free or rec.r < 1.
+    residual p1 rho_n + p2 - (cert(k+1) rho_k - cert).  `_kronecker_zero`
+    decides it; the bounds of R's l1 norm and degree in n run through
+    the same expression (`_Bound`), with ||f+||_1 <= sum |c| 2^(e_k),
+    and the image of an f+ part takes one Horner pass in k.  Raises
+    ZeroDivisionError on a zero certificate denominator and ValueError
+    when a parameter other than n and k is free or rec.r < 1.
     """
     cn, cd = rec.cert
     if cd.is_zero:
@@ -366,19 +318,19 @@ def _normal_form(sk: Fraction, num: Sequence[Affine], den: Sequence[Affine]
             [f for l, f in enumerate(den) if l not in used_den])
 
 
-def _degree_bound(q: list[MultiPoly], rstar: list[MultiPoly], f_deg: int) -> int:
+def _degree_bound(q: list[list[int]], rstar: list[list[int]], f_deg: int) -> int:
     """Upper bound for deg x in q(k) x(k+1) - rstar(k) x(k) = f(k), from
-    the coefficient lists in k of q and rstar."""
+    the top rows of the integer grids of q and rstar on one scale."""
     dq, dr = len(q) - 1, len(rstar) - 1
     if dq != dr or q[-1] != rstar[-1]:
         return f_deg - max(dq, dr)
     lead = q[-1]
-    diff = (rstar[-2] - q[-2]) if dq >= 1 else MultiPoly.zero()
+    diff = _zsub(rstar[-2], q[-2]) if dq >= 1 else []
     best = f_deg - dq + 1
     # sigma = diff/lead counts only when it is an n-free integer >= 0
-    sigma = diff.lead_coeff() / lead.lead_coeff()
-    if (diff == lead * sigma and sigma.denominator == 1 and sigma >= 0):
-        best = max(best, int(sigma))
+    sigma, rem = divmod(diff[-1], lead[-1]) if diff else (0, 0)
+    if not rem and sigma >= 0 and not _zsub(diff, [c * sigma for c in lead]):
+        best = max(best, sigma)
     return best
 
 
@@ -424,19 +376,17 @@ def _nullspace(rows: list[list[list[int]]]) -> list[list[list[int]]]:
     the row's pivot, so each basis vector lies in Z[n]^cols.
 
     The elimination runs on the Kronecker images f(2^B) of the entries,
-    one integer each, for B = `_image_bits(rows)`, and the basis entries
-    are unpacked at the end; the basis is the one the coefficient lists
-    give.  Every Bareiss entry is, up to sign, a minor of the input with
-    at most m rows (m and the weights as in `_image_bits`), and so is
-    every basis entry (the last pivot, or a Cramer minor).  Expanding the determinant, a minor's l1 norm is at
-    most the product over its rows of their weights, and, transposed,
-    over its columns, so its coefficients are at most H < 2^(B-1).  By
-    the lemma of `verify_recurrence` in one variable, each zero test of
-    an image is then the zero test of its polynomial, and the same
-    pivots are chosen.  Evaluation at 2^B is a ring map, so an exact
-    quotient in Z[n] maps to the exact quotient of the images; the
-    products inside an update may exceed H, but they are only ever
-    divided.  `_unpack` reads each basis entry back from its image.
+    one integer each, for B = `_image_bits(rows)`, and `_unpack` reads
+    each basis entry back at the end.  Every Bareiss entry and every
+    basis entry is, up to sign, a minor of the input with at most m rows
+    (m and the weights as in `_image_bits`), whose l1 norm is at most
+    both the product of its rows' weights and that of its columns', so its
+    coefficients are at most H < 2^(B-1).  By the lemma of
+    `exact_arith._kronecker_zero`, each zero test of an image is that of
+    its polynomial, and the same pivots are chosen.  Evaluation at 2^B
+    is a ring map, so an exact quotient in Z[n] maps to the exact
+    quotient of the images; the products inside an update may exceed H,
+    but they are only ever divided.
     """
     if not rows:
         return []
@@ -502,17 +452,17 @@ def _kn_poly(cs: list[list[int]]) -> MultiPoly:
         "n", "k")
 
 
-def _n_poly(cs: list[int]) -> MultiPoly:
-    return _kn_poly([cs])
-
-
-def _int_rows(cols: list[MultiPoly]) -> list[list[list[int]]]:
-    """The coefficient rows in k of the columns, each cleared to a
-    primitive integer row of polynomials in n."""
-    coeffs = [[c.as_unipoly("n") for c in col.coeffs_in("k")] for col in cols]
-    zero = UniPoly.zero()
-    return [_common_ints([cs[m] if m < len(cs) else zero for cs in coeffs])
-            for m in range(max(len(cs) for cs in coeffs))]
+def _grid(factors: Sequence[Affine], rows: list[list[int]] = [[1]],
+          den: int = 1) -> tuple[list[list[int]], int]:
+    """The grid rows over den, sum_j rows[j](n) k^j / den, times the
+    affine factors (m k + s n + u)/e, as a grid over a positive integer:
+    a factor turns row j into (s n + u) row j plus m row j-1."""
+    for f in factors:
+        u, s, m = f.row[-1], f.row[_N_INDEX], f.row[_K_INDEX]
+        rows = [_zsub(_zmul(row, [u, s]), _zmul(below, [-m]))
+                for row, below in zip(rows + [[]] if m else rows, [[]] + rows)]
+        den *= f.den
+    return rows, den
 
 
 def zeilberger_two_term(term: HypTerm, r: int,
@@ -528,51 +478,67 @@ def zeilberger_two_term(term: HypTerm, r: int,
     _, nn, dn = n_ratio_parts(term, r)
     p_f, c, q_f, r_f = _normal_form(sk, nk + dn,
                                     dk + tuple(f.shift("k", 1) for f in dn))
-    rec = _solve(expand_factors(p_f), expand_factors(q_f) * c,
-                 expand_factors([f.shift("k", -1) for f in r_f]),
-                 expand_factors(nn), expand_factors(dn), r, max_deg)
+    rec = _solve(p_f, c, q_f, [f.shift("k", -1) for f in r_f], nn, dn, r,
+                 max_deg)
     if rec is not None and not verify_recurrence(term, rec):
         raise RuntimeError("derived recurrence failed exact re-verification")
     return rec
 
 
-def _solve(p: MultiPoly, q: MultiPoly, rstar: MultiPoly, n_n: MultiPoly,
-           d_n: MultiPoly, r: int, max_deg: int) -> Optional[Recurrence]:
-    """The recurrence with n-offset r from the expanded normal form P, Q,
-    R* = R(k-1) and the n-shift ratio Nn/Dn, or None; not re-checked."""
-    rhs1 = p * n_n
-    rhs2 = p * d_n
-    bound = _degree_bound(q.coeffs_in("k"), rstar.coeffs_in("k"),
-                          max(rhs1.degree("k"), rhs2.degree("k"))) + 1
+def _solve(p_f: list[Affine], c: Fraction, q_f: list[Affine],
+           rs_f: list[Affine], nn: Sequence[Affine], dn: Sequence[Affine],
+           r: int, max_deg: int) -> Optional[Recurrence]:
+    """The recurrence with n-offset r from the factors of the normal form
+    P, c Q and R* = R(k-1) and of the n-shift ratio Nn/Dn, or None; not
+    re-checked.  The columns c Q(k) (k+1)^i - R*(k) k^i, -P Nn and -P Dn
+    are integer grids, and each k-row of the system is cleared to its
+    primitive integer row by one positive factor."""
+    p, dp = _grid(p_f)
+    (f1, d1), (f2, d2) = _grid(nn, p, dp), _grid(dn, p, dp)
+    q, dq = _grid(q_f, [[c.numerator]], c.denominator)
+    rs, dr = _grid(rs_f, [[dq]])
+    q, den = [[x * dr for x in row] for row in q], dq * dr
+    bound = _degree_bound(q, rs, max(len(f1), len(f2)) - 1) + 1
     if bound < 0:
         return None
     deg = min(bound, max_deg)
     cols = []
-    q_kp1, kpow = q, _ONE  # q(k) (k+1)^i and k^i
     for _ in range(deg + 1):
-        cols.append(q_kp1 - rstar * kpow)
-        q_kp1 = q_kp1 * _K_PLUS_1
-        kpow = kpow * _K
-    vecs = [v for v in _nullspace(_int_rows(cols + [-rhs1, -rhs2]))
-            if v[-1] or v[-2]]
+        # q is c Q(k) (k+1)^i and rs is R*(k) k^i, both times den
+        col = [_zsub(a, b) for a, b in zip_longest(q, rs, fillvalue=[])]
+        while col and not col[-1]:
+            col.pop()
+        cols.append(col)
+        q = [_zsub(a, [-x for x in b]) for a, b in zip(q + [[]], [[]] + q)]
+        rs = [[]] + rs
+    cols += [f1, f2]
+    scales = [d1 * d2] * (deg + 1) + [-den * d2, -den * d1]
+    rows = []
+    for m in range(max(map(len, cols))):
+        row = [[x * t for x in g[m]] if m < len(g) else []
+               for g, t in zip(cols, scales)]
+        ct = gcd(*(x for e in row for x in e))
+        rows.append([[x // ct for x in e] for e in row] if ct > 1 else row)
+    vecs = [v for v in _nullspace(rows) if v[-1] or v[-2]]
     if not vecs:
         return None
     vec = next((v for v in vecs if v[-1]), vecs[0])
-    return _assemble(vec, deg, rstar, rhs2, r)
+    return _assemble(vec, deg, rs_f, f2, d2, r)
 
 
-def _assemble(vec: list[list[int]], deg: int, rstar: MultiPoly,
-              pd: MultiPoly, r: int) -> Recurrence:
+def _assemble(vec: list[list[int]], deg: int, rs_f: list[Affine],
+              pd: list[list[int]], pd_den: int, r: int) -> Recurrence:
     """Rescale a nullspace vector (x_0..x_deg, p1, p2) over Z[n] to the
-    canonical polynomial pair and build the recurrence.
+    canonical polynomial pair and build the recurrence, from the factors
+    of R* = R(k-1) and from P Dn as the integer grid pd over pd_den.
 
     The pair (p1, p2) is divided by g = gcd(p1, p2), primitive in Z[n]
     (g = 1 when p2 = 0), and by its joint integer content ct, signed so
     that the leading coefficient of p2 (of p1 when p2 = 0) is positive.
-    The certificate R(k-1) x(k) / (P(k) Dn(k)) takes the same scale
-    1/(ct g).  It is printed over the lcm of the reduced denominators of
-    its coefficients in k, which is g/h for h the gcd of g and those
-    coefficients of R(k-1) x(k).
+    The certificate R* x / (P Dn) takes the same scale 1/(ct g), over the
+    lcm g/h of the reduced denominators of its coefficients in k, h the
+    gcd of g and those coefficients of R* x.  The vector's content c in
+    Z[n] divides g, h and R* x, so x/c and g/c give the same recurrence.
     """
     p1n, p2n = vec[-2], vec[-1]
     g = _zgcd(p1n, p2n) if p2n else [1]
@@ -580,19 +546,28 @@ def _assemble(vec: list[list[int]], deg: int, rstar: MultiPoly,
     ct = gcd(*a, *b)
     if (b or a)[-1] < 0:
         ct = -ct
-    rx = rstar * _kn_poly(vec[:deg + 1])
-    # rx = s sum_m c_m(n) k^m with the c_m in Z[n], jointly primitive
-    s = rx.content() or Fraction(1)
-    cs = _common_ints([c.as_unipoly("n") for c in rx.coeffs_in("k")])
-    h = g
-    for c in cs:
+    c, xs = g, []  # xs: the x_i so far divided by c
+    for x in vec[:deg + 1]:
+        try:
+            xs.append(_zdiv(x, c))
+        except ValueError:
+            c = _zgcd(c, x)
+            xs = [_zdiv(y, c) for y in vec[:len(xs) + 1]]
+    g = h = _zdiv(g, c)
+    rx, rx_den = _grid(rs_f, xs)
+    for row in rx:
         if len(h) == 1:
             break
-        h = _zgcd(h, c)
-    return Recurrence(r=r, p1=_n_poly([c // ct for c in a]),
-                      p2=_n_poly([c // ct for c in b]),
-                      cert=_primitive_pair(_kn_poly([_zdiv(c, h) for c in cs]) * (s / ct),
-                                           pd * _n_poly(_zdiv(g, h))))
+        h = _zgcd(h, row)
+    # cert = s (rx / h) / (pd g / h)
+    s = Fraction(pd_den, rx_den * ct)
+    g_h = [x * s.denominator for x in _zdiv(g, h)]
+    return Recurrence(r=r, p1=_kn_poly([[x // ct for x in a]]),
+                      p2=_kn_poly([[x // ct for x in b]]),
+                      cert=_primitive_pair(
+                          _kn_poly([[x * s.numerator for x in _zdiv(row, h)]
+                                    for row in rx]),
+                          _kn_poly([_zmul(row, g_h) for row in pd])))
 
 
 def derive_recurrence(term: HypTerm, max_deg: int = 8,

@@ -1,9 +1,19 @@
-"""Test-only alternating control summands: instantiated, they admit no
-two-term recurrence at unit n-offset, so the solver must return None."""
+"""Test-only summands: alternating controls, which instantiated admit no
+two-term recurrence at unit n-offset, so the solver must return None, and
+family summands at any tuple."""
 
 from fractions import Fraction
 
-from hyperaccel.hypergeom_terms import HypTerm, _poch, _term
+from hyperaccel.hypergeom_terms import FamilyId, HypTerm, _poch, _term, family_term
+
+
+def family_point(family: FamilyId, params) -> HypTerm:
+    """The family summand at a parameter tuple, substituted as
+    `family_instantiate` does, without its refusal of a tuple that puts
+    a Gamma factor free of n and k at a pole: the properties over random
+    tuples hold for the summand's ratios there too."""
+    point = {name: Fraction(v) for name, v in zip(family.param_names, params)}
+    return family_term(family).subst(point)
 
 
 def alt_control_single_offset(a, b, c) -> HypTerm:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import prod
 
 from hyperaccel.exact_arith import MultiPoly, _primitive_pair
-from hyperaccel.telescoper import _solve
+import solver_reference
 
 _ONE = MultiPoly.one()
 
@@ -139,6 +139,6 @@ def solver_inputs(term, r):
 
 
 def reference_recurrence(term, r, max_deg=8):
-    """The recurrence, or None, that the solver derives from the
-    reference inputs."""
-    return _solve(*solver_inputs(term, r), r, max_deg)
+    """The recurrence, or None, that the MultiPoly reference solver
+    derives from the reference inputs."""
+    return solver_reference.solve(*solver_inputs(term, r), r, max_deg)

@@ -28,6 +28,7 @@ from hyperaccel.numerics import direct_sum
 from hyperaccel.telescoper import Recurrence, derive_recurrence, zeilberger_two_term
 
 import oracle_reference
+from control_summands import family_point
 from quotient_helpers import quotient_eval, same_quotient
 
 
@@ -222,7 +223,7 @@ def test_k_series_matches_reference_oracle_on_random_summands():
         for _ in range(20):
             params = [F(rng.randint(-6, 6), rng.randint(1, 4))
                       for _ in family.param_names]
-            cases.append((family_instantiate(family, params),
+            cases.append((family_point(family, params),
                           F(rng.randint(-8, 30), rng.randint(1, 3))))
     outcomes = [_same_as_oracle_reference(term, n0, digits)
                 for term, n0 in cases for digits in (2, 4)]
@@ -335,6 +336,62 @@ def test_stream_ratio_matches_consecutive_terms():
         assert num.eval(j) / den.eval(j) == terms[j + 1] / terms[j]
 
 
+_line_polys = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=4),
+                       max_size=4).map(UniPoly.from_coeffs)
+_line_points = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys=st.lists(st.tuples(_line_polys, _line_points, _line_points),
+                      min_size=1, max_size=4),
+       scalar=st.integers(-50, 50), b=st.integers(1, 12))
+def test_j_product_bound_and_image_match_expansion(polys, scalar, b):
+    """A `_JProduct` of the p(a + b j) is scalar/den times integer
+    factors: its image at 2^b is den/scalar times the expanded product's
+    value there, and its bound holds for the l1 norm of the expansion of
+    the integer factors."""
+    product = accelerator._JProduct(polys)
+    product.scalar = scalar
+    assert product.den > 0
+    expanded = UniPoly.one()
+    for p, a, step in polys:
+        expanded = expanded * p.compose(a, step)
+    integer = expanded * (scalar * product.den)
+    assert product.image(b, 0) == integer.eval(2 ** b)
+    assert all(c.denominator == 1 for c in integer.coeffs)
+    bound = product.bound()
+    assert sum(abs(c) for c in integer.coeffs) <= bound.norm
+
+
+def _display_variants(s):
+    """The display and six num variants, scaled by 3 and by -1, shifted by
+    1, -1 and 1/7, and with num(0) set to 0, each with z, -z and 2z."""
+    num = s.num
+    nums = [num, num * 3, num * -1, num.shift(1), num.shift(-1),
+            num.shift(F(1, 7)), num - UniPoly.from_coeffs([num.coeff(0)])]
+    return [ChuSeries(z, s.upper, s.lower, p, s.den)
+            for p in nums for z in (s.z, -s.z, 2 * s.z)]
+
+
+def test_same_quotient_matches_the_expanded_cross_product(derivation_recipes):
+    """On every display with a recipe, and on 20 variants of each, the
+    stream's Kronecker verdict is dn sd == sn dd on the expanded term
+    quotients of the series and of `stream_ratio`."""
+    verdicts = []
+    for e, term, rec in derivation_recipes:
+        if e.chu is None:
+            continue
+        stream = AccelStream(term, rec, e.derivation.n0)
+        sn, sd = stream.ratio
+        for series in _display_variants(e.chu):
+            dn, dd = series.ratio_parts()
+            want = dn * sd == sn * dd
+            assert stream.same_quotient(series) is want, e.id
+            verdicts.append(want)
+    assert len(verdicts) == 1407
+    assert 67 <= sum(verdicts) < len(verdicts)
+
+
 def _reference_iter_accelerated(term, rec, n0):
     """Stream terms with cert and rho_n evaluated as MultiPolys at each step."""
     rho_n = n_shift_ratio(term, rec.r)
@@ -399,7 +456,7 @@ def test_random_family_streams_match_reference_and_bracket_form(data):
     params = data.draw(st.tuples(*[_heights] * len(family.param_names)),
                        label="params")
     n0 = data.draw(st.builds(F, st.integers(1, 8), st.integers(1, 4)), label="n0")
-    term = family_instantiate(family, params)
+    term = family_point(family, params)
     rec = derive_recurrence(term)
     assume(rec is not None)
     terms = _first_terms(_stream_terms(term, rec, n0), 12)

@@ -12,6 +12,7 @@ from hyperaccel.accelerator import (ChuSeries, accelerated_stream, chu_normalize
                                     stream_proportional)
 from hyperaccel import catalog, hypergeom_terms
 from hyperaccel.catalog import (CatalogEntry, catalog_entries, closed_text,
+                                derivation_recurrence, derivation_term,
                                 derive_entry, entry, export_lines,
                                 parse_closed_text, parse_series_text,
                                 series_text, verify_entry, verify_series)
@@ -88,6 +89,23 @@ def test_series_text_roundtrip():
     for e in ENTRIES:
         if e.chu is not None:
             assert parse_series_text(series_text(e.chu)) == e.chu, e.id
+
+
+_text_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+_text_polys = st.lists(_text_fractions, min_size=1, max_size=5).map(
+    UniPoly.from_coeffs).filter(lambda p: not p.is_zero)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=_text_fractions,
+       upper=st.lists(_text_fractions, max_size=4).map(tuple),
+       lower=st.lists(_text_fractions, max_size=4).map(tuple),
+       num=_text_polys, den=_text_polys)
+def test_series_text_roundtrip_on_random_series(z, upper, lower, num, den):
+    """Any bracket series with nonzero num and den survives printing and
+    parsing, whatever its z, parameters and polynomial coefficients."""
+    s = ChuSeries(z, upper, lower, num, den)
+    assert parse_series_text(series_text(s)) == s
 
 
 def test_closed_text_roundtrip():
@@ -239,6 +257,54 @@ def test_derive_entry_builds_each_shift_ratio_once(monkeypatch):
         assert sorted(built) == [("k", 1)] * solver + [("n", e.derivation.r)], e.id
         solved += solver
     assert solved == 39
+
+
+def test_derive_expands_nothing_to_solve_or_compare(monkeypatch):
+    """Over all 95 recipes, derive_entry builds no expanded stream
+    quotient (no `stream_ratio`, no `UniPoly.compose`), and on the 39
+    solver recipes `_solve` and `_assemble` take no MultiPoly product,
+    `coeffs_in` or `as_unipoly`."""
+    from hyperaccel import accelerator, telescoper
+    from hyperaccel.exact_arith import MultiPoly
+
+    solving, seen = [], []
+
+    def watch(owner, name, refuse=False):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if refuse or solving:
+                seen.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    solve = telescoper._solve
+
+    def watched_solve(*args):
+        solving.append(args)
+        try:
+            return solve(*args)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(telescoper, "_solve", watched_solve)
+    for name in ("__mul__", "__rmul__", "coeffs_in", "as_unipoly"):
+        watch(MultiPoly, name)
+    watch(accelerator, "stream_ratio", refuse=True)
+    watch(UniPoly, "compose", refuse=True)
+    solved = 0
+    for e in ENTRIES:
+        if e.derivation is None:
+            continue
+        rep = derive_entry(e.id)
+        assert rep.recurrence_found and not seen, (e.id, seen)
+        solved += builtin_recurrence(e.derivation.family) is None
+    assert solved == 39
+    # the watch is live: the expanded quotient trips it
+    e = entry("Q1")
+    accelerated_stream(derivation_term(e), derivation_recurrence(e), e.derivation.n0,
+                       check_vanishing=False).ratio
+    assert seen[0] == "stream_ratio"
 
 
 @pytest.mark.parametrize("index, delta", [

@@ -175,6 +175,21 @@ def test_tuple_without_recurrence_fails_with_one_message(capsys, argv):
                    " twenty7-32 with the given parameters\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("derive", "--n", "1"), ("derive",), ("rate",), ("accelerate", "--n", "1"),
+    ("accelerate", "--n", "1", "--chu")],
+    ids=["derive-n", "derive", "rate", "accelerate", "accelerate-chu"])
+@pytest.mark.parametrize("family,params,message", [
+    ("quarter", "0,0,0,0,0,0", "parameter a = 0 puts Gamma(a) at a pole"),
+    ("quarter", "1/3,-2,1,1/3,1/3,2/3", "parameter b = -2 puts Gamma(b) at a pole"),
+    ("neg-64", "-1,2/3,0", "parameter a = -1 puts Gamma(a) at a pole")])
+def test_degenerate_tuple_is_usage_error(capsys, argv, family, params, message):
+    """A tuple that puts a Gamma factor free of n and k at a pole ends in
+    exit 2 with one line naming the parameter and the factor."""
+    code, out, err = run(capsys, *argv, "--family", family, "--params", params)
+    assert (code, out, err) == (2, "", f"hyperaccel: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # accelerate
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from hyperaccel.exact_arith import (
     rational_roots,
 )
 
-from multipoly_helpers import from_unipoly
+from multipoly_helpers import content, from_unipoly
 from quotient_helpers import quotient_eval, same_quotient
 
 F = Fraction
@@ -511,7 +511,7 @@ def test_unipoly_exact_div_of_planted_products(p, q, noise):
 @example(P(F(-6, 5), F(9, 10)), P())
 def test_unipoly_content_primitive_gcd_match_reference(p, q):
     rp, rq = _RefUni.of(p), _RefUni.of(q)
-    assert p.content() == rp.content()
+    assert content(p) == rp.content()
     assert p.primitive().coeffs == rp.primitive().coeffs
     assert p.gcd(q).coeffs == rp.gcd(rq).coeffs
     assert p.lc == rp.lc

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperaccel.catalog import catalog_entries, derivation_term
 from hyperaccel.exact_arith import Affine, MultiPoly
 from hyperaccel.hypergeom_terms import (
     FamilyId,
@@ -20,6 +21,7 @@ from hyperaccel.hypergeom_terms import (
 )
 
 import factor_reference
+from control_summands import family_point
 from quotient_helpers import quotient_eval, same_quotient
 
 F = Fraction
@@ -39,6 +41,38 @@ def test_family_arities():
 def test_instantiate_length_check():
     with pytest.raises(ValueError, match="expects 6 parameters"):
         family_instantiate(FamilyId.QUARTER, [F(1, 3)] * 5)
+
+
+@pytest.mark.parametrize("family,params,message", [
+    (FamilyId.QUARTER, [0] * 6, "parameter a = 0 puts Gamma(a) at a pole"),
+    (FamilyId.NEG_QUARTER, [F(1, 2), -3, 1],
+     "parameter b = -3 puts Gamma(b) at a pole"),
+    (FamilyId.FOUR_27, [F(-7), F(1, 2), 1],
+     "parameter a = -7 puts Gamma(a) at a pole"),
+    (FamilyId.NEG_27, [0, F(1, 2), 1, 1], "parameter a = 0 puts Gamma(a) at a pole"),
+])
+def test_instantiate_refuses_a_constant_gamma_factor_at_a_pole(family, params, message):
+    with pytest.raises(ValueError) as info:
+        family_instantiate(family, params)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("family,params", [
+    # a pole only at some n or k, or at a noninteger or positive argument
+    (FamilyId.QUARTER, [F(-1, 2), F(1, 3), -4, -5, 0, 0]),
+    (FamilyId.NEG_QUARTER, [F(1, 2), 1, -3]),
+    (FamilyId.SIXTEEN_27_A, [-100, F(1, 2)]),
+    (FamilyId.TWENTY7_32, [0, -1]),
+])
+def test_instantiate_accepts_tuples_with_no_constant_factor_at_a_pole(family, params):
+    assert family_instantiate(family, params) == family_point(family, params)
+
+
+def test_no_catalog_recipe_puts_a_factor_at_a_pole():
+    recipes = [e for e in catalog_entries() if e.derivation is not None]
+    assert len(recipes) == 95
+    for e in recipes:
+        derivation_term(e)
 
 
 # -- hand-expanded ratio oracles ----------------------------------------------
@@ -217,7 +251,7 @@ _fractions = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
 @given(data=st.data())
 def test_instantiated_ratio_parts_match_reference(family, r, data):
     params = data.draw(st.tuples(*[_fractions] * len(family.param_names)))
-    term = family_instantiate(family, params)
+    term = family_point(family, params)
     _same_parts(term, "k", 1)
     _same_parts(term, "n", r)
 

@@ -20,7 +20,7 @@ from hyperaccel.exact_arith import (VARS, Affine, MultiPoly, UniPoly,
                                     _primitive_pair)
 
 import subst_reference
-from multipoly_helpers import from_unipoly, total_degree
+from multipoly_helpers import content, from_unipoly, lead_coeff, total_degree
 
 F = Fraction
 _NVARS = len(VARS)
@@ -179,8 +179,8 @@ def test_terms_order_str_content_lead_match_reference(d):
     p, r = both(d)
     assert same(p, r)
     assert dict(p.terms) == r.as_dict()
-    assert p.content() == r.content()
-    assert p.lead_coeff() == r.lead_coeff()
+    assert content(p) == r.content()
+    assert lead_coeff(p) == r.lead_coeff()
     assert p.is_zero == (not r.terms)
 
 
@@ -313,7 +313,7 @@ def test_primitive_pair_gives_integer_jointly_primitive_parts(dn, dd):
     coeffs = [c for part in (pn, pd) for _, c in part.terms]
     assert all(c.denominator == 1 for c in coeffs)
     assert gcd(*(c.numerator for c in coeffs)) == 1
-    assert pd.lead_coeff() > 0
+    assert lead_coeff(pd) > 0
     assert pn * den == num * pd
 
 

@@ -1,9 +1,11 @@
 """The package imports nothing outside the Python standard library, its
 export list names only what it defines and what the package or the
-benchmark uses, and everything it defines is used by one of them."""
+benchmark uses, everything it defines is used by one of them, and its
+syntax is that of the oldest Python it declares."""
 
 import ast
 import pathlib
+import re
 import sys
 import types
 
@@ -33,6 +35,20 @@ def test_every_import_is_hyperaccel_or_stdlib():
             top = name.split(".")[0]
             assert top == "hyperaccel" or top in sys.stdlib_module_names, (
                 f"{path.name} imports {name}")
+
+
+def test_source_parses_at_the_declared_python_floor():
+    """Every module parses as Python 3.10, the floor `pyproject.toml`
+    declares.  This checks syntax only: a standard-library function or
+    argument added after 3.10 still passes, and only a run under 3.10
+    shows it."""
+    floor = re.search(r'requires-python = ">=3\.(\d+)"',
+                      (ROOT / "pyproject.toml").read_text())
+    assert floor and int(floor.group(1)) == 10
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) >= 10
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_every_exported_name_resolves():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import hyperaccel.exact_arith as exact_arith
 from hyperaccel.catalog import catalog_entries, derivation_term, derive_entry, entry
-from hyperaccel.exact_arith import Affine, MultiPoly, _zdiv, _zmul, _zsub
+from hyperaccel.exact_arith import (Affine, MultiPoly, _kronecker_zero, _zdiv,
+                                    _zgcd, _zmul, _zsub)
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     family_instantiate,
@@ -26,7 +27,6 @@ import hyperaccel.telescoper as telescoper
 from hyperaccel.telescoper import (
     _Product,
     _image_bits,
-    _kronecker_zero,
     _normal_form,
     _nullspace,
     builtin_recurrence,
@@ -41,7 +41,9 @@ from hyperaccel.telescoper import (
 
 import factor_reference
 import subst_reference
-from control_summands import alt_control_double_offset, alt_control_single_offset
+from control_summands import (alt_control_double_offset, alt_control_single_offset,
+                              family_point)
+from multipoly_helpers import content
 from quotient_helpers import quotient_eval, same_ratio
 
 _N_IDX = 6  # position of n in the exponent vectors
@@ -202,7 +204,7 @@ def test_solver_on_random_family_points(family, r, data):
     systems some hundreds of bits wide, so `_nullspace` runs on wide
     images end to end."""
     params = data.draw(st.tuples(*[_small_fractions] * len(family.param_names)))
-    term = family_instantiate(family, params)
+    term = family_point(family, params)
     rec = zeilberger_two_term(term, r)
     if family is FamilyId.TWENTY7_32:
         assert rec is None
@@ -227,7 +229,7 @@ def test_derived_normalization_conventions():
     p1 = rec.p1.as_unipoly("n")
     p2 = rec.p2.as_unipoly("n")
     assert p2.lc > 0
-    c1, c2 = p1.content(), p2.content()
+    c1, c2 = content(p1), content(p2)
     assert c1.denominator == 1 and c2.denominator == 1
     from math import gcd
     assert gcd(c1.numerator, c2.numerator) == 1
@@ -689,7 +691,7 @@ def test_row_solver_matches_the_multipoly_reference(family, r, data):
     recurrence, or None, that the reference's expanded P, Q, R*, Nn and
     Dn give."""
     params = data.draw(st.tuples(*[_small_fractions] * len(family.param_names)))
-    term = family_instantiate(family, params)
+    term = family_point(family, params)
     sk, nk, dk = k_ratio_parts(term)
     _, nn, dn = n_ratio_parts(term, r)
     p_f, c, q_f, r_f = _normal_form(sk, nk + dn,
@@ -697,6 +699,82 @@ def test_row_solver_matches_the_multipoly_reference(family, r, data):
     ref_p, ref_c, ref_q, ref_r = factor_reference.solver_normal_form(term, r)
     assert (_polys(p_f), c, _polys(q_f), _polys(r_f)) == (ref_p, ref_c, ref_q, ref_r)
     assert zeilberger_two_term(term, r) == factor_reference.reference_recurrence(term, r)
+
+
+# the recipes whose nullspace vector has a content smaller than
+# gcd(p1, p2): some x_i is not divisible by that gcd
+_FALLBACK_RECIPES = ("F427-1", "S64-2", "S64-6", "S64-R1", "S64-R3", "S2764-2",
+                     "S2764-3")
+
+
+def _pinned_solves():
+    with open(_PINS) as fh:
+        pins = json.load(fh)
+    for pin in pins:
+        name = pin.get("recipe", pin.get("control"))
+        term = (derivation_term(entry(name)) if "recipe" in pin
+                else _CONTROLS[name]())
+        yield name, term, pin["r"]
+
+
+def test_grid_solver_matches_the_multipoly_reference_on_pinned_solves():
+    """On the 39 recipe solves and the 6 controls of the pins, the grid
+    solver returns the MultiPoly reference's recurrence, or None."""
+    count = 0
+    for name, term, r in _pinned_solves():
+        assert zeilberger_two_term(term, r) == factor_reference.reference_recurrence(
+            term, r), name
+        count += 1
+    assert count == 45
+
+
+def _divides(a, b):
+    try:
+        _zdiv(b, a)
+    except ValueError:
+        return False
+    return True
+
+
+def test_vector_content_takes_the_gcd_fallback_on_seven_recipes(monkeypatch):
+    """gcd(p1, p2) divides every x_i of the solver's nullspace vector,
+    so is its content, except on the seven fallback recipes, which the
+    pinned solves above check against the reference."""
+    vectors = {}
+    assemble = telescoper._assemble
+
+    def record(vec, deg, *args):
+        vectors[name] = vec, deg
+        return assemble(vec, deg, *args)
+
+    monkeypatch.setattr(telescoper, "_assemble", record)
+    for name, term, r in _pinned_solves():
+        zeilberger_two_term(term, r)
+    fallback = set()
+    for name, (vec, deg) in vectors.items():
+        g = _zgcd(vec[-2], vec[-1])
+        if not all(_divides(g, x) for x in vec[:deg + 1]):
+            fallback.add(name)
+    assert fallback == set(_FALLBACK_RECIPES)
+
+
+@settings(max_examples=30, deadline=None)
+@given(recipe=st.sampled_from(_FALLBACK_RECIPES + ("Q1", "FR-1", "S64-4")),
+       factor=st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(
+           lambda u: u[-1] != 0))
+def test_assemble_divides_out_a_polynomial_factor_of_the_vector(recipe, factor):
+    """`_assemble` gives the same recurrence from the solver's vector
+    times any nonzero u in Z[n], so only the vector's direction counts."""
+    term = derivation_term(entry(recipe))
+    calls = []
+    assemble = telescoper._assemble
+    try:
+        telescoper._assemble = lambda *args: calls.append(args) or assemble(*args)
+        rec = zeilberger_two_term(term, entry(recipe).derivation.r)
+    finally:
+        telescoper._assemble = assemble
+    (vec, deg, *rest), = calls
+    assert assemble([_zmul(x, factor) for x in vec], deg, *rest) == rec
 
 
 # ---------------------------------------------------------------------------
