@@ -42,6 +42,7 @@ from hyperaccel.hypergeom_terms import (
 from hyperaccel.numerics import Enclosure, chu_eval_terms, default_term_budget
 from hyperaccel.telescoper import (
     Recurrence,
+    SymbolicRecurrence,
     builtin_recurrence,
     builtin_residual,
     derive_recurrence,
@@ -61,6 +62,7 @@ __all__ = [
     "MultiPoly",
     "Rational",
     "Recurrence",
+    "SymbolicRecurrence",
     "UniPoly",
     "accelerated_stream",
     "builtin_recurrence",

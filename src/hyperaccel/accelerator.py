@@ -11,10 +11,11 @@ and unrolling from a start point n0 yields the accelerated series.  The
 stream is normalized by F(n0, 0), so every term is an exact rational
 number built from the certificate, p1, p2, and the n-shift ratio of the
 summand evaluated along nu_j = n0 + r j.  The certificate and the ratio
-are reduced once to univariate polynomials in n at k = 0, so each term
-costs a few Horner evaluations.  AccelStream generates the terms lazily
-and compares the term quotient t_{j+1}/t_j with a series' on one integer
-image of their factors; it expands the quotient into UniPolys on use.
+enter at k = 0: row 0 of the certificate's grids and of the grids of the
+ratio's affine factors, UniPolys in n, so each term costs a few Horner
+evaluations.  AccelStream generates the terms lazily and compares the
+term quotient t_{j+1}/t_j with a series' on one integer image of their
+factors; it expands the quotient into UniPolys on use.
 
 Unrolling is valid only when the remainder after m steps dies off.
 vanishing_check estimates that remainder in double precision: the
@@ -53,10 +54,10 @@ from math import prod
 from typing import Iterator, Optional, Sequence
 
 from hyperaccel.exact_arith import (Scalar, UniPoly, _Bound, _kronecker_zero,
-                                    _zeval, index_roots, rational_roots)
+                                    _unipoly, _zeval, index_roots, rational_roots)
 from hyperaccel.hypergeom_terms import HypTerm, k_ratio_parts, n_ratio_parts
 from hyperaccel.numerics import direct_sum
-from hyperaccel.telescoper import Recurrence
+from hyperaccel.telescoper import Recurrence, _grid
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -74,12 +75,10 @@ _UNROLL_STEPS = 200
 def convergence_rate(rec: Recurrence) -> Fraction:
     """Limit of -p1(n)/p2(n) as n grows; 0 when deg p1 < deg p2.
 
-    The recurrence must be instantiated so p1 and p2 are univariate in
-    n.  Raises when deg p1 exceeds deg p2, since the unrolled stream
-    then cannot converge.
+    Raises when deg p1 exceeds deg p2, since the unrolled stream then
+    cannot converge.
     """
-    p1 = rec.p1.as_unipoly("n")
-    p2 = rec.p2.as_unipoly("n")
+    p1, p2 = rec.p1, rec.p2
     if p2.is_zero or p1.degree > p2.degree:
         raise ValueError("divergent acceleration")
     if p1.degree < p2.degree:
@@ -128,8 +127,7 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
     passes; fabricated coefficients with |g2| >= 1 fail, and so does a
     series the oracle refuses to sum at some shifted point.
     """
-    p1 = rec.p1.as_unipoly("n")
-    p2 = rec.p2.as_unipoly("n")
+    p1, p2 = rec.p1, rec.p2
     nu = Fraction(n0)
     pre = 1.0
     vals = []
@@ -158,18 +156,16 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
 
 def _stream_parts(term: HypTerm, rec: Recurrence) -> tuple[UniPoly, ...]:
     """p1, p2, and the numerators and denominators of the certificate and
-    of the n-shift ratio at k = 0, as polynomials in n.  p1 and p2 are
-    free of k, as `convergence_rate` requires.  The ratio's parts are
-    the products of its affine factors at k = 0, each linear in n; its
-    sign is 1."""
+    of the n-shift ratio at k = 0, as polynomials in n: row 0 of the
+    certificate's grids and of the `telescoper._grid` of the ratio's
+    affine factors, whose sign is 1."""
     _, num, den = n_ratio_parts(term, rec.r)
-    parts = [rec.p1.as_unipoly("n"), rec.p2.as_unipoly("n")]
-    # the certificate at k = 0 is its k^0 coefficient; a zero part has none
-    parts.extend((part.coeffs_in("k") or [part])[0].as_unipoly("n")
-                 for part in rec.cert)
+    parts = [rec.p1, rec.p2]
+    # a zero grid has no row 0
+    parts.extend(UniPoly(grid[0] if grid else ()) for grid in rec.cert)
     for factors in (num, den):
-        parts.append(prod((f.subst({"k": 0}).as_unipoly("n") for f in factors),
-                          start=UniPoly.one()))
+        rows, d = _grid(factors)
+        parts.append(_unipoly(list(rows[0]), d))
     return tuple(parts)
 
 
@@ -300,7 +296,7 @@ def accelerated_stream(term: HypTerm, rec: Recurrence, n0: Scalar,
     is generated.  Unless disabled, the remainder estimate must pass
     vanishing_check, else ValueError("remainder does not vanish").
     """
-    p2 = rec.p2.as_unipoly("n")
+    p2 = rec.p2
     poles = [0] if p2.is_zero else index_roots(p2, n0, rec.r)
     if poles:
         raise ValueError(f"pole in accelerated stream at term {poles[0]}")

@@ -34,8 +34,9 @@ from typing import Optional
 # uninstalls its wrappers
 from .accelerator import (ChuSeries, accelerated_stream, chu_normalize,
                           convergence_rate)
-from .exact_arith import MultiPoly, UniPoly
-from .hypergeom_terms import FamilyId, GammaFactor, HypTerm, family_instantiate
+from .exact_arith import UniPoly
+from .hypergeom_terms import (FamilyId, HypTerm, _binom_n_k, _poch,
+                              family_instantiate)
 from .numerics import (ClosedForm, Enclosure, chu_eval_terms, closedform_eval,
                        radii_within)
 from .telescoper import builtin_recurrence, specialize, zeilberger_two_term
@@ -897,26 +898,20 @@ def verify_entry(rid: str, digits: int,
 # ---------------------------------------------------------------------------
 
 
+# binom(n,k) (1)_k / (2n+b)_{k+a} with a and b free
+_VARIANT = HypTerm(tuple(_binom_n_k() + _poch("1", "k", 1)
+                         + _poch("2n + b", "k + a", -1)))
+
+
 def _variant_base_in_n(a: Fraction, b: Fraction) -> HypTerm:
     """binom(n,k) (1)_k / (2n+b)_{k+a} with the Pochhammer base affine in n.
 
     The stored family reads the base as 2k+b and admits no two-term
     recurrence at small n-offsets; this reading reproduces the stored
-    rate 27/32 display.
+    rate 27/32 display.  The symbolic summand is built once, and a tuple
+    is substituted into its `Affine` rows, as `family_instantiate` does.
     """
-    one = MultiPoly.one()
-    n = MultiPoly.var("n")
-    k = MultiPoly.var("k")
-    base = MultiPoly.affine(b, n=2)
-    return HypTerm((
-        GammaFactor(n + one, 1),
-        GammaFactor(k + one, -1),
-        GammaFactor(n - k + one, -1),
-        GammaFactor(one + k, 1),
-        GammaFactor(one, -1),
-        GammaFactor(base + k + MultiPoly.const(a), -1),
-        GammaFactor(base, 1),
-    ))
+    return _VARIANT.subst({"a": a, "b": b})
 
 
 def derivation_term(e: CatalogEntry) -> HypTerm:

@@ -27,7 +27,7 @@ from typing import Optional
 from .accelerator import accelerated_stream, chu_normalize, convergence_rate
 from .catalog import (catalog_entries, entry, export_text, series_text,
                       verify_entry)
-from .exact_arith import MultiPoly, decimal_text
+from .exact_arith import VARS, MultiPoly, UniPoly, decimal_text
 from .hypergeom_terms import FamilyId, family_instantiate
 from .numerics import chu_eval_terms
 from .telescoper import (builtin_residual, derive_recurrence,
@@ -118,9 +118,15 @@ def _env_max_terms() -> Optional[int]:
     return value
 
 
-def _ascending_coeffs(p: MultiPoly, name: str) -> str:
-    u = p.as_unipoly(name)
-    return "[" + ",".join(str(u.coeff(i)) for i in range(u.degree + 1)) + "]"
+def _ascending_coeffs(p: UniPoly) -> str:
+    return "[" + ",".join(map(str, p.coeffs)) + "]"
+
+
+def _grid_text(rows) -> str:
+    """The grid sum_j rows[j](n) k^j in MultiPoly's text."""
+    return str(MultiPoly.from_dict({
+        tuple(i if v == "n" else j if v == "k" else 0 for v in VARS): c
+        for j, row in enumerate(rows) for i, c in enumerate(row)}))
 
 
 def _emit(fmt: str, columns: list[str]) -> None:
@@ -174,9 +180,9 @@ def _cmd_derive(args) -> int:
     term, rec = _build_recurrence(family, args.params, args.r, args.max_deg)
     _emit(args.format, ["family", family.value])
     _emit(args.format, ["r", str(rec.r)])
-    _emit(args.format, ["p1", _ascending_coeffs(rec.p1, "n")])
-    _emit(args.format, ["p2", _ascending_coeffs(rec.p2, "n")])
-    cert_num, cert_den = rec.cert
+    _emit(args.format, ["p1", _ascending_coeffs(rec.p1)])
+    _emit(args.format, ["p2", _ascending_coeffs(rec.p2)])
+    cert_num, cert_den = map(_grid_text, rec.cert)
     _emit(args.format, ["cert", f"({cert_num})/({cert_den})"])
     _emit(args.format, ["rate", str(convergence_rate(rec))])
     if args.n is not None:

@@ -9,12 +9,17 @@ the dense univariate polynomial over Q, is a tuple of integer numerators
 over one positive denominator, jointly in lowest terms, and implements
 every operation on those lists; its `coeffs`, `lc` and `eval` give
 Fractions.  Its `gcd` is the monic gcd over Q, and `exact_div` divides
-primitive parts, whose quotient lies in Z[x] by Gauss's lemma.  The
-recurrence solver's grids, gcds, exact quotients and Kronecker zero
-test (`_kronecker_zero`) run on the same lists.
+primitive parts, whose quotient lies in Z[x] by Gauss's lemma.  An
+instantiated recurrence lives on the same lists from the solver to the
+stream: p1 and p2 are UniPolys in n, and its certificate is a pair of
+integer grids in n and k, rows of these lists over the powers of k
+(`telescoper.Recurrence`).  The solver's gcds, exact quotients and
+Kronecker zero test (`_kronecker_zero`) run on them.
 
 `MultiPoly` is a sparse multivariate polynomial over the fixed variable
-universe `VARS`.  It stores nonzero integer numerators over one positive
+universe `VARS`, for the symbolic forms: the stored recurrences with free
+parameters a-f and their expanded residuals, and the family summands
+before their Gamma arguments become `Affine` rows.  It stores nonzero integer numerators over one positive
 common denominator, jointly in lowest terms, so equality and hashing are
 canonical.  Each exponent vector is packed into one integer key of 16-bit
 fields with VARS[0] in the most significant field: ascending keys are
@@ -29,14 +34,14 @@ outside equality and hashing.  A rational function is a plain
 (numerator, denominator) pair of MultiPolys.  `_primitive_pair` gives
 it integer, jointly primitive parts and a positive leading denominator
 coefficient, by integer gcd only (no multivariate gcd is attempted), so
-two equal quotients can have different parts; it is applied only where
-the parts reach printed output or a float.
+two equal quotients can have different parts.
 
 `Affine` is a polynomial of degree at most one over VARS kept as one
 integer row, a coefficient per variable and the constant, over one
 positive denominator, jointly in lowest terms.  It substitutes values
-and shifts variables on the row, and becomes a MultiPoly only where a
-product is expanded.
+and shifts variables on the row, and becomes a MultiPoly only for an
+expanded residual; the solver, its re-check and the stream multiply
+the rows into integer grids (`telescoper._grid`).
 
 All arithmetic here is exact; nothing in this module rounds.
 """
@@ -287,10 +292,6 @@ class UniPoly:
         return _unipoly([c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly()
-
-    @staticmethod
     def one() -> "UniPoly":
         return UniPoly((1,))
 
@@ -348,12 +349,6 @@ class UniPoly:
                         self.denominator * other.denominator)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "UniPoly":
-        out = UniPoly.one()
-        for _ in range(e):
-            out = out * self
-        return out
 
     def scale(self, c: Scalar) -> "UniPoly":
         c = _frac(c)
@@ -602,11 +597,6 @@ class _Terms(Sequence):
     def __iter__(self):
         return iter(self._poly._term_pairs())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
 
 class MultiPoly:
     """Sparse polynomial over VARS: integer numerators over one positive
@@ -660,14 +650,6 @@ class MultiPoly:
     def var(name: str, exp: int = 1) -> "MultiPoly":
         _check_exponent(exp)
         return MultiPoly({exp << _SHIFTS[_VAR_INDEX[name]]: 1})
-
-    @staticmethod
-    def affine(const: Scalar, **coeffs: Scalar) -> "MultiPoly":
-        """Shorthand for const + sum(coeff * var)."""
-        p = MultiPoly.const(const)
-        for name, c in coeffs.items():
-            p = p + MultiPoly.var(name) * _frac(c)
-        return p
 
     @property
     def is_zero(self) -> bool:
@@ -723,12 +705,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "MultiPoly":
-        out = MultiPoly.one()
-        for _ in range(e):
-            out = out * self
-        return out
-
     def degree(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if not self._coeffs:
@@ -739,22 +715,6 @@ class MultiPoly:
     def variables(self) -> set[str]:
         used = reduce(or_, self._coeffs, 0)
         return {v for v, s in zip(VARS, _SHIFTS) if (used >> s) & _FIELD_MASK}
-
-    def eval(self, point: Mapping[str, Scalar]) -> Fraction:
-        used = self.variables()
-        missing = used - set(point)
-        if missing:
-            raise ValueError(f"unbound variable: {sorted(missing)[0]}")
-        vals = [(_SHIFTS[_VAR_INDEX[v]], _frac(point[v])) for v in used]
-        acc = _F0
-        for k, c in self._coeffs.items():
-            t = c
-            for s, v in vals:
-                x = (k >> s) & _FIELD_MASK
-                if x:
-                    t *= v ** x
-            acc += t
-        return acc / self._den
 
     def subst(self, point: Mapping[str, Scalar]) -> "MultiPoly":
         """Substitute rational values for a subset of the variables.
@@ -824,32 +784,6 @@ class MultiPoly:
         for k, c in self._coeffs.items():
             out[k >> s] = c
         return UniPoly(tuple(out), self._den)
-
-    def int_terms(self, x: str, y: str) -> tuple[int, list[tuple[int, int, int]]]:
-        """(d, [(i, j, c), ...]) with self = sum c x^i y^j / d, every c a
-        nonzero integer and d > 0; ValueError when a third variable is
-        present."""
-        extra = self.variables() - {x, y}
-        if extra:
-            raise ValueError(f"unbound variable: {sorted(extra)[0]}")
-        sx, sy = _SHIFTS[_VAR_INDEX[x]], _SHIFTS[_VAR_INDEX[y]]
-        return self._den, [((k >> sx) & _FIELD_MASK, (k >> sy) & _FIELD_MASK, c)
-                           for k, c in self._coeffs.items()]
-
-    @staticmethod
-    def from_int_terms(den: int, terms: Iterable[tuple[int, int, int]],
-                       x: str, y: str) -> "MultiPoly":
-        """sum c x^i y^j / den over the (i, j, c) terms, for den > 0: the
-        inverse of `int_terms`, built in one pass over the terms."""
-        sx, sy = _SHIFTS[_VAR_INDEX[x]], _SHIFTS[_VAR_INDEX[y]]
-        out: dict[int, int] = {}
-        get = out.get
-        for i, j, c in terms:
-            _check_exponent(i)
-            _check_exponent(j)
-            key = (i << sx) | (j << sy)
-            out[key] = get(key, 0) + c
-        return _normalized(out, den)
 
     @staticmethod
     def from_string(s: str) -> "MultiPoly":
@@ -987,26 +921,13 @@ class Affine:
                 row[-1] += c * p
         return Affine.new(row, den)
 
-    def _only(self, *names: str) -> None:
-        keep = {_VAR_INDEX[name] for name in names}
-        for i, c in enumerate(self.row[:-1]):
-            if c and i not in keep:
-                # the first name in sorted order, as MultiPoly reports it
-                extra = self.variables() - set(names)
-                raise ValueError(f"unbound variable: {min(extra)}")
-
     def as_unipoly(self, name: str) -> UniPoly:
         """self as a UniPoly in name; other variables must be absent."""
-        self._only(name)
+        extra = self.variables() - {name}
+        if extra:
+            # the first name in sorted order, as MultiPoly reports it
+            raise ValueError(f"unbound variable: {min(extra)}")
         return _unipoly([self.row[-1], self.row[_VAR_INDEX[name]]], self.den)
-
-    def int_terms(self, x: str, y: str) -> tuple[int, list[tuple[int, int, int]]]:
-        """(d, [(i, j, c), ...]) as `MultiPoly.int_terms` gives them."""
-        self._only(x, y)
-        row = self.row
-        terms = ((0, 0, row[-1]), (1, 0, row[_VAR_INDEX[x]]),
-                 (0, 1, row[_VAR_INDEX[y]]))
-        return self.den, [t for t in terms if t[2]]
 
 
 def _parse_multipoly(s: str) -> MultiPoly:

@@ -173,28 +173,12 @@ class FamilyId(enum.Enum):
     TWENTY7_32 = "twenty7-32"
 
     @property
+    @lru_cache(maxsize=None)
     def param_names(self) -> tuple[str, ...]:
-        return _PARAM_NAMES[self]
-
-
-# the length of each family's tuple: its parameters and the index n
-_ARITY = {
-    FamilyId.QUARTER: 7,
-    FamilyId.NEG_QUARTER: 4,
-    FamilyId.NEG_27: 5,
-    FamilyId.FOUR_27: 4,
-    FamilyId.SIXTEEN_27_A: 3,
-    FamilyId.SIXTEEN_27_B: 3,
-    FamilyId.SIXTY4_A: 4,
-    FamilyId.SIXTY4_B: 4,
-    FamilyId.TWENTY7_64: 4,
-    FamilyId.NEG_64: 4,
-    FamilyId.TWENTY7_32: 3,
-}
-
-_PARAM_NAMES = {
-    fam: ("a", "b", "c", "d", "e", "f")[: _ARITY[fam] - 1] for fam in FamilyId
-}
+        """The free parameters of the family summand, in order: the
+        variables of its Gamma arguments other than n and k."""
+        free = set().union(*(g.arg.variables() for g in family_term(self).gammas))
+        return tuple(sorted(free - {"n", "k"}))
 
 
 def _A(text: str) -> MultiPoly:

@@ -5,16 +5,23 @@ A recurrence couples a summand F(n, k) at two n-offsets,
     p1(n) F(n + r, k) + p2(n) F(n, k) = G(n, k + 1) - G(n, k),
 
 with G = cert * F for a rational certificate cert(n, k), a (numerator,
-denominator) pair of MultiPolys.  Verification substitutes the exact
-shift ratios of F, clears all denominators, and checks that the one
-cross-multiplied numerator polynomial R is identically zero.
-`recurrence_residual` expands R, `_residual_form` on MultiPolys; the
-stored recurrences, whose free parameters a-f would make any single
-integer image of R far too large, are checked that way.
-`verify_recurrence`, for an instantiated summand, expands nothing: it
-keeps every part of R as an integer scalar times a product of integer
-polynomials in n and k and decides R = 0 from one Kronecker image
-(`exact_arith._kronecker_zero`; Harvey, J. Symb. Comput. 2009).
+denominator) pair.  A recurrence has one of two forms.  The stored
+general recurrences keep their free parameters a-f: a
+`SymbolicRecurrence` holds p1, p2 and the certificate as MultiPolys.  An
+instantiated recurrence, what the solver derives and what `specialize`
+makes of a stored one at a parameter point, is a `Recurrence`: p1 and p2
+are UniPolys in n, and the certificate is a pair of integer grids in n
+and k (`Grid`), so nothing downstream converts it.
+
+Verification substitutes the exact shift ratios of F, clears all
+denominators, and checks that the one cross-multiplied numerator
+polynomial R is identically zero.  `recurrence_residual` expands R,
+`_residual_form` on MultiPolys, for a symbolic recurrence: free
+parameters would make any single integer image of R far too large.
+`verify_recurrence`, for an instantiated one, expands nothing: it keeps
+every part of R as an integer scalar times a product of grids and
+decides R = 0 from one Kronecker image (`exact_arith._kronecker_zero`;
+Harvey, J. Symb. Comput. 2009).
 
 Derivation runs the parameterized Gosper algorithm: with rho_k = Nk/Dk
 and rho_n = Nn/Dn the shift ratios of an instantiated summand, the
@@ -27,16 +34,17 @@ is solved for a polynomial x and scalars (p1, p2) by exact linear
 algebra over the field of rational functions in n.  The certificate is
 R(k-1) x(k) / (P(k) Dn(k)).
 
-The solver works on factors and integers, and builds no MultiPoly
-before the recurrence.  Every factor of the shift ratios is affine,
-m k + s n + u, an integer `Affine` row: `_normal_form` works on the
-factor lists by integer cross-multiplication, and `_grid` multiplies
-the rows of P, Q, R, Nn and Dn into integer grids over the powers of
-k.  `_nullspace` eliminates the equation's primitive rows in k by
-Bareiss pivoting on one Kronecker image per entry and back-substitutes
-in Cramer form, so the solution stays in Z[n].  `_assemble` divides
-out the vector's content and takes one gcd for (p1, p2) and one for
-the certificate's denominator.
+The solver works on factors and integers, and builds no MultiPoly.
+Every factor of the shift ratios is affine, m k + s n + u, an integer
+`Affine` row: `_normal_form` works on the factor lists by integer
+cross-multiplication, and `_grid` multiplies the rows of P, Q, R, Nn
+and Dn into integer grids over the powers of k.  `_nullspace`
+eliminates the equation's primitive rows in k by Bareiss pivoting on
+one Kronecker image per entry and back-substitutes in Cramer form, so
+the solution stays in Z[n].  `_assemble` divides out the vector's
+content, takes one gcd for (p1, p2) and one for the certificate's
+denominator, and returns p1, p2 and the certificate's grids as the
+integer lists it computed.
 """
 
 from __future__ import annotations
@@ -49,9 +57,9 @@ from math import gcd, lcm, prod
 from typing import Mapping, Optional, Sequence
 
 from hyperaccel.builtin_data import neg27_dataset, negq_dataset, quarter_dataset
-from hyperaccel.exact_arith import (VARS, Affine, MultiPoly, Scalar, _Bound,
-                                    _kronecker_zero, _primitive_pair, _zdiv,
-                                    _zgcd, _zmul, _zsub)
+from hyperaccel.exact_arith import (VARS, Affine, MultiPoly, Scalar, UniPoly,
+                                    _Bound, _common_ints, _kronecker_zero,
+                                    _zdiv, _zgcd, _zmul, _zsub)
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     HypTerm,
@@ -72,9 +80,31 @@ _N_INDEX = VARS.index("n")
 # ---------------------------------------------------------------------------
 
 
+# an integer polynomial sum_j rows[j](n) k^j: its rows over the powers of
+# k, each the ascending integer coefficients in n with no trailing zero,
+# and no trailing empty row; () is zero
+Grid = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class Recurrence:
-    """p1(n) F(n+r, k) + p2(n) F(n, k) = (cert * F)(n, k+1) - (cert * F)(n, k)."""
+    """p1(n) F(n+r, k) + p2(n) F(n, k) = (cert * F)(n, k+1) - (cert * F)(n, k)
+    for an instantiated summand: p1 and p2 are UniPolys in n, and cert =
+    Cn/Cd is a pair of grids with no common integer factor and a positive
+    coefficient at Cd's largest monomial in MultiPoly key order, the
+    highest power of n and then of k (`_cert_pair`); a zero Cn has Cd = 1."""
+
+    r: int
+    p1: UniPoly
+    p2: UniPoly
+    cert: tuple[Grid, Grid]
+
+
+@dataclass(frozen=True)
+class SymbolicRecurrence:
+    """The identity of `Recurrence` with p1, p2 and cert = Cn/Cd as
+    MultiPolys over VARS, free parameters among their variables: the
+    stored form of a family's general recurrence."""
 
     r: int
     p1: MultiPoly
@@ -82,7 +112,7 @@ class Recurrence:
     cert: tuple[MultiPoly, MultiPoly]
 
 
-def recurrence_residual(term: HypTerm, rec: Recurrence) -> MultiPoly:
+def recurrence_residual(term: HypTerm, rec: SymbolicRecurrence) -> MultiPoly:
     """Numerator of the residual p1 rho_n + p2 - (cert(k+1) rho_k - cert)
     over Dn Cd(k+1) Dk Cd, for rho_n = Nn/Dn, rho_k = Nk/Dk and cert =
     Cn/Cd; zero iff the recurrence holds.  It is `_residual_form` on the
@@ -98,58 +128,56 @@ def recurrence_residual(term: HypTerm, rec: Recurrence) -> MultiPoly:
                           cn.shift_var("k", 1), cd.shift_var("k", 1), 1)
 
 
-def _image(terms: list[tuple[int, int, int]], b: int, kb: int, shifted: bool) -> int:
+def _image(rows: Sequence[Sequence[int]], b: int, kb: int, shifted: bool) -> int:
     """f(X, Y), or f(X, Y + 1) when shifted, at X = 2^b and Y = 2^kb, for
-    f the sum of c n^i k^j over the (i, j, c) terms."""
-    if not shifted:
-        return sum(c << (b * i + kb * j) for i, j, c in terms)
-    rows: dict[int, int] = {}
-    for i, j, c in terms:
-        rows[j] = rows.get(j, 0) + (c << (b * i))
+    the grid f = sum_j rows[j](n) k^j, by Horner in Y."""
     acc = 0
-    for j in range(max(rows, default=0), -1, -1):
-        acc = (acc << kb) + acc + rows.get(j, 0)
+    for row in reversed(rows):
+        acc = ((acc << kb) + (acc if shifted else 0)
+               + sum(c << (b * i) for i, c in enumerate(row)))
     return acc
 
 
 class _Product:
-    """An integer scalar times a product of integer polynomials in n and
-    k, each given by its (i, j, c) terms and read at k + 1 when shifted."""
+    """An integer scalar times a product of grids, each read at k + 1
+    when shifted."""
 
     def __init__(self, scalar: int,
-                 factors: list[tuple[list[tuple[int, int, int]], bool]]):
+                 factors: list[tuple[Sequence[Sequence[int]], bool]]):
         self.scalar = scalar
         self.factors = factors
 
     def bound(self) -> _Bound:
         norm, deg = abs(self.scalar), 0
-        for terms, shifted in self.factors:
+        for rows, shifted in self.factors:
             # (k + 1)^j has l1 norm 2^j
-            norm *= sum(abs(c) << j if shifted else abs(c) for _, j, c in terms)
-            deg += max((i for i, _, _ in terms), default=0)
+            norm *= sum(sum(map(abs, row)) << (j if shifted else 0)
+                        for j, row in enumerate(rows))
+            deg += max(map(len, rows), default=1) - 1
         return _Bound(norm, deg)
 
     def image(self, b: int, kb: int) -> int:
         out = self.scalar
-        for terms, shifted in self.factors:
-            out *= _image(terms, b, kb, shifted)
+        for rows, shifted in self.factors:
+            out *= _image(rows, b, kb, shifted)
         return out
 
 
 def _ratio_products(parts: RatioParts) -> tuple[_Product, _Product]:
     """Integer products (N, D) with N/D = sign prod(num)/prod(den) for
-    the factor lists (sign, num, den) of a shift ratio."""
+    the factor lists (sign, num, den) of a shift ratio, each factor a
+    `_grid` of its own."""
     sign, num, den = parts
     ns, ds = sign.numerator, sign.denominator
     nf, df = [], []
     for f in num:
-        d, terms = f.int_terms("n", "k")
+        rows, d = _grid((f,))
         ds *= d
-        nf.append((terms, False))
+        nf.append((rows, False))
     for f in den:
-        d, terms = f.int_terms("n", "k")
+        rows, d = _grid((f,))
         ns *= d
-        df.append((terms, False))
+        df.append((rows, False))
     return _Product(ns, nf), _Product(ds, df)
 
 
@@ -166,9 +194,9 @@ def verify_recurrence(term: HypTerm, rec: Recurrence) -> bool:
     exactly from one integer: nothing is expanded.
 
     The factor lists of rho_n = NN/DN and rho_k = NK/DK are the
-    summand's `Affine` rows; they, cert = Cn/Cd and p1 = P1/D12, p2 =
-    P2/D12 are written as integer polynomials in n and k times integer
-    scalars.  The recurrence holds iff
+    summand's `Affine` rows; they, the certificate's grids Cn and Cd and
+    p1 = P1/D12, p2 = P2/D12 are written as grids times integer scalars.
+    The recurrence holds iff
 
         R = (P1 NN + P2 DN) Cd+ DK Cd - D12 (Cn+ NK Cd - Cn Cd+ DK) DN
 
@@ -178,21 +206,22 @@ def verify_recurrence(term: HypTerm, rec: Recurrence) -> bool:
     the same expression (`_Bound`), with ||f+||_1 <= sum |c| 2^(e_k),
     and the image of an f+ part takes one Horner pass in k.  Raises
     ZeroDivisionError on a zero certificate denominator and ValueError
-    when a parameter other than n and k is free or rec.r < 1.
+    when a parameter other than n and k is free in the summand or rec.r
+    < 1.
     """
     cn, cd = rec.cert
-    if cd.is_zero:
+    if not cd:
         raise ZeroDivisionError("certificate with zero denominator")
     _require_instantiated(term)
     nn, dn = _ratio_products(n_ratio_parts(term, rec.r))
     nk, dk = _ratio_products(k_ratio_parts(term))
-    (e1, t1), (e2, t2) = rec.p1.int_terms("n", "k"), rec.p2.int_terms("n", "k")
-    (en, tn), (ed, td) = cn.int_terms("n", "k"), cd.int_terms("n", "k")
-    d12 = lcm(e1, e2)
-    parts = (_Product(d12 // e1, [(t1, False)]), _Product(d12 // e2, [(t2, False)]),
+    p1, p2 = rec.p1, rec.p2
+    d12 = lcm(p1.denominator, p2.denominator)
+    parts = (_Product(d12 // p1.denominator, [((p1.numerators,), False)]),
+             _Product(d12 // p2.denominator, [((p2.numerators,), False)]),
              nn, dn, nk, dk,
-             _Product(ed, [(tn, False)]), _Product(en, [(td, False)]),
-             _Product(ed, [(tn, True)]), _Product(en, [(td, True)]),
+             _Product(1, [(cn, False)]), _Product(1, [(cd, False)]),
+             _Product(1, [(cn, True)]), _Product(1, [(cd, True)]),
              _Product(d12, []))
     return _kronecker_zero(_residual_form, parts)
 
@@ -210,7 +239,7 @@ def theorem_families() -> tuple[FamilyId, ...]:
 
 
 @lru_cache(maxsize=None)
-def builtin_recurrence(family: FamilyId) -> Optional[Recurrence]:
+def builtin_recurrence(family: FamilyId) -> Optional[SymbolicRecurrence]:
     """Stored recurrence for the three fully general families, if any."""
     if family is FamilyId.QUARTER:
         p1, p2, cert = quarter_dataset()
@@ -220,7 +249,7 @@ def builtin_recurrence(family: FamilyId) -> Optional[Recurrence]:
         p1, p2, cert = neg27_dataset()
     else:
         return None
-    return Recurrence(r=_BUILTIN_SHIFTS[family], p1=p1, p2=p2, cert=cert)
+    return SymbolicRecurrence(r=_BUILTIN_SHIFTS[family], p1=p1, p2=p2, cert=cert)
 
 
 def builtin_residual(family: FamilyId) -> MultiPoly:
@@ -232,18 +261,44 @@ def builtin_residual(family: FamilyId) -> MultiPoly:
     return recurrence_residual(family_term(family), rec)
 
 
-def specialize(rec: Recurrence, params: Mapping[str, Scalar]) -> Recurrence:
-    """Substitute rational parameter values into a recurrence; raises
-    ZeroDivisionError when the certificate's denominator vanishes
-    identically there and ValueError for a name outside VARS.  Each of
-    the four polynomials keeps its substitution layout for these names,
-    so a stored recurrence lays out its terms on its first
-    specialization only."""
+def specialize(rec: SymbolicRecurrence, params: Mapping[str, Scalar]) -> Recurrence:
+    """The instantiated recurrence at rational parameter values: p1 and
+    p2 as UniPolys in n, the certificate as grids by `_cert_pair`.
+    Raises ZeroDivisionError when the certificate's denominator vanishes
+    identically there, ValueError("unbound variable: x") when a variable
+    x other than n (and k in the certificate) is left free, and
+    ValueError for a name outside VARS.  Each of the four polynomials
+    keeps its substitution layout for these names, so a stored
+    recurrence lays out its terms on its first specialization only."""
     cn, cd = (part.subst(params) for part in rec.cert)
     if cd.is_zero:
         raise ZeroDivisionError("certificate with zero denominator")
-    return Recurrence(r=rec.r, p1=rec.p1.subst(params), p2=rec.p2.subst(params),
-                      cert=(cn, cd))
+    p1, p2 = (p.subst(params).as_unipoly("n") for p in (rec.p1, rec.p2))
+    num, den = ([c.as_unipoly("n") for c in part.coeffs_in("k")]
+                for part in (cn, cd))
+    rows = _common_ints(num + den)
+    return Recurrence(r=rec.r, p1=p1, p2=p2,
+                      cert=_cert_pair(rows[:len(num)], rows[len(num):]))
+
+
+def _cert_pair(num: list[list[int]], den: list[list[int]]) -> tuple[Grid, Grid]:
+    """The certificate num/den, integer grids with den nonzero, with
+    trailing empty rows dropped and the integer content of both divided
+    out, signed so that den's coefficient at its largest monomial in
+    MultiPoly key order (the highest power of n, then of k) is positive;
+    (0, 1) when num is zero.  No polynomial gcd is divided out."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return (), ((1,),)
+    while not den[-1]:
+        den.pop()
+    g = gcd(*(c for grid in (num, den) for row in grid for c in row))
+    top = den[max(range(len(den)), key=lambda j: (len(den[j]), j))]
+    if top[-1] < 0:
+        g = -g
+    return tuple(tuple(tuple(c // g for c in row) for row in grid)
+                 for grid in (num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -445,22 +500,29 @@ def _require_instantiated(term: HypTerm) -> None:
             f"summand must be instantiated; free parameter {sorted(extra)[0]}")
 
 
-def _kn_poly(cs: list[list[int]]) -> MultiPoly:
-    """sum_i cs[i](n) k^i for integer coefficient lists cs[i] in n."""
-    return MultiPoly.from_int_terms(
-        1, ((e, i, c) for i, ci in enumerate(cs) for e, c in enumerate(ci)),
-        "n", "k")
-
-
-def _grid(factors: Sequence[Affine], rows: list[list[int]] = [[1]],
+def _grid(factors: Sequence[Affine], rows: Sequence[Sequence[int]] = ((1,),),
           den: int = 1) -> tuple[list[list[int]], int]:
     """The grid rows over den, sum_j rows[j](n) k^j / den, times the
-    affine factors (m k + s n + u)/e, as a grid over a positive integer:
-    a factor turns row j into (s n + u) row j plus m row j-1."""
+    affine factors (m k + s n + u)/e, as rows over a positive integer,
+    each trimmed: a factor turns row j into (s n + u) row j + m row j-1,
+    formed in one pass over the two rows."""
     for f in factors:
         u, s, m = f.row[-1], f.row[_N_INDEX], f.row[_K_INDEX]
-        rows = [_zsub(_zmul(row, [u, s]), _zmul(below, [-m]))
-                for row, below in zip(rows + [[]] if m else rows, [[]] + rows)]
+        out = []
+        below: Sequence[int] = ()
+        for row in [*rows, ()] if m else rows:
+            new = [0] * max(len(row) + 1, len(below))
+            for i, c in enumerate(row):
+                new[i] += u * c
+                new[i + 1] += s * c
+            if m:
+                for i, c in enumerate(below):
+                    new[i] += m * c
+            while new and not new[-1]:
+                new.pop()
+            out.append(new)
+            below = row
+        rows = out
         den *= f.den
     return rows, den
 
@@ -539,6 +601,7 @@ def _assemble(vec: list[list[int]], deg: int, rs_f: list[Affine],
     lcm g/h of the reduced denominators of its coefficients in k, h the
     gcd of g and those coefficients of R* x.  The vector's content c in
     Z[n] divides g, h and R* x, so x/c and g/c give the same recurrence.
+    The certificate's grids are put in the form of `_cert_pair`.
     """
     p1n, p2n = vec[-2], vec[-1]
     g = _zgcd(p1n, p2n) if p2n else [1]
@@ -562,12 +625,11 @@ def _assemble(vec: list[list[int]], deg: int, rs_f: list[Affine],
     # cert = s (rx / h) / (pd g / h)
     s = Fraction(pd_den, rx_den * ct)
     g_h = [x * s.denominator for x in _zdiv(g, h)]
-    return Recurrence(r=r, p1=_kn_poly([[x // ct for x in a]]),
-                      p2=_kn_poly([[x // ct for x in b]]),
-                      cert=_primitive_pair(
-                          _kn_poly([[x * s.numerator for x in _zdiv(row, h)]
-                                    for row in rx]),
-                          _kn_poly([_zmul(row, g_h) for row in pd])))
+    return Recurrence(r=r, p1=UniPoly(tuple(x // ct for x in a)),
+                      p2=UniPoly(tuple(x // ct for x in b)),
+                      cert=_cert_pair([[x * s.numerator for x in _zdiv(row, h)]
+                                       for row in rx],
+                                      [_zmul(row, g_h) for row in pd]))
 
 
 def derive_recurrence(term: HypTerm, max_deg: int = 8,

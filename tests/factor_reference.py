@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import prod
 
 from hyperaccel.exact_arith import MultiPoly, _primitive_pair
+from multipoly_helpers import evaluate
 import solver_reference
 
 _ONE = MultiPoly.one()
@@ -25,7 +26,7 @@ def _var_coeff(p, name):
     c = cs[1]
     if c.variables():
         raise ValueError("Gamma argument must be affine")
-    return c.eval({})
+    return evaluate(c, {})
 
 
 def _gamma_shift_factors(arg, step):
@@ -85,7 +86,7 @@ def _root_form(f):
     cs = f.coeffs_in("k")
     if len(cs) != 2:
         return None
-    m = cs[1].eval({})
+    m = evaluate(cs[1], {})
     return m, cs[0] * (1 / m)
 
 
@@ -101,7 +102,7 @@ def normal_form(sk, num, den):
                 continue
             d = a[1] - b[1]
             if not d.variables():
-                j = d.eval({})
+                j = evaluate(d, {})
                 if j.denominator == 1 and j >= 0:
                     pairs.append((int(j), i, l))
     pairs.sort()

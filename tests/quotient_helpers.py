@@ -2,6 +2,8 @@
 (numerator, denominator) pairs of MultiPolys or UniPolys, and of
 recurrences up to scale."""
 
+from multipoly_helpers import evaluate
+
 
 def same_quotient(a, b) -> bool:
     """a == b for (numerator, denominator) pairs, which keep their common
@@ -12,7 +14,7 @@ def same_quotient(a, b) -> bool:
 def quotient_eval(q, point):
     """num(point) / den(point) for a pair of MultiPolys; ZeroDivisionError
     at a pole."""
-    return q[0].eval(point) / q[1].eval(point)
+    return evaluate(q[0], point) / evaluate(q[1], point)
 
 
 def same_ratio(a, b) -> bool:

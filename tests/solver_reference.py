@@ -6,7 +6,9 @@ MultiPolys, builds the columns Q(k) (k+1)^i - R*(k) k^i by MultiPoly
 products, clears each coefficient row in k to a primitive integer row
 over Z[n] by `_common_ints`, and rescales the nullspace vector it picks
 from the whole vector's gcds.  It shares `_nullspace` with the package.
-The tests require the grid solver to return equal recurrences.
+The tests require the grid solver to return equal recurrences: the
+reference's p1, p2 and `_primitive_pair` certificate read as UniPolys
+and grids.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from math import gcd
 from hyperaccel.exact_arith import (MultiPoly, UniPoly, _common_ints,
                                     _primitive_pair, _zdiv, _zgcd)
 from hyperaccel.telescoper import Recurrence, _nullspace
-from multipoly_helpers import content, lead_coeff
+from multipoly_helpers import content, grid_poly, lead_coeff, poly_grid
 
 _ONE = MultiPoly.one()
 _K = MultiPoly.var("k")
@@ -38,22 +40,15 @@ def _degree_bound(q, rstar, f_deg):
     return best
 
 
-def _kn_poly(cs):
-    """sum_i cs[i](n) k^i for integer coefficient lists cs[i] in n."""
-    return MultiPoly.from_int_terms(
-        1, ((e, i, c) for i, ci in enumerate(cs) for e, c in enumerate(ci)),
-        "n", "k")
-
-
 def _n_poly(cs):
-    return _kn_poly([cs])
+    return grid_poly([cs])
 
 
 def _int_rows(cols):
     """The coefficient rows in k of the columns, each cleared to a
     primitive integer row of polynomials in n."""
     coeffs = [[c.as_unipoly("n") for c in col.coeffs_in("k")] for col in cols]
-    zero = UniPoly.zero()
+    zero = UniPoly()
     return [_common_ints([cs[m] if m < len(cs) else zero for cs in coeffs])
             for m in range(max(len(cs) for cs in coeffs))]
 
@@ -94,7 +89,7 @@ def _assemble(vec, deg, rstar, pd, r):
     ct = gcd(*a, *b)
     if (b or a)[-1] < 0:
         ct = -ct
-    rx = rstar * _kn_poly(vec[:deg + 1])
+    rx = rstar * grid_poly(vec[:deg + 1])
     # rx = s sum_m c_m(n) k^m with the c_m in Z[n], jointly primitive
     s = content(rx) or Fraction(1)
     cs = _common_ints([c.as_unipoly("n") for c in rx.coeffs_in("k")])
@@ -103,7 +98,8 @@ def _assemble(vec, deg, rstar, pd, r):
         if len(h) == 1:
             break
         h = _zgcd(h, c)
-    return Recurrence(r=r, p1=_n_poly([c // ct for c in a]),
-                      p2=_n_poly([c // ct for c in b]),
-                      cert=_primitive_pair(_kn_poly([_zdiv(c, h) for c in cs]) * (s / ct),
-                                           pd * _n_poly(_zdiv(g, h))))
+    cert = _primitive_pair(grid_poly([_zdiv(c, h) for c in cs]) * (s / ct),
+                           pd * _n_poly(_zdiv(g, h)))
+    return Recurrence(r=r, p1=UniPoly(tuple(c // ct for c in a)),
+                      p2=UniPoly(tuple(c // ct for c in b)),
+                      cert=tuple(map(poly_grid, cert)))

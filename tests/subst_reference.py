@@ -4,14 +4,15 @@ This is `MultiPoly.subst` as it was before it read its terms through a
 `_SubstLayout`: each call scans the keys once per substituted variable
 for its degree, then makes one pass that extracts each variable's
 exponent from every key, multiplies in p^e q^(m-e) and clears the
-field; `specialize` applies it to a recurrence.  The tests require the
+field; `specialize` applies it to a stored recurrence and keeps the
+result symbolic.  The tests require the
 layout path to give equal polynomials.  A name outside VARS raises
 KeyError here.
 """
 
 from hyperaccel.exact_arith import (_FIELD_MASK, _SHIFTS, _VAR_INDEX, _frac,
                                     _normalized)
-from hyperaccel.telescoper import Recurrence
+from hyperaccel.telescoper import SymbolicRecurrence
 
 
 def subst(poly, point):
@@ -40,9 +41,9 @@ def subst(poly, point):
 
 
 def specialize(rec, point):
-    """`telescoper.specialize` on this substitution."""
+    """`telescoper.specialize` on this substitution, as MultiPolys."""
     cn, cd = (subst(part, point) for part in rec.cert)
     if cd.is_zero:
         raise ZeroDivisionError("certificate with zero denominator")
-    return Recurrence(r=rec.r, p1=subst(rec.p1, point), p2=subst(rec.p2, point),
-                      cert=(cn, cd))
+    return SymbolicRecurrence(r=rec.r, p1=subst(rec.p1, point),
+                              p2=subst(rec.p2, point), cert=(cn, cd))

@@ -29,6 +29,7 @@ from hyperaccel.telescoper import Recurrence, derive_recurrence, zeilberger_two_
 
 import oracle_reference
 from control_summands import family_point
+from multipoly_helpers import poly_grid, symbolic
 from quotient_helpers import quotient_eval, same_quotient
 
 
@@ -51,11 +52,11 @@ def _neg_27_example():
     return _instance(FamilyId.NEG_27, ["1/2", "0", "-1/2", "0"], 1)
 
 
-_UNIT_CERT = (MultiPoly.one(), MultiPoly.one())
+_UNIT_CERT = (((1,),), ((1,),))
 
 
 def _fake_rec(g2: F, r: int = 1) -> Recurrence:
-    return Recurrence(r=r, p1=MultiPoly.const(-g2), p2=MultiPoly.const(F(1)),
+    return Recurrence(r=r, p1=UniPoly.from_coeffs([-g2]), p2=UniPoly.one(),
                       cert=_UNIT_CERT)
 
 
@@ -84,15 +85,12 @@ def test_rate_neg_27_family():
 
 
 def test_rate_zero_when_p1_degree_smaller():
-    rec = Recurrence(r=1, p1=MultiPoly.const(F(3)),
-                     p2=MultiPoly.affine(F(1), n=F(2)),
-                     cert=_UNIT_CERT)
+    rec = Recurrence(r=1, p1=_upoly([3]), p2=_upoly([1, 2]), cert=_UNIT_CERT)
     assert convergence_rate(rec) == 0
 
 
 def test_rate_divergent_when_p1_degree_larger():
-    rec = Recurrence(r=1, p1=MultiPoly.affine(F(0), n=F(1)),
-                     p2=MultiPoly.const(F(1)), cert=_UNIT_CERT)
+    rec = Recurrence(r=1, p1=_upoly([0, 1]), p2=UniPoly.one(), cert=_UNIT_CERT)
     with pytest.raises(ValueError, match="divergent acceleration"):
         convergence_rate(rec)
 
@@ -119,10 +117,10 @@ def test_direct_sum_divergence_is_an_error():
     from hyperaccel.hypergeom_terms import GammaFactor, HypTerm
 
     grow = HypTerm(gammas=(
-        GammaFactor(MultiPoly.affine(F(2), k=F(1)), 1),
-        GammaFactor(MultiPoly.affine(F(2)), -1),
-        GammaFactor(MultiPoly.affine(F(1), k=F(1)), -1),
-        GammaFactor(MultiPoly.affine(F(1)), 1),
+        GammaFactor(MultiPoly.from_string("k + 2"), 1),
+        GammaFactor(MultiPoly.const(2), -1),
+        GammaFactor(MultiPoly.from_string("k + 1"), -1),
+        GammaFactor(MultiPoly.const(1), 1),
     ), sign_base=1)
     with pytest.raises(ValueError, match="oracle unavailable"):
         direct_sum(k_series_at(grow, F(3)), 2)
@@ -266,8 +264,8 @@ def test_k_series_reads_factors_free_of_k_into_z(monkeypatch):
 def test_stream_first_term_is_g1_over_term0():
     term, rec = _quarter_example()
     t0 = AccelStream(term, rec, F(1)).term(0)
-    cert0 = quotient_eval(rec.cert, {"n": F(1), "k": 0})
-    p2v = rec.p2.as_unipoly("n").eval(F(1))
+    cert0 = quotient_eval(symbolic(rec).cert, {"n": F(1), "k": 0})
+    p2v = rec.p2.eval(F(1))
     assert t0 == -cert0 / p2v
 
 
@@ -314,9 +312,7 @@ def test_stream_cache_is_stable():
 def test_pole_on_progression_is_reported_with_its_index():
     term, rec = _quarter_example()
     # p2 vanishing at n = n0 + 3 turns into a pole at stream term 3
-    shifted = Recurrence(r=1, p1=rec.p1,
-                         p2=MultiPoly.affine(F(-4), n=F(1)),
-                         cert=rec.cert)
+    shifted = Recurrence(r=1, p1=rec.p1, p2=_upoly([-4, 1]), cert=rec.cert)
     with pytest.raises(ValueError, match="at term 3"):
         accelerated_stream(term, shifted, F(1), check_vanishing=False)
 
@@ -395,8 +391,7 @@ def test_same_quotient_matches_the_expanded_cross_product(derivation_recipes):
 def _reference_iter_accelerated(term, rec, n0):
     """Stream terms with cert and rho_n evaluated as MultiPolys at each step."""
     rho_n = n_shift_ratio(term, rec.r)
-    p1 = rec.p1.as_unipoly("n")
-    p2 = rec.p2.as_unipoly("n")
+    p1, p2, cert = rec.p1, rec.p2, symbolic(rec).cert
     nu = F(n0)
     pre = F(1)
     j = 0
@@ -405,7 +400,7 @@ def _reference_iter_accelerated(term, rec, n0):
         if p2v == 0:
             raise ValueError(f"pole in accelerated stream at term {j}")
         try:
-            cv = quotient_eval(rec.cert, {"n": nu, "k": 0})
+            cv = quotient_eval(cert, {"n": nu, "k": 0})
             rv = quotient_eval(rho_n, {"n": nu, "k": 0})
         except ZeroDivisionError:
             raise ValueError(f"pole in accelerated stream at term {j}") from None
@@ -478,7 +473,7 @@ def test_cert_denominator_pole_keeps_its_index(cert_num):
     term, rec = _quarter_example()
     n = MultiPoly.var("n")
     cert = (MultiPoly.from_string(cert_num), n - MultiPoly.const(4))
-    poled = Recurrence(r=1, p1=rec.p1, p2=rec.p2, cert=cert)
+    poled = Recurrence(r=1, p1=rec.p1, p2=rec.p2, cert=tuple(map(poly_grid, cert)))
     got = _first_terms(_stream_terms(term, poled, F(1)), 10)
     assert got == _first_terms(_reference_iter_accelerated(term, poled, F(1)), 10)
     assert got[3:] == ["pole in accelerated stream at term 3"]

@@ -27,7 +27,7 @@ from hyperaccel.catalog import (catalog_entries, derivation_recurrence,
 from hyperaccel.exact_arith import MultiPoly, UniPoly
 from hyperaccel.hypergeom_terms import FamilyId, family_instantiate, family_term
 from hyperaccel.numerics import direct_sum
-from hyperaccel.telescoper import (Recurrence, builtin_recurrence,
+from hyperaccel.telescoper import (SymbolicRecurrence, builtin_recurrence,
                                    builtin_residual, recurrence_residual,
                                    specialize, theorem_families,
                                    zeilberger_two_term)
@@ -228,8 +228,8 @@ def test_08_random_coefficient_corruptions_are_caught():
         if trial % 2 == 0:
             mono, _ = rng.choice(base.p2.terms)
             delta = MultiPoly.from_dict({mono: F(rng.choice([1, -1, 2]))})
-            bad = Recurrence(r=base.r, p1=base.p1, p2=base.p2 + delta,
-                             cert=base.cert)
+            bad = SymbolicRecurrence(r=base.r, p1=base.p1, p2=base.p2 + delta,
+                                     cert=base.cert)
             assert not recurrence_residual(term, bad).is_zero
         else:
             e = rng.choice(display)

@@ -261,50 +261,67 @@ def test_derive_entry_builds_each_shift_ratio_once(monkeypatch):
 
 def test_derive_expands_nothing_to_solve_or_compare(monkeypatch):
     """Over all 95 recipes, derive_entry builds no expanded stream
-    quotient (no `stream_ratio`, no `UniPoly.compose`), and on the 39
-    solver recipes `_solve` and `_assemble` take no MultiPoly product,
-    `coeffs_in` or `as_unipoly`."""
+    quotient (no `stream_ratio`, no `UniPoly.compose`).  Once the family
+    summands are built, it calls no MultiPoly method, constructor or
+    property on the 39 solver recipes, and on the 56 stored ones only
+    inside `specialize`."""
     from hyperaccel import accelerator, telescoper
     from hyperaccel.exact_arith import MultiPoly
 
-    solving, seen = [], []
+    for e in ENTRIES:
+        if e.derivation is not None:
+            derive_entry(e.id)
+    inside, seen, specialized = [], [], []
 
-    def watch(owner, name, refuse=False):
-        original = getattr(owner, name)
-
+    def watch(name, original, always=False):
         def wrapper(*args, **kwargs):
-            if refuse or solving:
-                seen.append(name)
+            (specialized if inside and not always else seen).append(name)
             return original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrapper)
+        return wrapper
 
-    solve = telescoper._solve
-
-    def watched_solve(*args):
-        solving.append(args)
+    def watched_specialize(*args):
+        inside.append(args)
         try:
-            return solve(*args)
+            return specialize(*args)
         finally:
-            solving.pop()
+            inside.pop()
 
-    monkeypatch.setattr(telescoper, "_solve", watched_solve)
-    for name in ("__mul__", "__rmul__", "coeffs_in", "as_unipoly"):
-        watch(MultiPoly, name)
-    watch(accelerator, "stream_ratio", refuse=True)
-    watch(UniPoly, "compose", refuse=True)
-    solved = 0
+    specialize = telescoper.specialize
+    monkeypatch.setattr(catalog, "specialize", watched_specialize)
+    for name, value in list(vars(MultiPoly).items()):
+        if isinstance(value, staticmethod):
+            value = staticmethod(watch(name, value.__func__))
+        elif isinstance(value, property):
+            value = property(watch(name, value.fget))
+        elif callable(value):
+            value = watch(name, value)
+        else:
+            continue
+        monkeypatch.setattr(MultiPoly, name, value)
+    monkeypatch.setattr(accelerator, "stream_ratio",
+                        watch("stream_ratio", accelerator.stream_ratio, True))
+    monkeypatch.setattr(UniPoly, "compose", watch("compose", UniPoly.compose, True))
+    solved = stored = 0
     for e in ENTRIES:
         if e.derivation is None:
             continue
+        specialized.clear()
         rep = derive_entry(e.id)
         assert rep.recurrence_found and not seen, (e.id, seen)
-        solved += builtin_recurrence(e.derivation.family) is None
-    assert solved == 39
-    # the watch is live: the expanded quotient trips it
+        if builtin_recurrence(e.derivation.family) is None:
+            assert not specialized, e.id
+            solved += 1
+        else:
+            assert "subst" in specialized, e.id
+            stored += 1
+    assert (solved, stored) == (39, 56)
+    # the watches are live: a MultiPoly call and the expanded quotient trip them
+    MultiPoly.one()
+    assert seen[0] == "one"
     e = entry("Q1")
     accelerated_stream(derivation_term(e), derivation_recurrence(e), e.derivation.n0,
                        check_vanishing=False).ratio
-    assert seen[0] == "stream_ratio"
+    assert "stream_ratio" in seen
 
 
 @pytest.mark.parametrize("index, delta", [

@@ -31,11 +31,28 @@ A = MultiPoly.from_string
 # -- arity invariants ---------------------------------------------------------
 
 
+# the length of each family's tuple: its parameters and the index n
+_ARITY = {
+    FamilyId.QUARTER: 7,
+    FamilyId.NEG_QUARTER: 4,
+    FamilyId.NEG_27: 5,
+    FamilyId.FOUR_27: 4,
+    FamilyId.SIXTEEN_27_A: 3,
+    FamilyId.SIXTEEN_27_B: 3,
+    FamilyId.SIXTY4_A: 4,
+    FamilyId.SIXTY4_B: 4,
+    FamilyId.TWENTY7_64: 4,
+    FamilyId.NEG_64: 4,
+    FamilyId.TWENTY7_32: 3,
+}
+
+
 def test_family_arities():
-    # the arity counts the parameters and the index n
-    assert len(FamilyId.QUARTER.param_names) + 1 == 7
-    assert len(FamilyId.NEG_QUARTER.param_names) + 1 == 4
-    assert len(FamilyId.NEG_27.param_names) + 1 == 5
+    """The parameter names, read off each family summand, are the first
+    arity - 1 of a-f, as the package once stored them in this table."""
+    assert set(_ARITY) == set(FamilyId)
+    for family, arity in _ARITY.items():
+        assert family.param_names == ("a", "b", "c", "d", "e", "f")[:arity - 1], family
 
 
 def test_instantiate_length_check():

@@ -4,8 +4,11 @@ benchmark uses, everything it defines is used by one of them, and its
 syntax is that of the oldest Python it declares."""
 
 import ast
+import collections
+import os
 import pathlib
 import re
+import subprocess
 import sys
 import types
 
@@ -91,22 +94,59 @@ def _tracer_paths():
             for path in paths for part in path.split(".")}
 
 
+def _definitions(path):
+    """(name, qualified name, first line) of each function, class and
+    method a file defines, the first line being that of its first
+    decorator, if any."""
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                yield node.name, prefix + node.name, first
+                yield from walk(node.body, f"{prefix}{node.name}.")
+    yield from walk(ast.parse(path.read_text(), filename=str(path)).body, "")
+
+
+def _production_calls():
+    """(file name, first line) of each package function that
+    `production_calls.py` sees production work call."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, str(pathlib.Path(__file__).with_name("production_calls.py"))],
+        env=env, capture_output=True, text=True, check=True, timeout=600).stdout
+    return {(name, int(line)) for name, line in map(str.split, out.splitlines())}
+
+
 def test_every_definition_is_used_outside_tests():
-    # every function, class and method defined in the package is named by
+    # every function, class and method defined in the package is used by
     # code of the package or of the benchmark; a definition is no
     # reference, so production code that only tests call fails here.
-    # Names are matched, not resolved: a method that shares its name with
-    # a used one passes.  __init__.py restates the exported names, and
-    # dunders are called by Python itself.
+    # A name defined once is used when that code names it.  A name that
+    # several definitions share, such as UniPoly.eval and a MultiPoly.eval,
+    # cannot be resolved from the text: each of them must be called by
+    # the production work of `production_calls.py`, or be read as an
+    # attribute by the benchmark, which that work does not run.
+    # __init__.py restates the exported names, and dunders are called by
+    # Python itself.
     files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-    used = {name for path in files + sorted(BENCH.glob("*.py"))
+    bench = sorted(BENCH.glob("*.py"))
+    used = {name for path in files + bench
             for name in _referenced_names(path)} | _tracer_paths()
+    read_by_bench = {node.attr for path in bench
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute)} | _tracer_paths()
+    defs = [(path.name, *d) for path in sorted(SRC.glob("*.py"))
+            for d in _definitions(path)]
+    shared = {name for name, count in collections.Counter(
+        name for _, name, _, _ in defs).items() if count > 1}
+    called = _production_calls()
     unused = sorted(
-        f"{path.name}: {node.name}" for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in used)
+        f"{file}: {qualname}" for file, name, qualname, first in defs
+        if not (name.startswith("__") and name.endswith("__"))
+        and (name not in used if name not in shared
+             else (file, first) not in called and name not in read_by_bench))
     assert not unused
 
 

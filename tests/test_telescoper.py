@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import hyperaccel.exact_arith as exact_arith
 from hyperaccel.catalog import catalog_entries, derivation_term, derive_entry, entry
-from hyperaccel.exact_arith import (Affine, MultiPoly, _kronecker_zero, _zdiv,
-                                    _zgcd, _zmul, _zsub)
+from hyperaccel.exact_arith import (Affine, MultiPoly, UniPoly, _kronecker_zero,
+                                    _zdiv, _zgcd, _zmul, _zsub)
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     family_instantiate,
@@ -43,7 +43,7 @@ import factor_reference
 import subst_reference
 from control_summands import (alt_control_double_offset, alt_control_single_offset,
                               family_point)
-from multipoly_helpers import content
+from multipoly_helpers import content, evaluate, grid_poly, poly_grid, symbolic
 from quotient_helpers import quotient_eval, same_ratio
 
 _N_IDX = 6  # position of n in the exponent vectors
@@ -142,7 +142,7 @@ def test_derive_families_without_stored_data(family, params):
     term = family_instantiate(family, params)
     rec = zeilberger_two_term(term, 1)
     assert rec is not None
-    assert recurrence_residual(term, rec).is_zero
+    assert recurrence_residual(term, symbolic(rec)).is_zero
     assert not rec.p2.is_zero
 
 
@@ -211,7 +211,7 @@ def test_solver_on_random_family_points(family, r, data):
     if rec is None:
         return
     assert rec.r == r
-    assert recurrence_residual(term, rec).is_zero
+    assert recurrence_residual(term, symbolic(rec)).is_zero
     stored = builtin_recurrence(family)
     if stored is None or stored.r != r:
         return
@@ -226,8 +226,7 @@ def test_derived_normalization_conventions():
     params = (F(1, 3), F(1, 3), F(1), F(1, 3), F(1, 3), F(2, 3))
     term = family_instantiate(FamilyId.QUARTER, params)
     rec = zeilberger_two_term(term, 1)
-    p1 = rec.p1.as_unipoly("n")
-    p2 = rec.p2.as_unipoly("n")
+    p1, p2 = rec.p1, rec.p2
     assert p2.lc > 0
     c1, c2 = content(p1), content(p2)
     assert c1.denominator == 1 and c2.denominator == 1
@@ -242,7 +241,7 @@ def test_derived_normalization_conventions():
 
 def _residual_at(term, rec, point):
     """p1 rho_n + p2 - (cert(k+1) rho_k - cert) at a rational point, in
-    Fractions; None at a pole of any quotient."""
+    Fractions, for a symbolic recurrence; None at a pole of any quotient."""
     k1 = {**point, "k": point["k"] + 1}
     try:
         rho_n = quotient_eval(n_shift_ratio(term, rec.r), point)
@@ -250,7 +249,8 @@ def _residual_at(term, rec, point):
         cert, cert_k1 = quotient_eval(rec.cert, point), quotient_eval(rec.cert, k1)
     except ZeroDivisionError:
         return None
-    return rec.p1.eval(point) * rho_n + rec.p2.eval(point) - (cert_k1 * rho_k - cert)
+    return (evaluate(rec.p1, point) * rho_n + evaluate(rec.p2, point)
+            - (cert_k1 * rho_k - cert))
 
 
 def test_residual_verdict_matches_exact_evaluation(derivation_recipes):
@@ -258,7 +258,7 @@ def test_residual_verdict_matches_exact_evaluation(derivation_recipes):
     corruption of p1 or p2 for each, the residual numerator is zero
     exactly when the identity evaluates to zero at random rational (n, k)."""
     rng = random.Random(2024)
-    solved = [(term, rec) for e, term, rec in derivation_recipes
+    solved = [(term, symbolic(rec)) for e, term, rec in derivation_recipes
               if builtin_recurrence(e.derivation.family) is None]
     assert len(solved) == 39
     cases = []
@@ -283,7 +283,7 @@ def test_residual_verdict_matches_exact_evaluation(derivation_recipes):
 def test_zero_certificate_denominator_raises():
     params = (F(1, 3), F(1, 3), F(1), F(1, 3), F(1, 3), F(2, 3))
     term = family_instantiate(FamilyId.QUARTER, params)
-    rec = zeilberger_two_term(term, 1)
+    rec = symbolic(zeilberger_two_term(term, 1))
     with pytest.raises(ZeroDivisionError):
         recurrence_residual(term, replace(rec, cert=(rec.cert[0], MultiPoly.zero())))
 
@@ -303,9 +303,14 @@ def solved(derivation_recipes):
 
 
 def _product(poly, shifted=False):
-    den, terms = poly.int_terms("n", "k")
-    assert den == 1
-    return _Product(1, [(terms, shifted)])
+    return _Product(1, [(poly_grid(poly), shifted)])
+
+
+def _nk_terms(poly):
+    """The (i, j, c) of the terms c n^i k^j of an integer MultiPoly in n and k."""
+    n, k = exact_arith.VARS.index("n"), exact_arith.VARS.index("k")
+    assert all(c.denominator == 1 for _, c in poly.terms)
+    return [(e[n], e[k], int(c)) for e, c in poly.terms]
 
 
 def _difference(f, g):
@@ -344,8 +349,7 @@ def test_product_bound_and_image_match_expansion(polys, scalar, b):
     expanded = MultiPoly.const(scalar)
     for f, shifted in polys:
         expanded = expanded * (f.shift_var("k", 1) if shifted else f)
-    den, terms = expanded.int_terms("n", "k")
-    assert den == 1
+    terms = _nk_terms(expanded)
     product = _Product(scalar, [_product(f, shifted).factors[0]
                                 for f, shifted in polys])
     bound = product.bound()
@@ -375,13 +379,14 @@ def test_kronecker_test_matches_expanded_residual(derivation_recipes):
     specialized, the Kronecker image and the expanded residual agree."""
     for e, term, rec in derivation_recipes:
         assert verify_recurrence(term, rec) is True, e.id
-        assert recurrence_residual(term, rec).is_zero, e.id
+        assert recurrence_residual(term, symbolic(rec)).is_zero, e.id
 
 
 _PARTS = ("p1", "p2", "cert_num", "cert_den")
 
 
 def _perturbed(rec, part, delta):
+    """The symbolic recurrence with delta added to one of its parts."""
     cn, cd = rec.cert
     if part == "cert_num":
         return replace(rec, cert=(cn + delta, cd))
@@ -405,41 +410,48 @@ def _verdict(check, term, rec):
                        st.fractions(max_denominator=10 ** 4).filter(bool)))
 def test_kronecker_test_matches_residual_after_perturbation(
         solved, index, part, a, b, delta):
-    """Adding delta n^a k^b to one of p1, p2, Cn or Cd gives the same
-    verdict from the image as from the expanded residual."""
+    """Adding delta n^a to p1 or p2, or delta n^a k^b to Cn or Cd, gives
+    the same verdict from the image as from the expanded residual."""
     term, rec = solved[index]
-    mono = MultiPoly.var("n", a) * MultiPoly.var("k", b) * F(delta)
-    bad = _perturbed(rec, part, mono)
+    mono = MultiPoly.var("n", a) * F(delta)
+    if part.startswith("cert"):
+        mono = mono * MultiPoly.var("k", b)
+    bad = _perturbed(symbolic(rec), part, mono)
     want = _verdict(lambda t, r: recurrence_residual(t, r).is_zero, term, bad)
-    assert _verdict(verify_recurrence, term, bad) == want
+    assert _verdict(lambda t, r: verify_recurrence(t, specialize(r, {})),
+                    term, bad) == want
 
 
 def test_kronecker_test_rejects_single_unit_changes(solved):
     """A change of 1 in any one coefficient of p1, p2, Cn or Cd breaks
     every solver recurrence, and the image sees it."""
     for term, rec in solved:
-        for part, poly in zip(_PARTS, (rec.p1, rec.p2, *rec.cert)):
+        sym = symbolic(rec)
+        for part, poly in zip(_PARTS, (sym.p1, sym.p2, *sym.cert)):
             for mono, _ in poly.terms[:3]:
-                bad = _perturbed(rec, part, MultiPoly.from_dict({mono: 1}))
-                assert verify_recurrence(term, bad) is False
+                bad = _perturbed(sym, part, MultiPoly.from_dict({mono: 1}))
+                assert verify_recurrence(term, specialize(bad, {})) is False
 
 
 def test_kronecker_test_zero_certificate_denominator_raises(solved):
     term, rec = solved[0]
     with pytest.raises(ZeroDivisionError):
-        verify_recurrence(term, replace(rec, cert=(rec.cert[0], MultiPoly.zero())))
+        verify_recurrence(term, replace(rec, cert=(rec.cert[0], ())))
 
 
 def test_kronecker_test_rejects_free_parameters(solved):
-    with pytest.raises(ValueError, match="free parameter"):
-        verify_recurrence(family_term(FamilyId.QUARTER),
-                          builtin_recurrence(FamilyId.QUARTER))
+    """A summand with a free parameter is refused; a recurrence cannot
+    hold one, since `specialize` refuses to make one from a symbolic
+    recurrence with a parameter left free."""
     term, rec = solved[0]
-    with pytest.raises(ValueError):
-        verify_recurrence(term, replace(rec, p1=rec.p1 + MultiPoly.var("a")))
-    with pytest.raises(ValueError):
-        verify_recurrence(term, replace(
-            rec, cert=(rec.cert[0], rec.cert[1] * MultiPoly.var("f"))))
+    with pytest.raises(ValueError, match="free parameter"):
+        verify_recurrence(family_term(FamilyId.QUARTER), rec)
+    sym = symbolic(rec)
+    with pytest.raises(ValueError, match="^unbound variable: a$"):
+        specialize(replace(sym, p1=sym.p1 + MultiPoly.var("a")), {})
+    with pytest.raises(ValueError, match="^unbound variable: f$"):
+        specialize(replace(sym, cert=(sym.cert[0], sym.cert[1] * MultiPoly.var("f"))),
+                   {})
 
 
 def test_solver_recheck_is_live(monkeypatch):
@@ -449,7 +461,7 @@ def test_solver_recheck_is_live(monkeypatch):
 
     def corrupted(*args):
         rec = assemble(*args)
-        return replace(rec, p2=rec.p2 + MultiPoly.one())
+        return replace(rec, p2=rec.p2 + UniPoly.one())
 
     monkeypatch.setattr(telescoper, "_assemble", corrupted)
     term = family_instantiate(FamilyId.QUARTER,
@@ -464,7 +476,7 @@ def test_kronecker_test_multiplies_no_polynomials(monkeypatch):
     params = (F(1, 3), F(1, 3), F(1), F(1, 3), F(1, 3), F(2, 3))
     term = family_instantiate(FamilyId.QUARTER, params)
     rec = specialize(builtin_recurrence(FamilyId.QUARTER), dict(zip("abcdef", params)))
-    bad = replace(rec, p1=rec.p1 + MultiPoly.one())
+    bad = replace(rec, p1=rec.p1 + UniPoly.one())
 
     def refuse(self, other):
         raise AssertionError("MultiPoly product in the zero test")
@@ -475,15 +487,29 @@ def test_kronecker_test_multiplies_no_polynomials(monkeypatch):
     assert verify_recurrence(term, bad) is False
 
 
+_Q1_POINT = dict(zip("abcdef", (F(1, 3), F(1, 3), F(1), F(1, 3), F(1, 3), F(2, 3))))
+
+
 def test_specialize_rejects_vanishing_certificate_denominator():
     base = builtin_recurrence(FamilyId.QUARTER)
     rec = replace(base, cert=(base.cert[0], MultiPoly.from_string("a - 1")))
-    assert specialize(rec, {"a": 2}).cert[1] == MultiPoly.one()
+    point = {**_Q1_POINT, "a": 2}
+    assert _matches_reference(specialize(rec, point),
+                              subst_reference.specialize(rec, point))
     with pytest.raises(ZeroDivisionError):
-        specialize(rec, {"a": 1})
+        specialize(rec, {**_Q1_POINT, "a": 1})
 
 
 # -- specialize through substitution layouts, against the scan per call -----
+
+
+def _matches_reference(spec, ref):
+    """Whether `specialize` gave the reference's symbolic result: equal
+    p1 and p2, and certificate grids of the same ratio."""
+    cn, cd = map(grid_poly, spec.cert)
+    ref_cn, ref_cd = ref.cert
+    return (spec.r == ref.r and spec.p1 == ref.p1.as_unipoly("n")
+            and spec.p2 == ref.p2.as_unipoly("n") and cn * ref_cd == ref_cn * cd)
 
 
 def test_specialize_matches_reference_on_catalog_recipes():
@@ -494,22 +520,35 @@ def test_specialize_matches_reference_on_catalog_recipes():
         if base is None:
             continue
         point = dict(zip(d.family.param_names, d.params))
-        assert specialize(base, point) == subst_reference.specialize(base, point), e.id
+        assert _matches_reference(specialize(base, point),
+                                  subst_reference.specialize(base, point)), e.id
         count += 1
     assert count == 56
+
+
+@pytest.mark.parametrize("family", theorem_families(), ids=lambda f: f.value)
+def test_specialize_refuses_a_parameter_left_free(family):
+    """A point that leaves one parameter x free, where x occurs in the
+    stored recurrence, raises ValueError("unbound variable: x")."""
+    base = builtin_recurrence(family)
+    occurring = set().union(*(p.variables() for p in (base.p1, base.p2, *base.cert)))
+    for name in family.param_names:
+        assert name in occurring
+        point = {v: F(1, 3) for v in family.param_names if v != name}
+        with pytest.raises(ValueError, match=f"^unbound variable: {name}$"):
+            specialize(base, point)
 
 
 @pytest.mark.parametrize("family", theorem_families(), ids=lambda f: f.value)
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_specialize_matches_reference_on_stored_recurrences(family, data):
-    """Any subset of the parameters at rational values, zero and negative
-    ones among them, gives the reference's recurrence; a certificate
-    denominator that vanishes there raises ZeroDivisionError on both."""
+    """The parameters at rational values, zero and negative ones among
+    them, give the reference's recurrence; a certificate denominator that
+    vanishes there raises ZeroDivisionError on both."""
     base = builtin_recurrence(family)
-    names = data.draw(st.sets(st.sampled_from(family.param_names)))
-    point = {name: data.draw(_small_fractions) for name in names}
-    if point and data.draw(st.booleans()):
+    point = {name: data.draw(_small_fractions) for name in family.param_names}
+    if data.draw(st.booleans()):
         # name - value vanishes identically at the point
         name, value = data.draw(st.sampled_from(sorted(point.items())))
         base = replace(base, cert=(base.cert[0], MultiPoly.var(name)
@@ -519,7 +558,8 @@ def test_specialize_matches_reference_on_stored_recurrences(family, data):
         with pytest.raises(ZeroDivisionError):
             specialize(base, point)
         return
-    assert specialize(base, point) == subst_reference.specialize(base, point)
+    assert _matches_reference(specialize(base, point),
+                              subst_reference.specialize(base, point))
 
 
 def test_derive_passes_build_each_stored_layout_once(monkeypatch):
@@ -555,7 +595,8 @@ def test_specialize_reads_each_polynomial_not_the_recurrence():
     copied = replace(base, cert=tuple(MultiPoly.from_string(str(c))
                                       for c in base.cert))
     assert copied.cert == base.cert and copied.cert[0] is not base.cert[0]
-    assert specialize(copied, point) == spec == subst_reference.specialize(base, point)
+    assert specialize(copied, point) == spec
+    assert _matches_reference(spec, subst_reference.specialize(base, point))
 
 
 def test_specialize_names_an_unknown_parameter():
@@ -601,8 +642,9 @@ def test_solver_outputs_match_pinned_text():
             assert rec is None, pin
             continue
         assert rec is not None and rec.r == pin["r"], pin
-        cert_num, cert_den = rec.cert
-        got = {"p1": str(rec.p1), "p2": str(rec.p2),
+        sym = symbolic(rec)
+        cert_num, cert_den = sym.cert
+        got = {"p1": str(sym.p1), "p2": str(sym.p2),
                "cert_num": str(cert_num), "cert_den": str(cert_den)}
         assert got == want, pin.get("recipe", pin.get("control"))
 
@@ -775,6 +817,67 @@ def test_assemble_divides_out_a_polynomial_factor_of_the_vector(recipe, factor):
         telescoper._assemble = assemble
     (vec, deg, *rest), = calls
     assert assemble([_zmul(x, factor) for x in vec], deg, *rest) == rec
+
+
+# ---------------------------------------------------------------------------
+# Integer grids of affine factors
+# ---------------------------------------------------------------------------
+
+
+def _grid_reference(factors, rows=((1,),), den=1):
+    """`telescoper._grid` with two `_zmul` and one `_zsub` per row and
+    factor (test reference)."""
+    n, k = exact_arith.VARS.index("n"), exact_arith.VARS.index("k")
+    rows = [list(row) for row in rows]
+    for f in factors:
+        u, s, m = f.row[-1], f.row[n], f.row[k]
+        rows = [_zsub(_zmul(row, [u, s]), _zmul(below, [-m]))
+                for row, below in zip(rows + [[]] if m else rows, [[]] + rows)]
+        den *= f.den
+    return rows, den
+
+
+def _as_lists(grid):
+    rows, den = grid
+    return [list(row) for row in rows], den
+
+
+_nk_affine = st.builds(
+    lambda m, s, u, d: Affine.new([0] * 6 + [s, m, 0, u], d),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(-9, 9),
+    st.integers(1, 6)).filter(lambda f: any(f.row))
+_grid_rows = st.lists(st.lists(st.integers(-20, 20), max_size=4).map(
+    lambda cs: _zsub(cs, [])), min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_nk_affine, max_size=5), _grid_rows, st.integers(1, 9))
+def test_grid_matches_the_two_product_reference(factors, rows, den):
+    """The one-pass `_grid` gives the reference's rows and denominator,
+    zero constants, zero rows and factors free of k or of n among them."""
+    assert (_as_lists(telescoper._grid(factors, rows, den))
+            == _grid_reference(factors, rows, den))
+
+
+def test_grids_of_a_derive_pass_match_the_reference(monkeypatch):
+    """Every `_grid` a derive pass over the 95 recipes builds, in the
+    solver, its re-check and the stream, is the reference's."""
+    from hyperaccel import accelerator
+
+    grid, calls = telescoper._grid, []
+
+    def checked(*args):
+        got = grid(*args)
+        assert _as_lists(got) == _grid_reference(*args)
+        calls.append(args)
+        return got
+
+    monkeypatch.setattr(telescoper, "_grid", checked)
+    monkeypatch.setattr(accelerator, "_grid", checked)
+    for e in catalog_entries():
+        if e.derivation is not None:
+            derive_entry(e.id)
+    assert len(calls) > 95 * 2
 
 
 # ---------------------------------------------------------------------------
