@@ -11,11 +11,12 @@ and unrolling from a start point n0 yields the accelerated series.  The
 stream is normalized by F(n0, 0), so every term is an exact rational
 number built from the certificate, p1, p2, and the n-shift ratio of the
 summand evaluated along nu_j = n0 + r j.  The certificate and the ratio
-enter at k = 0: row 0 of the certificate's grids and of the grids of the
-ratio's affine factors, UniPolys in n, so each term costs a few Horner
-evaluations.  AccelStream generates the terms lazily and compares the
-term quotient t_{j+1}/t_j with a series' on one integer image of their
-factors; it expands the quotient into UniPolys on use.
+enter at k = 0: row 0 of the certificate's grids, and the products of
+the rows [u, s] of the ratio's affine factors (m k + s n + u)/d,
+UniPolys in n, so each term costs a few Horner evaluations.
+AccelStream generates the terms lazily and compares the term quotient
+t_{j+1}/t_j with a series' on one integer image of their factors; it
+expands the quotient into UniPolys on use.
 
 Unrolling is valid only when the remainder after m steps dies off.
 vanishing_check estimates that remainder in double precision: the
@@ -49,15 +50,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import prod
 from typing import Iterator, Optional, Sequence
 
-from hyperaccel.exact_arith import (Scalar, UniPoly, _Bound, _kronecker_zero,
-                                    _unipoly, _zeval, index_roots, rational_roots)
+from hyperaccel.exact_arith import (VARS, Scalar, UniPoly, _Bound,
+                                    _kronecker_zero, _unipoly, _zeval, _zmul,
+                                    index_roots, rational_roots)
 from hyperaccel.hypergeom_terms import HypTerm, k_ratio_parts, n_ratio_parts
 from hyperaccel.numerics import direct_sum
-from hyperaccel.telescoper import Recurrence, _grid
+from hyperaccel.telescoper import Recurrence
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -65,6 +67,7 @@ _F1 = Fraction(1)
 _REMAINDER_TOL = 1e-30
 _ORACLE_DIGITS = 2
 _UNROLL_STEPS = 200
+_N_INDEX = VARS.index("n")
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +96,20 @@ def convergence_rate(rec: Recurrence) -> Fraction:
 
 def k_series_at(term: HypTerm, n: Scalar) -> ChuSeries:
     """sum_k F(n, k)/F(n, 0) as a bracket series with num = den = 1, read
-    off the factors of F(n, k+1)/F(n, k): a factor (m k + c)/d at n gives
-    the parameter c/m and the factor m/d of z, and a factor free of k gives
-    its value to z.  Equal upper and lower parameters are kept.  Raises
-    ValueError when a factor free of k vanishes in the denominator."""
+    off the factors of F(n, k+1)/F(n, k): with c = s n + u, a factor
+    (m k + s n + u)/d gives the parameter c/m and the factor m/d of z, or
+    c/d to z when m = 0.  Equal upper and lower parameters are kept.
+    Raises ValueError when a factor free of k vanishes in the
+    denominator, and ValueError("unbound variable: x") for a free x."""
     sign, num, den = k_ratio_parts(term)
     z = sign
     params: tuple[list[Fraction], list[Fraction]] = ([], [])
     for side, factors in enumerate((num, den)):
         for f in factors:
-            at_n = f.subst({"n": n}).as_unipoly("k")
-            c, m = at_n.coeff(0), at_n.coeff(1)
+            free = f.variables() - {"n", "k"}
+            if free:
+                raise ValueError(f"unbound variable: {min(free)}")
+            c, m = Fraction(f.row[_N_INDEX] * n + f.row[-1], f.den), f.coeff("k")
             if m:
                 params[side].append(c / m)
             elif side and not c:
@@ -157,15 +163,16 @@ def vanishing_check(term: HypTerm, rec: Recurrence, n0: Scalar) -> bool:
 def _stream_parts(term: HypTerm, rec: Recurrence) -> tuple[UniPoly, ...]:
     """p1, p2, and the numerators and denominators of the certificate and
     of the n-shift ratio at k = 0, as polynomials in n: row 0 of the
-    certificate's grids and of the `telescoper._grid` of the ratio's
-    affine factors, whose sign is 1."""
+    certificate's grids, and for the ratio, whose sign is 1, the product
+    of the rows [u, s] of its factors (m k + s n + u)/d over the product
+    of their d."""
     _, num, den = n_ratio_parts(term, rec.r)
     parts = [rec.p1, rec.p2]
     # a zero grid has no row 0
     parts.extend(UniPoly(grid[0] if grid else ()) for grid in rec.cert)
     for factors in (num, den):
-        rows, d = _grid(factors)
-        parts.append(_unipoly(list(rows[0]), d))
+        rows = ((f.row[-1], f.row[_N_INDEX]) for f in factors)
+        parts.append(_unipoly(reduce(_zmul, rows, [1]), prod(f.den for f in factors)))
     return tuple(parts)
 
 

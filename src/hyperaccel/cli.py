@@ -159,14 +159,13 @@ def _cmd_verify_symbolic(args) -> int:
     return status
 
 
-def _build_recurrence(family: FamilyId, params, r: Optional[int],
-                      max_deg: int):
+def _build_recurrence(family: FamilyId, params, r: Optional[int]):
     try:
         term = family_instantiate(family, params)
     except ValueError as ex:
         raise UsageError(str(ex)) from None
     shifts = (r,) if r is not None else (1, 2)
-    rec = derive_recurrence(term, max_deg=max_deg, shifts=shifts)
+    rec = derive_recurrence(term, shifts=shifts)
     if rec is None:
         raise ValueError(f"no two-term recurrence found for family"
                          f" {family.value} with the given parameters")
@@ -177,7 +176,7 @@ def _cmd_derive(args) -> int:
     if args.n is not None:
         _check_start(args.n)
     family = FamilyId(args.family)
-    term, rec = _build_recurrence(family, args.params, args.r, args.max_deg)
+    term, rec = _build_recurrence(family, args.params, args.r)
     _emit(args.format, ["family", family.value])
     _emit(args.format, ["r", str(rec.r)])
     _emit(args.format, ["p1", _ascending_coeffs(rec.p1)])
@@ -195,7 +194,7 @@ def _cmd_derive(args) -> int:
 
 def _cmd_rate(args) -> int:
     family = FamilyId(args.family)
-    _, rec = _build_recurrence(family, args.params, args.r, args.max_deg)
+    _, rec = _build_recurrence(family, args.params, args.r)
     print(f"rate = {convergence_rate(rec)}")
     return 0
 
@@ -207,7 +206,7 @@ def _cmd_accelerate(args) -> int:
     _check_start(args.n)
     family = FamilyId(args.family)
     r = None if args.r == "auto" else int(args.r)
-    term, rec = _build_recurrence(family, args.params, r, args.max_deg)
+    term, rec = _build_recurrence(family, args.params, r)
     stream = accelerated_stream(term, rec, args.n)
     if args.chu:
         series, scale = chu_normalize(stream.ratio, stream.term(0))
@@ -331,7 +330,6 @@ def _add_family_params(parser, with_n: bool, n_required: bool = False,
     parser.add_argument("--params", required=True, type=_rational_list)
     if with_n:
         parser.add_argument("--n", type=_rational, required=n_required)
-    parser.add_argument("--max-deg", type=_positive_int, default=8)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,9 +28,10 @@ of keys and one integer multiply of numerators.  An exponent must stay
 below 2^15.  The top bit of each field is a guard: a product that would
 reach 2^15 in some variable sets it and raises OverflowError instead of
 carrying into the next variable.  The `terms` view gives (exponent tuple,
-Fraction) pairs in ascending order.  `subst` reads the terms through a
-layout built once per set of substituted names and kept on the instance,
-outside equality and hashing.  A rational function is a plain
+Fraction) pairs in ascending order.  `grid` substitutes values for the
+variables other than n and k, giving integer rows in n over the powers
+of k, through a layout built once per polynomial and kept on the
+instance, outside equality and hashing.  A rational function is a plain
 (numerator, denominator) pair of MultiPolys.  `_primitive_pair` gives
 it integer, jointly primitive parts and a positive leading denominator
 coefficient, by integer gcd only (no multivariate gcd is attempted), so
@@ -40,8 +41,10 @@ two equal quotients can have different parts.
 integer row, a coefficient per variable and the constant, over one
 positive denominator, jointly in lowest terms.  It substitutes values
 and shifts variables on the row, and becomes a MultiPoly only for an
-expanded residual; the solver, its re-check and the stream multiply
-the rows into integer grids (`telescoper._grid`).
+expanded residual.  An instantiated factor (m k + s n + u)/d is read
+as the rows [u, s] and [m] in n over the powers of k: the solver
+multiplies them into integer grids (`telescoper._grid`), and its
+re-check and the stream take them straight off the row.
 
 All arithmetic here is exact; nothing in this module rounds.
 """
@@ -72,6 +75,9 @@ _FIELD_MASK = (1 << _EXP_BITS) - 1
 _SHIFTS = tuple(_EXP_BITS * (_NVARS - 1 - i) for i in range(_NVARS))
 _GUARD = sum(_EXP_LIMIT << s for s in _SHIFTS)
 _FIELDS = tuple(_FIELD_MASK << s for s in _SHIFTS)
+
+# the indices of n and k, the variables a `MultiPoly.grid` keeps
+_NK = (_VAR_INDEX["n"], _VAR_INDEX["k"])
 
 _F0 = Fraction(0)
 
@@ -540,42 +546,38 @@ def _var_index(name: str) -> int:
     return i
 
 
-class _SubstLayout:
-    """A MultiPoly's terms laid out for substituting one set of variables.
+class _GridLayout:
+    """A MultiPoly's terms laid out for `MultiPoly.grid`.
 
-    `names` and `degrees` are the substituted variables the polynomial
-    has and its degree in each; `names` is empty when it has none of
-    them.  Its distinct monomials in them are numbered in order of first
-    appearance, and `cols` holds, per name, the exponent in each.  A
-    term's kept key is its key with those variables' fields cleared;
-    `groups` pairs each kept key, in order of first appearance, with the
-    numerators and the monomial numbers of its terms.  Raises ValueError
-    for a name outside VARS.
+    `names` are the variables other than n and k that the polynomial
+    has, and `degrees` its degree in each.  Its `size` distinct
+    monomials in them are numbered in order of first appearance, and
+    `cols` holds, per name, the exponent in each.  `groups` pairs each
+    (k, n) exponent pair of a term, ascending, with the numerators and
+    the monomial numbers of its terms.
     """
 
-    __slots__ = ("names", "degrees", "cols", "groups")
+    __slots__ = ("names", "degrees", "cols", "size", "groups")
 
-    def __init__(self, coeffs: dict[int, int], names: frozenset[str]):
+    def __init__(self, coeffs: dict[int, int]):
         present = reduce(or_, coeffs, 0)
-        used = [i for i in sorted(map(_var_index, names)) if present & _FIELDS[i]]
+        used = [i for i in range(_NVARS)
+                if i not in _NK and present & _FIELDS[i]]
         self.names = tuple(map(VARS.__getitem__, used))
-        if not used:
-            return
         mask = sum(map(_FIELDS.__getitem__, used))
+        sn, sk = (_SHIFTS[i] for i in _NK)
         monos: dict[int, int] = {}
-        groups: dict[int, tuple[list[int], list[int]]] = {}
-        for k, c in coeffs.items():
-            part = k & mask
-            kept = k ^ part
-            group = groups.get(kept)
-            if group is None:
-                group = groups[kept] = ([], [])
+        groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        for key, c in coeffs.items():
+            at = ((key >> sk) & _FIELD_MASK, (key >> sn) & _FIELD_MASK)
+            group = groups.setdefault(at, ([], []))
             group[0].append(c)
-            group[1].append(monos.setdefault(part, len(monos)))
+            group[1].append(monos.setdefault(key & mask, len(monos)))
         self.cols = [[(part >> _SHIFTS[i]) & _FIELD_MASK for part in monos]
                      for i in used]
         self.degrees = tuple(map(max, self.cols))
-        self.groups = list(groups.items())
+        self.size = len(monos)
+        self.groups = sorted(groups.items())
 
 
 class _Terms(Sequence):
@@ -606,14 +608,14 @@ class MultiPoly:
     takes an already normalized {key: numerator} dict and owns it.
     """
 
-    __slots__ = ("_coeffs", "_den", "_pairs", "_layouts")
+    __slots__ = ("_coeffs", "_den", "_pairs", "_layout")
 
     def __init__(self, coeffs: dict[int, int], den: int = 1):
         self._coeffs = coeffs
         self._den = den if coeffs else 1
         self._pairs: Optional[tuple[tuple[tuple[int, ...], Fraction], ...]] = None
-        # `subst` layouts by the set of substituted names; outside == and hash
-        self._layouts: Optional[dict[frozenset[str], _SubstLayout]] = None
+        # the `grid` layout, built on first use; outside == and hash
+        self._layout: Optional[_GridLayout] = None
 
     @property
     def terms(self) -> _Terms:
@@ -712,41 +714,57 @@ class MultiPoly:
         s = _SHIFTS[_VAR_INDEX[name]]
         return max((k >> s) & _FIELD_MASK for k in self._coeffs)
 
-    def variables(self) -> set[str]:
-        used = reduce(or_, self._coeffs, 0)
-        return {v for v, s in zip(VARS, _SHIFTS) if (used >> s) & _FIELD_MASK}
-
-    def subst(self, point: Mapping[str, Scalar]) -> "MultiPoly":
-        """Substitute rational values for a subset of the variables.
-
-        A value p/q for a variable of degree m turns x^e into
-        p^e q^(m-e) over q^m, so the numerators stay integers.  The
-        terms are read through the `_SubstLayout` for the set of names,
-        built on the first call with that set and kept on this instance.
-        A call forms each distinct monomial in the substituted variables
-        once, from a table of p^e q^(m-e) per variable, and sums c times
-        it over the terms of each kept key.  Raises ValueError for a name
-        outside VARS.
-        """
-        names = frozenset(point)
-        if self._layouts is None:
-            self._layouts = {}
-        layout = self._layouts.get(names)
+    def grid(self, point: Mapping[str, Scalar]) -> tuple[list[list[int]], int]:
+        """The polynomial at rational values of its variables other than
+        n and k: integer rows in n over the powers of k, with no trailing
+        zero in a row and no trailing empty row, over one positive
+        denominator, not reduced.  A value p/q for a variable of degree m
+        turns x^e into p^e q^(m-e) over q^m.  The `_GridLayout` is built
+        on the first call and kept; a call forms each distinct monomial
+        once from per-variable power tables and sums c times it over the
+        terms of each (k, n) exponent pair.  Values for n and k are not
+        read.  Raises ValueError("unknown variable: z") for a name z
+        outside VARS, and ValueError("unbound variable: x") as
+        `_free_grid` says."""
+        for name in point:
+            _var_index(name)
+        layout = self._layout
         if layout is None:
-            layout = self._layouts[names] = _SubstLayout(self._coeffs, names)
-        if not layout.names:
-            return self
+            layout = self._layout = _GridLayout(self._coeffs)
+        if not all(map(point.__contains__, layout.names)):
+            return self._free_grid(point)
         den = self._den
-        values: list[int] = []
+        values = [1] * layout.size
         for name, m, col in zip(layout.names, layout.degrees, layout.cols):
             p, q = point[name].as_integer_ratio()
             table = [p ** e * q ** (m - e) for e in range(m + 1)]
             den *= q ** m
-            powers = map(table.__getitem__, col)
-            values = list(map(mul, values, powers) if values else powers)
-        mono = values.__getitem__
-        return _normalized({k: sum(map(mul, cs, map(mono, monos)))
-                            for k, (cs, monos) in layout.groups}, den)
+            values = list(map(mul, values, map(table.__getitem__, col)))
+        rows: list[list[int]] = []
+        for (j, i), (cs, monos) in layout.groups:
+            # zero sums are left out, so no row ends in a zero
+            c = sum(map(mul, cs, map(values.__getitem__, monos)))
+            if c:
+                rows.extend([] for _ in range(j + 1 - len(rows)))
+                rows[j].extend([0] * (i - len(rows[j])))
+                rows[j].append(c)
+        return rows, den
+
+    def _free_grid(self, point: Mapping[str, Scalar]) -> tuple[list[list[int]], int]:
+        """`grid` at a point that leaves variables free, which must all
+        cancel: the values are substituted one variable at a time, and
+        in the lowest power of k whose coefficient keeps one, the first
+        free variable by name is refused as unbound."""
+        p = self
+        for name, v in point.items():
+            if name not in ("n", "k"):
+                p = p.subst_poly(name, MultiPoly.const(v))
+        for c in p.coeffs_in("k"):
+            used = reduce(or_, c._coeffs, 0)
+            extra = [x for i, x in enumerate(VARS) if x != "n" and used & _FIELDS[i]]
+            if extra:
+                raise ValueError(f"unbound variable: {min(extra)}")
+        return p.grid({})
 
     def coeffs_in(self, name: str) -> list["MultiPoly"]:
         """Dense coefficient list in one variable; entries are MultiPolys."""
@@ -773,17 +791,6 @@ class MultiPoly:
     def shift_var(self, name: str, s: Scalar) -> "MultiPoly":
         """Substitute name -> name + s."""
         return self.subst_poly(name, MultiPoly.var(name) + MultiPoly.const(s))
-
-    def as_unipoly(self, name: str) -> UniPoly:
-        """Convert to a dense univariate polynomial; other variables must be absent."""
-        extra = self.variables() - {name}
-        if extra:
-            raise ValueError(f"unbound variable: {sorted(extra)[0]}")
-        s = _SHIFTS[_VAR_INDEX[name]]
-        out = [0] * (self.degree(name) + 1)
-        for k, c in self._coeffs.items():
-            out[k >> s] = c
-        return UniPoly(tuple(out), self._den)
 
     @staticmethod
     def from_string(s: str) -> "MultiPoly":
@@ -920,14 +927,6 @@ class Affine:
                 row[i] = 0
                 row[-1] += c * p
         return Affine.new(row, den)
-
-    def as_unipoly(self, name: str) -> UniPoly:
-        """self as a UniPoly in name; other variables must be absent."""
-        extra = self.variables() - {name}
-        if extra:
-            # the first name in sorted order, as MultiPoly reports it
-            raise ValueError(f"unbound variable: {min(extra)}")
-        return _unipoly([self.row[-1], self.row[_VAR_INDEX[name]]], self.den)
 
 
 def _parse_multipoly(s: str) -> MultiPoly:

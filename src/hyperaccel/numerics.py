@@ -119,8 +119,8 @@ class BigFloat:
     @staticmethod
     def from_ratio(n: int, d: int, precision: int = _MIN_PRECISION,
                    mode: str = "nearest") -> "BigFloat":
-        """Round n/d to precision bits for d > 0; mode is nearest, floor,
-        or ceil, and n and d need have no common factor divided out."""
+        """Round n/d to precision bits for d > 0; mode is nearest or ceil,
+        and n and d need have no common factor divided out."""
         precision = max(_MIN_PRECISION, precision)
         if n == 0:
             return BigFloat(0, 0, precision)
@@ -133,7 +133,7 @@ class BigFloat:
         q, rem = divmod(n << max(shift, 0), d)
         if mode == "ceil":
             q += 1 if rem else 0
-        elif mode != "floor" and (2 * rem > d or (2 * rem == d and q % 2)):
+        elif 2 * rem > d or (2 * rem == d and q % 2):
             q += 1
         return BigFloat(q, -shift, precision)
 
@@ -711,10 +711,10 @@ def direct_sum(s: ChuSeries, target_digits: int) -> Enclosure:
     if limit == 1:
         if alpha <= 1:
             raise ValueError("oracle unavailable")
-        return _oracle_positive(p, q, float(alpha), float(tol))
+        return _oracle_float(p, q, float(tol), float(alpha))
     if alpha <= 0:
         raise ValueError("oracle unavailable")
-    return _oracle_alternating(p, q, float(tol))
+    return _oracle_float(p, q, float(tol))
 
 
 def _horner(coeffs: list[float], x: float) -> float:
@@ -724,37 +724,29 @@ def _horner(coeffs: list[float], x: float) -> float:
     return acc
 
 
-def _oracle_positive(num: list[int], den: list[int], alpha: float,
-                     tol: float) -> Enclosure:
+def _oracle_float(num: list[int], den: list[int], tol: float,
+                  alpha: Optional[float] = None) -> Enclosure:
+    """The double-precision sum of t_0 = 1, t_{k+1} = t_k num(k)/den(k)
+    for a ratio limit of +1 with decay exponent alpha, or of -1 when
+    alpha is None.  Only the stop rule differs: from k = 64 on, the
+    integral estimate of the tail within tol, or from k = 8 on, a term
+    |t_k| <= tol with the alternating tail t_k/2."""
     nf = [float(c) for c in num]
     df = [float(c) for c in den]
     total, t = 0.0, 1.0
-    k = 0
-    while k < _ORACLE_TERM_CAP:
-        if k >= 64:
+    for k in range(_ORACLE_TERM_CAP):
+        done = False
+        if alpha is None:
+            tail, spread = t / 2.0, abs(t) * 0.6
+            done = k >= 8 and abs(t) <= tol
+        elif k >= 64:
             tail = t * (k / (alpha - 1.0) + 0.5)
-            radius = abs(tail) * (alpha + 3.0) * 6.0 / k + 1e-9 * (1.0 + abs(total))
-            if radius <= tol:
-                c = Fraction(total + tail)
-                r = Fraction(radius)
-                return Enclosure.from_interval(c - r, c + r)
-        total += t
-        t *= _horner(nf, float(k)) / _horner(df, float(k))
-        k += 1
-    raise ValueError("oracle unavailable")
-
-
-def _oracle_alternating(num: list[int], den: list[int], tol: float) -> Enclosure:
-    nf = [float(c) for c in num]
-    df = [float(c) for c in den]
-    total, t = 0.0, 1.0
-    k = 0
-    while k < _ORACLE_TERM_CAP:
-        if k >= 8 and abs(t) <= tol:
-            c = Fraction(total + t / 2.0)
-            r = Fraction(abs(t) * 0.6 + 1e-9 * (1.0 + abs(total)))
+            spread = abs(tail) * (alpha + 3.0) * 6.0 / k
+            done = spread + 1e-9 * (1.0 + abs(total)) <= tol
+        if done:
+            c = Fraction(total + tail)
+            r = Fraction(spread + 1e-9 * (1.0 + abs(total)))
             return Enclosure.from_interval(c - r, c + r)
         total += t
         t *= _horner(nf, float(k)) / _horner(df, float(k))
-        k += 1
     raise ValueError("oracle unavailable")

@@ -11,7 +11,8 @@ general recurrences keep their free parameters a-f: a
 instantiated recurrence, what the solver derives and what `specialize`
 makes of a stored one at a parameter point, is a `Recurrence`: p1 and p2
 are UniPolys in n, and the certificate is a pair of integer grids in n
-and k (`Grid`), so nothing downstream converts it.
+and k (`Grid`), so nothing downstream converts it; `specialize` reads
+each stored polynomial at the point as one grid (`MultiPoly.grid`).
 
 Verification substitutes the exact shift ratios of F, clears all
 denominators, and checks that the one cross-multiplied numerator
@@ -19,8 +20,9 @@ polynomial R is identically zero.  `recurrence_residual` expands R,
 `_residual_form` on MultiPolys, for a symbolic recurrence: free
 parameters would make any single integer image of R far too large.
 `verify_recurrence`, for an instantiated one, expands nothing: it keeps
-every part of R as an integer scalar times a product of grids and
-decides R = 0 from one Kronecker image (`exact_arith._kronecker_zero`;
+every part of R as an integer scalar times a product of grids, each
+affine factor (m k + s n + u)/d as its rows [u, s] and [m], and decides
+R = 0 from one Kronecker image (`exact_arith._kronecker_zero`;
 Harvey, J. Symb. Comput. 2009).
 
 Derivation runs the parameterized Gosper algorithm: with rho_k = Nk/Dk
@@ -58,8 +60,8 @@ from typing import Mapping, Optional, Sequence
 
 from hyperaccel.builtin_data import neg27_dataset, negq_dataset, quarter_dataset
 from hyperaccel.exact_arith import (VARS, Affine, MultiPoly, Scalar, UniPoly,
-                                    _Bound, _common_ints, _kronecker_zero,
-                                    _zdiv, _zgcd, _zmul, _zsub)
+                                    _Bound, _kronecker_zero, _unipoly, _zdiv,
+                                    _zgcd, _zmul, _zsub)
 from hyperaccel.hypergeom_terms import (
     FamilyId,
     HypTerm,
@@ -73,6 +75,7 @@ from hyperaccel.hypergeom_terms import (
 
 _K_INDEX = VARS.index("k")
 _N_INDEX = VARS.index("n")
+_MAX_DEG = 8  # the largest degree of the telescoper ansatz
 
 
 # ---------------------------------------------------------------------------
@@ -163,22 +166,21 @@ class _Product:
         return out
 
 
+def _factor_rows(f: Affine) -> list[list[int]]:
+    """Rows [u, s] and [m], trimmed: the grid of the numerator m k + s n + u."""
+    u, s, m = f.row[-1], f.row[_N_INDEX], f.row[_K_INDEX]
+    return [[u, s] if s else [u] if u else []] + ([[m]] if m else [])
+
+
 def _ratio_products(parts: RatioParts) -> tuple[_Product, _Product]:
     """Integer products (N, D) with N/D = sign prod(num)/prod(den) for
-    the factor lists (sign, num, den) of a shift ratio, each factor a
-    `_grid` of its own."""
+    the factor lists (sign, num, den) of a shift ratio, each factor
+    (m k + s n + u)/e the grid `_factor_rows` over e."""
     sign, num, den = parts
-    ns, ds = sign.numerator, sign.denominator
-    nf, df = [], []
-    for f in num:
-        rows, d = _grid((f,))
-        ds *= d
-        nf.append((rows, False))
-    for f in den:
-        rows, d = _grid((f,))
-        ns *= d
-        df.append((rows, False))
-    return _Product(ns, nf), _Product(ds, df)
+    return (_Product(sign.numerator * prod(f.den for f in den),
+                     [(_factor_rows(f), False) for f in num]),
+            _Product(sign.denominator * prod(f.den for f in num),
+                     [(_factor_rows(f), False) for f in den]))
 
 
 def _residual_form(p1, p2, nn, dn, nk, dk, cn, cd, cn1, cd1, d12):
@@ -263,22 +265,24 @@ def builtin_residual(family: FamilyId) -> MultiPoly:
 
 def specialize(rec: SymbolicRecurrence, params: Mapping[str, Scalar]) -> Recurrence:
     """The instantiated recurrence at rational parameter values: p1 and
-    p2 as UniPolys in n, the certificate as grids by `_cert_pair`.
-    Raises ZeroDivisionError when the certificate's denominator vanishes
-    identically there, ValueError("unbound variable: x") when a variable
-    x other than n (and k in the certificate) is left free, and
-    ValueError for a name outside VARS.  Each of the four polynomials
-    keeps its substitution layout for these names, so a stored
-    recurrence lays out its terms on its first specialization only."""
-    cn, cd = (part.subst(params) for part in rec.cert)
-    if cd.is_zero:
+    p2 as UniPolys in n and the certificate as grids by `_cert_pair`,
+    from one `MultiPoly.grid` of each polynomial, whose layout is built
+    on the first specialization only.  Raises ZeroDivisionError when the
+    certificate's denominator vanishes identically there,
+    ValueError("unbound variable: x") when a variable x other than n
+    (and k in the certificate) is left free, and ValueError for a name
+    outside VARS."""
+    (p1, d1), (p2, d2), (num, d_num), (den, d_den) = (
+        p.grid(params) for p in (rec.p1, rec.p2, *rec.cert))
+    if not den:
         raise ZeroDivisionError("certificate with zero denominator")
-    p1, p2 = (p.subst(params).as_unipoly("n") for p in (rec.p1, rec.p2))
-    num, den = ([c.as_unipoly("n") for c in part.coeffs_in("k")]
-                for part in (cn, cd))
-    rows = _common_ints(num + den)
-    return Recurrence(r=rec.r, p1=p1, p2=p2,
-                      cert=_cert_pair(rows[:len(num)], rows[len(num):]))
+    if len(p1) > 1 or len(p2) > 1:
+        raise ValueError("unbound variable: k")
+    # (num/d_num)/(den/d_den) = (num d_den)/(den d_num)
+    return Recurrence(r=rec.r, p1=_unipoly(p1[0] if p1 else [], d1),
+                      p2=_unipoly(p2[0] if p2 else [], d2), cert=_cert_pair(
+                          [[c * d_den for c in row] for row in num],
+                          [[c * d_num for c in row] for row in den]))
 
 
 def _cert_pair(num: list[list[int]], den: list[list[int]]) -> tuple[Grid, Grid]:
@@ -527,12 +531,11 @@ def _grid(factors: Sequence[Affine], rows: Sequence[Sequence[int]] = ((1,),),
     return rows, den
 
 
-def zeilberger_two_term(term: HypTerm, r: int,
-                        max_deg: int = 8) -> Optional[Recurrence]:
+def zeilberger_two_term(term: HypTerm, r: int) -> Optional[Recurrence]:
     """Derive a two-term recurrence with n-offset r, or None.
 
     The summand must have every parameter instantiated, leaving only n
-    and k free.  max_deg caps the degree of the telescoper ansatz.
+    and k free.  The telescoper ansatz has degree at most `_MAX_DEG`.
     Raises ValueError for r < 1 (from `n_ratio_parts`) before solving.
     """
     _require_instantiated(term)
@@ -540,8 +543,7 @@ def zeilberger_two_term(term: HypTerm, r: int,
     _, nn, dn = n_ratio_parts(term, r)
     p_f, c, q_f, r_f = _normal_form(sk, nk + dn,
                                     dk + tuple(f.shift("k", 1) for f in dn))
-    rec = _solve(p_f, c, q_f, [f.shift("k", -1) for f in r_f], nn, dn, r,
-                 max_deg)
+    rec = _solve(p_f, c, q_f, [f.shift("k", -1) for f in r_f], nn, dn, r)
     if rec is not None and not verify_recurrence(term, rec):
         raise RuntimeError("derived recurrence failed exact re-verification")
     return rec
@@ -549,7 +551,7 @@ def zeilberger_two_term(term: HypTerm, r: int,
 
 def _solve(p_f: list[Affine], c: Fraction, q_f: list[Affine],
            rs_f: list[Affine], nn: Sequence[Affine], dn: Sequence[Affine],
-           r: int, max_deg: int) -> Optional[Recurrence]:
+           r: int) -> Optional[Recurrence]:
     """The recurrence with n-offset r from the factors of the normal form
     P, c Q and R* = R(k-1) and of the n-shift ratio Nn/Dn, or None; not
     re-checked.  The columns c Q(k) (k+1)^i - R*(k) k^i, -P Nn and -P Dn
@@ -563,7 +565,7 @@ def _solve(p_f: list[Affine], c: Fraction, q_f: list[Affine],
     bound = _degree_bound(q, rs, max(len(f1), len(f2)) - 1) + 1
     if bound < 0:
         return None
-    deg = min(bound, max_deg)
+    deg = min(bound, _MAX_DEG)
     cols = []
     for _ in range(deg + 1):
         # q is c Q(k) (k+1)^i and rs is R*(k) k^i, both times den
@@ -632,11 +634,11 @@ def _assemble(vec: list[list[int]], deg: int, rs_f: list[Affine],
                                       [_zmul(row, g_h) for row in pd]))
 
 
-def derive_recurrence(term: HypTerm, max_deg: int = 8,
+def derive_recurrence(term: HypTerm,
                       shifts: Sequence[int] = (1, 2)) -> Optional[Recurrence]:
     """Search n-offsets in order and return the first recurrence found."""
     for r in shifts:
-        rec = zeilberger_two_term(term, r, max_deg=max_deg)
+        rec = zeilberger_two_term(term, r)
         if rec is not None:
             return rec
     return None

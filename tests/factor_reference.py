@@ -6,13 +6,20 @@ of a shift ratio are MultiPolys, and the Gosper-Petkovsek normal form of
 the solver subtracts MultiPolys to match roots.  The tests require the row
 code to give the same factors, the same normal form and the same
 recurrences.
+
+`ratio_products` and `stream_parts` are the re-check's and the stream's
+reading of the row factors before they took each factor's rows [u, s]
+and [m] straight off its row: one `telescoper._grid` per factor, and row
+0 of the `_grid` of a whole factor list.
 """
 
 from fractions import Fraction
 from math import prod
 
-from hyperaccel.exact_arith import MultiPoly, _primitive_pair
-from multipoly_helpers import evaluate
+from hyperaccel.exact_arith import MultiPoly, UniPoly, _primitive_pair, _unipoly
+from hyperaccel.hypergeom_terms import n_ratio_parts
+from hyperaccel.telescoper import _grid
+from multipoly_helpers import evaluate, variables
 import solver_reference
 
 _ONE = MultiPoly.one()
@@ -24,7 +31,7 @@ def _var_coeff(p, name):
     if len(cs) < 2:
         return Fraction(0)
     c = cs[1]
-    if c.variables():
+    if variables(c):
         raise ValueError("Gamma argument must be affine")
     return evaluate(c, {})
 
@@ -101,7 +108,7 @@ def normal_form(sk, num, den):
             if a is None or b is None:
                 continue
             d = a[1] - b[1]
-            if not d.variables():
+            if not variables(d):
                 j = evaluate(d, {})
                 if j.denominator == 1 and j >= 0:
                     pairs.append((int(j), i, l))
@@ -139,7 +146,36 @@ def solver_inputs(term, r):
             prod(nn, start=_ONE), prod(dn, start=_ONE))
 
 
-def reference_recurrence(term, r, max_deg=8):
+def reference_recurrence(term, r):
     """The recurrence, or None, that the MultiPoly reference solver
     derives from the reference inputs."""
-    return solver_reference.solve(*solver_inputs(term, r), r, max_deg)
+    return solver_reference.solve(*solver_inputs(term, r), r)
+
+
+def ratio_products(parts):
+    """The (scalar, factors) of the products (N, D) of
+    `telescoper._ratio_products`, each factor a one-factor `_grid`."""
+    sign, num, den = parts
+    ns, ds = sign.numerator, sign.denominator
+    nf, df = [], []
+    for f in num:
+        rows, d = _grid((f,))
+        ds *= d
+        nf.append((rows, False))
+    for f in den:
+        rows, d = _grid((f,))
+        ns *= d
+        df.append((rows, False))
+    return (ns, nf), (ds, df)
+
+
+def stream_parts(term, rec):
+    """`accelerator._stream_parts` with the n-shift ratio at k = 0 read as
+    row 0 of the `_grid` of each factor list."""
+    _, num, den = n_ratio_parts(term, rec.r)
+    parts = [rec.p1, rec.p2]
+    parts.extend(UniPoly(grid[0] if grid else ()) for grid in rec.cert)
+    for factors in (num, den):
+        rows, d = _grid(factors)
+        parts.append(_unipoly(list(rows[0]), d))
+    return tuple(parts)

@@ -1,12 +1,14 @@
 """Test-only MultiPoly constructions and measures, built on its public
 `from_dict` and `terms`; the content and leading coefficient, read off
 the stored numerators of a MultiPoly or a UniPoly; evaluation at a
-point; and the conversions between a recurrence's grids and MultiPolys."""
+point; the variables of a MultiPoly and its conversion to a UniPoly in
+one of them; and the conversions between a recurrence's grids and
+MultiPolys."""
 
 from fractions import Fraction
 from math import gcd
 
-from hyperaccel.exact_arith import VARS, MultiPoly
+from hyperaccel.exact_arith import VARS, MultiPoly, UniPoly
 from hyperaccel.telescoper import SymbolicRecurrence
 
 
@@ -16,6 +18,24 @@ def from_unipoly(u, name: str) -> MultiPoly:
     return MultiPoly.from_dict({
         tuple(x if v == i else 0 for v in range(len(VARS))): c
         for x, c in enumerate(u.coeffs)})
+
+
+def variables(p: MultiPoly) -> set[str]:
+    """The variables that occur in p."""
+    return {v for e, _ in p.terms for v, x in zip(VARS, e) if x}
+
+
+def as_unipoly(p: MultiPoly, name: str) -> UniPoly:
+    """p as a UniPoly in name; ValueError("unbound variable: x") for x
+    the first other variable of p by name."""
+    extra = variables(p) - {name}
+    if extra:
+        raise ValueError(f"unbound variable: {min(extra)}")
+    i = VARS.index(name)
+    cs = [Fraction(0)] * (max((e[i] for e, _ in p.terms), default=-1) + 1)
+    for e, c in p.terms:
+        cs[e[i]] = c
+    return UniPoly.from_coeffs(cs)
 
 
 def total_degree(p: MultiPoly) -> int:
@@ -52,7 +72,7 @@ def grid_poly(rows) -> MultiPoly:
 def poly_grid(p: MultiPoly):
     """The rows of a MultiPoly in n and k with integer coefficients; the
     inverse of `grid_poly`."""
-    rows = [c.as_unipoly("n") for c in p.coeffs_in("k")]
+    rows = [as_unipoly(c, "n") for c in p.coeffs_in("k")]
     assert all(u.denominator == 1 for u in rows)
     return tuple(u.numerators for u in rows)
 

@@ -5,7 +5,7 @@ parameters are found again by root search.  Tests compare
 numerics.direct_sum(accelerator.k_series_at(term, n0), digits) against
 direct_sum(*k_ratio_at(k_shift_ratio(term), n0), digits) here.
 
-The double-precision loops for ratio limits +1 and -1 are the package's
+The double-precision loop for ratio limits +1 and -1 is the package's
 own, given the integer coefficient lists of the same pair.
 """
 
@@ -13,8 +13,11 @@ from fractions import Fraction
 
 from hyperaccel.exact_arith import UniPoly, _common_ints, _primitive_pair, index_roots
 from hyperaccel.numerics import (_MIN_PRECISION, _ORACLE_DIGITS_CAP, Enclosure,
-                                 _GeometricSum, _oracle_alternating, _oracle_positive,
-                                 _split, _stability_point, _values)
+                                 _GeometricSum, _oracle_float, _split,
+                                 _stability_point, _values)
+
+import subst_reference
+from multipoly_helpers import as_unipoly
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -23,8 +26,9 @@ _F1 = Fraction(1)
 def k_ratio_at(rho_k, n0) -> tuple[UniPoly, UniPoly]:
     """A k-shift ratio pair at n = n0, as UniPolys in k with integer,
     jointly primitive parts."""
-    num, den = _primitive_pair(*(part.subst({"n": n0}) for part in rho_k))
-    return num.as_unipoly("k"), den.as_unipoly("k")
+    num, den = _primitive_pair(*(subst_reference.subst(part, {"n": n0})
+                                 for part in rho_k))
+    return as_unipoly(num, "k"), as_unipoly(den, "k")
 
 
 def direct_sum(num: UniPoly, den: UniPoly, target_digits: int) -> Enclosure:
@@ -56,11 +60,11 @@ def direct_sum(num: UniPoly, den: UniPoly, target_digits: int) -> Enclosure:
         alpha = (den.coeff(d - 1) - num.coeff(d - 1)) / den.lc
         if alpha <= 1:
             raise ValueError("oracle unavailable")
-        return _oracle_positive(nums, dens, float(alpha), float(tol))
+        return _oracle_float(nums, dens, float(tol), float(alpha))
     alpha = (den.coeff(d - 1) + num.coeff(d - 1)) / den.lc
     if alpha <= 0:
         raise ValueError("oracle unavailable")
-    return _oracle_alternating(nums, dens, float(tol))
+    return _oracle_float(nums, dens, float(tol))
 
 
 def _oracle_geometric(num: UniPoly, den: UniPoly, lim: Fraction,

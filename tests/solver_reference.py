@@ -17,7 +17,7 @@ from math import gcd
 from hyperaccel.exact_arith import (MultiPoly, UniPoly, _common_ints,
                                     _primitive_pair, _zdiv, _zgcd)
 from hyperaccel.telescoper import Recurrence, _nullspace
-from multipoly_helpers import content, grid_poly, lead_coeff, poly_grid
+from multipoly_helpers import as_unipoly, content, grid_poly, lead_coeff, poly_grid
 
 _ONE = MultiPoly.one()
 _K = MultiPoly.var("k")
@@ -47,13 +47,13 @@ def _n_poly(cs):
 def _int_rows(cols):
     """The coefficient rows in k of the columns, each cleared to a
     primitive integer row of polynomials in n."""
-    coeffs = [[c.as_unipoly("n") for c in col.coeffs_in("k")] for col in cols]
+    coeffs = [[as_unipoly(c, "n") for c in col.coeffs_in("k")] for col in cols]
     zero = UniPoly()
     return [_common_ints([cs[m] if m < len(cs) else zero for cs in coeffs])
             for m in range(max(len(cs) for cs in coeffs))]
 
 
-def solve(p, q, rstar, n_n, d_n, r, max_deg=8):
+def solve(p, q, rstar, n_n, d_n, r):
     """The recurrence with n-offset r from the expanded normal form P, Q,
     R* = R(k-1) and the n-shift ratio Nn/Dn, or None; not re-checked."""
     rhs1 = p * n_n
@@ -62,7 +62,7 @@ def solve(p, q, rstar, n_n, d_n, r, max_deg=8):
                           max(rhs1.degree("k"), rhs2.degree("k"))) + 1
     if bound < 0:
         return None
-    deg = min(bound, max_deg)
+    deg = min(bound, 8)  # the solver's ansatz degree cap
     cols = []
     q_kp1, kpow = q, _ONE  # q(k) (k+1)^i and k^i
     for _ in range(deg + 1):
@@ -92,7 +92,7 @@ def _assemble(vec, deg, rstar, pd, r):
     rx = rstar * grid_poly(vec[:deg + 1])
     # rx = s sum_m c_m(n) k^m with the c_m in Z[n], jointly primitive
     s = content(rx) or Fraction(1)
-    cs = _common_ints([c.as_unipoly("n") for c in rx.coeffs_in("k")])
+    cs = _common_ints([as_unipoly(c, "n") for c in rx.coeffs_in("k")])
     h = g
     for c in cs:
         if len(h) == 1:

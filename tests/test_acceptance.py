@@ -132,7 +132,7 @@ def test_04_streams_termwise_proportional_to_displays():
 
 
 def test_05_alternating_controls_admit_no_recurrence():
-    """Both shifted alternating controls return None at r=1, max_deg=8."""
+    """Both shifted alternating controls return None at r=1."""
     rng = random.Random(20260816)
 
     def offset():
@@ -147,8 +147,8 @@ def test_05_alternating_controls_admit_no_recurrence():
         c, d = offset(), offset()
         single = alt_control_single_offset(a, b, c)
         double = alt_control_double_offset(a, b, c, d)
-        assert zeilberger_two_term(single, 1, max_deg=8) is None
-        assert zeilberger_two_term(double, 1, max_deg=8) is None
+        assert zeilberger_two_term(single, 1) is None
+        assert zeilberger_two_term(double, 1) is None
 
 
 RATE_WITNESSES = {

@@ -264,7 +264,10 @@ def test_derive_expands_nothing_to_solve_or_compare(monkeypatch):
     quotient (no `stream_ratio`, no `UniPoly.compose`).  Once the family
     summands are built, it calls no MultiPoly method, constructor or
     property on the 39 solver recipes, and on the 56 stored ones only
-    inside `specialize`."""
+    `MultiPoly.grid`, inside `specialize`.  Only the solver's `_solve`
+    and `_assemble` multiply factors into a `telescoper._grid`."""
+    import sys
+
     from hyperaccel import accelerator, telescoper
     from hyperaccel.exact_arith import MultiPoly
 
@@ -301,6 +304,13 @@ def test_derive_expands_nothing_to_solve_or_compare(monkeypatch):
     monkeypatch.setattr(accelerator, "stream_ratio",
                         watch("stream_ratio", accelerator.stream_ratio, True))
     monkeypatch.setattr(UniPoly, "compose", watch("compose", UniPoly.compose, True))
+    grid, grid_callers = telescoper._grid, set()
+
+    def watched_grid(*args):
+        grid_callers.add(sys._getframe(1).f_code.co_name)
+        return grid(*args)
+
+    monkeypatch.setattr(telescoper, "_grid", watched_grid)
     solved = stored = 0
     for e in ENTRIES:
         if e.derivation is None:
@@ -312,9 +322,10 @@ def test_derive_expands_nothing_to_solve_or_compare(monkeypatch):
             assert not specialized, e.id
             solved += 1
         else:
-            assert "subst" in specialized, e.id
+            assert specialized == ["grid"] * 4, e.id
             stored += 1
     assert (solved, stored) == (39, 56)
+    assert grid_callers == {"_solve", "_assemble"}
     # the watches are live: a MultiPoly call and the expanded quotient trip them
     MultiPoly.one()
     assert seen[0] == "one"

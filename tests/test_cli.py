@@ -10,6 +10,7 @@ override.
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -606,6 +607,64 @@ def test_malformed_rational_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rate", "--family", "quarter", "--params", "1/3,zebra"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["derive"], ["rate"], ["accelerate", "--n", "1"]])
+def test_max_deg_is_not_an_option(capsys, command):
+    # the ansatz degree cap is fixed at telescoper._MAX_DEG
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--family", "quarter", "--params", Q1_PARAMS,
+              "--max-deg", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-deg 8" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The README's command examples
+# ---------------------------------------------------------------------------
+
+
+def _readme_examples():
+    """(command line, expected output) for each `$ hyperaccel ...` line of
+    the README's "Command line" section: the lines after it up to the
+    next command or the end of its block, trailing blank lines dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in re.findall(r"```text\n(.*?)```", section, re.S):
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M):
+            if chunk.startswith("$ hyperaccel "):
+                command, _, out = chunk.partition("\n")
+                examples.append((command[len("$ hyperaccel "):], out.rstrip("\n")))
+    return examples
+
+
+def _output_pattern(expected: str) -> str:
+    """A regex for the output: `...` matches any text, and any run of
+    lines when it stands alone on a line."""
+    parts = []
+    for line in expected.split("\n") if expected else []:
+        if line == "...":
+            parts.append(r"(?:[^\n]*\n)*")
+        else:
+            parts.append(r"[^\n]*".join(map(re.escape, line.split("..."))) + "\n")
+    return "".join(parts)
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+def test_readme_shows_command_examples():
+    assert len(_README_EXAMPLES) >= 10
+
+
+@pytest.mark.parametrize("command, expected", _README_EXAMPLES,
+                         ids=[c for c, _ in _README_EXAMPLES])
+def test_readme_command_example(capsys, monkeypatch, tmp_path, command, expected):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *shlex.split(command))
+    assert code == 0
+    assert re.fullmatch(_output_pattern(expected), out), out
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from hyperaccel.exact_arith import (
     rational_roots,
 )
 
-from multipoly_helpers import content, evaluate, from_unipoly
+from multipoly_helpers import as_unipoly, content, evaluate, from_unipoly
 from quotient_helpers import quotient_eval, same_quotient
 
 F = Fraction
@@ -362,7 +362,7 @@ def test_theorem_style_evaluation_oracle():
     # shift parameter is zero and the index is 1: only -2n^3 + 4n^4 survive.
     p1, p2, cert = quarter_dataset()
     zeros = {v: 0 for v in "abcdef"}
-    assert evaluate(p2.subst(zeros), {"n": 1}) == 2
+    assert evaluate(p2, {**zeros, "n": 1}) == 2
     # [PAPER] the certificate at the same point is -1: the core collapses
     # to 3n^2 - 2n = 1 and the -n^2 prefactor gives -1.
     assert quotient_eval(cert, {**zeros, "n": 1, "k": 0}) == -1
@@ -556,7 +556,7 @@ def test_unipoly_equal_by_two_routes_hash_equal(roots, lead):
 @given(small_polys, st.sampled_from(["n", "k", "j"]))
 def test_unipoly_multipoly_round_trip(p, name):
     m = from_unipoly(p, name)
-    assert m.as_unipoly(name) == p
+    assert as_unipoly(m, name) == p
     i = VARS.index(name)
     assert dict(m.terms) == {tuple(e if v == i else 0 for v in range(len(VARS))): c
                            for e, c in enumerate(_RefUni.of(p).coeffs) if c}

@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 
 from hyperaccel.exact_arith import (VARS, Affine, MultiPoly, UniPoly,
                                     _primitive_pair)
+from hyperaccel.telescoper import SymbolicRecurrence, specialize
 
 import subst_reference
-from multipoly_helpers import (content, evaluate, from_unipoly, lead_coeff,
-                               total_degree)
+from multipoly_helpers import (as_unipoly, content, evaluate, from_unipoly,
+                               lead_coeff, total_degree, variables)
 
 F = Fraction
 _NVARS = len(VARS)
@@ -201,40 +202,78 @@ def test_ring_operations_match_reference(d1, d2, c, e):
     assert same(reduce(mul, [p] * e, MultiPoly.one()), r ** e)
 
 
-# every subset of the nine variables, so also names the polynomial lacks
-_points = st.sets(_names).flatmap(
-    lambda names: st.fixed_dictionaries({name: _scalars for name in names}))
+# the variables a grid substitutes, each bound to a value
+_OTHERS = tuple(v for v in VARS if v not in "nk")
+_full_points = st.fixed_dictionaries({name: _scalars for name in _OTHERS})
+
+
+def _same_grid(got, want):
+    """Whether two (rows, den) pairs give the same rational rows."""
+    (a, da), (b, db) = got, want
+    return len(a) == len(b) and all(
+        [c * db for c in x] == [c * da for c in y] for x, y in zip(a, b))
 
 
 @settings(max_examples=150)
-@given(_dicts, _points, st.data())
+@given(_dicts, _full_points, st.data())
 @example({(1, 2, 0, 0, 0, 0, 3, 1, 0): F(3, 2), (0, 0, 0, 0, 0, 0, 1, 0, 0): -2},
-         dict.fromkeys(VARS, 0), None)
-@example({(0, 0, 0, 0, 0, 0, 1, 2, 0): 5}, {"a": F(-1, 3)}, None)
-def test_subst_matches_reference(d, point, data):
-    """subst, through the layout built on its first call, matches the
-    tuple reference term by term and equals `subst_reference`, which
-    scans the keys on every call; a second call with the same names and
-    other values reuses the layout and still does, and the layout leaves
-    == and hash alone."""
-    p, r = both(d)
-    assert same(p.subst(point), r.subst(point))
-    assert p.subst(point) == subst_reference.subst(p, point)
+         dict.fromkeys(_OTHERS, 0), None)
+@example({(0, 0, 0, 0, 0, 0, 1, 2, 0): 5}, dict.fromkeys(_OTHERS, F(-1, 3)), None)
+def test_grid_matches_reference(d, point, data):
+    """grid, through the layout built on its first call, gives the rows
+    of `subst_reference.grid`, trimmed and over a positive denominator;
+    a second call at other values reuses the layout and still does, and
+    the layout leaves == and hash alone.  As a certificate denominator,
+    the polynomial is refused by `specialize` where it vanishes."""
+    p = MultiPoly.from_dict(d)
+    rows, den = p.grid(point)
+    assert den > 0 and (not rows or rows[-1]) and all(not r or r[-1] for r in rows)
+    assert _same_grid((rows, den), subst_reference.grid(p, point))
+    rec = SymbolicRecurrence(1, MultiPoly.var("n"), MultiPoly.one(),
+                             (MultiPoly.one(), p))
+    if not rows:
+        with pytest.raises(ZeroDivisionError):
+            specialize(rec, point)
+    else:
+        assert specialize(rec, point).cert[1]
     if data is not None:
         again = {name: data.draw(_scalars) for name in point}
-        assert p.subst(again) == subst_reference.subst(p, again)
+        assert _same_grid(p.grid(again), subst_reference.grid(p, again))
     fresh = MultiPoly.from_dict(d)
     assert p == fresh and hash(p) == hash(fresh)
 
 
-def test_subst_names_an_unknown_variable():
+@settings(max_examples=150)
+@given(_dicts, _full_points, st.sets(st.sampled_from(_OTHERS), min_size=1))
+@example({(1, 1, 0, 0, 0, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0, 0, 1, 0, 0): 1},
+         dict.fromkeys(_OTHERS, 0), {"b"})
+@example({(0, 1, 0, 0, 0, 0, 0, 1, 0): 1, (1, 0, 0, 0, 0, 0, 0, 0, 0): 1},
+         dict.fromkeys(_OTHERS, 1), {"a", "b"})
+def test_grid_refuses_a_free_variable_like_reference(d, point, dropped):
+    """A point that leaves variables free gives the reference's rows when
+    their terms cancel, and otherwise ValueError("unbound variable: x")
+    for the x the reference names: the first by name in the lowest power
+    of k that keeps one."""
+    p = MultiPoly.from_dict(d)
+    point = {name: v for name, v in point.items() if name not in dropped}
+    try:
+        want = subst_reference.grid(p, point)
+    except ValueError as ex:
+        assert str(ex).startswith("unbound variable: ")
+        with pytest.raises(ValueError, match=f"^{ex}$"):
+            p.grid(point)
+    else:
+        assert _same_grid(p.grid(point), want)
+
+
+def test_grid_names_an_unknown_variable():
     p = MultiPoly.from_string("a n + k")
-    p.subst({"a": 1})
+    p.grid({"a": 1})
     for point in ({"z": 1}, {"a": 1, "z": 1}):
         with pytest.raises(ValueError, match="^unknown variable: z$"):
-            p.subst(point)
+            p.grid(point)
         with pytest.raises(ValueError, match="^unknown variable: z$"):
-            Affine.from_poly(p.subst({"a": 1})).subst(point)
+            Affine.from_poly(subst_reference.subst(p, {"a": 1})).subst(point)
 
 
 @settings(max_examples=100)
@@ -262,19 +301,7 @@ def test_unipoly_round_trip_matches_reference(cs, name):
     u = UniPoly.from_coeffs(cs)
     p, r = from_unipoly(u, name), _RefPoly.from_unipoly(u, name)
     assert same(p, r)
-    assert p.as_unipoly(name) == r.as_unipoly(name) == u
-
-
-@given(_dicts, _names)
-def test_as_unipoly_rejects_other_variables_like_reference(d, name):
-    p, r = both(d)
-    try:
-        expected = r.as_unipoly(name)
-    except ValueError:
-        with pytest.raises(ValueError, match="unbound variable"):
-            p.as_unipoly(name)
-    else:
-        assert p.as_unipoly(name) == expected
+    assert as_unipoly(p, name) == r.as_unipoly(name) == u
 
 
 # -- canonical form -------------------------------------------------------------
@@ -350,7 +377,7 @@ def test_largest_exponents_keep_their_variables_apart():
     full = MultiPoly.from_dict({(limit - 1,) * _NVARS: 1})
     assert all(full.degree(v) == limit - 1 for v in VARS)
     j = MultiPoly.var("j", limit - 2) * MultiPoly.var("j")
-    assert j.variables() == {"j"}
+    assert variables(j) == {"j"}
     assert tuple(j.terms) == (((0,) * 8 + (limit - 1,), F(1)),)
 
 
@@ -375,7 +402,7 @@ def test_affine_round_trip_and_equality(d1, d2):
     assert (hash(a) == hash(b)) or p != q
     assert a.den > 0 and gcd(a.den, *a.row) == 1
     assert Affine.new([3 * c for c in a.row], -3 * a.den).poly() == -p
-    assert a.variables() == p.variables()
+    assert a.variables() == variables(p)
     for name in VARS:
         cs = p.coeffs_in(name)
         assert a.coeff(name) == (evaluate(cs[1], {}) if len(cs) > 1 else 0)
@@ -386,23 +413,9 @@ def test_affine_round_trip_and_equality(d1, d2):
 def test_affine_subst_shift_plus_match_multipoly(d, point, name, s):
     p = MultiPoly.from_dict(d)
     a = Affine.from_poly(p)
-    assert a.subst(point) == Affine.from_poly(p.subst(point))
+    assert a.subst(point) == Affine.from_poly(subst_reference.subst(p, point))
     assert a.shift(name, s) == Affine.from_poly(p.shift_var(name, s))
     assert a.plus(s) == Affine.from_poly(p + MultiPoly.const(s))
-
-
-@settings(max_examples=100)
-@given(_affine_dicts, st.sampled_from(["n", "k"]))
-def test_affine_unipoly_matches_multipoly(d, name):
-    p = MultiPoly.from_dict(d)
-    a = Affine.from_poly(p)
-    try:
-        expected = p.as_unipoly(name)
-    except ValueError as ex:
-        with pytest.raises(ValueError, match=str(ex)):
-            a.as_unipoly(name)
-    else:
-        assert a.as_unipoly(name) == expected
 
 
 @given(_dicts)

@@ -43,7 +43,8 @@ import factor_reference
 import subst_reference
 from control_summands import (alt_control_double_offset, alt_control_single_offset,
                               family_point)
-from multipoly_helpers import content, evaluate, grid_poly, poly_grid, symbolic
+from multipoly_helpers import (as_unipoly, content, evaluate, grid_poly, poly_grid,
+                               symbolic, variables)
 from quotient_helpers import quotient_eval, same_ratio
 
 _N_IDX = 6  # position of n in the exponent vectors
@@ -163,7 +164,7 @@ def test_alternating_controls_have_no_unit_shift_recurrence():
     single = alt_control_single_offset(F(1, 3), F(1, 2), F(1, 4))
     double = alt_control_double_offset(F(1, 3), F(1, 2), F(1, 4), F(3, 4))
     for term in (single, double):
-        assert zeilberger_two_term(term, 1, max_deg=8) is None
+        assert zeilberger_two_term(term, 1) is None
 
 
 def test_derivation_requires_instantiated_summand():
@@ -500,7 +501,7 @@ def test_specialize_rejects_vanishing_certificate_denominator():
         specialize(rec, {**_Q1_POINT, "a": 1})
 
 
-# -- specialize through substitution layouts, against the scan per call -----
+# -- specialize through grid layouts, against the scan per call ------------
 
 
 def _matches_reference(spec, ref):
@@ -508,8 +509,8 @@ def _matches_reference(spec, ref):
     p1 and p2, and certificate grids of the same ratio."""
     cn, cd = map(grid_poly, spec.cert)
     ref_cn, ref_cd = ref.cert
-    return (spec.r == ref.r and spec.p1 == ref.p1.as_unipoly("n")
-            and spec.p2 == ref.p2.as_unipoly("n") and cn * ref_cd == ref_cn * cd)
+    return (spec.r == ref.r and spec.p1 == as_unipoly(ref.p1, "n")
+            and spec.p2 == as_unipoly(ref.p2, "n") and cn * ref_cd == ref_cn * cd)
 
 
 def test_specialize_matches_reference_on_catalog_recipes():
@@ -531,7 +532,7 @@ def test_specialize_refuses_a_parameter_left_free(family):
     """A point that leaves one parameter x free, where x occurs in the
     stored recurrence, raises ValueError("unbound variable: x")."""
     base = builtin_recurrence(family)
-    occurring = set().union(*(p.variables() for p in (base.p1, base.p2, *base.cert)))
+    occurring = set().union(*map(variables, (base.p1, base.p2, *base.cert)))
     for name in family.param_names:
         assert name in occurring
         point = {v: F(1, 3) for v in family.param_names if v != name}
@@ -563,15 +564,13 @@ def test_specialize_matches_reference_on_stored_recurrences(family, data):
 
 
 def test_derive_passes_build_each_stored_layout_once(monkeypatch):
-    """Two derive passes build the substitution layout of each stored
-    polynomial for its family's parameters once, and no layout of a
-    stored polynomial twice: the later calls reuse them."""
+    """Two derive passes build the grid layout of each stored polynomial
+    once: the later calls reuse it."""
     builtin_recurrence.cache_clear()
     built = []
-    layout = exact_arith._SubstLayout
-    monkeypatch.setattr(exact_arith, "_SubstLayout",
-                        lambda coeffs, names: built.append((coeffs, names))
-                        or layout(coeffs, names))
+    layout = exact_arith._GridLayout
+    monkeypatch.setattr(exact_arith, "_GridLayout",
+                        lambda coeffs: built.append(coeffs) or layout(coeffs))
     for _ in range(2):
         for e in catalog_entries():
             if e.derivation is not None:
@@ -579,9 +578,7 @@ def test_derive_passes_build_each_stored_layout_once(monkeypatch):
     for family in theorem_families():
         rec = builtin_recurrence(family)
         for part in (rec.p1, rec.p2, *rec.cert):
-            names = [n for coeffs, n in built if coeffs is part._coeffs]
-            assert names.count(frozenset(family.param_names)) == 1, family
-            assert len(set(names)) == len(names), family
+            assert sum(coeffs is part._coeffs for coeffs in built) == 1, family
 
 
 def test_specialize_reads_each_polynomial_not_the_recurrence():
@@ -636,7 +633,7 @@ def test_solver_outputs_match_pinned_text():
             term = derivation_term(entry(pin["recipe"]))
         else:
             term = _CONTROLS[pin["control"]]()
-        rec = zeilberger_two_term(term, pin["r"], max_deg=8)
+        rec = zeilberger_two_term(term, pin["r"])
         want = pin["result"]
         if want is None:
             assert rec is None, pin
@@ -873,11 +870,50 @@ def test_grids_of_a_derive_pass_match_the_reference(monkeypatch):
         return got
 
     monkeypatch.setattr(telescoper, "_grid", checked)
-    monkeypatch.setattr(accelerator, "_grid", checked)
     for e in catalog_entries():
         if e.derivation is not None:
             derive_entry(e.id)
-    assert len(calls) > 95 * 2
+    assert len(calls) > 39 * 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nk_affine)
+def test_factor_rows_are_the_one_factor_grid(f):
+    """The rows [u, s] and [m] of a factor (m k + s n + u)/d, trimmed, are
+    its `_grid`, whose denominator is d."""
+    assert _as_lists(telescoper._grid((f,))) == (telescoper._factor_rows(f), f.den)
+
+
+def test_factor_rows_of_a_derive_pass_match_their_grids(monkeypatch):
+    """On every shift ratio that a derive pass over the 95 recipes
+    re-checks and every stream it starts, the rows read off the factors
+    give the products and the parts at k = 0 that the factors' `_grid`s
+    give (`factor_reference`)."""
+    from hyperaccel import accelerator
+
+    products, stream_parts = telescoper._ratio_products, accelerator._stream_parts
+    seen = []
+
+    def checked_products(parts):
+        got = products(parts)
+        assert [(p.scalar, p.factors) for p in got] == list(
+            factor_reference.ratio_products(parts))
+        seen.append(parts)
+        return got
+
+    def checked_parts(term, rec):
+        got = stream_parts(term, rec)
+        assert got == factor_reference.stream_parts(term, rec)
+        seen.append(rec)
+        return got
+
+    monkeypatch.setattr(telescoper, "_ratio_products", checked_products)
+    monkeypatch.setattr(accelerator, "_stream_parts", checked_parts)
+    for e in catalog_entries():
+        if e.derivation is not None:
+            derive_entry(e.id)
+    # two ratios per re-check of the 39 solver recipes, a stream per recipe
+    assert len(seen) == 39 * 2 + 95
 
 
 # ---------------------------------------------------------------------------
