@@ -205,8 +205,7 @@ def _cmd_accelerate(args) -> int:
                          f" at most {_MAX_STREAM_TERMS}")
     _check_start(args.n)
     family = FamilyId(args.family)
-    r = None if args.r == "auto" else int(args.r)
-    term, rec = _build_recurrence(family, args.params, r)
+    term, rec = _build_recurrence(family, args.params, args.r)
     stream = accelerated_stream(term, rec, args.n)
     if args.chu:
         series, scale = chu_normalize(stream.ratio, stream.term(0))
@@ -295,8 +294,11 @@ def _cmd_check_all(args) -> int:
 def _cmd_catalog(args) -> int:
     if args.catalog_command == "export":
         text = export_text()
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as ex:
+            raise UsageError(f"cannot write {args.out}: {ex.strerror}") from None
         print(f"wrote {len(catalog_entries())} entries to {args.out}")
         return 0
     width = max(len(e.id) for e in catalog_entries())
@@ -323,13 +325,15 @@ def _add_format(parser) -> None:
                         default="plain")
 
 
-def _add_family_params(parser, with_n: bool, n_required: bool = False,
-                       r_choices=("1", "2")) -> None:
+def _add_family_params(parser, with_n: bool, n_required: bool = False) -> None:
+    """--family, --params, --n when with_n, and --r: the n-offset of the
+    recurrence, tried 1 then 2 when absent."""
     parser.add_argument("--family", required=True,
                         choices=[f.value for f in FamilyId])
     parser.add_argument("--params", required=True, type=_rational_list)
     if with_n:
         parser.add_argument("--n", type=_rational, required=n_required)
+    parser.add_argument("--r", type=int, choices=(1, 2))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,30 +346,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-symbolic",
                        help="check the stored recurrences have exactly"
                             " zero residual")
-    p.add_argument("--family",
-                   choices=[f.value for f in FamilyId
-                            if f.value in ("quarter", "neg-quarter",
-                                           "neg-27")])
+    p.add_argument("--family", choices=[f.value for f in theorem_families()])
     _add_format(p)
     p.set_defaults(func=_cmd_verify_symbolic)
 
     p = sub.add_parser("derive", help="derive the two-term recurrence for"
                                       " a parameter tuple")
     _add_family_params(p, with_n=True)
-    p.add_argument("--r", type=int, choices=(1, 2))
     _add_format(p)
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser("rate", help="convergence rate of the derived"
                                     " recurrence")
     _add_family_params(p, with_n=False)
-    p.add_argument("--r", type=int, choices=(1, 2))
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("accelerate", help="print the accelerated stream or"
                                           " its normalized bracket form")
     _add_family_params(p, with_n=True, n_required=True)
-    p.add_argument("--r", choices=("auto", "1", "2"), default="auto")
     p.add_argument("--terms", type=_positive_int, default=10)
     p.add_argument("--chu", action="store_true")
     _add_format(p)

@@ -724,15 +724,17 @@ class MultiPoly:
         once from per-variable power tables and sums c times it over the
         terms of each (k, n) exponent pair.  Values for n and k are not
         read.  Raises ValueError("unknown variable: z") for a name z
-        outside VARS, and ValueError("unbound variable: x") as
-        `_free_grid` says."""
+        outside VARS, and ValueError("unbound variable: x") for the first
+        variable x of the polynomial, in VARS order, other than n and k
+        that the point leaves out."""
         for name in point:
             _var_index(name)
         layout = self._layout
         if layout is None:
             layout = self._layout = _GridLayout(self._coeffs)
-        if not all(map(point.__contains__, layout.names)):
-            return self._free_grid(point)
+        for name in layout.names:
+            if name not in point:
+                raise ValueError(f"unbound variable: {name}")
         den = self._den
         values = [1] * layout.size
         for name, m, col in zip(layout.names, layout.degrees, layout.cols):
@@ -749,22 +751,6 @@ class MultiPoly:
                 rows[j].extend([0] * (i - len(rows[j])))
                 rows[j].append(c)
         return rows, den
-
-    def _free_grid(self, point: Mapping[str, Scalar]) -> tuple[list[list[int]], int]:
-        """`grid` at a point that leaves variables free, which must all
-        cancel: the values are substituted one variable at a time, and
-        in the lowest power of k whose coefficient keeps one, the first
-        free variable by name is refused as unbound."""
-        p = self
-        for name, v in point.items():
-            if name not in ("n", "k"):
-                p = p.subst_poly(name, MultiPoly.const(v))
-        for c in p.coeffs_in("k"):
-            used = reduce(or_, c._coeffs, 0)
-            extra = [x for i, x in enumerate(VARS) if x != "n" and used & _FIELDS[i]]
-            if extra:
-                raise ValueError(f"unbound variable: {min(extra)}")
-        return p.grid({})
 
     def coeffs_in(self, name: str) -> list["MultiPoly"]:
         """Dense coefficient list in one variable; entries are MultiPolys."""
@@ -930,75 +916,79 @@ class Affine:
 
 
 def _parse_multipoly(s: str) -> MultiPoly:
-    """Parse a flat signed sum of monomials like '-3a^2bn + 1/2k - 7'."""
+    """Parse a flat signed sum of monomials like '-3a^2bn + 1/2k - 7'.
+    Raises ValueError for empty text, a sign with no monomial after it
+    (at the end or before another sign), a zero denominator, and any
+    other character out of place, such as a '/' or '^' with no digits
+    after it."""
     text = s.replace("*", " ")
     i, n = 0, len(text)
-    total = MultiPoly.zero()
+    acc: dict[tuple[int, ...], Fraction] = {}
     sign = 1
-    seen_any = False
+    pending = False  # a sign read and no monomial after it yet
 
     def skip_ws(i: int) -> int:
         while i < n and text[i].isspace():
             i += 1
         return i
 
+    def digits(i: int) -> int:
+        """The end of the digit run at i, which must not be empty."""
+        j = i
+        while j < n and text[j].isdigit():
+            j += 1
+        if j == i:
+            raise ValueError(f"unexpected character {text[i - 1]!r}"
+                             " in polynomial text")
+        return j
+
     i = skip_ws(i)
     while i < n:
         ch = text[i]
-        if ch == "+":
-            sign, i = 1, skip_ws(i + 1)
-            continue
-        if ch == "-":
-            sign, i = -1, skip_ws(i + 1)
+        if ch in "+-":
+            if pending:
+                raise ValueError("dangling sign in polynomial text")
+            sign, pending, i = 1 if ch == "+" else -1, True, skip_ws(i + 1)
             continue
         coeff = Fraction(sign)
         exps = [0] * _NVARS
-        got = False
         while i < n:
             ch = text[i]
             if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
+                j = digits(i)
                 num = int(text[i:j])
                 i = j
                 if i < n and text[i] == "/":
-                    j = i + 1
-                    while j < n and text[j].isdigit():
-                        j += 1
-                    coeff *= Fraction(num, int(text[i + 1:j]))
+                    j = digits(i + 1)
+                    den = int(text[i + 1:j])
+                    if not den:
+                        raise ValueError("zero denominator in polynomial text")
+                    coeff *= Fraction(num, den)
                     i = j
                 else:
                     coeff *= num
-                got = True
             elif ch in _VAR_INDEX:
                 vi = _VAR_INDEX[ch]
                 i += 1
                 exp = 1
                 if i < n and text[i] == "^":
-                    j = i + 1
-                    while j < n and text[j].isdigit():
-                        j += 1
+                    j = digits(i + 1)
                     exp = int(text[i + 1:j])
                     i = j
                 exps[vi] += exp
-                got = True
             elif ch.isspace():
                 # a space inside a monomial continues it; term breaks are +/-
-                j = skip_ws(i)
-                if j < n and (text[j].isdigit() or text[j] in _VAR_INDEX):
-                    i = j
-                else:
-                    i = j
+                i = skip_ws(i)
+                if i == n or not (text[i].isdigit() or text[i] in _VAR_INDEX):
                     break
             else:
                 raise ValueError(f"unexpected character {ch!r} in polynomial text")
-        if not got:
-            raise ValueError("dangling sign in polynomial text")
-        total = total + MultiPoly.from_dict({tuple(exps): coeff})
-        seen_any = True
-        sign = 1
+        key = tuple(exps)
+        acc[key] = acc.get(key, 0) + coeff
+        sign, pending = 1, False
         i = skip_ws(i)
-    if not seen_any:
+    if pending:
+        raise ValueError("dangling sign in polynomial text")
+    if not acc:
         raise ValueError("empty polynomial text")
-    return total
+    return MultiPoly.from_dict(acc)

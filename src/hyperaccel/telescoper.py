@@ -58,7 +58,7 @@ from itertools import zip_longest
 from math import gcd, lcm, prod
 from typing import Mapping, Optional, Sequence
 
-from hyperaccel.builtin_data import neg27_dataset, negq_dataset, quarter_dataset
+from hyperaccel.builtin_data import STORED, Factored
 from hyperaccel.exact_arith import (VARS, Affine, MultiPoly, Scalar, UniPoly,
                                     _Bound, _kronecker_zero, _unipoly, _zdiv,
                                     _zgcd, _zmul, _zsub)
@@ -228,30 +228,27 @@ def verify_recurrence(term: HypTerm, rec: Recurrence) -> bool:
     return _kronecker_zero(_residual_form, parts)
 
 
-_BUILTIN_SHIFTS = {
-    FamilyId.QUARTER: 1,
-    FamilyId.NEG_QUARTER: 2,
-    FamilyId.NEG_27: 1,
-}
-
-
 def theorem_families() -> tuple[FamilyId, ...]:
-    """Families that carry a stored fully general recurrence."""
-    return tuple(_BUILTIN_SHIFTS)
+    """Families that carry a stored fully general recurrence, in the
+    order of `builtin_data.STORED`."""
+    return tuple(STORED)
+
+
+def _product(poly: Factored) -> MultiPoly:
+    c, factors = poly
+    return prod(map(MultiPoly.from_string, factors), start=MultiPoly.const(c))
 
 
 @lru_cache(maxsize=None)
 def builtin_recurrence(family: FamilyId) -> Optional[SymbolicRecurrence]:
-    """Stored recurrence for the three fully general families, if any."""
-    if family is FamilyId.QUARTER:
-        p1, p2, cert = quarter_dataset()
-    elif family is FamilyId.NEG_QUARTER:
-        p1, p2, cert = negq_dataset()
-    elif family is FamilyId.NEG_27:
-        p1, p2, cert = neg27_dataset()
-    else:
+    """Stored recurrence of a family in `builtin_data.STORED`, with its
+    factors multiplied out; None for any other family."""
+    stored = STORED.get(family)
+    if stored is None:
         return None
-    return SymbolicRecurrence(r=_BUILTIN_SHIFTS[family], p1=p1, p2=p2, cert=cert)
+    return SymbolicRecurrence(r=stored.r, p1=_product(stored.p1),
+                              p2=_product(stored.p2),
+                              cert=tuple(map(_product, stored.cert)))
 
 
 def builtin_residual(family: FamilyId) -> MultiPoly:

@@ -20,12 +20,13 @@ from pathlib import Path
 import pytest
 
 from hyperaccel.accelerator import accelerated_stream
+from hyperaccel.builtin_data import STORED
 from hyperaccel.catalog import catalog_entries, verify_entry
 from hyperaccel.cli import (_MAX_START, _MAX_STREAM_DIGITS, _MAX_STREAM_TERMS,
-                            main)
+                            build_parser, main)
 from hyperaccel.hypergeom_terms import FamilyId, family_instantiate
 from hyperaccel.numerics import chu_eval_terms
-from hyperaccel.telescoper import derive_recurrence
+from hyperaccel.telescoper import derive_recurrence, theorem_families
 
 Q1_PARAMS = "1/3,1/3,1,1/3,1/3,2/3"
 Q1_CHU = "z=1/4 upper=[2/3] lower=[11/6] num=[17,42,27] den=[1,4,3]"
@@ -63,6 +64,19 @@ def test_verify_symbolic_rejects_family_without_stored_recurrence(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-symbolic", "--family", "four-27"])
     assert exc.value.code == 2
+
+
+def _option_choices(command: str, dest: str):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return next(a for a in sub.choices[command]._actions if a.dest == dest).choices
+
+
+def test_verify_symbolic_families_are_the_stored_table():
+    """The stored table is the one record of which families carry a
+    stored recurrence, in one order."""
+    assert theorem_families() == tuple(STORED)
+    assert _option_choices("verify-symbolic", "family") == [
+        f.value for f in STORED]
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +590,17 @@ def test_catalog_list_marks_tentative_entries(capsys):
     assert marked == {"Q16", "N27-5", "N27-7", "S2764-1", "FR-2"}
 
 
+@pytest.mark.parametrize("name, reason", [
+    ("missing/catalog.tsv", "No such file or directory"),
+    ("", "Is a directory"),
+])
+def test_catalog_export_to_an_unwritable_path_is_usage_error(capsys, tmp_path,
+                                                             name, reason):
+    target = tmp_path / name
+    code, out, err = run(capsys, "catalog", "export", "--out", str(target))
+    assert (code, out, err) == (2, "", f"hyperaccel: cannot write {target}: {reason}\n")
+
+
 def test_catalog_export_roundtrips(capsys, tmp_path):
     target = tmp_path / "catalog.tsv"
     code, out, _ = run(capsys, "catalog", "export", "--out", str(target))
@@ -607,6 +632,20 @@ def test_malformed_rational_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["rate", "--family", "quarter", "--params", "1/3,zebra"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["derive", "rate", "accelerate"])
+def test_r_takes_1_or_2_on_every_family_command(capsys, command):
+    """--r is one option on derive, rate and accelerate: 1 or 2, and when
+    absent 1 then 2 are tried; any other value, auto among them, exits 2."""
+    assert _option_choices(command, "r") == (1, 2)
+    start = [] if command == "rate" else ["--n", "1"]
+    for value in ("auto", "3"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "quarter", "--params", Q1_PARAMS,
+                  *start, "--r", value])
+        assert exc.value.code == 2
+        assert "argument --r: invalid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["derive"], ["rate"], ["accelerate", "--n", "1"]])

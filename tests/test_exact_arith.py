@@ -19,7 +19,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hyperaccel.builtin_data import quarter_dataset
 from hyperaccel.exact_arith import (
     VARS,
     MultiPoly,
@@ -33,6 +32,8 @@ from hyperaccel.exact_arith import (
     index_roots,
     rational_roots,
 )
+from hyperaccel.hypergeom_terms import FamilyId
+from hyperaccel.telescoper import builtin_recurrence
 
 from multipoly_helpers import as_unipoly, content, evaluate, from_unipoly
 from quotient_helpers import quotient_eval, same_quotient
@@ -360,7 +361,8 @@ def test_multipoly_coeffs_in():
 def test_theorem_style_evaluation_oracle():
     # [PAPER] the degree-4 recurrence coefficient evaluates to 2 when every
     # shift parameter is zero and the index is 1: only -2n^3 + 4n^4 survive.
-    p1, p2, cert = quarter_dataset()
+    rec = builtin_recurrence(FamilyId.QUARTER)
+    p2, cert = rec.p2, rec.cert
     zeros = {v: 0 for v in "abcdef"}
     assert evaluate(p2, {**zeros, "n": 1}) == 2
     # [PAPER] the certificate at the same point is -1: the core collapses

@@ -8,6 +8,7 @@ operation is compared term by term, in the public `terms` order, on
 Hypothesis polynomials over several of the nine variables.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -189,6 +190,29 @@ def test_terms_order_str_content_lead_match_reference(d):
 
 
 @settings(max_examples=150)
+@given(_dicts)
+def test_from_string_reads_str_back(d):
+    p = MultiPoly.from_dict(d)
+    assert MultiPoly.from_string(str(p)) == p
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a +", "dangling sign in polynomial text"),
+    ("2n - ", "dangling sign in polynomial text"),
+    ("-", "dangling sign in polynomial text"),
+    ("a - -b", "dangling sign in polynomial text"),
+    ("3/0 a", "zero denominator in polynomial text"),
+    ("3/", "unexpected character '/' in polynomial text"),
+    ("3/ + a", "unexpected character '/' in polynomial text"),
+    ("a^ + 1", "unexpected character '^' in polynomial text"),
+    (" ", "empty polynomial text"),
+])
+def test_from_string_refuses_malformed_text(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MultiPoly.from_string(text)
+
+
+@settings(max_examples=150)
 @given(_dicts, _dicts, _scalars, st.integers(0, 3))
 def test_ring_operations_match_reference(d1, d2, c, e):
     (p, r), (q, s) = both(d1), both(d2)
@@ -249,21 +273,20 @@ def test_grid_matches_reference(d, point, data):
          dict.fromkeys(_OTHERS, 0), {"b"})
 @example({(0, 1, 0, 0, 0, 0, 0, 1, 0): 1, (1, 0, 0, 0, 0, 0, 0, 0, 0): 1},
          dict.fromkeys(_OTHERS, 1), {"a", "b"})
-def test_grid_refuses_a_free_variable_like_reference(d, point, dropped):
-    """A point that leaves variables free gives the reference's rows when
-    their terms cancel, and otherwise ValueError("unbound variable: x")
-    for the x the reference names: the first by name in the lowest power
-    of k that keeps one."""
+def test_grid_refuses_a_point_that_leaves_a_variable_out(d, point, dropped):
+    """A point that leaves out a variable of the polynomial other than n
+    and k raises ValueError("unbound variable: x") for the first such x
+    in VARS order, even where its terms vanish at the point (a b at
+    a = 0); one that leaves out only variables the polynomial lacks
+    gives the reference's rows."""
     p = MultiPoly.from_dict(d)
     point = {name: v for name, v in point.items() if name not in dropped}
-    try:
-        want = subst_reference.grid(p, point)
-    except ValueError as ex:
-        assert str(ex).startswith("unbound variable: ")
-        with pytest.raises(ValueError, match=f"^{ex}$"):
+    missing = [x for x in _OTHERS if x in variables(p) and x not in point]
+    if missing:
+        with pytest.raises(ValueError, match=f"^unbound variable: {missing[0]}$"):
             p.grid(point)
     else:
-        assert _same_grid(p.grid(point), want)
+        assert _same_grid(p.grid(point), subst_reference.grid(p, point))
 
 
 def test_grid_names_an_unknown_variable():

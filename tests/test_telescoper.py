@@ -1,5 +1,6 @@
 """Tests for recurrence verification and Gosper-style derivation."""
 
+import hashlib
 import json
 import os
 import random
@@ -91,6 +92,22 @@ def test_builtin_dataset_spot_values():
 def test_builtin_recurrence_only_for_stored_families():
     assert builtin_recurrence(FamilyId.FOUR_27) is None
     assert builtin_recurrence(FamilyId.TWENTY7_32) is None
+
+
+def test_stored_recurrences_match_their_pins():
+    """Each stored recurrence multiplied out from its factors has the r
+    and the SHA-256 of the text of p1, p2 and both certificate parts
+    recorded when they were stored expanded, monomial by monomial."""
+    path = os.path.join(os.path.dirname(__file__), "stored_recurrence_pins.json")
+    with open(path) as fh:
+        pins = json.load(fh)
+    assert list(pins) == [f.value for f in theorem_families()]
+    for family in theorem_families():
+        rec = builtin_recurrence(family)
+        parts = ("p1", "p2", "cert_num", "cert_den")
+        got = {name: hashlib.sha256(str(poly).encode()).hexdigest()
+               for name, poly in zip(parts, (rec.p1, rec.p2, *rec.cert))}
+        assert {"r": rec.r, **got} == pins[family.value], family
 
 
 # ---------------------------------------------------------------------------
