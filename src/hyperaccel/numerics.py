@@ -6,10 +6,10 @@ Arithmetic works on integer endpoints over one exponent and rounds
 each result outward, so enclosures are sound by construction.
 
 pi comes from the Machin arctangent combination 16 atan(1/5) -
-4 atan(1/239), log 2 from 2 atanh(1/3), both memoized by precision, and
-rational powers of small integer bases from floor q-th roots of scaled
-integers by Newton iteration; the tests cross-check each constant, and
-none of them share code with series evaluation.
+4 atan(1/239), log 2 from 2 atanh(1/3), and rational powers of small
+integer bases from floor q-th roots of scaled integers, all memoized by
+precision; the tests cross-check each constant, and none of them share
+code with series evaluation.
 
 chu_eval_terms sums the series exactly in integers and certifies its
 tail geometrically: once the term-quotient numerator, denominator, and
@@ -17,21 +17,23 @@ their derivative combination N'D - ND' each keep a single coefficient
 sign from some shift J1 on, the quotient magnitude is monotone toward
 |z| past J1, so max(|ratio(j)|, |z|) < 1 bounds every later quotient
 and a geometric bound encloses the tail.  The term is read as
-t_j = K C_j a(j)/b(j) with C_0 = 1 and C_{j+1}/C_j = p(j)/q(j), where
-p, q, a, b are integer polynomials: p/q is z prod (j + u) / prod (j + l)
-with no integer factor common to p and q, a and b are the integer
-numerators of num and den, and K is the quotient of their denominators.
-The tail rule is monotone in j (see _GeometricSum), so the stop index
-is predicted in floats and decided exactly on a binary-splitting
-product tree of integers P, Q, B, T (Haible and Papanikolaou, ANTS
-1998).  Its upper merges divide out the content the left P and the
-right Q share (see _merge), which keeps P/Q and T/(B Q) exact; the
-partial sum and tail bound are then rounded to the dyadic endpoints
-from those integers, with no other gcd taken.  They and the stop index
-are the exact rationals a running Fraction sum would give.  The term
-cap is decided here alone: default_term_budget gives it from |z| and
-the digits for every caller that passes none, and one work budget
-bounds it, default or explicit.
+t_j = K C_j a(j) with C_0 = 1 and C_{j+1}/C_j = p(j)/q(j), where
+p, q, a are integer polynomials.  With a and b the integer numerators
+of num and den, b is folded into the ratio: p/q is
+z prod (j + u) b(j) / (prod (j + l) b(j + 1)) with no integer factor
+common to p and q, and K is the quotient of the denominators of num
+and den over b(0).  The tail rule is monotone in j (see _GeometricSum),
+so the stop index is guessed by bisection on a closed form of log |t_j|
+in log-gamma values and decided exactly on a binary-splitting product
+tree of integers P, Q, T with T/Q the partial sum over K (Haible and
+Papanikolaou, ANTS 1998).  Its upper merges divide out the content the
+left P and the right Q share (see _merge), which keeps P/Q and T/Q
+exact; the partial sum and tail bound are then rounded to the dyadic
+endpoints from those integers, with no other gcd taken.  They and the
+stop index are the exact rationals a running Fraction sum would give,
+whatever the guess.  The term cap is decided here alone:
+default_term_budget gives it from |z| and the digits for every caller
+that passes none, and one work budget bounds it, default or explicit.
 
 direct_sum is the one direct-summation oracle: the low-precision sum
 of an unaccelerated k-series normalized by its k = 0 term, a bracket
@@ -51,9 +53,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
-from math import ceil, gcd, log, log10
-from operator import lt, sub
-from typing import TYPE_CHECKING, Optional
+from math import ceil, gcd, isqrt, lgamma, log, log10
+from operator import lt
+from typing import TYPE_CHECKING, Callable, Optional
 
 from hyperaccel.exact_arith import (Scalar, UniPoly, _common_ints, _zeval,
                                     decimal_text, index_roots)
@@ -75,6 +77,11 @@ _SUM_WORK_CAP = 2 * 10 ** 9
 # content the left P and the right Q share; below it a gcd saves about
 # what it costs
 _CANCEL_LEAVES = 32
+# product-tree spans of at most this many leaves are summed in one loop,
+# which costs less than a call per leaf while the integers are small
+_LOOP_LEAVES = 8
+# log |u| past which a parameter's Pochhammer log is read off log |u|
+_LOG_FAR = 28.0
 _ORACLE_DIGITS_CAP = 6
 _ORACLE_TERM_CAP = 300000
 
@@ -247,18 +254,19 @@ class Enclosure:
 def _arctan_scaled(q: int, pbits: int, sign: int) -> tuple[int, int]:
     """Floor-scaled sum_i sign^i / ((2i + 1) q^(2i+1)) at 2^pbits, that is
     atan(1/q) for sign -1 and atanh(1/q) for sign 1, and an error bound in
-    ulps."""
+    ulps.  x_i = floor(2^pbits / q^(2i+1)) is carried by floor division
+    by q^2 and each term taken as x_i // (2i + 1), the same floors as
+    2^pbits // ((2i + 1) q^(2i+1)) with no big divisor."""
     total = 0
-    one = 1 << pbits
     qq = q * q
-    power = q
+    x = (1 << pbits) // q
     i = 0
     while True:
-        term = one // ((2 * i + 1) * power)
+        term = x // (2 * i + 1)
         if term == 0:
             break
         total += term if i % 2 == 0 else sign * term
-        power *= qq
+        x //= qq
         i += 1
     return total, i + 2
 
@@ -303,11 +311,14 @@ def _log2(digits: int) -> Enclosure:
 
 
 def _iroot(n: int, q: int) -> int:
-    """Floor q-th root of n >= 0 by integer Newton iteration."""
+    """Floor q-th root of n >= 0: math.isqrt for q = 2, else integer
+    Newton iteration."""
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0 or q == 1:
         return n if q == 1 else 0
+    if q == 2:
+        return isqrt(n)
     x = 1 << (n.bit_length() // q + 1)
     while True:
         y = ((q - 1) * x + n // x ** (q - 1)) // q
@@ -321,6 +332,7 @@ def _iroot(n: int, q: int) -> int:
     return x
 
 
+@lru_cache(maxsize=16)
 def _root(base: int, e: Scalar, digits: int) -> Enclosure:
     """base^e for a natural base and rational e, radius at most 10^-digits."""
     if base < 0:
@@ -439,51 +451,64 @@ def _values(c: list[int], lo: int, hi: int) -> list[int]:
     return list(islice(vals, hi - lo))
 
 
-def _merge(x: tuple[int, int, int, int], y: tuple[int, int, int, int],
-           leaves: int) -> tuple[int, int, int, int]:
-    """P, Q, B, T over [lo, hi) from x over [lo, mid) and y over [mid, hi),
-    a span of the given number of leaves.  From _CANCEL_LEAVES leaves on,
-    g = gcd(p1, q2) is divided out of p1 and q2 first: g divides the
-    merged P = p1 p2, Q = q1 q2 and T = b2 q2 t1 + b1 p1 t2, so P/Q and
-    T/(B Q) keep their values, and each of |P|, |Q|, |T| is the unreduced
-    one divided by a positive integer (Cheng, Hanrot, Thome, Zima and
-    Zimmermann, ISSAC 2007)."""
-    (p1, q1, b1, t1), (p2, q2, b2, t2) = x, y
+def _merge(x: tuple[int, int, int], y: tuple[int, int, int],
+           leaves: int) -> tuple[int, int, int]:
+    """P, Q, T over [lo, hi) from x over [lo, mid) and y over [mid, hi),
+    a span of the given number of leaves: P = p1 p2, Q = q1 q2 and
+    T = q2 t1 + p1 t2, so T/Q = t1/q1 + (p1/q1)(t2/q2).  From
+    _CANCEL_LEAVES leaves on, g = gcd(p1, q2) is divided out of p1 and q2
+    first: g divides P, Q and T, so P/Q and T/Q keep their values, and
+    each of |P|, |Q|, |T| is the unreduced one divided by a positive
+    integer (Cheng, Hanrot, Thome, Zima and Zimmermann, ISSAC 2007)."""
+    (p1, q1, t1), (p2, q2, t2) = x, y
     if leaves >= _CANCEL_LEAVES:
         g = gcd(p1, q2)
         p1, q2 = p1 // g, q2 // g
-    return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
+    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
 
 
-def _split(pv: list[int], qv: list[int], av: list[int], bv: list[int],
-           lo: int, hi: int) -> tuple[int, int, int, int]:
-    """Integers P, Q, B, T over [lo, hi): P/Q = prod p(i)/q(i) and
-    T/(B Q) = sum_n a(n)/b(n) prod_{lo <= i < n} p(i)/q(i), with the
+def _split(pv: list[int], qv: list[int], av: list[int],
+           lo: int, hi: int) -> tuple[int, int, int]:
+    """Integers P, Q, T over [lo, hi): P/Q = prod p(i)/q(i) and
+    T/Q = sum_n a(n) prod_{lo <= i < n} p(i)/q(i).  A span of at most
+    _LOOP_LEAVES leaves is summed in one loop, to the unreduced integers;
+    a wider one is split at its middle, depth first, and merged, with the
     content p1 and q2 share cancelled at the upper merges (see _merge)."""
-    if hi - lo == 1:
-        return pv[lo], qv[lo], bv[lo], av[lo] * qv[lo]
+    if hi - lo <= _LOOP_LEAVES:
+        P, Q, T = 1, 1, 0
+        for i in range(lo, hi):
+            q = qv[i]
+            T = q * (T + P * av[i])
+            P *= pv[i]
+            Q *= q
+        return P, Q, T
     mid = (lo + hi) // 2
-    return _merge(_split(pv, qv, av, bv, lo, mid),
-                  _split(pv, qv, av, bv, mid, hi), hi - lo)
+    return _merge(_split(pv, qv, av, lo, mid), _split(pv, qv, av, mid, hi), hi - lo)
 
 
 class _GeometricSum:
-    """Certified sum of t_j = k C_j a(j)/b(j), C_0 = 1, C_{j+1} = C_j p(j)/q(j).
+    """Certified sum of the terms t_j = K C_j a(j) of a series s, with C_0 = 1
+    and C_{j+1}/C_j = p(j)/q(j), the denominator of s folded into p/q (see
+    _leaf_polys).
 
-    Coefficients are ascending integers; q and b have no root at a
-    summation index, and rn/rd is t_{j+1}/t_j with |rn/rd| monotone toward
-    lim < 1 from j1 >= 1 on.  J is the first j in [j1, cap] with
+    Coefficients are ascending integers; q has no root at a summation
+    index, and rn/rd is t_{j+1}/t_j with |rn/rd| monotone toward lim < 1
+    from j1 >= 1 on.  J is the first j in [j1, cap] with
     rbar_j = max(|rn(j)/rd(j)|, lim) < 1 and |t_j| / (1 - rbar_j) <= tol.
     That rule fails below j0, the first j >= j1 with rbar_j < 1, and is
     monotone from j0 on: past j1 rbar_j does not increase, as |rn/rd| moves
     monotonically toward lim, and |t_{j+1}| = |rn(j)/rd(j)| |t_j| <= |t_j|,
     so |t_j| / (1 - rbar_j) does not increase either.
+
+    predict guesses J from log-gamma values and confirm decides it on the
+    three-integer product tree (C_j = P/Q, partial sum K T/Q), so a wrong
+    guess costs only time.
     """
 
-    def __init__(self, p: list[int], q: list[int], a: list[int], b: list[int],
-                 k: Fraction, rn: list[int], rd: list[int], lim: Fraction,
+    def __init__(self, s: ChuSeries, rn: list[int], rd: list[int], lim: Fraction,
                  j1: int, cap: int, tol: Fraction):
-        self.polys, self.leaves = (p, q, a, b), ([], [], [], [])
+        p, q, a, k = _leaf_polys(s)
+        self.s, self.polys, self.leaves = s, (p, q, a), ([], [], [])
         self.k, self.rn, self.rd, self.cap = k, rn, rd, cap
         self.ln, self.ld = lim.numerator, lim.denominator
         self.tn, self.td = abs(k.numerator) * tol.denominator, k.denominator * tol.numerator
@@ -494,7 +519,7 @@ class _GeometricSum:
         return (self.ln, self.ld) if nj * self.ld < self.ln * dj else (nj, dj)
 
     def _grow(self, n: int) -> None:
-        """Leaf values p(j), q(j), a(j), b(j) for at least j < n."""
+        """Leaf values p(j), q(j), a(j) for at least j < n."""
         have = len(self.leaves[0])
         if n > have:
             for vals, c in zip(self.leaves, self.polys):
@@ -505,67 +530,95 @@ class _GeometricSum:
         self._grow(j + 1)
         nj, dj = self._rbar(j)
         return nj < dj and (self.tn * abs(cn * self.leaves[2][j]) * dj
-                            <= self.td * abs(cd * self.leaves[3][j]) * (dj - nj))
+                            <= self.td * abs(cd) * (dj - nj))
 
     def predict(self) -> int:
-        """J, or cap + 1, by bisection on a float running sum of log |p/q|
-        over a window sized from the rate lim and doubled while too short;
-        past a zero p(j) every |t_j| is 0."""
-        c = log(self.tn) - log(self.td)
-        n = self.j0 + 32 + (int(1.1 * max(c, 0) / (log(self.ld) - log(self.ln)))
-                            if self.ln else 0)
-        while True:
-            n = min(n, self.cap + 1)
-            self._grow(n)
-            pv, qv, av, bv = self.leaves
-            z = pv.index(0) if 0 in pv[:n] else n
-            logs = list(accumulate(map(sub, map(log, map(abs, pv[:z])),
-                                       map(log, map(abs, qv[:z]))), initial=c))
+        """J, or cap + 1, by bisection over [j0, cap] on the rule with
+        log |t_j| = j log|z| + sum_u log|(u)_j| - sum_l log|(l)_j| +
+        log|K b(0) a(j)/b(j)| (see _log_poch), t_j = 0 past an upper
+        parameter -m, and z, K, a(j), b(j) giving the logs of their integer
+        parts, which may lie outside float range.  j0 where floats cannot
+        form the guess at all."""
+        s = self.s
+        stop = _finite_stop(s)
+        a, b = s.num.numerators, s.den.numerators
+        try:
+            ups, lows = ([_log_poch(u) for u in ps] for ps in (s.upper, s.lower))
+            c = log(self.tn) - log(self.td) + log(abs(b[0]))
+            lz = log(abs(s.z.numerator)) - log(s.z.denominator)
 
             def small(j: int) -> bool:
+                aj = _zeval(a, j)
+                if (stop is not None and j > stop) or not aj:
+                    return True
                 nj, dj = self._rbar(j)
-                return (j > z or not av[j] or logs[j] + log(abs(av[j]) * dj)
-                        - log(abs(bv[j]) * (dj - nj)) <= 0)
+                return (c + j * lz + sum(f(j) for f in ups) - sum(f(j) for f in lows)
+                        + log(abs(aj)) - log(abs(_zeval(b, j)))
+                        + log(dj) - log(dj - nj)) <= 0
 
-            j = self.j0 + bisect_left(range(self.j0, n), True, key=small)
-            if j < n or n > self.cap:
-                return j
-            n *= 2
+            return self.j0 + bisect_left(range(self.j0, self.cap + 1), True, key=small)
+        except (OverflowError, ValueError):
+            return self.j0
 
     def confirm(self, j: int, pbits: int) -> Optional[tuple[Enclosure, int]]:
-        """The enclosure and J from a prediction j: the rule must fail at
-        j - 1 (else restart at j0); the tree then grows a leaf at a time."""
+        """The enclosure and J from a prediction j: leaf values are computed
+        once, through index j, and the rule must fail at j - 1 (else restart
+        at j0); the tree then grows a leaf at a time."""
         j = min(max(j - 1, self.j0), self.cap)
-        self._grow(j + 1)
-        P, Q, B, T = _split(*self.leaves, 0, j)
+        self._grow(j + 2)
+        P, Q, T = _split(*self.leaves, 0, j)
         if j > self.j0 and self._stops(j, P, Q):
             j = self.j0
-            P, Q, B, T = _split(*self.leaves, 0, j)
+            P, Q, T = _split(*self.leaves, 0, j)
         while not self._stops(j, P, Q):
             if j == self.cap:
                 return None
-            p, q, a, b = (v[j] for v in self.leaves)
-            P, Q, B, T = _merge((P, Q, B, T), (p, q, b, a * q), j + 1)
+            p, q, a = (v[j] for v in self.leaves)
+            P, Q, T = _merge((P, Q, T), (p, q, a * q), j + 1)
             j += 1
-        # the sum k T/(B Q) and the bound k |P a(j)| d/(|Q b(j)| (d - n)),
-        # both over the positive denominator kd |B Q b(j)| (d - n)
+        # the sum k T/Q and the bound k |P a(j)| d/(|Q| (d - n)), both over
+        # the positive denominator kd |Q| (d - n)
         nj, dj = self._rbar(j)
-        w = abs(self.leaves[3][j]) * (dj - nj) * (1 if B * Q > 0 else -1)
+        w = (dj - nj) * (1 if Q > 0 else -1)
         kn, kd = self.k.numerator, self.k.denominator
-        return Enclosure.from_ratio(kn * T * w, abs(kn * P * self.leaves[2][j] * B) * dj,
-                                    kd * B * Q * w, pbits), j
+        return Enclosure.from_ratio(kn * T * w, abs(kn * P * self.leaves[2][j]) * dj,
+                                    kd * Q * w, pbits), j
+
+
+def _log_poch(u: Fraction) -> Callable[[int], float]:
+    """j -> log |(u)_j| in floats, where (u)_j != 0: log(m!/(m - j)!) for
+    u = -m; with log |u| taken of u's integer parts, j log|u| for |u| past
+    e^_LOG_FAR and log|u| + lgamma(j) (j > 0) for |u| below e^-_LOG_FAR;
+    lgamma(j + u) - lgamma(u) otherwise.  Past those bounds lgamma rounds
+    (u)_j away, overflows or meets u as 0, while the two forms are off by
+    about j^2/|u| and |u| log j, well below 1 at every admitted term cap."""
+    if u.denominator == 1 and u <= 0:
+        m = -int(u)
+        lm = lgamma(m + 1)
+        return lambda j: lm - lgamma(m - j + 1)
+    lu = log(abs(u.numerator)) - log(u.denominator)
+    if lu > _LOG_FAR:
+        return lambda j: j * lu
+    if lu < -_LOG_FAR:
+        return lambda j: lu + lgamma(j) if j else 0.0
+    x = float(u)
+    lx = lgamma(x)
+    return lambda j: lgamma(j + x) - lx
 
 
 def _leaf_polys(s: ChuSeries) -> tuple[list[int], list[int], tuple[int, ...],
-                                       tuple[int, ...], Fraction]:
-    """p, q, a, b and K with t_j = K C_j a(j)/b(j), C_0 = 1 and
-    C_{j+1}/C_j = p(j)/q(j): p/q is z prod (j + u) / prod (j + l) as
-    integers with no common factor and a positive leading coefficient in
-    q, and a, b are the integer numerators of num and den."""
-    p, q = _common_ints([UniPoly.from_roots([-u for u in s.upper], s.z),
-                         UniPoly.from_roots([-l for l in s.lower])])
-    return (p, q, s.num.numerators, s.den.numerators,
-            Fraction(s.den.denominator, s.num.denominator))
+                                       Fraction]:
+    """p, q, a and K with t_j = K C_j a(j), C_0 = 1 and C_{j+1}/C_j =
+    p(j)/q(j).  With a and b the integer numerators of num and den, t_j is
+    z^j prod (u)_j / prod (l)_j a(j)/b(j) times the quotient of their
+    denominators; b is folded into the ratio, so p/q is
+    z prod (j + u) b(j) / (prod (j + l) b(j + 1)) as integers with no
+    common factor, and K is that quotient over b(0)."""
+    b = s.den
+    p, q = _common_ints([UniPoly.from_roots([-u for u in s.upper], s.z) * b,
+                         UniPoly.from_roots([-l for l in s.lower]) * b.shift(1)])
+    return (p, q, s.num.numerators,
+            Fraction(b.denominator, s.num.denominator * b.numerators[0]))
 
 
 def _finite_stop(s: ChuSeries) -> Optional[int]:
@@ -576,12 +629,12 @@ def _finite_stop(s: ChuSeries) -> Optional[int]:
 
 
 def _finite_sum(s: ChuSeries, m: int, pbits: int) -> Enclosure:
-    """The exact sum of the terms j <= m, K T/(B Q) on the product tree."""
-    p, q, a, b, k = _leaf_polys(s)
-    P, Q, B, T = _split(*(_values(c, 0, m + 1) for c in (p, q, a, b)), 0, m + 1)
-    sign = 1 if B * Q > 0 else -1
+    """The exact sum of the terms j <= m, K T/Q on the product tree."""
+    p, q, a, k = _leaf_polys(s)
+    P, Q, T = _split(*(_values(c, 0, m + 1) for c in (p, q, a)), 0, m + 1)
+    sign = 1 if Q > 0 else -1
     return Enclosure.from_ratio(sign * k.numerator * T, 0,
-                                sign * k.denominator * B * Q, pbits)
+                                sign * k.denominator * Q, pbits)
 
 
 def _geometric_sum(s: ChuSeries, cap: int, tol: Fraction,
@@ -597,8 +650,7 @@ def _geometric_sum(s: ChuSeries, cap: int, tol: Fraction,
     if j1 is None:
         return None
     lim = abs(num_j.lc / den_j.lc) if num_j.degree == den_j.degree else _F0
-    g = _GeometricSum(*_leaf_polys(s), *_common_ints([num_j, den_j]), lim, j1,
-                      cap, tol)
+    g = _GeometricSum(s, *_common_ints([num_j, den_j]), lim, j1, cap, tol)
     return g.confirm(g.predict(), pbits)
 
 
@@ -627,8 +679,10 @@ def chu_eval_terms(s: ChuSeries, digits: int,
     where the geometric bound |t_j| / (1 - max(|ratio(j)|, |z|)) is at
     most half of 10^-digits; the quotient magnitude is provably monotone
     from J1 on, so the bound is monotone in j (see _GeometricSum).  J is
-    predicted in floats and confirmed exactly on the binary-splitting
-    product tree of the partial sum over [0, J), whose integers are
+    guessed by bisection on log |t_j| in closed form, from log-gamma
+    values and the logs of integers, and confirmed exactly on the
+    binary-splitting product tree of the partial sum over [0, J): three
+    integers P, Q, T over the term ratio with den folded in, which are
     rounded to the enclosure endpoints with no Fraction.  A series that
     meets no tail rule within the cap (its term quotient has the higher
     degree in its numerator, or no stability point or stop index lies

@@ -11,7 +11,9 @@ own, given the integer coefficient lists of the same pair.
 
 from fractions import Fraction
 
-from hyperaccel.exact_arith import UniPoly, _common_ints, _primitive_pair, index_roots
+from hyperaccel.accelerator import ChuSeries
+from hyperaccel.exact_arith import (UniPoly, _common_ints, _primitive_pair, index_roots,
+                                    rational_roots)
 from hyperaccel.numerics import (_MIN_PRECISION, _ORACLE_DIGITS_CAP, Enclosure,
                                  _GeometricSum, _oracle_float, _split,
                                  _stability_point, _values)
@@ -20,7 +22,6 @@ import subst_reference
 from multipoly_helpers import as_unipoly
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def k_ratio_at(rho_k, n0) -> tuple[UniPoly, UniPoly]:
@@ -42,10 +43,10 @@ def direct_sum(num: UniPoly, den: UniPoly, target_digits: int) -> Enclosure:
     stops = index_roots(num)
     tol = Fraction(1, 2 * 10 ** target_digits)
     if stops:
-        # the exact sum over k <= stop is T/Q on the product tree (B = 1)
+        # the exact sum over k <= stop is T/Q on the product tree
         m = stops[0] + 1
         p, q = _common_ints([num, den])
-        _, Q, _, T = _split(_values(p, 0, m), _values(q, 0, m), [1] * m, [1] * m, 0, m)
+        _, Q, T = _split(_values(p, 0, m), _values(q, 0, m), [1] * m, 0, m)
         return Enclosure.from_ratio(T if Q > 0 else -T, 0, abs(Q))
     if num.degree > den.degree:
         raise ValueError("oracle unavailable")
@@ -73,8 +74,12 @@ def _oracle_geometric(num: UniPoly, den: UniPoly, lim: Fraction,
     j1 = _stability_point(num, den, cap)
     if j1 is None:
         raise ValueError("oracle unavailable")
-    p, q = _common_ints([num, den])
-    g = _GeometricSum(p, q, [1], [1], _F1, p, q, lim, j1, cap, tol)
+    # the k-ratios split into linear factors over Q, so the roots of num
+    # and den give the bracket series of t_0 = 1, t_{k+1} = t_k num(k)/den(k)
+    upper, lower = ([-r for r in rational_roots(f)] for f in (num, den))
+    assert (len(upper), len(lower)) == (num.degree, den.degree)
+    s = ChuSeries(num.lc / den.lc, tuple(upper), tuple(lower), UniPoly.one(), UniPoly.one())
+    g = _GeometricSum(s, *_common_ints([num, den]), lim, j1, cap, tol)
     found = g.confirm(g.predict(), _MIN_PRECISION)
     if found is None:
         raise ValueError("oracle unavailable")

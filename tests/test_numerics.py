@@ -15,6 +15,7 @@ from hyperaccel.catalog import catalog_entries, entry
 from hyperaccel.exact_arith import UniPoly, _common_ints, _zeval, rational_roots
 from hyperaccel.hypergeom_terms import FamilyId, family_instantiate, k_shift_ratio
 from hyperaccel.numerics import (
+    _CANCEL_LEAVES,
     _SUM_WORK_CAP,
     BigFloat,
     ClosedForm,
@@ -456,6 +457,26 @@ def test_root_matches_fraction_endpoints(base, e):
         assert _root(base, e, digits) == _reference_from_interval(lo, hi, pbits)
 
 
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 300), st.integers(1, 5))
+@example(2 ** 64 - 1, 2)
+@example(10 ** 90, 3)
+def test_iroot_is_the_floor_root(n, q):
+    x = _iroot(n, q)
+    assert x ** q <= n < (x + 1) ** q
+
+
+@pytest.mark.parametrize("q, sign", [(5, -1), (239, -1), (3, 1), (7, 1)])
+def test_arctan_terms_are_the_big_divisor_floors(q, sign):
+    # the carried x_i // (2i + 1) against 2^pbits // ((2i + 1) q^(2i+1))
+    for pbits in (64, 1000, 3371):
+        one, total, i = 1 << pbits, 0, 0
+        while one // ((2 * i + 1) * q ** (2 * i + 1)):
+            total += sign ** i * (one // ((2 * i + 1) * q ** (2 * i + 1)))
+            i += 1
+        assert _arctan_scaled(q, pbits, sign) == (total, i + 2)
+
+
 def test_root_errors():
     with pytest.raises(ValueError, match="negative base"):
         _root(-2, F(1, 2), 10)
@@ -563,13 +584,13 @@ def test_closed_forms_match_pins(digits):
 
 
 def test_constants_are_memoized_in_a_bounded_cache():
-    for const in (_pi, _log2):
-        assert const(60) is const(60)
-        assert const(60) == const.__wrapped__(60)
+    for const, args in ((_pi, ()), (_log2, ()), (_root, (3, F(1, 2)))):
+        assert const(*args, 60) is const(*args, 60)
+        assert const(*args, 60) == const.__wrapped__(*args, 60)
         size = const.cache_info().maxsize
         assert size is not None and size <= 16
         for digits in range(20, 23 + size):
-            const(digits)
+            const(*args, digits)
         assert const.cache_info().currsize <= size
 
 
@@ -765,6 +786,15 @@ def _chu_series(draw):
     return ChuSeries(z, upper, lower, num, den)
 
 
+# parameters past float range: two of height 10^400 whose term quotient
+# still tends to z = 1/3, one of 10^-400, and one within 10^-400 of -3,
+# whose float is a pole of lgamma
+_HUGE_PARAMETERS = ChuSeries(F(1, 3), (10 ** 400 + F(1, 2), F(1, 2)),
+                             (10 ** 400 + F(1, 3), F(3, 2)), UniPoly.one(), UniPoly.one())
+_TINY_PARAMETER = ChuSeries(F(1, 3), (F(1, 10 ** 400), F(1, 2)), (F(3, 2), F(5, 4)),
+                            UniPoly.one(), UniPoly.one())
+_NEAR_POLE = ChuSeries(F(1, 3), (F(-3) + F(1, 10 ** 400), F(1, 2)), (F(3, 2), F(5, 4)),
+                       UniPoly.one(), UniPoly.one())
 # J == J1 == 1: the first term after j = 0 already meets the tail rule
 _FIRST_STOP = ChuSeries(F(1, 10 ** 6), (F(1),), (F(2),),
                         UniPoly.one(), UniPoly.one())
@@ -796,6 +826,17 @@ _TERMINATING = ChuSeries(F(-3, 4), (F(-2), F(1, 3)), (F(5, 2), F(7, 4)),
 @example(ChuSeries(F(1, 4), (F(1, 3), F(1), F(5, 3)), (F(7, 6), F(3, 2), F(11, 6)),
                    UniPoly.from_coeffs([2, 3]) * UniPoly.from_roots([9]),
                    UniPoly.one()), 5)
+# an upper parameter -m with a varying den: every term past m is zero
+@example(ChuSeries(F(-1, 9), (F(-60), F(1, 3)), (F(3, 2), F(5, 4)),
+                   UniPoly.from_coeffs([1, 2]), UniPoly.from_coeffs([3, 1])), 10)
+@example(_HUGE_PARAMETERS, 20)
+@example(_TINY_PARAMETER, 410)
+@example(_NEAR_POLE, 430)
+# negative z, and a ratio limit of 0
+@example(ChuSeries(F(-7, 8), (F(1, 2), F(2, 3)), (F(5, 3), F(7, 4)),
+                   UniPoly.from_coeffs([1, 3]), UniPoly.from_coeffs([2, 1])), 15)
+@example(ChuSeries(F(3, 4), (F(1, 2),), (F(3, 2), F(5, 2)), UniPoly.one(),
+                   UniPoly.one()), 25)
 def test_chu_eval_matches_reference_on_random_series(s, digits):
     _same_as_reference(s, digits)
 
@@ -830,43 +871,68 @@ def test_chu_eval_term_cap_boundary_matches_reference():
 def _geometric_sum(s: ChuSeries, digits: int, cap: int) -> _GeometricSum:
     """The geometric sum chu_eval_terms sets up for s."""
     num_j, den_j = s.ratio_parts()
-    p, q = _common_ints([UniPoly.from_roots([-u for u in s.upper], s.z),
-                         UniPoly.from_roots([-l for l in s.lower])])
-    rn, rd = _common_ints([num_j, den_j])
-    return _GeometricSum(p, q, s.num.numerators, s.den.numerators,
-                         F(s.den.denominator, s.num.denominator), rn, rd,
-                         abs(num_j.lc / den_j.lc), _stability_point(num_j, den_j, cap),
-                         cap, F(1, 2 * 10 ** digits))
+    return _GeometricSum(s, *_common_ints([num_j, den_j]), abs(num_j.lc / den_j.lc),
+                         _stability_point(num_j, den_j, cap), cap, F(1, 2 * 10 ** digits))
 
 
-def _plain_split(pv, qv, av, bv, lo, hi):
-    """The product tree with no content cancelled: the reference for
-    _split."""
+def _plain_split(pv, qv, av, lo, hi):
+    """The product tree with no content cancelled and no leaf loop: the
+    reference for _split."""
     if hi - lo == 1:
-        return pv[lo], qv[lo], bv[lo], av[lo] * qv[lo]
+        return pv[lo], qv[lo], av[lo] * qv[lo]
     mid = (lo + hi) // 2
-    p1, q1, b1, t1 = _plain_split(pv, qv, av, bv, lo, mid)
-    p2, q2, b2, t2 = _plain_split(pv, qv, av, bv, mid, hi)
-    return p1 * p2, q1 * q2, b1 * b2, b2 * q2 * t1 + b1 * p1 * t2
+    p1, q1, t1 = _plain_split(pv, qv, av, lo, mid)
+    p2, q2, t2 = _plain_split(pv, qv, av, mid, hi)
+    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 200).flatmap(
-    lambda n: st.lists(st.integers(-60, 60), min_size=4 * n, max_size=4 * n)))
-@example([6, -4, 3, 3] * 40 + [0, -4, 3, 3] + [-10, -4, -5, 3] * 59)
-@example([2 ** 40, 12, 1, -7] * 64)
+    lambda n: st.lists(st.integers(-60, 60), min_size=3 * n, max_size=3 * n)))
+@example([6, -4, 3] * 40 + [0, -4, 3] + [-10, -4, -5] * 59)
+@example([2 ** 40, 12, 1] * 64)
 def test_split_cancels_content_without_changing_values(vals):
-    # leaves p(j), q(j), a(j), b(j) interleaved; q and b must not vanish,
-    # so a drawn 0 reads as 61 there
-    pv, av = vals[0::4], vals[2::4]
-    qv, bv = ([x or 61 for x in vals[i::4]] for i in (1, 3))
+    # leaves p(j), q(j), a(j) interleaved; q must not vanish, so a drawn 0
+    # reads as 61 there
+    pv, qv, av = vals[0::3], [x or 61 for x in vals[1::3]], vals[2::3]
     n = len(pv)
-    got, want = _split(pv, qv, av, bv, 0, n), _plain_split(pv, qv, av, bv, 0, n)
-    (p, q, b, t), (p0, q0, b0, t0) = got, want
+    got, want = _split(pv, qv, av, 0, n), _plain_split(pv, qv, av, 0, n)
+    (p, q, t), (p0, q0, t0) = got, want
     assert F(p, q) == F(p0, q0)
-    assert F(t, b * q) == F(t0, b0 * q0)
-    for x, x0 in zip((p, q, t), (p0, q0, t0)):
+    assert F(t, q) == F(t0, q0)
+    for x, x0 in zip(got, want):
         assert abs(x).bit_length() <= abs(x0).bit_length()
+    # below the cancelling span the loop and the merges give the unreduced
+    # integers themselves
+    if n < _CANCEL_LEAVES:
+        assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 120).flatmap(
+    lambda n: st.lists(st.integers(-40, 40), min_size=4 * n + 1, max_size=4 * n + 1)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+@example([3, 5, 1, 2] * 50 + [7], F(-2, 3))
+def test_folding_the_denominator_keeps_the_sum(vals, k):
+    # leaves p(j), q(j), a(j), b(j) of the four-integer meaning
+    # sum K C_j a(j)/b(j), with C_{j+1}/C_j = p(j)/q(j); q and b must not
+    # vanish, so a drawn 0 reads as 41 there, and b is made non-constant.
+    # Folding b into the ratio, p(j) b(j) / (q(j) b(j + 1)), with
+    # K' = K/b(0), gives the same sum as K' T/Q on the three-integer tree
+    pv, av = vals[0:-1:4], vals[2:-1:4]
+    qv = [x or 41 for x in vals[1:-1:4]]
+    bv = [x or 41 for x in vals[3:-1:4] + vals[-1:]]
+    if len(set(bv)) == 1:
+        bv[1] += 41
+    n = len(pv)
+    total, c = F(0), F(1)
+    for j in range(n):
+        total += k * c * F(av[j], bv[j])
+        c *= F(pv[j], qv[j])
+    folded_p = [pv[j] * bv[j] for j in range(n)]
+    folded_q = [qv[j] * bv[j + 1] for j in range(n)]
+    _, Q, T = _split(folded_p, folded_q, av, 0, n)
+    assert k / bv[0] * F(T, Q) == total
 
 
 def test_split_keeps_fr2_a_quarter_of_the_unreduced_size():
@@ -877,8 +943,8 @@ def test_split_keeps_fr2_a_quarter_of_the_unreduced_size():
     cap = default_term_budget(s.z, digits)
     g = _geometric_sum(s, digits, cap)
     _, j = g.confirm(g.predict(), _bits_for(digits))
-    t = _split(*g.leaves, 0, j)[3]
-    t0 = _plain_split(*g.leaves, 0, j)[3]
+    t = _split(*g.leaves, 0, j)[2]
+    t0 = _plain_split(*g.leaves, 0, j)[2]
     assert 4 * abs(t).bit_length() <= abs(t0).bit_length()
 
 
@@ -1067,6 +1133,30 @@ def test_stop_indices_match_pins(digits):
         enc, terms = chu_eval_terms(chu, digits)
         assert terms == pins[rid], rid
         assert _pin(enc) == encs[rid], rid
+
+
+@pytest.mark.parametrize("digits", [50, 300, 2000])
+def test_stop_index_guess_matches_pins(digits):
+    # a guess short of J grows the tree a leaf at a time, and one past it
+    # restarts from j0 and does the same: a miss costs time, not a result,
+    # so it is caught here
+    for rid, j in _PINS[str(digits)].items():
+        s = entry(rid).chu
+        g = _geometric_sum(s, digits, default_term_budget(s.z, digits))
+        assert g.predict() == j, rid
+
+
+def test_stop_index_guess_outside_float_range():
+    # parameters of height 10^400 and 10^-400 still give the guess, from
+    # log |u|; one whose float is a pole of lgamma gives none, and J is
+    # found from j0
+    g = _geometric_sum(_HUGE_PARAMETERS, 20, 1000)
+    assert (g.j0, g.predict()) == (1, 39)
+    g = _geometric_sum(_TINY_PARAMETER, 430, 1000)
+    assert (g.j0, g.predict()) == (1, 55)
+    g = _geometric_sum(_NEAR_POLE, 430, 1000)
+    assert g.predict() == g.j0 == 4
+    assert g.confirm(g.predict(), _bits_for(430))[1] == 47
 
 
 def test_summation_work_budget_boundary():
