@@ -14,9 +14,9 @@ summand evaluated along nu_j = n0 + r j.  The certificate and the ratio
 enter at k = 0: row 0 of the certificate's grids, and the products of
 the rows [u, s] of the ratio's affine factors (m k + s n + u)/d,
 UniPolys in n, so each term costs a few Horner evaluations.
-AccelStream generates the terms lazily and compares the term quotient
-t_{j+1}/t_j with a series' on one integer image of their factors; it
-expands the quotient into UniPolys on use.
+AccelStream generates the terms lazily and holds the term quotient
+t_{j+1}/t_j as factors p(a + b j), as ChuSeries.quotient holds a
+series'; same_quotient compares two on one integer image of the factors.
 
 Unrolling is valid only when the remainder after m steps dies off.
 vanishing_check estimates that remainder in double precision: the
@@ -39,15 +39,16 @@ polynomial with positive leading coefficient, and den is a product of
 primitive integer linear factors.  Rising-factorial quotients whose
 parameters differ by an integer are folded into num and den, so the
 remaining upper and lower parameter lists share no integer gaps.  The
-parameters are read off the rational roots of the quotient's numerator
-and denominator (exact_arith.rational_roots).  The form depends only on
-the reduced quotient, so streams with equal forms are termwise
+parameters are read off the rational roots of each factor's p
+(exact_arith.rational_roots); no quotient is expanded.  The form depends
+only on the reduced quotient, so streams with equal forms are termwise
 proportional.  ChuSeries.terms builds a window of terms with the rising
 factorials as one running product.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -250,12 +251,22 @@ class _JProduct:
                                   for p, u, v, m in self.factors)
 
 
+def same_quotient(x: tuple, y: tuple) -> bool:
+    """Whether quotients (c, num, den) with den nonzero are equal in j,
+    cx nx dy = cy ny dx, on one image (`exact_arith._kronecker_zero`)."""
+    (cx, nx, dx), (cy, ny, dy) = x, y
+    left, right = _JProduct([*nx, *dy]), _JProduct([*ny, *dx])
+    left.scalar = cx.numerator * cy.denominator * right.den
+    right.scalar = cy.numerator * cx.denominator * left.den
+    return _kronecker_zero(lambda a, b: a - b, (left, right))
+
+
 class AccelStream:
     """Lazily generated accelerated terms with their term quotient.
 
     source, rec, and n0 identify the stream; term(j) and take(count)
-    yield exact rational terms from a growing cache.  ratio, built on
-    first use, is t_{j+1}/t_j as stream_ratio's pair in j.
+    yield exact rational terms from a growing cache.  quotient, built on
+    first use, is t_{j+1}/t_j as -1 and the `_quotient_factors`.
     """
 
     def __init__(self, source: HypTerm, rec: Recurrence, n0: Scalar):
@@ -267,8 +278,8 @@ class AccelStream:
         self._cache: list[Fraction] = []
 
     @cached_property
-    def ratio(self) -> tuple[UniPoly, UniPoly]:
-        return stream_ratio(self._parts, self.rec.r, self.n0)
+    def quotient(self) -> tuple:
+        return (-1, *_quotient_factors(self._parts, self.rec.r, self.n0))
 
     def term(self, j: int) -> Fraction:
         while len(self._cache) <= j:
@@ -277,21 +288,6 @@ class AccelStream:
 
     def take(self, count: int) -> list[Fraction]:
         return [self.term(j) for j in range(count)]
-
-    def same_quotient(self, series: ChuSeries) -> bool:
-        """Whether t_{j+1}/t_j equals the term quotient dn/dd of a series
-        with num and den nonzero, dn sd = sn dd for sn/sd the `ratio`,
-        decided on the factors by one image (`exact_arith._kronecker_zero`)."""
-        sn, sd = _quotient_factors(self._parts, self.rec.r, self.n0)
-        s = series
-        # dn = num(j+1) den(j) z prod (j + u), dd = num(j) den(j+1) prod (j + l)
-        left = _JProduct([(s.num, 1, 1), (s.den, 0, 1), *sd,
-                          (UniPoly.from_roots([-u for u in s.upper], s.z), 0, 1)])
-        right = _JProduct([(s.num, 0, 1), (s.den, 1, 1), *sn,
-                           (UniPoly.from_roots([-l for l in s.lower]), 0, 1)])
-        # sn carries the sign -1
-        left.scalar, right.scalar = right.den, -left.den
-        return _kronecker_zero(lambda x, y: x - y, (left, right))
 
 
 def accelerated_stream(term: HypTerm, rec: Recurrence, n0: Scalar,
@@ -348,8 +344,8 @@ class ChuSeries:
     """Series sum_j z^j prod (u)_j / prod (l)_j * num(j)/den(j).
 
     terms(count) gives the first count terms by a running product;
-    term(j) is the last of terms(j + 1).  ratio_parts() is the term
-    quotient as a numerator and denominator in j.
+    term(j) is the last of terms(j + 1).  quotient() is the term
+    quotient as factors.
     """
 
     z: Fraction
@@ -384,46 +380,51 @@ class ChuSeries:
         """Exact j-th term; raises ZeroDivisionError on a denominator zero."""
         return self.terms(j + 1)[j]
 
-    def ratio_parts(self) -> tuple[UniPoly, UniPoly]:
-        """Numerator and denominator in j of the term quotient
-        term(j+1)/term(j), with no common factor divided out."""
-        num = (self.num.shift(1) * self.den
-               * UniPoly.from_roots([-u for u in self.upper], self.z))
-        den = (self.num * self.den.shift(1)
-               * UniPoly.from_roots([-l for l in self.lower]))
-        return num, den
+    def quotient(self) -> tuple:
+        """term(j+1)/term(j) as (c, num, den), c = z and factors (p, a, b),
+        each p(a + b j): num(j+1) den(j) prod (j + u) over num(j) den(j+1)
+        prod (j + l), no common factor divided out."""
+        ups, lows = (UniPoly.from_roots([-x for x in xs])
+                     for xs in (self.upper, self.lower))
+        return (self.z, [(self.num, 1, 1), (self.den, 0, 1), (ups, 0, 1)],
+                [(self.num, 0, 1), (self.den, 1, 1), (lows, 0, 1)])
 
 
-def _rooted_split(p: UniPoly) -> tuple[list[Fraction], UniPoly]:
-    """Rational roots with multiplicity and the monic rootless cofactor."""
-    roots = rational_roots(p)
-    rest = p.exact_div(UniPoly.from_roots(roots, p.lc)) if roots else p.scale(1 / p.lc)
-    return roots, rest
+def _rooted_split(factors: list) -> tuple[Fraction, list[Fraction], UniPoly]:
+    """The leading coefficient, the rational roots with multiplicity and
+    the monic rootless cofactor of the product of the p(a + b j) in j,
+    read factor by factor: a root rho of p gives the root (rho - a)/b."""
+    roots, rest = [], UniPoly.one()
+    for p, a, b in factors:
+        found = [(rt - a) / b for rt in rational_roots(p)]
+        roots += found
+        rest = rest * p.compose(a, b).exact_div(UniPoly.from_roots(found))
+    return rest.lc, roots, rest.scale(1 / rest.lc)
 
 
-def chu_normalize(ratio: tuple[UniPoly, UniPoly],
-                  t0: Fraction) -> tuple[ChuSeries, Fraction]:
-    """Bracket normal form of a stream from its term quotient, a
-    (numerator, denominator) pair in j, and its first term.
+def chu_normalize(quotient: tuple, t0: Fraction) -> tuple[ChuSeries, Fraction]:
+    """Bracket normal form of a stream from its term quotient (c, num, den),
+    each b nonzero, and its first term; an expanded pair n/d is passed as
+    (1, [(n, 0, 1)], [(d, 0, 1)]).
 
     Returns (series, scale) with scale * series.term(j) equal to the j-th
-    stream term for every j.  The series depends only on the quotient
-    reduced to lowest terms.  Raises ValueError("non-Chu-normalizable")
-    when the quotient does not have the required shape.
+    stream term for every j.  Equal roots cancel as multisets and the
+    rootless cofactors by one gcd; `same_quotient` checks the series.
+    It depends only on the quotient reduced to lowest terms.  Raises
+    ValueError("non-Chu-normalizable") when the quotient does not have
+    the required shape.
     """
-    n_u, d_u = n_in, d_in = ratio
-    if n_u.is_zero or d_u.is_zero or n_u.degree != d_u.degree or t0 == 0:
+    c, num, den = quotient
+    if c == 0 or t0 == 0 or any(p.is_zero for p, _, _ in num + den):
         raise ValueError("non-Chu-normalizable")
-    g = n_u.gcd(d_u)
-    if g.degree > 0:
-        n_u, d_u = n_u.exact_div(g), d_u.exact_div(g)
-    z = n_u.lc / d_u.lc
-    n_roots, n_rest = _rooted_split(n_u)
-    d_roots, d_rest = _rooted_split(d_u)
-    if n_rest != d_rest.shift(1):
+    (n_lc, n_roots, n_rest), (d_lc, d_roots, d_rest) = map(_rooted_split, (num, den))
+    g = n_rest.gcd(d_rest)
+    n_rest, d_rest = n_rest.exact_div(g), d_rest.exact_div(g)
+    # with equal rests, the degrees are equal iff the root counts are
+    if len(n_roots) != len(d_roots) or n_rest != d_rest.shift(1):
         raise ValueError("non-Chu-normalizable")
-    uppers = sorted(-rt for rt in n_roots)
-    lowers = sorted(-rt for rt in d_roots)
+    uppers, lowers = (sorted(-rt for rt in (Counter(x) - Counter(y)).elements())
+                      for x, y in ((n_roots, d_roots), (d_roots, n_roots)))
     num = d_rest
     den = UniPoly.one()
     # fold integer-gap parameter pairs into the polynomial parts; a fold
@@ -444,10 +445,9 @@ def chu_normalize(ratio: tuple[UniPoly, UniPoly],
     num = num.primitive()
     if num.eval(0) == 0 or den.eval(0) == 0:
         raise ValueError("non-Chu-normalizable")
-    series = ChuSeries(z=z, upper=tuple(uppers), lower=tuple(lowers),
-                       num=num, den=den)
-    s_num, s_den = series.ratio_parts()
-    if s_num * d_in != n_in * s_den:
+    series = ChuSeries(z=Fraction(c) * n_lc / d_lc, upper=tuple(uppers),
+                       lower=tuple(lowers), num=num, den=den)
+    if not same_quotient(series.quotient(), quotient):
         raise ValueError("non-Chu-normalizable")
     scale = t0 * den.eval(0) / num.eval(0)
     return series, scale

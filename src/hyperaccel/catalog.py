@@ -33,7 +33,7 @@ from typing import Optional
 # catalog.chu_normalize, which bench/selftest.py reads after the tracer
 # uninstalls its wrappers
 from .accelerator import (ChuSeries, accelerated_stream, chu_normalize,
-                          convergence_rate)
+                          convergence_rate, same_quotient)
 from .exact_arith import UniPoly
 from .hypergeom_terms import (FamilyId, HypTerm, _binom_n_k, _poch,
                               family_instantiate)
@@ -946,7 +946,7 @@ def derive_entry(rid: str) -> DeriveReport:
     or its term quotient differs from the stream's.  Equal term
     quotients make the two sequences termwise proportional from their
     first terms on, so c is the stream's first term over the display's.
-    AccelStream.same_quotient decides the equality on the factors, and
+    accelerator.same_quotient decides the equality on the factors, and
     no quotient or bracket normal form is expanded.
     """
     e = entry(rid)
@@ -962,7 +962,7 @@ def derive_entry(rid: str) -> DeriveReport:
     if e.chu is not None:
         t0 = e.chu.term(0)
         # t0 != 0 makes num and den nonzero
-        if t0 != 0 and stream.same_quotient(e.chu):
+        if t0 != 0 and same_quotient(stream.quotient, e.chu.quotient()):
             proportional = stream.term(0) / t0
     return DeriveReport(recurrence_found=True, rate=rate,
                         proportional=proportional)

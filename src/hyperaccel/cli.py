@@ -208,7 +208,7 @@ def _cmd_accelerate(args) -> int:
     term, rec = _build_recurrence(family, args.params, args.r)
     stream = accelerated_stream(term, rec, args.n)
     if args.chu:
-        series, scale = chu_normalize(stream.ratio, stream.term(0))
+        series, scale = chu_normalize(stream.quotient, stream.term(0))
         print(series_text(series))
         print(f"scale = {scale}")
     else:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
-from math import ceil, gcd, isqrt, lgamma, log, log10
+from math import ceil, gcd, isqrt, lgamma, log, log10, prod
 from operator import lt
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -486,14 +486,24 @@ def _split(pv: list[int], qv: list[int], av: list[int],
     return _merge(_split(pv, qv, av, lo, mid), _split(pv, qv, av, mid, hi), hi - lo)
 
 
+def _products(pv: list[int], qv: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """prod p(i) and prod q(i) over [lo, hi), split at the middle like
+    _split but with no T and no content cancelled."""
+    if hi - lo <= _LOOP_LEAVES:
+        return prod(pv[lo:hi]), prod(qv[lo:hi])
+    mid = (lo + hi) // 2
+    (p1, q1), (p2, q2) = _products(pv, qv, lo, mid), _products(pv, qv, mid, hi)
+    return p1 * p2, q1 * q2
+
+
 class _GeometricSum:
     """Certified sum of the terms t_j = K C_j a(j) of a series s, with C_0 = 1
-    and C_{j+1}/C_j = p(j)/q(j), the denominator of s folded into p/q (see
-    _leaf_polys).
+    and C_{j+1}/C_j = p(j)/q(j), the denominator of s folded into p/q: leaf
+    is p, q, a, K as _leaf_polys gives them.
 
-    Coefficients are ascending integers; q has no root at a summation
-    index, and rn/rd is t_{j+1}/t_j with |rn/rd| monotone toward lim < 1
-    from j1 >= 1 on.  J is the first j in [j1, cap] with
+    Coefficients are ascending integers; q has no root at a summation index,
+    and rn/rd = a(j+1) p(j) / (a(j) q(j)) is t_{j+1}/t_j, with |rn/rd|
+    monotone toward lim < 1 from j1 >= 1 on.  J is the first j in [j1, cap] with
     rbar_j = max(|rn(j)/rd(j)|, lim) < 1 and |t_j| / (1 - rbar_j) <= tol.
     That rule fails below j0, the first j >= j1 with rbar_j < 1, and is
     monotone from j0 on: past j1 rbar_j does not increase, as |rn/rd| moves
@@ -505,9 +515,9 @@ class _GeometricSum:
     guess costs only time.
     """
 
-    def __init__(self, s: ChuSeries, rn: list[int], rd: list[int], lim: Fraction,
-                 j1: int, cap: int, tol: Fraction):
-        p, q, a, k = _leaf_polys(s)
+    def __init__(self, s: ChuSeries, leaf: tuple, rn: list[int], rd: list[int],
+                 lim: Fraction, j1: int, cap: int, tol: Fraction):
+        p, q, a, k = leaf
         self.s, self.polys, self.leaves = s, (p, q, a), ([], [], [])
         self.k, self.rn, self.rd, self.cap = k, rn, rd, cap
         self.ln, self.ld = lim.numerator, lim.denominator
@@ -561,21 +571,44 @@ class _GeometricSum:
             return self.j0
 
     def confirm(self, j: int, pbits: int) -> Optional[tuple[Enclosure, int]]:
-        """The enclosure and J from a prediction j: leaf values are computed
-        once, through index j, and the rule must fail at j - 1 (else restart
-        at j0); the tree then grows a leaf at a time."""
-        j = min(max(j - 1, self.j0), self.cap)
-        self._grow(j + 2)
-        P, Q, T = _split(*self.leaves, 0, j)
-        if j > self.j0 and self._stops(j, P, Q):
-            j = self.j0
-            P, Q, T = _split(*self.leaves, 0, j)
-        while not self._stops(j, P, Q):
-            if j == self.cap:
+        """The enclosure and J from a prediction j.  The tree is summed over
+        [0, j - 1) and the rule tested at j - 1.  Where it fails, spans of
+        1, 2, 4, ... leaves are multiplied onto P and Q until it holds;
+        where it holds, J lies in [j0, j - 1].  J is then bisected in the
+        last span on P and Q alone, with no content cancelled, so a guess
+        off by d costs about 2 log2(d) tests.  The sum over [0, J) is the
+        tree over [0, j - 1) with [j - 1, J) merged on, a single leaf for
+        a right guess, or a tree afresh when J < j - 1."""
+        start = lo = min(max(j - 1, self.j0), self.cap)
+        self._grow(lo + 2)
+        x = _split(*self.leaves, 0, lo)
+        P, Q = x[:2]
+        hi, step = None, 1
+        if self._stops(lo, P, Q):
+            # the rule fails below j0
+            hi, lo = lo, self.j0 - 1
+            P, Q = _products(*self.leaves[:2], 0, lo)
+        # the rule fails at lo and, once hi is set, holds at hi
+        while hi is None or hi - lo > 1:
+            if hi is None and lo == self.cap:
                 return None
-            p, q, a = (v[j] for v in self.leaves)
-            P, Q, T = _merge((P, Q, T), (p, q, a * q), j + 1)
-            j += 1
+            mid = min(lo + step, self.cap) if hi is None else (lo + hi) // 2
+            self._grow(mid + 1)
+            ps, qs = _products(*self.leaves[:2], lo, mid)
+            pm, qm = P * ps, Q * qs
+            if self._stops(mid, pm, qm):
+                hi = mid
+            else:
+                lo, P, Q, step = mid, pm, qm, 2 * step
+        j = hi
+        if j == start + 1:
+            p, q, a = (v[start] for v in self.leaves)
+            x = _merge(x, (p, q, a * q), j)
+        elif j > start:
+            x = _merge(x, _split(*self.leaves, start, j), j)
+        elif j < start:
+            x = _split(*self.leaves, 0, j)
+        P, Q, T = x
         # the sum k T/Q and the bound k |P a(j)| d/(|Q| (d - n)), both over
         # the positive denominator kd |Q| (d - n)
         nj, dj = self._rbar(j)
@@ -643,14 +676,13 @@ def _geometric_sum(s: ChuSeries, cap: int, tol: Fraction,
     tolerance tol (see _GeometricSum); None when the term quotient has the
     higher degree in its numerator, or no stability point or J lies within
     the cap."""
-    num_j, den_j = s.ratio_parts()
-    if num_j.degree > den_j.degree:
-        return None
-    j1 = _stability_point(num_j, den_j, cap)
+    leaf = p, q, a, _ = _leaf_polys(s)
+    rn, rd = UniPoly(a).shift(1) * UniPoly(tuple(p)), UniPoly(a) * UniPoly(tuple(q))
+    j1 = _stability_point(rn, rd, cap) if rn.degree <= rd.degree else None
     if j1 is None:
         return None
-    lim = abs(num_j.lc / den_j.lc) if num_j.degree == den_j.degree else _F0
-    g = _GeometricSum(s, *_common_ints([num_j, den_j]), lim, j1, cap, tol)
+    lim = abs(rn.lc / rd.lc) if rn.degree == rd.degree else _F0
+    g = _GeometricSum(s, leaf, *_common_ints([rn, rd]), lim, j1, cap, tol)
     return g.confirm(g.predict(), pbits)
 
 

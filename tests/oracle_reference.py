@@ -15,7 +15,7 @@ from hyperaccel.accelerator import ChuSeries
 from hyperaccel.exact_arith import (UniPoly, _common_ints, _primitive_pair, index_roots,
                                     rational_roots)
 from hyperaccel.numerics import (_MIN_PRECISION, _ORACLE_DIGITS_CAP, Enclosure,
-                                 _GeometricSum, _oracle_float, _split,
+                                 _GeometricSum, _leaf_polys, _oracle_float, _split,
                                  _stability_point, _values)
 
 import subst_reference
@@ -79,7 +79,7 @@ def _oracle_geometric(num: UniPoly, den: UniPoly, lim: Fraction,
     upper, lower = ([-r for r in rational_roots(f)] for f in (num, den))
     assert (len(upper), len(lower)) == (num.degree, den.degree)
     s = ChuSeries(num.lc / den.lc, tuple(upper), tuple(lower), UniPoly.one(), UniPoly.one())
-    g = _GeometricSum(s, *_common_ints([num, den]), lim, j1, cap, tol)
+    g = _GeometricSum(s, _leaf_polys(s), *_common_ints([num, den]), lim, j1, cap, tol)
     found = g.confirm(g.predict(), _MIN_PRECISION)
     if found is None:
         raise ValueError("oracle unavailable")

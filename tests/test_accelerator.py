@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from itertools import count, islice
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from hyperaccel import accelerator, exact_arith, hypergeom_terms, numerics
@@ -27,10 +27,11 @@ from hyperaccel.hypergeom_terms import (FamilyId, family_instantiate, k_shift_ra
 from hyperaccel.numerics import direct_sum
 from hyperaccel.telescoper import Recurrence, derive_recurrence, zeilberger_two_term
 
+import chu_reference
 import oracle_reference
 from control_summands import family_point
 from multipoly_helpers import poly_grid, symbolic
-from quotient_helpers import quotient_eval, same_quotient
+from quotient_helpers import expanded, quotient_at, quotient_eval, same_quotient
 
 
 def _instance(family: FamilyId, params, r: int):
@@ -274,10 +275,9 @@ def test_dual_path_exactness_quarter():
     term, rec = _quarter_example()
     s = accelerated_stream(term, rec, F(1))
     terms = s.take(201)
-    num, den = s.ratio
     acc = terms[0]
     for j in range(200):
-        acc *= num.eval(j) / den.eval(j)
+        acc *= quotient_at(s.quotient, j)
         assert acc == terms[j + 1]
 
 
@@ -285,10 +285,9 @@ def test_dual_path_exactness_neg_quarter():
     term, rec = _neg_quarter_example()
     s = accelerated_stream(term, rec, F(2, 3))
     terms = s.take(101)
-    num, den = s.ratio
     acc = terms[0]
     for j in range(100):
-        acc *= num.eval(j) / den.eval(j)
+        acc *= quotient_at(s.quotient, j)
         assert acc == terms[j + 1]
 
 
@@ -296,9 +295,8 @@ def test_stream_builds_its_parts_once(monkeypatch):
     term, rec = _quarter_example()
     calls = _count_calls(monkeypatch, "_stream_parts")
     s = AccelStream(term, rec, F(1))
-    num, den = s.ratio
     terms = s.take(3)
-    assert terms[1] == terms[0] * num.eval(0) / den.eval(0)
+    assert terms[1] == terms[0] * quotient_at(s.quotient, 0)
     assert len(calls) == 1
 
 
@@ -325,11 +323,14 @@ def test_remainder_failure_blocks_stream():
 
 
 def test_stream_ratio_matches_consecutive_terms():
+    # the factored quotient and `stream_ratio`, its expansion
     term, rec = _neg_27_example()
     s = AccelStream(term, rec, F(1))
-    num, den = s.ratio
+    num, den = accelerator.stream_ratio(s._parts, rec.r, F(1))
+    assert (num, den) == expanded(s.quotient)
     terms = s.take(12)
     for j in range(11):
+        assert quotient_at(s.quotient, j) == terms[j + 1] / terms[j]
         assert num.eval(j) / den.eval(j) == terms[j + 1] / terms[j]
 
 
@@ -373,17 +374,18 @@ def _display_variants(s):
 def test_same_quotient_matches_the_expanded_cross_product(derivation_recipes):
     """On every display with a recipe, and on 20 variants of each, the
     stream's Kronecker verdict is dn sd == sn dd on the expanded term
-    quotients of the series and of `stream_ratio`."""
+    quotients of the series and of the stream."""
     verdicts = []
     for e, term, rec in derivation_recipes:
         if e.chu is None:
             continue
         stream = AccelStream(term, rec, e.derivation.n0)
-        sn, sd = stream.ratio
+        sn, sd = expanded(stream.quotient)
         for series in _display_variants(e.chu):
-            dn, dd = series.ratio_parts()
+            dn, dd = expanded(series.quotient())
             want = dn * sd == sn * dd
-            assert stream.same_quotient(series) is want, e.id
+            got = accelerator.same_quotient(series.quotient(), stream.quotient)
+            assert got is want, e.id
             verdicts.append(want)
     assert len(verdicts) == 1407
     assert 67 <= sum(verdicts) < len(verdicts)
@@ -433,10 +435,11 @@ def test_stream_terms_match_multipoly_evaluation(derivation_recipes):
                 == _first_terms(_reference_iter_accelerated(term, rec, n0), 30)), e.id
 
 
-# rational heights up to 4: the bracket form's rational_roots factors the
-# quotient's end coefficients by trial division, which takes seconds on
-# some neg-64 tuples already at these heights
-_heights = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+# rational heights up to 12: the bracket form searches roots in each of
+# the stream's parts, not in the expanded quotient, but rational_roots
+# still tries the divisor pairs of a part's end coefficients, which takes
+# about 0.3 s on a cert numerator of degree 17 at heights near 16
+_heights = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
 
 
 @settings(max_examples=30, deadline=None)
@@ -458,9 +461,10 @@ def test_random_family_streams_match_reference_and_bracket_form(data):
     terms = _first_terms(_stream_terms(term, rec, n0), 12)
     assert terms == _first_terms(_reference_iter_accelerated(term, rec, n0), 12)
     assume(len(terms) == 12 and all(isinstance(t, F) for t in terms))
-    stream = accelerated_stream(term, rec, n0, check_vanishing=False)
+    # a pole past the window is no concern here, so the stream is built
+    # without accelerated_stream's check of the whole progression
     try:
-        series, scale = chu_normalize(stream.ratio, terms[0])
+        series, scale = chu_normalize(AccelStream(term, rec, n0).quotient, terms[0])
     except ValueError:
         event("no bracket form")
         return
@@ -519,7 +523,7 @@ def test_proportional_short_window_is_an_error():
 def test_chu_normalize_quarter_example():
     term, rec = _quarter_example()
     s = accelerated_stream(term, rec, F(1), check_vanishing=False)
-    series, scale = chu_normalize(s.ratio, s.term(0))
+    series, scale = chu_normalize(s.quotient, s.term(0))
     assert series.z == F(1, 4)
     assert series.upper == (F(2, 3),)
     assert series.lower == (F(11, 6),)
@@ -531,7 +535,7 @@ def test_chu_normalize_quarter_example():
 def test_chu_normalize_neg_quarter_example():
     term, rec = _neg_quarter_example()
     s = accelerated_stream(term, rec, F(2, 3), check_vanishing=False)
-    series, _ = chu_normalize(s.ratio, s.term(0))
+    series, _ = chu_normalize(s.quotient, s.term(0))
     assert series.z == F(-1, 4)
     assert series.upper == (F(1, 2), F(1))
     assert series.lower == (F(4, 3), F(5, 3))
@@ -542,7 +546,7 @@ def test_chu_normalize_neg_quarter_example():
 def test_chu_normalize_neg_27_example():
     term, rec = _neg_27_example()
     s = accelerated_stream(term, rec, F(1), check_vanishing=False)
-    series, _ = chu_normalize(s.ratio, s.term(0))
+    series, _ = chu_normalize(s.quotient, s.term(0))
     assert series.z == F(-1, 27)
     assert series.upper == (F(1, 2), F(1))
     assert series.lower == (F(4, 3), F(5, 3))
@@ -553,7 +557,7 @@ def test_chu_normalize_neg_27_example():
 def test_chu_scale_reproduces_stream_termwise():
     term, rec = _quarter_example()
     s = accelerated_stream(term, rec, F(1), check_vanishing=False)
-    series, scale = chu_normalize(s.ratio, s.term(0))
+    series, scale = chu_normalize(s.quotient, s.term(0))
     got = stream_proportional(s.take(40), [series.term(j) for j in range(40)])
     assert got == scale
 
@@ -561,25 +565,30 @@ def test_chu_scale_reproduces_stream_termwise():
 def test_chu_round_trip_ratio_identity():
     term, rec = _neg_quarter_example()
     s = accelerated_stream(term, rec, F(2, 3), check_vanishing=False)
-    series, _ = chu_normalize(s.ratio, s.term(0))
-    assert same_quotient(series.ratio_parts(), s.ratio)
+    series, _ = chu_normalize(s.quotient, s.term(0))
+    assert same_quotient(expanded(series.quotient()), expanded(s.quotient))
+
+
+def _pair(num, den):
+    """The expanded quotient num/den in the factored form."""
+    return 1, [(num, 0, 1)], [(den, 0, 1)]
 
 
 def test_chu_rejects_unequal_degrees():
     # ratio (j+1) has numerator degree 1, denominator degree 0
-    ratio = (_upoly([1, 1]), UniPoly.one())
+    ratio = _pair(_upoly([1, 1]), UniPoly.one())
     with pytest.raises(ValueError, match="non-Chu-normalizable"):
         chu_normalize(ratio, F(1))
 
 
 def test_chu_rejects_zero_first_term():
-    ratio = (_upoly([F(1, 2)]), UniPoly.one())
+    ratio = _pair(_upoly([F(1, 2)]), UniPoly.one())
     with pytest.raises(ValueError, match="non-Chu-normalizable"):
         chu_normalize(ratio, F(0))
 
 
 def test_chu_constant_ratio_is_pure_geometric():
-    series, scale = chu_normalize((_upoly([F(-1, 3)]), UniPoly.one()), F(5))
+    series, scale = chu_normalize(_pair(_upoly([F(-1, 3)]), UniPoly.one()), F(5))
     assert series == ChuSeries(z=F(-1, 3), upper=(), lower=(),
                                num=UniPoly.one(), den=UniPoly.one())
     assert scale == F(5)
@@ -589,11 +598,11 @@ def test_chu_folds_integer_gap_parameters():
     # z^j (1/3)_j / (7/3)_j: gap 2 folds into den (j+1/3)(j+4/3) scaled primitive
     base = ChuSeries(z=F(1, 2), upper=(F(1, 3),), lower=(F(7, 3),),
                      num=UniPoly.one(), den=UniPoly.one())
-    series, _ = chu_normalize(base.ratio_parts(), base.term(0))
+    series, _ = chu_normalize(base.quotient(), base.term(0))
     assert series.upper == ()
     assert series.lower == ()
     assert series.den == _upoly([1, 3]) * _upoly([4, 3])  # (3j+1)(3j+4)
-    assert same_quotient(series.ratio_parts(), base.ratio_parts())
+    assert same_quotient(expanded(series.quotient()), expanded(base.quotient()))
 
 
 def test_chu_den_has_no_nonnegative_integer_roots():
@@ -601,7 +610,7 @@ def test_chu_den_has_no_nonnegative_integer_roots():
     base = ChuSeries(z=F(1, 2), upper=(F(0),), lower=(F(2),),
                      num=UniPoly.one(), den=UniPoly.one())
     with pytest.raises(ValueError, match="non-Chu-normalizable"):
-        chu_normalize(base.ratio_parts(), F(1))
+        chu_normalize(base.quotient(), F(1))
 
 
 def test_chu_closing_identity_check_rejects_wrong_series(monkeypatch):
@@ -610,14 +619,97 @@ def test_chu_closing_identity_check_rejects_wrong_series(monkeypatch):
     # is planted to reach the check
     base = ChuSeries(z=F(1, 2), upper=(F(1, 3),), lower=(F(5, 4),),
                      num=_upoly([2, 1]), den=UniPoly.one())
-    ratio = base.ratio_parts()
+    ratio = base.quotient()
     series, _ = chu_normalize(ratio, F(1))
-    assert series.ratio_parts() == base.ratio_parts()
-    parts = ChuSeries.ratio_parts
-    monkeypatch.setattr(ChuSeries, "ratio_parts",
-                        lambda self: (parts(self)[0].scale(2), parts(self)[1]))
+    assert series.quotient() == base.quotient()
+    quotient = ChuSeries.quotient
+    monkeypatch.setattr(ChuSeries, "quotient",
+                        lambda self: (2 * quotient(self)[0], *quotient(self)[1:]))
     with pytest.raises(ValueError, match="non-Chu-normalizable"):
         chu_normalize(ratio, F(1))
+
+
+def _agrees_with_reference(quotient, t0):
+    """chu_normalize's outcome on the factors, which must equal the
+    expanded reference's on the expanded pair."""
+    got = chu_reference.outcome(chu_normalize, quotient, t0)
+    assert got == chu_reference.outcome(chu_reference.chu_normalize,
+                                        expanded(quotient), t0)
+    return got
+
+
+def test_chu_normalize_matches_reference_on_recipe_streams(derivation_recipes):
+    for e, term, rec in derivation_recipes:
+        stream = AccelStream(term, rec, e.derivation.n0)
+        got = _agrees_with_reference(stream.quotient, stream.term(0))
+        assert not isinstance(got, str), e.id
+
+
+def test_chu_normalize_matches_reference_on_display_quotients():
+    # a display is its own bracket form, up to the scale num(0)/den(0)
+    displays = [e.chu for e in catalog_entries() if e.chu is not None]
+    assert len(displays) == 95
+    for s in displays:
+        series, scale = _agrees_with_reference(s.quotient(), s.term(0))
+        assert [scale * t for t in series.terms(8)] == s.terms(8)
+
+
+_SHIFTS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_STEPS = st.sampled_from([F(1), F(2), F(1, 2), F(-1, 3), F(3, 2)])
+# irreducible over Q
+_QUADRATICS = st.sampled_from([_upoly([1, 1, 1]), _upoly([-2, 0, 1]),
+                               _upoly([F(3, 2), -1, 2])])
+
+
+@st.composite
+def _factored_quotients(draw):
+    """(c, num, den) from pairs of linear factors x + u at (a, b), one on
+    each side, the lower one either free or the upper one at an integer
+    shift in j, each pair maybe repeated; maybe an irreducible quadratic
+    at j + s over itself at j; maybe a zero factor, a constant one, or
+    one that unbalances the degrees."""
+    c = draw(st.fractions(min_value=-2, max_value=2, max_denominator=5).filter(bool))
+    sides = ([], [])
+    for _ in range(draw(st.integers(0, 4))):
+        line, a, b = _upoly([draw(_SHIFTS), 1]), draw(_SHIFTS), draw(_STEPS)
+        gap = draw(st.none() | st.integers(-3, 3))
+        mate = ((_upoly([draw(_SHIFTS), 1]), draw(_SHIFTS), draw(_STEPS))
+                if gap is None else (line, a + gap * b, b))
+        count = draw(st.integers(1, 2))
+        sides[0].extend([(line, a, b)] * count)
+        sides[1].extend([mate] * count)
+    if draw(st.booleans()):
+        q, a, b = draw(_QUADRATICS), draw(_SHIFTS), draw(_STEPS)
+        s = draw(st.sampled_from([1, 0, 2]))
+        sides[0].append((q, a + s * b, b))
+        sides[1].append((q, a, b))
+    extra = draw(st.sampled_from([None] * 6 + ["zero", "constant", "unbalanced"]))
+    side = sides[draw(st.integers(0, 1))]
+    if extra == "zero":
+        side.append((UniPoly(), draw(_SHIFTS), 1))
+    elif extra == "constant":
+        side.append((_upoly([draw(st.sampled_from([2, F(-1, 3)]))]), draw(_SHIFTS), 1))
+    elif extra == "unbalanced":
+        side.append((_upoly([draw(_SHIFTS), 1]), 0, 1))
+    return c, *sides
+
+
+@settings(max_examples=120, deadline=None)
+@given(_factored_quotients(),
+       st.sampled_from([F(1), F(-3, 7), F(5, 2), F(0)]))
+@example((F(1, 4), [(_upoly([F(1, 3), 1]), 0, 1)], [(_upoly([F(7, 3), 1]), 0, 1)]),
+         F(1))
+@example((F(-1), [(UniPoly(), 0, 1)], [(UniPoly.one(), 0, 1)]), F(1))
+# more rational roots over than under, with equal rootless parts
+@example((F(1, 2), [(_upoly([F(1, 3), 1]), 0, 1), (_upoly([F(2, 5), 1]), 0, 1)],
+          [(_upoly([F(5, 4), 1]), 0, 1)]), F(1))
+# an irreducible quadratic common to both sides, which only the gcd removes
+@example((F(1, 2), [(_upoly([1, 1, 1]), F(1, 3), 2), (_upoly([F(1, 3), 1]), 0, 1)],
+          [(_upoly([F(5, 4), 1]), 0, 1), (_upoly([1, 1, 1]), F(1, 3), 2)]), F(1))
+@example((F(0), [(_upoly([1, 1]), 0, 1)], [(_upoly([2, 1]), 0, 1)]), F(1))
+def test_chu_normalize_matches_reference_on_factored_quotients(quotient, t0):
+    got = _agrees_with_reference(quotient, t0)
+    event("refused" if isinstance(got, str) else "normalized")
 
 
 def _per_j_product(s, j):

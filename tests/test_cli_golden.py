@@ -1,10 +1,11 @@
 """CLI output against a recorded copy.
 
 `derive --family F --params=... --n=n0` for each of the 94 family
-recipes of the catalog (FR-2 has no family form) and `accelerate --terms 6
---chu` for the first recipe of each of their ten families, run in process
-through ``hyperaccel.cli.main``: exit code, stdout and stderr must equal
-``cli_golden.json``.  Record the file again only for an intended change of
+recipes of the catalog (FR-2 has no family form), `accelerate --terms 6
+--chu` for the first recipe of each of their ten families, and
+`accelerate --chu` for two tuples whose expanded term quotients have
+degree 34 and 19, run in process through ``hyperaccel.cli.main``: exit
+code, stdout and stderr must equal ``cli_golden.json``.  Record the file again only for an intended change of
 output, from the repository root:
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -20,6 +21,11 @@ from hyperaccel.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "cli_golden.json")
+# bracket forms with many parameters, whose roots were once slow to find
+_MANY_ROOTS = [
+    ["accelerate", "--family", "neg-64", "--params=-1/6,-1/4,-3/4", "--n=10/3", "--chu"],
+    ["accelerate", "--family", "four-27", "--params=1/12,5/12,1/4", "--n=1000", "--chu"],
+]
 
 
 def _commands():
@@ -33,7 +39,7 @@ def _commands():
         derive.append(["derive", *family, f"--n={d.n0}"])
         accelerate.setdefault(d.family, ["accelerate", *family, f"--n={d.n0}",
                                          "--terms", "6", "--chu"])
-    return derive + list(accelerate.values())
+    return derive + list(accelerate.values()) + _MANY_ROOTS
 
 
 def _run(argv):
@@ -48,7 +54,7 @@ def test_cli_output_matches_the_recorded_copy():
     with open(GOLDEN) as fh:
         golden = json.load(fh)
     commands = _commands()
-    assert len(commands) == 104
+    assert len(commands) == 106
     assert [g["argv"] for g in golden] == commands
     for want in golden:
         assert _run(want["argv"]) == want

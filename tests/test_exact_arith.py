@@ -269,7 +269,8 @@ def test_rational_roots_match_divisor_product_search(p):
 
 
 def test_rational_roots_fr1_degree_nine_denominator():
-    # the gcd-reduced denominator of FR-1's stream quotient in chu_normalize
+    # the gcd-reduced denominator of FR-1's expanded stream quotient, which
+    # the reference bracket form in chu_reference.py factors
     p = P(1637344800, 10246676160, 28155201410, 44594872697, 44880614883,
           29768942817, 13016187567, 3618355050, 580412304, 40940640)
     expected = [F(-9, 4), F(-20, 9), F(-17, 9), F(-7, 4), F(-14, 9), F(-7, 6)]

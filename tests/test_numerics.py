@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperaccel import numerics
 from hyperaccel.accelerator import ChuSeries, accelerated_stream, k_series_at
 from hyperaccel.catalog import catalog_entries, entry
 from hyperaccel.exact_arith import UniPoly, _common_ints, _zeval, rational_roots
@@ -24,6 +25,7 @@ from hyperaccel.numerics import (
     _GeometricSum,
     _arctan_scaled,
     _iroot,
+    _leaf_polys,
     _log2,
     _narrow,
     _pi,
@@ -41,7 +43,7 @@ from hyperaccel.numerics import (
 from hyperaccel.telescoper import derive_recurrence
 
 from enclosure_helpers import contains, contains_value, lower_end, upper_end
-from quotient_helpers import quotient_eval
+from quotient_helpers import expanded, quotient_eval
 
 F = Fraction
 
@@ -702,7 +704,7 @@ def _reference_eval_terms(s: ChuSeries, digits: int, max_terms=None):
     if s.z == 0:
         t0 = s.term(0)
         return Enclosure.from_interval(t0, t0, pbits), 1
-    num_j, den_j = s.ratio_parts()
+    num_j, den_j = expanded(s.quotient())
     j1 = (_stability_point(num_j, den_j, cap)
           if num_j.degree <= den_j.degree else None)
     if j1 is not None:
@@ -842,7 +844,7 @@ def test_chu_eval_matches_reference_on_random_series(s, digits):
 
 
 def test_chu_eval_stop_at_stability_point():
-    j1 = _stability_point(*_FIRST_STOP.ratio_parts(), 30)
+    j1 = _stability_point(*expanded(_FIRST_STOP.quotient()), 30)
     assert _same_as_reference(_FIRST_STOP, 3)[2] == j1 == 1
 
 
@@ -870,9 +872,10 @@ def test_chu_eval_term_cap_boundary_matches_reference():
 
 def _geometric_sum(s: ChuSeries, digits: int, cap: int) -> _GeometricSum:
     """The geometric sum chu_eval_terms sets up for s."""
-    num_j, den_j = s.ratio_parts()
-    return _GeometricSum(s, *_common_ints([num_j, den_j]), abs(num_j.lc / den_j.lc),
-                         _stability_point(num_j, den_j, cap), cap, F(1, 2 * 10 ** digits))
+    num_j, den_j = expanded(s.quotient())
+    return _GeometricSum(s, _leaf_polys(s), *_common_ints([num_j, den_j]),
+                         abs(num_j.lc / den_j.lc), _stability_point(num_j, den_j, cap),
+                         cap, F(1, 2 * 10 ** digits))
 
 
 def _plain_split(pv, qv, av, lo, hi):
@@ -952,14 +955,57 @@ def test_split_keeps_fr2_a_quarter_of_the_unreduced_size():
                                        (_TERMINATING, 12)],
                          ids=["RT1", "FR-2", "terminating"])
 def test_confirmation_recovers_the_stop_index_from_any_prediction(s, digits):
-    # too early, exact and too late by 5; from the late guess the rule
-    # already holds at J + 4, so the search restarts from j0
+    # from j0, too early by 5, exact, and too late by 5 and by 3 J; from a
+    # late guess the rule already holds at the guess less one, so J is
+    # bisected between j0 and there
     lo, hi, j = _same_as_reference(s, digits, 1000)
     g = _geometric_sum(s, digits, 1000)
     assert g.predict() == j
-    for guess in (j - 5, j, j + 5):
+    for guess in (g.j0, j - 5, j, j + 5, 4 * j):
         enc, got = g.confirm(guess, _bits_for(digits))
         assert (lower_end(enc), upper_end(enc), got) == (lo, hi, j), guess
+
+
+def _counting(monkeypatch, name):
+    """The arguments of every call of numerics.name, recursive ones too."""
+    calls, original = [], getattr(numerics, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(numerics, name, wrapper)
+    return calls
+
+
+def test_confirmation_tests_the_rule_a_logarithmic_number_of_times(monkeypatch):
+    # from the guess j0 = 4 the spans double up to [35, 67), where J = 47
+    # is bisected; guesses past J bisect between j0 and the guess
+    g = _geometric_sum(_NEAR_POLE, 430, 1000)
+    tests = []
+    stops = _GeometricSum._stops
+    monkeypatch.setattr(_GeometricSum, "_stops",
+                        lambda self, j, cn, cd: tests.append(j) or stops(self, j, cn, cd))
+    bound = 2 * math.ceil(math.log2(47)) + 4
+    for guess in (g.j0, 46, 4 * 47):
+        tests.clear()
+        assert g.confirm(guess, _bits_for(430))[1] == 47, guess
+        assert len(tests) <= bound, (guess, tests)
+    # FR-2 at 300 digits, J = 4070, from j0 = 1 and from 3 J
+    fr2 = entry("FR-2").chu
+    g2 = _geometric_sum(fr2, 300, default_term_budget(fr2.z, 300))
+    for guess in (g2.j0, 3 * 4070):
+        tests.clear()
+        assert g2.confirm(guess, _bits_for(300))[1] == 4070, guess
+        assert len(tests) <= 2 * math.ceil(math.log2(4070)) + 4, (guess, tests)
+    # a right guess sums [0, J - 1) once, then merges the leaf J - 1
+    splits = _counting(monkeypatch, "_split")
+    merges = _counting(monkeypatch, "_merge")
+    tests.clear()
+    assert g.confirm(47, _bits_for(430))[1] == 47
+    assert tests == [46, 47]
+    assert splits[0][3:] == (0, 46) and max(hi for *_, hi in splits) <= 46
+    assert merges[-1][2] == 47 and not any(leaves > 46 for *_, leaves in merges[:-1])
 
 
 def test_chu_eval_digits_cap():
@@ -1061,7 +1107,7 @@ def test_oracle_geometric_matches_reference(n0):
     # FR-2's recipe; its unaccelerated term quotient tends to -4/27 or 4/27
     term = family_instantiate(FamilyId.TWENTY7_32, [F(1), F(1, 2)])
     s = k_series_at(term, n0)
-    num, den = s.ratio_parts()
+    num, den = expanded(s.quotient())
     lim = abs(num.lc / den.lc)
     assert num.degree == den.degree and lim < 1
     for digits in (1, 4, 6):
@@ -1137,9 +1183,8 @@ def test_stop_indices_match_pins(digits):
 
 @pytest.mark.parametrize("digits", [50, 300, 2000])
 def test_stop_index_guess_matches_pins(digits):
-    # a guess short of J grows the tree a leaf at a time, and one past it
-    # restarts from j0 and does the same: a miss costs time, not a result,
-    # so it is caught here
+    # a guess off J costs a search of doubling spans and a bisection: a
+    # miss costs time, not a result, so it is caught here
     for rid, j in _PINS[str(digits)].items():
         s = entry(rid).chu
         g = _geometric_sum(s, digits, default_term_budget(s.z, digits))
