@@ -369,17 +369,21 @@ class UniPoly:
                         self.denominator * q ** max(self.degree, 0))
 
     def compose(self, a: Scalar, b: Scalar) -> "UniPoly":
-        """p(a + b x): Horner over Z[x] in the line m (a + b x), m the
-        product of the denominators, gives m^deg p(a + b x)."""
-        a, b = _frac(a), _frac(b)
-        m = a.denominator * b.denominator
-        line = [a.numerator * b.denominator, b.numerator * a.denominator]
-        out: list[int] = []
-        mk = 1
-        for c in reversed(self.numerators):
-            out = _zsub(_zmul(out, line), [-c * mk])
-            mk *= m
-        return _unipoly(out, self.denominator * m ** max(self.degree, 0))
+        """p(a + b x), as m^d p(a + b x) over m^d for m the product of the
+        denominators and d the degree: with a = u/v and b = s/t, the
+        Taylor shift by u of the integer polynomial v^d p(x/v), in place,
+        scaled by (v s)^i t^(d-i) at x^i."""
+        u, v, s, t = a.numerator, a.denominator, b.numerator, b.denominator
+        d = self.degree
+        out = list(self.numerators)
+        if v != 1:
+            out = [c * v ** (d - i) for i, c in enumerate(out)]
+        for i in range(d):
+            for k in range(d - 1, i - 1, -1):
+                out[k] += u * out[k + 1]
+        if v * s != 1 or t != 1:
+            out = [c * (v * s) ** i * t ** (d - i) for i, c in enumerate(out)]
+        return _unipoly(out, self.denominator * (v * t) ** max(d, 0))
 
     def shift(self, s: Scalar) -> "UniPoly":
         """p(x + s)."""

@@ -11,27 +11,27 @@ integer bases from floor q-th roots of scaled integers, all memoized by
 precision; the tests cross-check each constant, and none of them share
 code with series evaluation.
 
-chu_eval_terms sums the series exactly in integers and certifies its
-tail geometrically: once the term-quotient numerator, denominator, and
-their derivative combination N'D - ND' each keep a single coefficient
-sign from some shift J1 on, the quotient magnitude is monotone toward
-|z| past J1, so max(|ratio(j)|, |z|) < 1 bounds every later quotient
-and a geometric bound encloses the tail.  The term is read as
-t_j = K C_j a(j) with C_0 = 1 and C_{j+1}/C_j = p(j)/q(j), where
-p, q, a are integer polynomials.  With a and b the integer numerators
-of num and den, b is folded into the ratio: p/q is
-z prod (j + u) b(j) / (prod (j + l) b(j + 1)) with no integer factor
-common to p and q, and K is the quotient of the denominators of num
-and den over b(0).  The tail rule is monotone in j (see _GeometricSum),
-so the stop index is guessed by bisection on a closed form of log |t_j|
-in log-gamma values and decided exactly on a binary-splitting product
-tree of integers P, Q, T with T/Q the partial sum over K (Haible and
-Papanikolaou, ANTS 1998).  Its upper merges divide out the content the
-left P and the right Q share (see _merge), which keeps P/Q and T/Q
-exact; the partial sum and tail bound are then rounded to the dyadic
-endpoints from those integers, with no other gcd taken.  They and the
-stop index are the exact rationals a running Fraction sum would give,
-whatever the guess.  The term cap is decided here alone:
+chu_eval_terms sums the series and certifies its tail geometrically:
+once the term-quotient numerator, denominator, and their derivative
+combination N'D - ND' each keep a single coefficient sign from some
+shift J1 on, the quotient magnitude is monotone toward |z| past J1, so
+max(|ratio(j)|, |z|) < 1 bounds every later quotient and a geometric
+bound encloses the tail.  The term is read as t_j = K C_j a(j) with
+C_0 = 1 and C_{j+1}/C_j = p(j)/q(j), where p, q, a are integer
+polynomials.  With a and b the integer numerators of num and den, b is
+folded into the ratio: p/q is z prod (j + u) b(j) / (prod (j + l) b(j + 1))
+with no integer factor common to p and q, and K is the quotient of the
+denominators of num and den over b(0).  The sum runs in blocks of
+leaves, each an exact binary-splitting product tree of integers P, Q, T
+(Haible and Papanikolaou, ANTS 1998), carried from block to block in
+fixed point at pbits + 128 bits with integer bounds on the error of
+each floor (see _BlockedSum).  The tail rule, false below the stop index
+J and true from J on, is decided on those bounds as the sum goes, and
+the partial sum and tail bound are rounded from both ends of their
+intervals; the roundings are monotone, so where the ends agree they are
+the exact rationals' (Ziv, ACM TOMS 1991), and where not, the exact tree
+over [0, J) decides.  So J and the dyadic endpoints are those a running
+Fraction sum would give.  The term cap is decided here alone:
 default_term_budget gives it from |z| and the digits for every caller
 that passes none, and one work budget bounds it, default or explicit.
 
@@ -48,14 +48,12 @@ precision, which is why the oracle is capped at six digits.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
-from math import ceil, gcd, isqrt, lgamma, log, log10, prod
-from operator import lt
-from typing import TYPE_CHECKING, Callable, Optional
+from math import ceil, gcd, isqrt, log10
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from hyperaccel.exact_arith import (Scalar, UniPoly, _common_ints, _zeval,
                                     decimal_text, index_roots)
@@ -69,9 +67,9 @@ _MIN_PRECISION = 64
 _DIGITS_CAP = 10000
 _GUARD_DIGITS = 10
 # bound on cap * (cap + digits) for a series sum, set for a stop search
-# that cost about cap * cap; the stop is now predicted and confirmed on
-# the content-reduced product tree, which costs far less, so the budget
-# is a margin kept until it is restated from measurements
+# that cost about cap * cap; the blocked sum finds the stop in the course
+# of summing, at far less cost, so the budget is a margin kept until it is
+# restated from measurements
 _SUM_WORK_CAP = 2 * 10 ** 9
 # product-tree merges spanning at least this many leaves cancel the
 # content the left P and the right Q share; below it a gcd saves about
@@ -80,8 +78,8 @@ _CANCEL_LEAVES = 32
 # product-tree spans of at most this many leaves are summed in one loop,
 # which costs less than a call per leaf while the integers are small
 _LOOP_LEAVES = 8
-# log |u| past which a parameter's Pochhammer log is read off log |u|
-_LOG_FAR = 28.0
+# bits the blocked sum carries past the enclosure precision
+_GUARD_BITS = 128
 _ORACLE_DIGITS_CAP = 6
 _ORACLE_TERM_CAP = 300000
 
@@ -438,17 +436,18 @@ def _stability_point(num: UniPoly, den: UniPoly, cap: int) -> Optional[int]:
     return None
 
 
-def _values(c: list[int], lo: int, hi: int) -> list[int]:
-    """c(j) for lo <= j < hi, as chained running sums of differences at lo."""
+def _values(c: list[int]) -> Iterator[int]:
+    """c(0), c(1), ... lazily, as chained running sums of the differences
+    of c at 0."""
     d = max(len(c) - 1, 0)
-    diffs = [_zeval(c, j) for j in range(lo, lo + d + 1)]
+    diffs = [_zeval(c, j) for j in range(d + 1)]
     for i in range(d):
         for t in range(d, i, -1):
             diffs[t] -= diffs[t - 1]
     vals = repeat(diffs[-1])
     for x in reversed(diffs[:-1]):
         vals = accumulate(vals, initial=x)
-    return list(islice(vals, hi - lo))
+    return vals
 
 
 def _merge(x: tuple[int, int, int], y: tuple[int, int, int],
@@ -486,20 +485,30 @@ def _split(pv: list[int], qv: list[int], av: list[int],
     return _merge(_split(pv, qv, av, lo, mid), _split(pv, qv, av, mid, hi), hi - lo)
 
 
-def _products(pv: list[int], qv: list[int], lo: int, hi: int) -> tuple[int, int]:
-    """prod p(i) and prod q(i) over [lo, hi), split at the middle like
-    _split but with no T and no content cancelled."""
-    if hi - lo <= _LOOP_LEAVES:
-        return prod(pv[lo:hi]), prod(qv[lo:hi])
-    mid = (lo + hi) // 2
-    (p1, q1), (p2, q2) = _products(pv, qv, lo, mid), _products(pv, qv, mid, hi)
-    return p1 * p2, q1 * q2
+def _fold(state: tuple[int, int, int, int], P: int, Q: int,
+          T: int) -> tuple[int, int, int, int]:
+    """The state (c, e, S, e_S) carried over a span with P, Q, T (see
+    _split): c <- floor(c P/Q), S <- S + floor(c T/Q),
+    e <- floor(e |P|/|Q|) + 2 and e_S <- e_S + ceil(e |T|/|Q|) + 1.  Where
+    |c - c*| <= e and |S - S*| <= e_S before, for exact values c* and S*,
+    they hold after for c* P/Q and S* + c* T/Q: each floor is off by less
+    than 1, and c P/Q and c T/Q by at most e |P/Q| and e |T/Q|."""
+    c, e, s, es = state
+    aq = abs(Q)
+    return (c * P // Q, e * abs(P) // aq + 2, s + c * T // Q,
+            es - (-e * abs(T) // aq) + 1)
 
 
-class _GeometricSum:
-    """Certified sum of the terms t_j = K C_j a(j) of a series s, with C_0 = 1
-    and C_{j+1}/C_j = p(j)/q(j), the denominator of s folded into p/q: leaf
-    is p, q, a, K as _leaf_polys gives them.
+def _block_leaves(w: int, p: int, q: int) -> int:
+    """Leaves of a block at w bits from the leaf p, q on: about w over the
+    bits of p q, so P and Q take about w bits, and at least _LOOP_LEAVES."""
+    return max(_LOOP_LEAVES, w // max((p * q).bit_length(), 1))
+
+
+class _BlockedSum:
+    """Certified sum of the terms t_j = K C_j a(j) of a series, with C_0 = 1
+    and C_{j+1}/C_j = p(j)/q(j), the denominator of the series folded into
+    p/q, as _leaf_polys gives them.
 
     Coefficients are ascending integers; q has no root at a summation index,
     and rn/rd = a(j+1) p(j) / (a(j) q(j)) is t_{j+1}/t_j, with |rn/rd|
@@ -508,135 +517,120 @@ class _GeometricSum:
     That rule fails below j0, the first j >= j1 with rbar_j < 1, and is
     monotone from j0 on: past j1 rbar_j does not increase, as |rn/rd| moves
     monotonically toward lim, and |t_{j+1}| = |rn(j)/rd(j)| |t_j| <= |t_j|,
-    so |t_j| / (1 - rbar_j) does not increase either.
+    so |t_j| / (1 - rbar_j) does not increase either.  So the rule is false
+    on [0, J) and true from J on.
 
-    predict guesses J from log-gamma values and confirm decides it on the
-    three-integer product tree (C_j = P/Q, partial sum K T/Q), so a wrong
-    guess costs only time.
+    The state (c, e, S, e_S) holds c* = K C_j 2^W and S* = 2^W times the
+    partial sum over [0, j) within e and e_S, at W = pbits + _GUARD_BITS,
+    from c = floor(K 2^W), e = 1.  Blocks of leaves are summed exactly
+    (_split) and folded into it (_fold); the rule is decided on the
+    state's interval (_decide) and the enclosure rounded from it
+    (_round), or on the exact tree over [0, j) where those cannot decide
+    (_exact).  So J and the enclosure are those of a running Fraction
+    sum, whatever the block sizes.
     """
 
-    def __init__(self, s: ChuSeries, leaf: tuple, rn: list[int], rd: list[int],
-                 lim: Fraction, j1: int, cap: int, tol: Fraction):
+    def __init__(self, leaf: tuple, rn: list[int], rd: list[int],
+                 lim: Fraction, j1: int, cap: int, tol: Fraction, pbits: int):
         p, q, a, k = leaf
-        self.s, self.polys, self.leaves = s, (p, q, a), ([], [], [])
-        self.k, self.rn, self.rd, self.cap = k, rn, rd, cap
+        self.iters = tuple(_values(c) for c in (p, q, a))
+        self.leaves: tuple[list[int], list[int], list[int]] = ([], [], [])
+        self.k, self.rn, self.rd, self.j1, self.cap = k, rn, rd, j1, cap
         self.ln, self.ld = lim.numerator, lim.denominator
-        self.tn, self.td = abs(k.numerator) * tol.denominator, k.denominator * tol.numerator
-        self.j0 = j1 + bisect_left(range(j1, cap + 1), True, key=lambda j: lt(*self._rbar(j)))
+        self.tn, self.td = tol.numerator, tol.denominator
+        self.pbits, self.w = pbits, pbits + _GUARD_BITS
+        # tol 2^W lies in [r, r + 1)
+        self.r = (self.tn << self.w) // self.td
+
+    def _grow(self, n: int) -> None:
+        """Leaf values p(j), q(j), a(j) for at least j < n."""
+        more = n - len(self.leaves[0])
+        if more > 0:
+            for vals, it in zip(self.leaves, self.iters):
+                vals += islice(it, more)
 
     def _rbar(self, j: int) -> tuple[int, int]:
         nj, dj = abs(_zeval(self.rn, j)), abs(_zeval(self.rd, j))
         return (self.ln, self.ld) if nj * self.ld < self.ln * dj else (nj, dj)
 
-    def _grow(self, n: int) -> None:
-        """Leaf values p(j), q(j), a(j) for at least j < n."""
-        have = len(self.leaves[0])
-        if n > have:
-            for vals, c in zip(self.leaves, self.polys):
-                vals += _values(c, have, max(n, 2 * have))
-
-    def _stops(self, j: int, cn: int, cd: int) -> bool:
-        """The rule at j, for C_j = cn/cd."""
-        self._grow(j + 1)
+    def _decide(self, j: int, c: int, e: int) -> Optional[bool]:
+        """The rule at j for |c - K C_j 2^W| <= e: |t_j| dj 2^W lies within
+        (|c| -+ e) |a(j)| dj, set against tol (dj - nj) 2^W in
+        [(dj - nj) r, (dj - nj)(r + 1)); None where the interval straddles."""
+        a = abs(self.leaves[2][j])
+        # as dj - nj <= dj, the rule fails where (|c| - e) |a(j)| > r
+        if j < self.j1 or (abs(c) - e) * a > self.r:
+            return False
         nj, dj = self._rbar(j)
-        return nj < dj and (self.tn * abs(cn * self.leaves[2][j]) * dj
-                            <= self.td * abs(cd) * (dj - nj))
+        if nj >= dj:
+            return False
+        x, gap = a * dj, dj - nj
+        if (abs(c) + e) * x <= gap * self.r:
+            return True
+        if (abs(c) - e) * x >= gap * (self.r + 1):
+            return False
+        return None
 
-    def predict(self) -> int:
-        """J, or cap + 1, by bisection over [j0, cap] on the rule with
-        log |t_j| = j log|z| + sum_u log|(u)_j| - sum_l log|(l)_j| +
-        log|K b(0) a(j)/b(j)| (see _log_poch), t_j = 0 past an upper
-        parameter -m, and z, K, a(j), b(j) giving the logs of their integer
-        parts, which may lie outside float range.  j0 where floats cannot
-        form the guess at all."""
-        s = self.s
-        stop = _finite_stop(s)
-        a, b = s.num.numerators, s.den.numerators
-        try:
-            ups, lows = ([_log_poch(u) for u in ps] for ps in (s.upper, s.lower))
-            c = log(self.tn) - log(self.td) + log(abs(b[0]))
-            lz = log(abs(s.z.numerator)) - log(s.z.denominator)
-
-            def small(j: int) -> bool:
-                aj = _zeval(a, j)
-                if (stop is not None and j > stop) or not aj:
-                    return True
-                nj, dj = self._rbar(j)
-                return (c + j * lz + sum(f(j) for f in ups) - sum(f(j) for f in lows)
-                        + log(abs(aj)) - log(abs(_zeval(b, j)))
-                        + log(dj) - log(dj - nj)) <= 0
-
-            return self.j0 + bisect_left(range(self.j0, self.cap + 1), True, key=small)
-        except (OverflowError, ValueError):
-            return self.j0
-
-    def confirm(self, j: int, pbits: int) -> Optional[tuple[Enclosure, int]]:
-        """The enclosure and J from a prediction j.  The tree is summed over
-        [0, j - 1) and the rule tested at j - 1.  Where it fails, spans of
-        1, 2, 4, ... leaves are multiplied onto P and Q until it holds;
-        where it holds, J lies in [j0, j - 1].  J is then bisected in the
-        last span on P and Q alone, with no content cancelled, so a guess
-        off by d costs about 2 log2(d) tests.  The sum over [0, J) is the
-        tree over [0, j - 1) with [j - 1, J) merged on, a single leaf for
-        a right guess, or a tree afresh when J < j - 1."""
-        start = lo = min(max(j - 1, self.j0), self.cap)
-        self._grow(lo + 2)
-        x = _split(*self.leaves, 0, lo)
-        P, Q = x[:2]
-        hi, step = None, 1
-        if self._stops(lo, P, Q):
-            # the rule fails below j0
-            hi, lo = lo, self.j0 - 1
-            P, Q = _products(*self.leaves[:2], 0, lo)
-        # the rule fails at lo and, once hi is set, holds at hi
-        while hi is None or hi - lo > 1:
-            if hi is None and lo == self.cap:
+    def run(self) -> Optional[tuple[Enclosure, int]]:
+        """The enclosure and J, or None when the rule fails through cap.
+        A block [lo, hi) is taken where the rule fails at hi; where not,
+        J lies in (lo, hi] or the test cannot tell, and the block is tried
+        again at half the leaves, down to one."""
+        pv, qv = self.leaves[:2]
+        self._grow(1)
+        state = ((self.k.numerator << self.w) // self.k.denominator, 1, 0, 0)
+        lo, m = 0, None
+        while True:
+            hi = min(lo + (m or _block_leaves(self.w, pv[lo], qv[lo])), self.cap)
+            self._grow(hi + 1)
+            end = _fold(state, *_split(*self.leaves, lo, hi))
+            found = self._decide(hi, *end[:2])
+            if found is not False and hi - lo > 1:
+                m = (hi - lo + 1) // 2
+                continue
+            if found:
+                return self._round(hi, end) or self._exact(hi), hi
+            if found is None and (enc := self._exact(hi)) is not None:
+                return enc, hi
+            if hi == self.cap:
                 return None
-            mid = min(lo + step, self.cap) if hi is None else (lo + hi) // 2
-            self._grow(mid + 1)
-            ps, qs = _products(*self.leaves[:2], lo, mid)
-            pm, qm = P * ps, Q * qs
-            if self._stops(mid, pm, qm):
-                hi = mid
-            else:
-                lo, P, Q, step = mid, pm, qm, 2 * step
-        j = hi
-        if j == start + 1:
-            p, q, a = (v[start] for v in self.leaves)
-            x = _merge(x, (p, q, a * q), j)
-        elif j > start:
-            x = _merge(x, _split(*self.leaves, start, j), j)
-        elif j < start:
-            x = _split(*self.leaves, 0, j)
-        P, Q, T = x
+            lo, state = hi, end
+
+    def _round(self, j: int, state: tuple[int, int, int, int]
+               ) -> Optional[Enclosure]:
+        """The enclosure at J = j from the state, where the roundings of
+        both ends of the partial sum and of the error box agree."""
+        c, e, s, es = state
+        w, one = self.w, 1 << self.w
+        center = BigFloat.from_ratio(s - es, one, self.pbits)
+        if center != BigFloat.from_ratio(s + es, one, self.pbits):
+            return None
+        # |center - partial sum| + tail bound, over 2^f (dj - nj)
+        f = max(w, -center.exponent)
+        m = center.mantissa << (f + center.exponent)
+        lo, hi = (s - es) << (f - w), (s + es) << (f - w)
+        nj, dj = self._rbar(j)
+        gap, x = dj - nj, abs(self.leaves[2][j]) * dj << (f - w)
+        near = max(lo - m, m - hi, 0) * gap + max(abs(c) - e, 0) * x
+        far = max(m - lo, hi - m) * gap + (abs(c) + e) * x
+        radius = BigFloat.from_ratio(far, gap << f, _MIN_PRECISION, "ceil")
+        if radius != BigFloat.from_ratio(near, gap << f, _MIN_PRECISION, "ceil"):
+            return None
+        return Enclosure(center, radius)
+
+    def _exact(self, j: int) -> Optional[Enclosure]:
+        """The enclosure where the rule holds at j, decided on the exact tree
+        over [0, j): C_j = P/Q and the partial sum K T/Q; else None."""
+        P, Q, T = _split(*self.leaves, 0, j)
+        nj, dj = self._rbar(j)
+        kn, kd = self.k.numerator, self.k.denominator
+        half = abs(kn * P * self.leaves[2][j]) * dj
+        if j < self.j1 or nj >= dj or half * self.td > self.tn * kd * abs(Q) * (dj - nj):
+            return None
         # the sum k T/Q and the bound k |P a(j)| d/(|Q| (d - n)), both over
         # the positive denominator kd |Q| (d - n)
-        nj, dj = self._rbar(j)
         w = (dj - nj) * (1 if Q > 0 else -1)
-        kn, kd = self.k.numerator, self.k.denominator
-        return Enclosure.from_ratio(kn * T * w, abs(kn * P * self.leaves[2][j]) * dj,
-                                    kd * Q * w, pbits), j
-
-
-def _log_poch(u: Fraction) -> Callable[[int], float]:
-    """j -> log |(u)_j| in floats, where (u)_j != 0: log(m!/(m - j)!) for
-    u = -m; with log |u| taken of u's integer parts, j log|u| for |u| past
-    e^_LOG_FAR and log|u| + lgamma(j) (j > 0) for |u| below e^-_LOG_FAR;
-    lgamma(j + u) - lgamma(u) otherwise.  Past those bounds lgamma rounds
-    (u)_j away, overflows or meets u as 0, while the two forms are off by
-    about j^2/|u| and |u| log j, well below 1 at every admitted term cap."""
-    if u.denominator == 1 and u <= 0:
-        m = -int(u)
-        lm = lgamma(m + 1)
-        return lambda j: lm - lgamma(m - j + 1)
-    lu = log(abs(u.numerator)) - log(u.denominator)
-    if lu > _LOG_FAR:
-        return lambda j: j * lu
-    if lu < -_LOG_FAR:
-        return lambda j: lu + lgamma(j) if j else 0.0
-    x = float(u)
-    lx = lgamma(x)
-    return lambda j: lgamma(j + x) - lx
+        return Enclosure.from_ratio(kn * T * w, half, kd * Q * w, self.pbits)
 
 
 def _leaf_polys(s: ChuSeries) -> tuple[list[int], list[int], tuple[int, ...],
@@ -664,7 +658,7 @@ def _finite_stop(s: ChuSeries) -> Optional[int]:
 def _finite_sum(s: ChuSeries, m: int, pbits: int) -> Enclosure:
     """The exact sum of the terms j <= m, K T/Q on the product tree."""
     p, q, a, k = _leaf_polys(s)
-    P, Q, T = _split(*(_values(c, 0, m + 1) for c in (p, q, a)), 0, m + 1)
+    P, Q, T = _split(*(list(islice(_values(c), m + 1)) for c in (p, q, a)), 0, m + 1)
     sign = 1 if Q > 0 else -1
     return Enclosure.from_ratio(sign * k.numerator * T, 0,
                                 sign * k.denominator * Q, pbits)
@@ -673,7 +667,7 @@ def _finite_sum(s: ChuSeries, m: int, pbits: int) -> Enclosure:
 def _geometric_sum(s: ChuSeries, cap: int, tol: Fraction,
                    pbits: int) -> Optional[tuple[Enclosure, int]]:
     """The enclosure and stop index J of the geometric tail rule at
-    tolerance tol (see _GeometricSum); None when the term quotient has the
+    tolerance tol (see _BlockedSum); None when the term quotient has the
     higher degree in its numerator, or no stability point or J lies within
     the cap."""
     leaf = p, q, a, _ = _leaf_polys(s)
@@ -682,8 +676,7 @@ def _geometric_sum(s: ChuSeries, cap: int, tol: Fraction,
     if j1 is None:
         return None
     lim = abs(rn.lc / rd.lc) if rn.degree == rd.degree else _F0
-    g = _GeometricSum(s, leaf, *_common_ints([rn, rd]), lim, j1, cap, tol)
-    return g.confirm(g.predict(), pbits)
+    return _BlockedSum(leaf, *_common_ints([rn, rd]), lim, j1, cap, tol, pbits).run()
 
 
 def default_term_budget(z: Fraction, digits: int) -> int:
@@ -710,12 +703,12 @@ def chu_eval_terms(s: ChuSeries, digits: int,
     The stop index J is the first j at or past the stability point J1
     where the geometric bound |t_j| / (1 - max(|ratio(j)|, |z|)) is at
     most half of 10^-digits; the quotient magnitude is provably monotone
-    from J1 on, so the bound is monotone in j (see _GeometricSum).  J is
-    guessed by bisection on log |t_j| in closed form, from log-gamma
-    values and the logs of integers, and confirmed exactly on the
-    binary-splitting product tree of the partial sum over [0, J): three
-    integers P, Q, T over the term ratio with den folded in, which are
-    rounded to the enclosure endpoints with no Fraction.  A series that
+    from J1 on, so the bound is monotone in j.  The terms are summed in
+    blocks, exact product trees of three integers P, Q, T over the term
+    ratio with den folded in, carried across in guarded fixed point
+    (see _BlockedSum); J and the endpoints are decided on the fixed
+    point's error bounds where they can be, and on the exact tree where
+    not, so both are those of the exact partial sum.  A series that
     meets no tail rule within the cap (its term quotient has the higher
     degree in its numerator, or no stability point or stop index lies
     within the cap) is still summed when an upper parameter -m makes it

@@ -10,12 +10,13 @@ own, given the integer coefficient lists of the same pair.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 from hyperaccel.accelerator import ChuSeries
 from hyperaccel.exact_arith import (UniPoly, _common_ints, _primitive_pair, index_roots,
                                     rational_roots)
 from hyperaccel.numerics import (_MIN_PRECISION, _ORACLE_DIGITS_CAP, Enclosure,
-                                 _GeometricSum, _leaf_polys, _oracle_float, _split,
+                                 _BlockedSum, _leaf_polys, _oracle_float, _split,
                                  _stability_point, _values)
 
 import subst_reference
@@ -46,7 +47,7 @@ def direct_sum(num: UniPoly, den: UniPoly, target_digits: int) -> Enclosure:
         # the exact sum over k <= stop is T/Q on the product tree
         m = stops[0] + 1
         p, q = _common_ints([num, den])
-        _, Q, T = _split(_values(p, 0, m), _values(q, 0, m), [1] * m, 0, m)
+        _, Q, T = _split(*(list(islice(_values(c), m)) for c in (p, q)), [1] * m, 0, m)
         return Enclosure.from_ratio(T if Q > 0 else -T, 0, abs(Q))
     if num.degree > den.degree:
         raise ValueError("oracle unavailable")
@@ -79,8 +80,8 @@ def _oracle_geometric(num: UniPoly, den: UniPoly, lim: Fraction,
     upper, lower = ([-r for r in rational_roots(f)] for f in (num, den))
     assert (len(upper), len(lower)) == (num.degree, den.degree)
     s = ChuSeries(num.lc / den.lc, tuple(upper), tuple(lower), UniPoly.one(), UniPoly.one())
-    g = _GeometricSum(s, _leaf_polys(s), *_common_ints([num, den]), lim, j1, cap, tol)
-    found = g.confirm(g.predict(), _MIN_PRECISION)
+    found = _BlockedSum(_leaf_polys(s), *_common_ints([num, den]), lim, j1, cap, tol,
+                        _MIN_PRECISION).run()
     if found is None:
         raise ValueError("oracle unavailable")
     return found[0]

@@ -488,6 +488,31 @@ def test_unipoly_eval_matches_reference(p, x):
     assert type(got) is Fraction and got == _RefUni.of(p).eval(F(x))
 
 
+def _horner_compose(p, a, b):
+    """p(a + b x) by the integer Horner sum in the line m (a + b x) over
+    Z[x], m the product of the denominators: the reference for the Taylor
+    shift in UniPoly.compose."""
+    a, b = F(a), F(b)
+    m = a.denominator * b.denominator
+    line = [a.numerator * b.denominator, b.numerator * a.denominator]
+    out, mk = [], 1
+    for c in reversed(p.numerators):
+        out = _zsub(_zmul(out, line), [-c * mk])
+        mk *= m
+    return UniPoly.from_coeffs(F(c, p.denominator * m ** max(p.degree, 0)) for c in out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, _fracs | st.integers(-20, 20), _fracs | st.integers(-20, 20))
+@example(P(), F(1, 2), F(-3, 4))
+@example(P(F(7, 3)), F(5, 2), F(2, 9))
+@example(P(1, 2, 3), F(-1, 2), 0)
+@example(P(F(-1, 3), 0, F(5, 2), 1), F(7, 4), F(-5, 6))
+def test_unipoly_compose_matches_the_horner_sum(p, a, b):
+    assert p.compose(a, b) == _horner_compose(p, a, b)
+    assert p.shift(a) == _horner_compose(p, a, 1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_polys, _fracs, _fracs.filter(bool))
 @example(P(1, 2, 3), F(-1, 2), F(1))

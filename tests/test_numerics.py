@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from functools import cache
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from hyperaccel import numerics
 from hyperaccel.accelerator import ChuSeries, accelerated_stream, k_series_at
 from hyperaccel.catalog import catalog_entries, entry
-from hyperaccel.exact_arith import UniPoly, _common_ints, _zeval, rational_roots
+from hyperaccel.exact_arith import UniPoly, _zeval, rational_roots
 from hyperaccel.hypergeom_terms import FamilyId, family_instantiate, k_shift_ratio
 from hyperaccel.numerics import (
     _CANCEL_LEAVES,
@@ -22,8 +24,9 @@ from hyperaccel.numerics import (
     ClosedForm,
     Enclosure,
     _bits_for,
-    _GeometricSum,
+    _BlockedSum,
     _arctan_scaled,
+    _fold,
     _iroot,
     _leaf_polys,
     _log2,
@@ -217,8 +220,8 @@ def test_enclosure_exact_matches_its_fraction_form(num, den):
        st.integers(0, 500), st.integers(0, 40))
 @settings(max_examples=100)
 def test_leaf_values_match_horner(coeffs, lo, count):
-    assert _values(coeffs, lo, lo + count) == [_zeval(coeffs, j)
-                                                for j in range(lo, lo + count)]
+    assert list(islice(_values(coeffs), lo, lo + count)) == [
+        _zeval(coeffs, j) for j in range(lo, lo + count)]
 
 
 @given(st.fractions(min_value=-9, max_value=9, max_denominator=499),
@@ -758,12 +761,19 @@ def _same_as_reference(s: ChuSeries, digits: int, max_terms=None):
     return got
 
 
+@cache
+def _display_references(digits: int) -> dict:
+    """The running-Fraction outcome for every display."""
+    return {e.id: _outcome(_reference_eval_terms, e.chu, digits)
+            for e in catalog_entries() if e.chu is not None}
+
+
 def test_chu_eval_matches_reference_on_every_display():
-    displays = [e for e in catalog_entries() if e.chu is not None]
-    assert len(displays) == 95
-    for e in displays:
-        got = _same_as_reference(e.chu, 60)
-        assert not isinstance(got, str), e.id
+    want = _display_references(60)
+    assert len(want) == 95
+    for rid, outcome in want.items():
+        assert not isinstance(outcome, str), rid
+        assert _outcome(chu_eval_terms, entry(rid).chu, 60) == outcome, rid
 
 
 _PARAM = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -814,8 +824,8 @@ _TERMINATING = ChuSeries(F(-3, 4), (F(-2), F(1, 3)), (F(5, 2), F(7, 4)),
 @example(ChuSeries(F(1, 2), (F(-3),), (), UniPoly.one(), UniPoly.one()), 5)
 @example(ChuSeries(F(0), (F(1, 2),), (F(4, 3),), UniPoly.from_coeffs([3, 1]),
                    UniPoly.one()), 5)
-# z and a(j)/b(j) far below the smallest float: the stop index is predicted
-# from logarithms of integers
+# z and a(j)/b(j) far below the smallest float, so K = 10^-400: the fixed
+# point at W bits holds none of the sum, and the exact tree decides it
 @example(ChuSeries(F(1, 10 ** 400), (F(1, 2),), (F(3, 2),), UniPoly.one(),
                    UniPoly.from_coeffs([10 ** 400, 1])), 20)
 # the leaf p(4) = 0 lies before the stop index 8: every later term is zero
@@ -839,6 +849,19 @@ _TERMINATING = ChuSeries(F(-3, 4), (F(-2), F(1, 3)), (F(5, 2), F(7, 4)),
                    UniPoly.from_coeffs([1, 3]), UniPoly.from_coeffs([2, 1])), 15)
 @example(ChuSeries(F(3, 4), (F(1, 2),), (F(3, 2), F(5, 2)), UniPoly.one(),
                    UniPoly.one()), 25)
+# partial sums 2 - 2^(1-j) and tail bounds 2^(1-j), all dyadic: both ends
+# of each rounding meet an exact value on the grid, so the exact tree
+# decides them
+@example(ChuSeries(F(1, 2), (), (), UniPoly.one(), UniPoly.one()), 20)
+@example(ChuSeries(F(-1, 2), (), (), UniPoly.one(), UniPoly.one()), 20)
+# the partial sum over [0, 61) is 450249 sum (j + 3) 2^-j, halfway between
+# two floats of 81 bits, so the two ends of its interval round apart, and
+# the tail bound is not dyadic
+@example(ChuSeries(F(1, 2), (), (), UniPoly.from_coeffs([3 * 450249, 450249]),
+                   UniPoly.one()), 10)
+# a num coefficient of 10^400: K a(j) far above the working precision
+@example(ChuSeries(F(1, 3), (F(1, 2),), (F(3, 2),),
+                   UniPoly.from_coeffs([10 ** 400, 1]), UniPoly.one()), 20)
 def test_chu_eval_matches_reference_on_random_series(s, digits):
     _same_as_reference(s, digits)
 
@@ -868,14 +891,6 @@ def test_chu_eval_term_cap_boundary_matches_reference():
     lo, hi, terms = _same_as_reference(_TERMINATING, 12, 3)
     assert terms == 3 and lo <= sum(_TERMINATING.terms(3)) == F(-40329, 13475) <= hi
     assert _same_as_reference(_TERMINATING, 12, 2) == "requested digits unreachable"
-
-
-def _geometric_sum(s: ChuSeries, digits: int, cap: int) -> _GeometricSum:
-    """The geometric sum chu_eval_terms sets up for s."""
-    num_j, den_j = expanded(s.quotient())
-    return _GeometricSum(s, _leaf_polys(s), *_common_ints([num_j, den_j]),
-                         abs(num_j.lc / den_j.lc), _stability_point(num_j, den_j, cap),
-                         cap, F(1, 2 * 10 ** digits))
 
 
 def _plain_split(pv, qv, av, lo, hi):
@@ -941,71 +956,88 @@ def test_folding_the_denominator_keeps_the_sum(vals, k):
 def test_split_keeps_fr2_a_quarter_of_the_unreduced_size():
     # FR-2 at 300 digits sums J = 4070 terms; over [0, J) the reduced T
     # had 24266 bits against 149212 when the cancellation was introduced
-    digits = 300
-    s = entry("FR-2").chu
-    cap = default_term_budget(s.z, digits)
-    g = _geometric_sum(s, digits, cap)
-    _, j = g.confirm(g.predict(), _bits_for(digits))
-    t = _split(*g.leaves, 0, j)[2]
-    t0 = _plain_split(*g.leaves, 0, j)[2]
+    j = _PINS["300"]["FR-2"]
+    leaves = [list(islice(_values(c), j)) for c in _leaf_polys(entry("FR-2").chu)[:3]]
+    t = _split(*leaves, 0, j)[2]
+    t0 = _plain_split(*leaves, 0, j)[2]
     assert 4 * abs(t).bit_length() <= abs(t0).bit_length()
 
 
-@pytest.mark.parametrize("s, digits", [(_rt1(), 50), (entry("FR-2").chu, 30),
-                                       (_TERMINATING, 12)],
-                         ids=["RT1", "FR-2", "terminating"])
-def test_confirmation_recovers_the_stop_index_from_any_prediction(s, digits):
-    # from j0, too early by 5, exact, and too late by 5 and by 3 J; from a
-    # late guess the rule already holds at the guess less one, so J is
-    # bisected between j0 and there
-    lo, hi, j = _same_as_reference(s, digits, 1000)
-    g = _geometric_sum(s, digits, 1000)
-    assert g.predict() == j
-    for guess in (g.j0, j - 5, j, j + 5, 4 * j):
-        enc, got = g.confirm(guess, _bits_for(digits))
-        assert (lower_end(enc), upper_end(enc), got) == (lo, hi, j), guess
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.integers(-30, 30), min_size=3 * n, max_size=3 * n)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.integers(0, 40), st.integers(1, 9))
+@example([0, 5, 2] + [3, 4, 1] * 5, F(3, 2), 8, 2)
+def test_fold_keeps_its_error_bounds(vals, k, w, span):
+    # leaves p(j), q(j), a(j) interleaved, q nonzero; spans of the given
+    # number of leaves are folded into c ~ K C_j 2^w and S ~ the partial
+    # sum times 2^w, against the exact values at each span end
+    pv, qv, av = vals[0::3], [x or 31 for x in vals[1::3]], vals[2::3]
+    state = (math.floor(k * 2 ** w), 1, 0, 0)
+    c, total = F(1), F(0)
+    for lo in range(0, len(pv), span):
+        hi = min(lo + span, len(pv))
+        state = _fold(state, *_split(pv, qv, av, lo, hi))
+        for j in range(lo, hi):
+            total += c * av[j]
+            c *= F(pv[j], qv[j])
+        got_c, e, got_s, es = state
+        assert abs(got_c - k * c * 2 ** w) <= e
+        assert abs(got_s - k * total * 2 ** w) <= es
 
 
-def _counting(monkeypatch, name):
-    """The arguments of every call of numerics.name, recursive ones too."""
-    calls, original = [], getattr(numerics, name)
+@pytest.mark.parametrize(
+    "s, digits", [(_rt1(), 50), (entry("FR-2").chu, 30), (_TERMINATING, 12),
+                  (_NEAR_POLE, 430)], ids=["RT1", "FR-2", "terminating", "near-pole"])
+def test_blocked_sum_is_independent_of_the_block_size(monkeypatch, s, digits):
+    # one leaf a block, the loop span, J leaves and 4 J leaves (clipped at
+    # the term cap), against the running Fraction sum
+    want = _outcome(_reference_eval_terms, s, digits)
+    j = want[2]
+    for m in (1, 8, j, 4 * j):
+        monkeypatch.setattr(numerics, "_block_leaves", lambda *_: m)
+        assert _outcome(chu_eval_terms, s, digits) == want, m
+
+
+def _calls(monkeypatch, owner, name):
+    """The results of every call of owner.name, recursive ones too."""
+    results, original = [], getattr(owner, name)
 
     def wrapper(*args):
-        calls.append(args)
-        return original(*args)
+        results.append(original(*args))
+        return results[-1]
 
-    monkeypatch.setattr(numerics, name, wrapper)
-    return calls
+    monkeypatch.setattr(owner, name, wrapper)
+    return results
 
 
-def test_confirmation_tests_the_rule_a_logarithmic_number_of_times(monkeypatch):
-    # from the guess j0 = 4 the spans double up to [35, 67), where J = 47
-    # is bisected; guesses past J bisect between j0 and the guess
-    g = _geometric_sum(_NEAR_POLE, 430, 1000)
-    tests = []
-    stops = _GeometricSum._stops
-    monkeypatch.setattr(_GeometricSum, "_stops",
-                        lambda self, j, cn, cd: tests.append(j) or stops(self, j, cn, cd))
-    bound = 2 * math.ceil(math.log2(47)) + 4
-    for guess in (g.j0, 46, 4 * 47):
-        tests.clear()
-        assert g.confirm(guess, _bits_for(430))[1] == 47, guess
-        assert len(tests) <= bound, (guess, tests)
-    # FR-2 at 300 digits, J = 4070, from j0 = 1 and from 3 J
-    fr2 = entry("FR-2").chu
-    g2 = _geometric_sum(fr2, 300, default_term_budget(fr2.z, 300))
-    for guess in (g2.j0, 3 * 4070):
-        tests.clear()
-        assert g2.confirm(guess, _bits_for(300))[1] == 4070, guess
-        assert len(tests) <= 2 * math.ceil(math.log2(4070)) + 4, (guess, tests)
-    # a right guess sums [0, J - 1) once, then merges the leaf J - 1
-    splits = _counting(monkeypatch, "_split")
-    merges = _counting(monkeypatch, "_merge")
-    tests.clear()
-    assert g.confirm(47, _bits_for(430))[1] == 47
-    assert tests == [46, 47]
-    assert splits[0][3:] == (0, 46) and max(hi for *_, hi in splits) <= 46
-    assert merges[-1][2] == 47 and not any(leaves > 46 for *_, leaves in merges[:-1])
+def test_blocked_sum_falls_back_to_the_exact_tree(monkeypatch):
+    # two guard bits leave the roundings of the partial sum undecided for
+    # most displays; the exact tree then gives the same endpoints
+    want = _display_references(60)
+    exact = _calls(monkeypatch, _BlockedSum, "_exact")
+    monkeypatch.setattr(numerics, "_GUARD_BITS", 2)
+    for rid, outcome in want.items():
+        assert _outcome(chu_eval_terms, entry(rid).chu, 60) == outcome, rid
+    assert len(exact) >= 10
+
+
+@pytest.mark.parametrize("digits", [50, 300, 2000])
+def test_blocked_sum_decides_the_catalog_on_the_fixed_point(monkeypatch, digits):
+    # the exact tree is never built, and after the first block the rule
+    # does not refute, a bisection of it takes at most two blocks a level
+    exact = _calls(monkeypatch, _BlockedSum, "_exact")
+    sizes = _calls(monkeypatch, numerics, "_block_leaves")
+    folds = _calls(monkeypatch, numerics, "_fold")
+    for e in catalog_entries():
+        if e.chu is not None:
+            sizes.clear()
+            folds.clear()
+            chu_eval_terms(e.chu, digits)
+            bisection = 2 * math.ceil(math.log2(sizes[-1])) + 1
+            assert len(folds) <= len(sizes) + bisection, e.id
+    assert exact == []
 
 
 def test_chu_eval_digits_cap():
@@ -1179,29 +1211,6 @@ def test_stop_indices_match_pins(digits):
         enc, terms = chu_eval_terms(chu, digits)
         assert terms == pins[rid], rid
         assert _pin(enc) == encs[rid], rid
-
-
-@pytest.mark.parametrize("digits", [50, 300, 2000])
-def test_stop_index_guess_matches_pins(digits):
-    # a guess off J costs a search of doubling spans and a bisection: a
-    # miss costs time, not a result, so it is caught here
-    for rid, j in _PINS[str(digits)].items():
-        s = entry(rid).chu
-        g = _geometric_sum(s, digits, default_term_budget(s.z, digits))
-        assert g.predict() == j, rid
-
-
-def test_stop_index_guess_outside_float_range():
-    # parameters of height 10^400 and 10^-400 still give the guess, from
-    # log |u|; one whose float is a pole of lgamma gives none, and J is
-    # found from j0
-    g = _geometric_sum(_HUGE_PARAMETERS, 20, 1000)
-    assert (g.j0, g.predict()) == (1, 39)
-    g = _geometric_sum(_TINY_PARAMETER, 430, 1000)
-    assert (g.j0, g.predict()) == (1, 55)
-    g = _geometric_sum(_NEAR_POLE, 430, 1000)
-    assert g.predict() == g.j0 == 4
-    assert g.confirm(g.predict(), _bits_for(430))[1] == 47
 
 
 def test_summation_work_budget_boundary():
